@@ -521,9 +521,19 @@ def _cmd_hs_check(args, max_enum):
     return verdict, witness, [], input_obj
 
 
+def _vertex_p(inst, args):
+    """The P-vertex named by --vertex-index, which must be in range."""
+    count = len(inst.P.vertices)
+    if not 0 <= args.vertex_index < count:
+        raise InputError(
+            f"--vertex-index: {args.vertex_index} is not in 0..{count - 1}"
+        )
+    return inst.P.vertices[args.vertex_index]
+
+
 def _cmd_hs_witness(args, max_enum):
     inst, input_obj = _hs_instance(args)
-    vertex_p = inst.P.vertices[args.vertex_index]
+    vertex_p = _vertex_p(inst, args)
     try:
         w = construct_hs_witness(inst, vertex_p, max_enum)
     except HypothesisViolated:
@@ -558,7 +568,7 @@ def _cmd_hs_witness(args, max_enum):
 
 def _cmd_hs_dual_witness(args, max_enum):
     inst, input_obj = _hs_instance(args)
-    vertex_p = inst.P.vertices[args.vertex_index]
+    vertex_p = _vertex_p(inst, args)
     try:
         w = construct_dual_hs_witness(inst, vertex_p, max_enum)
     except HypothesisViolated:
@@ -927,14 +937,18 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def _resolve_max_enum(args) -> int:
     if getattr(args, "max_enum", None) is not None:
-        return args.max_enum
-    env = os.environ.get(ENV_MAX_ENUM)
-    if env:
+        cap, source = args.max_enum, "--max-enum"
+    else:
+        env = os.environ.get(ENV_MAX_ENUM)
+        if not env:
+            return DEFAULT_MAX_ENUM
         try:
-            return int(env)
+            cap, source = int(env), ENV_MAX_ENUM
         except ValueError:
             raise InputError(f"{ENV_MAX_ENUM} must be an integer, got {env!r}")
-    return DEFAULT_MAX_ENUM
+    if cap < 0:
+        raise InputError(f"{source} must be a nonnegative integer, got {cap}")
+    return cap
 
 
 def _run_verify(args) -> int:

@@ -40,3 +40,7 @@ class EmptyMartingalePolytope(RobustFtapError):
 
 class InputError(RobustFtapError):
     """Malformed input file or argument."""
+
+
+class CertificateError(RobustFtapError):
+    """A certificate failed its exact check; signals an implementation bug."""

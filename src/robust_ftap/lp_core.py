@@ -1,13 +1,19 @@
 """Exact-rational linear programming with primal/dual certificates.
 
-A two-phase simplex over `fractions.Fraction` with Bland's anti-cycling
-rule.  Optimal solutions come back with dual multipliers whose objective
-equals the primal objective as a rational, with no tolerance; infeasible
-and unbounded problems come back with a Farkas-type certificate ray.
+A two-phase simplex with Bland's anti-cycling rule on an integer tableau:
+rows are Python ints over a positive factor per row, and pivots are
+fraction-free row operations reduced by the gcd (Edmonds 1967, Bareiss
+1968), so `fractions.Fraction` appears only where the LP is read in and
+where its solution is built.  Optimal solutions come back with dual
+multipliers whose objective equals the primal objective as a rational,
+with no tolerance; infeasible problems come back with Farkas multipliers
+and unbounded ones with an improving ray.  Each of the three outcomes is
+checked exactly before it is returned (`check_optimal`, `check_infeasible`,
+`check_unbounded`), and a failed check raises CertificateError.
 
 On top of the solver sits a bilinear minimax over a vertex-polytope /
 polytope pair.  The minimax value is computed twice, once per quantifier
-order, and the two values are asserted to be exactly equal before being
+order, and the two values are checked to be exactly equal before being
 returned; this is the finite-dimensional sup-inf exchange.
 """
 
@@ -15,10 +21,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import reduce
 from itertools import combinations
+from math import gcd, lcm
 from typing import Iterable, Optional, Sequence
 
-from .errors import DimensionMismatch, EmptyPolytope
+from .errors import CertificateError, DimensionMismatch, EmptyPolytope
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
@@ -97,8 +105,9 @@ class LpSolution:
     For Optimal: `primal` is a feasible point, `dual` holds one multiplier
     per constraint row, `reduced_costs` one per variable (zero for free
     variables), and primal and dual objectives agree exactly in `value`.
-    For Infeasible, `dual` carries a Farkas certificate over the rows; for
-    Unbounded, `primal` carries an improving ray.
+    For Infeasible, `dual` and `upper_dual` carry the Farkas multipliers of
+    the rows and of the upper bounds (see `check_infeasible`); for
+    Unbounded, `primal` carries an improving ray (see `check_unbounded`).
     """
 
     status: str  # "Optimal" | "Infeasible" | "Unbounded"
@@ -110,98 +119,151 @@ class LpSolution:
 
 
 # ---------------------------------------------------------------------------
+# fraction-free integer elimination
+# ---------------------------------------------------------------------------
+
+
+def _int_row(values: Sequence) -> list[int]:
+    """The rational row `values` times a positive factor that makes every
+    entry an integer with no common divisor (ints are accepted too)."""
+    # reduce() rather than lcm(*...)/gcd(*...): a star-argument tuple per row
+    # raised the peak RSS of the market-lp benchmark by about 1.5 MiB
+    den = reduce(lcm, [v.denominator for v in values], 1)
+    row = [v.numerator * (den // v.denominator) for v in values]
+    g = reduce(gcd, row, 0)
+    return [a // g for a in row] if g > 1 else row
+
+
+def _pivot(rows: list[list[int]], r: int, j: int) -> None:
+    """Fraction-free pivot of integer rows on entry (r, j).
+
+    Every row stands for a positive multiple of a rational row.  Row r is
+    negated if its entry at j is negative; every other row k with a nonzero
+    entry at j becomes ``k * rows[r][j] - k[j] * rows[r]``, divided by the
+    gcd of its entries.  That is a positive multiple of the rational row
+    operation that clears column j, so the pivot sequence and every ratio
+    are those of the same elimination over Fractions.
+    """
+    prow = rows[r]
+    p = prow[j]
+    if p < 0:
+        prow = rows[r] = [-a for a in prow]
+        p = -p
+    for k, row in enumerate(rows):
+        f = row[j]
+        if f and k != r:
+            new = [a * p - f * b for a, b in zip(row, prow)]
+            g = reduce(gcd, new, 0)
+            rows[k] = [a // g for a in new] if g > 1 else new
+
+
+def _row_reduce(rows: list[list[int]], ncols: int) -> int:
+    """Gauss-Jordan elimination in place over the first `ncols` columns of
+    integer rows; returns the rank.  Pivot columns are taken left to right
+    and the pivot row is the first remaining row with a nonzero entry;
+    rows at and beyond the rank end up zero in those columns."""
+    rank = 0
+    for col in range(ncols):
+        piv = next((r for r in range(rank, len(rows)) if rows[r][col]), None)
+        if piv is None:
+            continue
+        rows[rank], rows[piv] = rows[piv], rows[rank]
+        _pivot(rows, rank, col)
+        rank += 1
+    return rank
+
+
+# ---------------------------------------------------------------------------
 # simplex
 # ---------------------------------------------------------------------------
 
 
 class _Tableau:
-    """Dense simplex tableau for min c.z, A z = b, z >= 0 over Fractions."""
+    """Dense simplex tableau for min c.z, A z = b, z >= 0 in Python ints.
 
-    def __init__(self, rows: list[list[Fraction]], rhs: list[Fraction], ncols: int):
-        self.A = rows
-        self.b = rhs
-        self.m = len(rows)
-        self.ncols = ncols
-        # artificial columns are ncols .. ncols+m-1, identity basis
-        self.basis = [ncols + i for i in range(self.m)]
-        for i in range(self.m):
-            row = self.A[i]
-            row.extend(ONE if j == i else ZERO for j in range(self.m))
-        self.total = ncols + self.m
+    Row i of the input is ``[A_i, b_i]``, its entries Fractions or ints;
+    artificial column ncols + i starts in the basis of row i.  Each stored
+    row is ``[A_i, artificials, b_i, 0]`` scaled to integers by a positive
+    factor: the row's entry in the column of its basic variable, where the
+    rational row has a 1.  After the m constraint rows comes the
+    reduced-cost row ``[red, -value, z]``, whose last entry z > 0 is its
+    factor (the column of the objective variable).  The ratio of two
+    entries of one row never needs the factor.
+    """
 
-    def pivot(self, r: int, j: int, red: list[Fraction], const: list[Fraction]) -> None:
-        A, b = self.A, self.b
-        piv = A[r][j]
-        inv = ONE / piv
-        A[r] = [a * inv for a in A[r]]
-        b[r] *= inv
-        prow = A[r]
-        for k in range(self.m):
-            if k == r:
-                continue
-            f = A[k][j]
-            if f:
-                A[k] = [a - f * p for a, p in zip(A[k], prow)]
-                b[k] -= f * b[r]
-        f = red[j]
-        if f:
-            for c in range(self.total):
-                red[c] -= f * prow[c]
-            const[0] -= f * b[r]
+    def __init__(self, rows: list[list], ncols: int):
+        m = len(rows)
+        self.m = m
+        self.total = ncols + m
+        self.basis = [ncols + i for i in range(m)]
+        self.rows = [
+            _int_row(row[:ncols] + [int(k == i) for k in range(m)] + [row[ncols], 0])
+            for i, row in enumerate(rows)
+        ]
+        self.rows.append([0] * (self.total + 2))  # reduced costs: see price()
+
+    def entry(self, r: int, c: int) -> Fraction:
+        """Rational entry (r, c); c = total gives the right-hand side."""
+        row = self.rows[r]
+        return Fraction(row[c], row[self.basis[r]])
+
+    def reduced(self, c: int) -> Fraction:
+        """Reduced cost of column c (c = total gives minus the objective)."""
+        obj = self.rows[self.m]
+        return Fraction(obj[c], obj[-1])
+
+    def pivot(self, r: int, j: int) -> None:
+        """Column j enters the basis in row r."""
+        _pivot(self.rows, r, j)
         self.basis[r] = j
 
-    def reduced_costs(self, cost: list[Fraction]) -> tuple[list[Fraction], list[Fraction]]:
-        # cost has length total; returns (reduced row, [objective constant])
-        red = list(cost)
-        const = [ZERO]
+    def price(self, cost: list) -> None:
+        """Install the reduced-cost row of `cost` (one entry per column):
+        pivoting again on each basic position clears the basic columns from
+        it and leaves the constraint rows as they are."""
+        self.rows[self.m] = _int_row(cost + [0, 1])
         for r, bv in enumerate(self.basis):
-            f = red[bv]
-            if f:
-                prow = self.A[r]
-                for c in range(self.total):
-                    red[c] -= f * prow[c]
-                const[0] -= f * self.b[r]
-        return red, const
+            _pivot(self.rows, r, bv)
 
-    def run(
-        self,
-        cost: list[Fraction],
-        allow_enter: list[bool],
-    ) -> tuple[str, list[Fraction], list[Fraction], Optional[int]]:
-        """Bland-rule simplex; returns (status, reduced_row, const, entering).
+    def run(self, allow_enter: list[bool]) -> Optional[int]:
+        """Bland-rule simplex on the installed costs.
 
-        status "optimal" or "unbounded"; on "unbounded" `entering` is the
-        column whose increase improves without bound.
+        Returns None at an optimum, or the entering column whose increase
+        improves the objective without bound.
         """
-        red, const = self.reduced_costs(cost)
+        rows, basis, m, b = self.rows, self.basis, self.m, self.total
         while True:
-            enter = -1
-            for j in range(self.total):
-                if allow_enter[j] and red[j] < 0:
-                    enter = j
-                    break
+            obj = rows[m]
+            enter = next(
+                (j for j in range(self.total) if allow_enter[j] and obj[j] < 0), -1
+            )
             if enter < 0:
-                return "optimal", red, const, None
+                return None
+            # least ratio b_r / a_r over a_r > 0, compared by cross-multiplying
+            # (the positive row factors cancel); ties go to the least basic index
             leave = -1
-            best: Optional[Fraction] = None
-            for r in range(self.m):
-                a = self.A[r][enter]
+            for r in range(m):
+                a = rows[r][enter]
                 if a > 0:
-                    ratio = self.b[r] / a
-                    if (
-                        best is None
-                        or ratio < best
-                        or (ratio == best and self.basis[r] < self.basis[leave])
-                    ):
-                        best = ratio
+                    if leave < 0:
+                        leave = r
+                        continue
+                    lhs = rows[r][b] * rows[leave][enter]
+                    rhs = rows[leave][b] * a
+                    if lhs < rhs or (lhs == rhs and basis[r] < basis[leave]):
                         leave = r
             if leave < 0:
-                return "unbounded", red, const, enter
-            self.pivot(leave, enter, red, const)
+                return enter
+            self.pivot(leave, enter)
 
 
 def solve_lp(lp: LinearProgram) -> LpSolution:
-    """Exact two-phase simplex with Bland's rule and dual extraction."""
+    """Exact two-phase simplex with Bland's rule and dual extraction.
+
+    Every result is checked before it is returned: `check_optimal`,
+    `check_infeasible` or `check_unbounded` raises CertificateError if the
+    solution does not prove its status.
+    """
     n = lp.num_vars
     minimize = lp.sense == "min"
     c = [f if minimize else -f for f in lp.objective]
@@ -210,17 +272,13 @@ def solve_lp(lp: LinearProgram) -> LpSolution:
     # an unbounded-below variable is split into u+ - u-; an upper bound
     # becomes an appended constraint row.  Column map entries are
     # (var, sign) pairs contributing sign * z_col to x_var.
-    col_of_var: list[list[tuple[int, int]]] = []
     shift = [ZERO] * n
     cols: list[tuple[int, int]] = []
     for j in range(n):
+        cols.append((j, 1))
         if lp.lower[j] is not None:
             shift[j] = lp.lower[j]
-            col_of_var.append([(len(cols), 1)])
-            cols.append((j, 1))
         else:
-            col_of_var.append([(len(cols), 1), (len(cols) + 1, -1)])
-            cols.append((j, 1))
             cols.append((j, -1))
 
     rows: list[tuple[tuple[Fraction, ...], str, Fraction]] = [
@@ -246,114 +304,141 @@ def solve_lp(lp: LinearProgram) -> LpSolution:
             nslack += 1
     ncols = nz + nslack
 
-    tab_rows: list[list[Fraction]] = []
-    tab_rhs: list[Fraction] = []
+    tab_rows: list[list] = []
     flip: list[int] = []
     for r, (coeffs, rel, rhs) in enumerate(rows):
-        row = [ZERO] * ncols
+        row = [0] * (ncols + 1)
         for col, (j, s) in enumerate(cols):
             if coeffs[j]:
                 row[col] = s * coeffs[j]
         sc = slack_of_row[r]
         if sc is not None:
-            row[sc] = ONE if rel == LE else -ONE
-        b = rhs - sum(coeffs[j] * shift[j] for j in range(n))
-        if b < 0:
+            row[sc] = 1 if rel == LE else -1
+        row[ncols] = rhs - sum(coeffs[j] * shift[j] for j in range(n) if shift[j])
+        if row[ncols] < 0:
             row = [-a for a in row]
-            b = -b
             flip.append(-1)
         else:
             flip.append(1)
         tab_rows.append(row)
-        tab_rhs.append(b)
 
-    tab = _Tableau(tab_rows, tab_rhs, ncols)
+    tab = _Tableau(tab_rows, ncols)
     total = tab.total
 
+    def per_variable(lam: list[Fraction]) -> tuple[Fraction, ...]:
+        # multipliers of the appended upper-bound rows, one per variable
+        out = [ZERO] * n
+        for k, j in enumerate(upper_rows):
+            out[j] = lam[len(lp.constraints) + k]
+        return tuple(out)
+
     # phase 1
-    cost1 = [ZERO] * ncols + [ONE] * m
-    allow = [True] * total
-    status, red1, _const1, _ = tab.run(cost1, allow)
-    assert status == "optimal"
-    phase1_value = sum(
-        tab.b[r] for r in range(m) if tab.basis[r] >= ncols
-    )
-    if phase1_value > 0:
+    tab.price([0] * ncols + [1] * m)
+    if tab.run([True] * total) is not None:
+        raise CertificateError("phase 1 reported an unbounded sum of artificials")
+    # the artificials are nonnegative, so the phase-1 value is positive
+    # exactly when one of them is basic at a positive level
+    if any(tab.basis[r] >= ncols and tab.rows[r][total] for r in range(m)):
         # Farkas certificate: multipliers from phase-1 reduced costs of the
         # artificial columns, mapped back through the row flips.
-        lam = [flip[i] * (ONE - red1[ncols + i]) for i in range(m)]
-        return LpSolution(status="Infeasible", dual=tuple(lam[: len(lp.constraints)]))
+        lam = [flip[i] * (ONE - tab.reduced(ncols + i)) for i in range(m)]
+        sol = LpSolution(
+            status="Infeasible",
+            dual=tuple(lam[: len(lp.constraints)]),
+            upper_dual=per_variable(lam),
+        )
+        check_infeasible(lp, sol)
+        return sol
 
     # drive artificials out of the basis where possible (zero-level pivots)
-    red_dummy = [ZERO] * total
-    const_dummy = [ZERO]
     for r in range(m):
         if tab.basis[r] >= ncols:
             for j in range(ncols):
-                if tab.A[r][j]:
-                    tab.pivot(r, j, red_dummy, const_dummy)
+                if tab.rows[r][j]:
+                    tab.pivot(r, j)
                     break
 
     # phase 2: artificial columns stay in the tableau (they carry the dual
     # multipliers) but may not enter
-    cost2 = [ZERO] * total
+    cost2 = [0] * total
     for col, (j, s) in enumerate(cols):
         cost2[col] = s * c[j]
-    allow2 = [True] * ncols + [False] * m
-    status, red2, const2, enter = tab.run(cost2, allow2)
+    tab.price(cost2)
+    enter = tab.run([True] * ncols + [False] * m)
 
-    if status == "unbounded":
-        assert enter is not None
+    if enter is not None:
         ray = [ZERO] * n
         if enter < nz:
             j, s = cols[enter]
             ray[j] += s
         for r in range(m):
-            a = tab.A[r][enter]
             bv = tab.basis[r]
-            if a and bv < nz:
+            if tab.rows[r][enter] and bv < nz:
                 vj, vs = cols[bv]
-                ray[vj] += vs * (-a)
-        return LpSolution(status="Unbounded", primal=tuple(ray))
+                ray[vj] -= vs * tab.entry(r, enter)
+        sol = LpSolution(status="Unbounded", primal=tuple(ray))
+        check_unbounded(lp, sol)
+        return sol
 
     # optimal: recover primal, duals, reduced costs
     z = [ZERO] * total
     for r, bv in enumerate(tab.basis):
-        z[bv] = tab.b[r]
+        z[bv] = tab.entry(r, total)
     x = list(shift)
     for col, (j, s) in enumerate(cols):
         x[j] += s * z[col]
 
     obj_shift = sum(c[j] * shift[j] for j in range(n))
-    value_min = -const2[0] + obj_shift
+    value_min = -tab.reduced(total) + obj_shift
     value = value_min if minimize else -value_min
 
-    lam = [-red2[ncols + i] for i in range(m)]  # artificial cost 0 in phase 2
-    lam = [flip[i] * lam[i] for i in range(m)]
+    # artificial cost 0 in phase 2
+    lam = [-flip[i] * tab.reduced(ncols + i) for i in range(m)]
     if not minimize:
         lam = [-v for v in lam]
-    dual = tuple(lam[: len(lp.constraints)])
-    upper_dual_full = [ZERO] * n
-    for k, j in enumerate(upper_rows):
-        upper_dual_full[j] = lam[len(lp.constraints) + k]
 
     reduced = [ZERO] * n
     for j in range(n):
-        r = lp.objective[j] - sum(
-            lam[i] * rows[i][0][j] for i in range(m)
+        reduced[j] = lp.objective[j] - sum(
+            lam[i] * rows[i][0][j] for i in range(m) if lam[i]
         )
-        reduced[j] = r
 
     sol = LpSolution(
         status="Optimal",
         primal=tuple(x),
-        dual=dual,
+        dual=tuple(lam[: len(lp.constraints)]),
         value=value,
         reduced_costs=tuple(reduced),
-        upper_dual=tuple(upper_dual_full),
+        upper_dual=per_variable(lam),
     )
     check_optimal(lp, sol)
     return sol
+
+
+# ---------------------------------------------------------------------------
+# certificate checks
+# ---------------------------------------------------------------------------
+
+
+def _require(ok: bool, what: str) -> None:
+    if not ok:
+        raise CertificateError(what)
+
+
+def _dot(u: Sequence[Fraction], v: Sequence[Fraction]) -> Fraction:
+    """Exact dot product; zero terms are skipped, as Fraction products cost."""
+    return sum((a * b for a, b in zip(u, v) if a and b), ZERO)
+
+
+def _row_sums(lp: LinearProgram, y: Sequence[Fraction]) -> list[Fraction]:
+    """sum_i y_i a_ij for each variable j."""
+    out = [ZERO] * lp.num_vars
+    for yi, row in zip(y, lp.constraints):
+        if yi:
+            for j, a in enumerate(row.coeffs):
+                if a:
+                    out[j] += yi * a
+    return out
 
 
 def check_optimal(lp: LinearProgram, sol: LpSolution) -> None:
@@ -361,66 +446,136 @@ def check_optimal(lp: LinearProgram, sol: LpSolution) -> None:
 
     Checks primal feasibility, dual sign conventions, stationarity of the
     reduced costs, and equality of primal and dual objectives; raises
-    AssertionError on any exact violation.
+    CertificateError on any exact violation.
     """
-    assert sol.status == "Optimal"
+    _require(sol.status == "Optimal", f"status {sol.status!r} is not Optimal")
     n = lp.num_vars
     x = sol.primal
+    _require(
+        len(x) == n
+        and len(sol.dual) == len(lp.constraints)
+        and len(sol.upper_dual) == n
+        and len(sol.reduced_costs) == n,
+        "solution vectors have the wrong length",
+    )
     for row in lp.constraints:
-        lhs = sum(a * v for a, v in zip(row.coeffs, x))
+        lhs = _dot(row.coeffs, x)
         if row.relation == LE:
-            assert lhs <= row.rhs, "primal infeasible (<= row)"
+            _require(lhs <= row.rhs, "primal infeasible (<= row)")
         elif row.relation == GE:
-            assert lhs >= row.rhs, "primal infeasible (>= row)"
+            _require(lhs >= row.rhs, "primal infeasible (>= row)")
         else:
-            assert lhs == row.rhs, "primal infeasible (= row)"
+            _require(lhs == row.rhs, "primal infeasible (= row)")
     for j in range(n):
         if lp.lower[j] is not None:
-            assert x[j] >= lp.lower[j], "primal below lower bound"
+            _require(x[j] >= lp.lower[j], "primal below lower bound")
         if lp.upper[j] is not None:
-            assert x[j] <= lp.upper[j], "primal above upper bound"
+            _require(x[j] <= lp.upper[j], "primal above upper bound")
 
     maximize = lp.sense == "max"
     # row multipliers: for max, y >= 0 on <= rows, y <= 0 on >= rows
     for y, row in zip(sol.dual, lp.constraints):
         if row.relation == LE:
-            assert (y >= 0) if maximize else (y <= 0), "dual sign (<= row)"
+            _require((y >= 0) if maximize else (y <= 0), "dual sign (<= row)")
         elif row.relation == GE:
-            assert (y <= 0) if maximize else (y >= 0), "dual sign (>= row)"
+            _require((y <= 0) if maximize else (y >= 0), "dual sign (>= row)")
+    reduced = [
+        cj - s - mu
+        for cj, s, mu in zip(lp.objective, _row_sums(lp, sol.dual), sol.upper_dual)
+    ]
     for j in range(n):
         mu_up = sol.upper_dual[j]
         if lp.upper[j] is None:
-            assert mu_up == 0
+            _require(mu_up == 0, "multiplier on a missing upper bound")
         else:
-            assert (mu_up >= 0) if maximize else (mu_up <= 0), "dual sign (upper)"
-        r = (
-            lp.objective[j]
-            - sum(y * row.coeffs[j] for y, row in zip(sol.dual, lp.constraints))
-            - mu_up
-        )
-        assert r == sol.reduced_costs[j], "stored reduced cost mismatch"
+            _require((mu_up >= 0) if maximize else (mu_up <= 0), "dual sign (upper)")
+        r = reduced[j]
+        _require(r == sol.reduced_costs[j], "stored reduced cost mismatch")
         if lp.lower[j] is None:
-            assert r == 0, "free variable has nonzero reduced cost"
+            _require(r == 0, "free variable has nonzero reduced cost")
         else:
-            assert (r <= 0) if maximize else (r >= 0), "reduced cost sign"
+            _require((r <= 0) if maximize else (r >= 0), "reduced cost sign")
 
-    dual_obj = sum(y * row.rhs for y, row in zip(sol.dual, lp.constraints))
+    dual_obj = _dot(sol.dual, [row.rhs for row in lp.constraints])
     dual_obj += sum(
-        mu * up
-        for mu, up in zip(sol.upper_dual, lp.upper)
-        if up is not None
+        mu * up for mu, up in zip(sol.upper_dual, lp.upper) if up is not None
     )
+    dual_obj += sum(
+        r * lo for r, lo in zip(reduced, lp.lower) if lo is not None
+    )
+    primal_obj = _dot(lp.objective, x)
+    _require(primal_obj == sol.value, "stored value differs from primal objective")
+    _require(dual_obj == sol.value, "strong duality gap")
+
+
+def check_infeasible(lp: LinearProgram, sol: LpSolution) -> None:
+    """Exact verification of a Farkas certificate of infeasibility.
+
+    The multipliers are y = `sol.dual` on the rows and mu = `sol.upper_dual`
+    on the upper bounds, with y <= 0 on <= rows, y >= 0 on >= rows and
+    mu <= 0.  With g_j = sum_i y_i a_ij + mu_j, every feasible x would have
+    g.x >= y.b + mu.u; the certificate requires g_j = 0 for free variables
+    and g_j <= 0 for variables with a lower bound l_j, so g.x <= sum g_j l_j,
+    and y.b + mu.u - sum g_j l_j > 0 makes the two bounds contradict.
+    Raises CertificateError on any exact violation.
+    """
+    _require(sol.status == "Infeasible", f"status {sol.status!r} is not Infeasible")
+    n = lp.num_vars
+    _require(
+        len(sol.dual) == len(lp.constraints) and len(sol.upper_dual) == n,
+        "Farkas vector has the wrong length",
+    )
+    for y, row in zip(sol.dual, lp.constraints):
+        if row.relation == LE:
+            _require(y <= 0, "Farkas sign (<= row)")
+        elif row.relation == GE:
+            _require(y >= 0, "Farkas sign (>= row)")
+    bound = _dot(sol.dual, [row.rhs for row in lp.constraints])
+    g = _row_sums(lp, sol.dual)
+    for j in range(n):
+        mu = sol.upper_dual[j]
+        if lp.upper[j] is None:
+            _require(mu == 0, "Farkas multiplier on a missing upper bound")
+        else:
+            _require(mu <= 0, "Farkas sign (upper)")
+            bound += mu * lp.upper[j]
+        gj = g[j] + mu
+        if lp.lower[j] is None:
+            _require(gj == 0, "Farkas combination nonzero on a free variable")
+        else:
+            _require(gj <= 0, "Farkas combination positive on a bounded variable")
+            bound -= gj * lp.lower[j]
+    _require(bound > 0, "Farkas combination is not contradictory")
+
+
+def check_unbounded(lp: LinearProgram, sol: LpSolution) -> None:
+    """Exact verification of an improving ray d = `sol.primal`.
+
+    d must satisfy the homogeneous system (a.d <= 0, >= 0 or = 0 with the
+    row's relation; d_j >= 0 under a lower bound, d_j <= 0 under an upper
+    bound) and strictly improve the objective; with the feasible point that
+    phase 1 found, the LP value is then unbounded.  Raises CertificateError
+    on any exact violation.
+    """
+    _require(sol.status == "Unbounded", f"status {sol.status!r} is not Unbounded")
+    n = lp.num_vars
+    d = sol.primal
+    _require(len(d) == n, "ray has the wrong length")
+    for row in lp.constraints:
+        lhs = _dot(row.coeffs, d)
+        if row.relation == LE:
+            _require(lhs <= 0, "ray leaves a <= row")
+        elif row.relation == GE:
+            _require(lhs >= 0, "ray leaves a >= row")
+        else:
+            _require(lhs == 0, "ray leaves an = row")
     for j in range(n):
         if lp.lower[j] is not None:
-            r = (
-                lp.objective[j]
-                - sum(y * row.coeffs[j] for y, row in zip(sol.dual, lp.constraints))
-                - sol.upper_dual[j]
-            )
-            dual_obj += r * lp.lower[j]
-    primal_obj = sum(cj * xj for cj, xj in zip(lp.objective, x))
-    assert primal_obj == sol.value, "stored value differs from primal objective"
-    assert dual_obj == sol.value, "strong duality gap"
+            _require(d[j] >= 0, "ray leaves a lower bound")
+        if lp.upper[j] is not None:
+            _require(d[j] <= 0, "ray leaves an upper bound")
+    gain = _dot(lp.objective, d)
+    _require(gain > 0 if lp.sense == "max" else gain < 0, "ray does not improve")
 
 
 # ---------------------------------------------------------------------------
@@ -429,43 +584,20 @@ def check_optimal(lp: LinearProgram, sol: LpSolution) -> None:
 
 
 def solve_square(matrix: Sequence[Sequence[Fraction]], rhs: Sequence[Fraction]):
-    """Solve a square rational system by Gaussian elimination.
+    """Solve a square rational system by fraction-free elimination.
 
     Returns the solution vector or None when the matrix is singular.
     """
     n = len(rhs)
-    A = [list(row) + [rhs[i]] for i, row in enumerate(matrix)]
-    for col in range(n):
-        piv = next((r for r in range(col, n) if A[r][col] != 0), None)
-        if piv is None:
-            return None
-        A[col], A[piv] = A[piv], A[col]
-        inv = ONE / A[col][col]
-        A[col] = [a * inv for a in A[col]]
-        for r in range(n):
-            if r != col and A[r][col]:
-                f = A[r][col]
-                A[r] = [a - f * p for a, p in zip(A[r], A[col])]
-    return [A[r][n] for r in range(n)]
+    rows = [_int_row(list(row) + [b]) for row, b in zip(matrix, rhs)]
+    if _row_reduce(rows, n) < n:
+        return None
+    return [Fraction(row[n], row[i]) for i, row in enumerate(rows)]
 
 
 def matrix_rank(matrix: Sequence[Sequence[Fraction]]) -> int:
-    rows = [list(r) for r in matrix]
-    rank = 0
-    ncols = len(rows[0]) if rows else 0
-    for col in range(ncols):
-        piv = next((r for r in range(rank, len(rows)) if rows[r][col] != 0), None)
-        if piv is None:
-            continue
-        rows[rank], rows[piv] = rows[piv], rows[rank]
-        inv = ONE / rows[rank][col]
-        rows[rank] = [a * inv for a in rows[rank]]
-        for r in range(len(rows)):
-            if r != rank and rows[r][col]:
-                f = rows[r][col]
-                rows[r] = [a - f * p for a, p in zip(rows[r], rows[rank])]
-        rank += 1
-    return rank
+    rows = [_int_row(r) for r in matrix]
+    return _row_reduce(rows, len(rows[0]) if rows else 0)
 
 
 def enumerate_basic_feasible(
@@ -478,29 +610,14 @@ def enumerate_basic_feasible(
     """
     nvars = len(eq_rows[0])
     # reduce to an independent subset of rows; bail out if inconsistent
-    work = [list(row) + [b] for row, b in zip(eq_rows, eq_rhs)]
-    indep: list[int] = []
-    rank = 0
-    for col in range(nvars):
-        piv = next(
-            (r for r in range(len(work)) if r >= rank and work[r][col] != 0), None
-        )
-        if piv is None:
-            continue
-        work[rank], work[piv] = work[piv], work[rank]
-        inv = ONE / work[rank][col]
-        work[rank] = [a * inv for a in work[rank]]
-        for r in range(len(work)):
-            if r != rank and work[r][col]:
-                f = work[r][col]
-                work[r] = [a - f * p for a, p in zip(work[r], work[rank])]
-        rank += 1
-    if any(all(a == 0 for a in row[:nvars]) and row[nvars] != 0 for row in work):
+    work = [_int_row(list(row) + [b]) for row, b in zip(eq_rows, eq_rhs)]
+    rank = _row_reduce(work, nvars)
+    if any(row[nvars] for row in work[rank:]):
         return []
-    A_ind = [row[:nvars] for row in work[:rank]]
-    b_ind = [row[nvars] for row in work[:rank]]
     if rank == 0:
         return [tuple([ZERO] * nvars)]
+    A_ind = [row[:nvars] for row in work[:rank]]
+    b_ind = [row[nvars] for row in work[:rank]]
 
     seen: set[tuple[Fraction, ...]] = set()
     out: list[tuple[Fraction, ...]] = []
@@ -583,7 +700,7 @@ def _bx(B, x):
 def minimax_value(inst: MinimaxInstance) -> MinimaxResult:
     """Common value of sup_x inf_y and inf_y sup_x of y.Bx, computed as two
     LPs (the inner problem of each order is dualized or vertex-enumerated);
-    their exact equality is asserted before returning."""
+    their exact equality is checked before returning."""
     B = inst.payoff
     xverts = inst.X.vertices
     if not xverts:
@@ -704,7 +821,8 @@ def minimax_value(inst: MinimaxInstance) -> MinimaxResult:
         lam = sol2.primal[R : R + K]
         value2 = sol2.value
 
-    assert value1 == value2, "minimax exchange failed: sup-inf != inf-sup"
+    if value1 != value2:
+        raise CertificateError("minimax exchange failed: sup-inf != inf-sup")
     x_star = tuple(
         sum(lam[k] * xverts[k][j] for k in range(K)) for j in range(inst.X.dim)
     )

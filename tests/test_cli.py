@@ -149,6 +149,34 @@ class TestSubcommands:
         monkeypatch.setenv("ROBUST_FTAP_MAX_ENUM", "20")
         assert main(["martingale-polytope", "--input", path]) == 0
 
+    @pytest.mark.parametrize("command", ["hs-witness", "hs-dual-witness"])
+    def test_vertex_index_out_of_range(self, tmp_path, capsys, command):
+        path = write(tmp_path, "pair.json", PAIR)
+        argv = [command, "--input", path, "--epsilon", "1/4", "--delta", "1/4"]
+        assert main(argv + ["--vertex-index", "7"]) == 1
+        err = capsys.readouterr().err
+        assert "--vertex-index" in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("command", ["hs-witness", "hs-dual-witness"])
+    def test_negative_vertex_index(self, tmp_path, capsys, command):
+        path = write(tmp_path, "pair.json", PAIR)
+        argv = [command, "--input", path, "--epsilon", "1/4", "--delta", "1/4"]
+        assert main(argv + ["--vertex-index", "-1"]) == 1
+        assert "--vertex-index" in capsys.readouterr().err
+
+    def test_negative_max_enum(self, tmp_path, capsys):
+        path = write(tmp_path, "m1.json", M1)
+        assert main(
+            ["martingale-polytope", "--input", path, "--max-enum", "-1"]
+        ) == 1
+        assert "--max-enum" in capsys.readouterr().err
+
+    def test_negative_env_cap(self, tmp_path, capsys, monkeypatch):
+        path = write(tmp_path, "m1.json", M1)
+        monkeypatch.setenv("ROBUST_FTAP_MAX_ENUM", "-1")
+        assert main(["martingale-polytope", "--input", path]) == 1
+        assert "ROBUST_FTAP_MAX_ENUM" in capsys.readouterr().err
+
     def test_negative_verdict_is_exit_zero(self, tmp_path):
         arb = dict(M1, S1=[["2"], ["1"]])  # increments (1, 0): arbitrage
         path = write(tmp_path, "arb.json", arb)

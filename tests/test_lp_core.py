@@ -1,12 +1,17 @@
 """Exact simplex core: strong duality, degeneracy, vertex enumeration,
 and the bilinear minimax exchange."""
 
+import os
 import random
+import subprocess
+import sys
+import textwrap
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
 
-from robust_ftap.errors import DimensionMismatch, EmptyPolytope
+from robust_ftap.errors import CertificateError, DimensionMismatch, EmptyPolytope
 from robust_ftap.lp_core import (
     Constraint,
     EQ,
@@ -16,7 +21,9 @@ from robust_ftap.lp_core import (
     LinearProgram,
     MinimaxInstance,
     VertexPolytope,
+    check_infeasible,
     check_optimal,
+    check_unbounded,
     enumerate_basic_feasible,
     matrix_rank,
     minimax_value,
@@ -38,7 +45,22 @@ class TestSolveLp:
         lp = LinearProgram(
             [1], "max", [Constraint([1], GE, 1), Constraint([1], LE, 0)]
         )
-        assert solve_lp(lp).status == "Infeasible"
+        sol = solve_lp(lp)
+        assert sol.status == "Infeasible"
+        check_infeasible(lp, sol)
+        # the multipliers combine x >= 1 and x <= 0 into 0 >= 1
+        assert sol.dual[0] > 0 and sol.dual[1] < 0
+
+    def test_infeasible_through_upper_bound(self):
+        # x >= 2 against the bound x <= 1: the Farkas vector needs the
+        # multiplier of the upper-bound row, reported in upper_dual
+        lp = LinearProgram([1], "min", [Constraint([1], GE, 2)], upper=[1])
+        sol = solve_lp(lp)
+        assert sol.status == "Infeasible"
+        assert sol.upper_dual[0] < 0
+        check_infeasible(lp, sol)
+        with pytest.raises(CertificateError):
+            check_infeasible(lp, replace(sol, upper_dual=(F(0),)))
 
     def test_martingale_mass(self):
         # min q_u subject to q_u + q_d = 1, q_u - q_d/2 = 0, q >= 0
@@ -63,6 +85,11 @@ class TestSolveLp:
         # the returned ray improves the objective and preserves feasibility
         ray = sol.primal
         assert sum(c * r for c, r in zip([F(1)], ray)) > 0
+        check_unbounded(lp, sol)
+        with pytest.raises(CertificateError, match="improve"):
+            check_unbounded(lp, replace(sol, primal=(F(0),)))
+        with pytest.raises(CertificateError, match=">= row"):
+            check_unbounded(lp, replace(sol, primal=(F(-1),)))
 
     def test_dimension_mismatch(self):
         with pytest.raises(DimensionMismatch):
@@ -133,9 +160,14 @@ class TestStrongDuality:
             lp = _random_lp(rng)
             sol = solve_lp(lp)
             statuses[sol.status] += 1
-            if sol.status == "Optimal":
-                # check_optimal proves optimality by exact weak duality
-                check_optimal(lp, sol)
+            # each check proves its outcome exactly: optimality by weak
+            # duality, infeasibility by a Farkas combination, unboundedness
+            # by an improving ray of the homogeneous system
+            {
+                "Optimal": check_optimal,
+                "Infeasible": check_infeasible,
+                "Unbounded": check_unbounded,
+            }[sol.status](lp, sol)
         # the generator must actually exercise all three outcomes
         assert all(v > 0 for v in statuses.values()), statuses
 
@@ -169,6 +201,68 @@ class TestStrongDuality:
                     corners.append(corner)
             for corner in corners:
                 assert sol.value >= sum(a * v for a, v in zip(c, corner))
+
+
+class TestCertificateChecks:
+    LP = LinearProgram([1], "max", [Constraint([1], LE, 3)], lower=[0])
+
+    def test_rejects_infeasible_primal(self):
+        sol = solve_lp(self.LP)
+        with pytest.raises(CertificateError, match="primal infeasible"):
+            check_optimal(self.LP, replace(sol, primal=(F(4),), value=F(4)))
+
+    def test_rejects_wrong_status(self):
+        sol = solve_lp(self.LP)
+        for check in (check_infeasible, check_unbounded):
+            with pytest.raises(CertificateError, match="status"):
+                check(self.LP, sol)
+
+    def test_rejects_forged_farkas_vectors(self):
+        rng = random.Random(77)
+        checked = 0
+        while checked < 50:
+            lp = _random_lp(rng)
+            sol = solve_lp(lp)
+            if sol.status != "Infeasible":
+                continue
+            checked += 1
+            negated = replace(
+                sol,
+                dual=tuple(-y for y in sol.dual),
+                upper_dual=tuple(-u for u in sol.upper_dual),
+            )
+            with pytest.raises(CertificateError):
+                check_infeasible(lp, negated)
+
+    def test_checks_survive_python_O(self):
+        # the checks raise CertificateError, so `python -O` keeps them
+        code = textwrap.dedent(
+            """
+            from dataclasses import replace
+            from robust_ftap.errors import CertificateError
+            from robust_ftap.lp_core import (
+                Constraint, LE, LinearProgram, check_optimal, solve_lp)
+            lp = LinearProgram([1], "max", [Constraint([1], LE, 3)], lower=[0])
+            forged = replace(solve_lp(lp), primal=(4,), value=4)
+            try:
+                check_optimal(lp, forged)
+            except CertificateError as exc:
+                print(__debug__, "rejected:", exc)
+            else:
+                print(__debug__, "accepted")
+            """
+        )
+        root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+        src = os.path.join(root, "src")
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        out = subprocess.run(
+            [sys.executable, "-O", "-c", code],
+            env=dict(os.environ, PYTHONPATH=path),
+            capture_output=True,
+            text=True,
+            check=True,
+        )
+        assert out.stdout.strip() == "False rejected: primal infeasible (<= row)"
 
 
 class TestLinearAlgebra:

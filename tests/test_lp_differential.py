@@ -1,0 +1,117 @@
+"""Differential test of the integer simplex against the Fraction simplex it
+replaced (`fraction_simplex.reference_solve_lp`).
+
+Both engines build the same columns, artificials and row flips and follow
+Bland's rule, so they make the same pivots: every field of their solutions
+(status, primal, dual, value, reduced costs, upper-bound multipliers, the
+Farkas vector of an Infeasible LP and the ray of an Unbounded one) must be
+exactly equal, and each must pass the check for its status.
+"""
+
+from fractions import Fraction
+
+import pytest
+from hypothesis import event, given, settings
+from hypothesis import strategies as st
+
+from fraction_simplex import reference_solve_lp
+from robust_ftap.lp_core import (
+    EQ,
+    GE,
+    LE,
+    Constraint,
+    LinearProgram,
+    check_infeasible,
+    check_optimal,
+    check_unbounded,
+    solve_lp,
+)
+
+F = Fraction
+
+CHECKS = {
+    "Optimal": check_optimal,
+    "Infeasible": check_infeasible,
+    "Unbounded": check_unbounded,
+}
+
+rationals = st.builds(F, st.integers(-6, 6), st.integers(1, 4))
+
+# (lower, upper) per variable: free, nonnegative, boxed, upper bound only,
+# and a general interval
+bounds = st.one_of(
+    st.just((None, None)),
+    st.just((F(0), None)),
+    st.just((F(-1), F(1))),
+    st.tuples(st.none(), rationals),
+    st.tuples(rationals, rationals),
+)
+
+
+@st.composite
+def linear_programs(draw):
+    n = draw(st.integers(1, 4))
+    rows = draw(
+        st.lists(
+            st.builds(
+                Constraint,
+                st.lists(rationals, min_size=n, max_size=n),
+                st.sampled_from([LE, EQ, GE]),
+                rationals,
+            ),
+            max_size=5,
+        )
+    )
+    box = draw(st.lists(bounds, min_size=n, max_size=n))
+    return LinearProgram(
+        draw(st.lists(rationals, min_size=n, max_size=n)),
+        draw(st.sampled_from(["max", "min"])),
+        rows,
+        lower=[lo for lo, _ in box],
+        upper=[up for _, up in box],
+    )
+
+
+def _assert_same(lp):
+    sol = solve_lp(lp)
+    ref = reference_solve_lp(lp)
+    for field in (
+        "status", "primal", "dual", "value", "reduced_costs", "upper_dual"
+    ):
+        assert getattr(sol, field) == getattr(ref, field), field
+    CHECKS[sol.status](lp, sol)
+    return sol
+
+
+@settings(max_examples=400, deadline=None)
+@given(linear_programs())
+def test_matches_fraction_simplex(lp):
+    event(_assert_same(lp).status)
+
+
+BEALE = LinearProgram(
+    [F(-3, 4), 150, F(-1, 50), 6],
+    "min",
+    [
+        Constraint([F(1, 4), -60, F(-1, 25), 9], LE, 0),
+        Constraint([F(1, 2), -90, F(-1, 50), 3], LE, 0),
+        Constraint([0, 0, 1, 0], LE, 1),
+    ],
+    lower=[0, 0, 0, 0],
+)
+
+
+@pytest.mark.parametrize(
+    "lp,status",
+    [
+        (BEALE, "Optimal"),
+        (LinearProgram([1], "max", [Constraint([1], GE, 1), Constraint([1], LE, 0)]),
+         "Infeasible"),
+        (LinearProgram([1], "min", [Constraint([1], GE, 2)], upper=[1]), "Infeasible"),
+        (LinearProgram([1], "max", [Constraint([1], GE, 0)]), "Unbounded"),
+        (LinearProgram([0, 1], "max", [Constraint([1, -1], EQ, 0)], lower=[0, None]),
+         "Unbounded"),
+    ],
+)
+def test_fixed_instances(lp, status):
+    assert _assert_same(lp).status == status
