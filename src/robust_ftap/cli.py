@@ -26,17 +26,17 @@ from typing import Optional, Sequence
 
 from .errors import (
     BoundViolated,
+    CertificateError,
     EnumerationCapExceeded,
     HypothesisViolated,
     InputError,
     NaViolated,
     RobustFtapError,
 )
+from .events import GE, LT, support_events
 from .halmos_savage import (
     NO_QUALIFYING_SET,
     HsInstance,
-    _sorted_support,
-    _support_subsets,
     check_hypothesis_dual,
     check_hypothesis_primal,
     construct_dual_hs_witness,
@@ -136,21 +136,25 @@ def _load_json(path: str):
         raise InputError(f"{path}: invalid JSON at line {exc.lineno}: {exc.msg}") from exc
 
 
+def _load_space(outcomes, field: str) -> SampleSpace:
+    """The sample space of a list of unique, nonempty string labels."""
+    if not isinstance(outcomes, list) or not all(
+        isinstance(o, str) for o in outcomes
+    ):
+        raise InputError(f"{field}: expected a list of strings")
+    try:
+        return SampleSpace(outcomes)
+    except ValueError as exc:
+        raise InputError(f"{field}: {exc}") from exc
+
+
 def load_market(obj, where: str = "market") -> Market:
     if not isinstance(obj, dict):
         raise InputError(f"{where}: expected an object")
     for key in ("outcomes", "d", "S0", "S1", "ambiguity_vertices"):
         if key not in obj:
             raise InputError(f"{where}: missing field {key!r}")
-    outcomes = obj["outcomes"]
-    if not isinstance(outcomes, list) or not all(
-        isinstance(o, str) for o in outcomes
-    ):
-        raise InputError(f"{where}.outcomes: expected a list of strings")
-    try:
-        space = SampleSpace(outcomes)
-    except ValueError as exc:
-        raise InputError(f"{where}.outcomes: {exc}") from exc
+    space = _load_space(obj["outcomes"], f"{where}.outcomes")
     d = obj["d"]
     if not isinstance(d, int) or isinstance(d, bool) or d < 0:
         raise InputError(f"{where}.d: expected a nonnegative integer")
@@ -230,10 +234,7 @@ def load_hs_pair(obj) -> tuple[SampleSpace, AmbiguitySet, AmbiguitySet]:
     for key in ("outcomes", "p_vertices", "q_vertices"):
         if key not in obj:
             raise InputError(f"pair file: missing field {key!r}")
-    try:
-        space = SampleSpace(obj["outcomes"])
-    except (ValueError, TypeError) as exc:
-        raise InputError(f"pair.outcomes: {exc}") from exc
+    space = _load_space(obj["outcomes"], "pair.outcomes")
 
     def to_set(rows, name) -> AmbiguitySet:
         if not isinstance(rows, list) or not rows:
@@ -275,8 +276,15 @@ def _digest(obj) -> str:
 
 
 def entry(description: str, lhs: Fraction, relation: str, rhs: Fraction) -> dict:
-    assert relation in _RELATIONS
-    assert _RELATIONS[relation](lhs, rhs), (description, lhs, relation, rhs)
+    """A transcript entry for a claim that holds; raises CertificateError
+    for a false claim or an unknown relation."""
+    if relation not in _RELATIONS:
+        raise CertificateError(f"{description}: unknown relation {relation!r}")
+    if not _RELATIONS[relation](lhs, rhs):
+        raise CertificateError(
+            f"{description}: {format_rational(lhs)} {relation} "
+            f"{format_rational(rhs)} is false"
+        )
     return {
         "description": description,
         "lhs": format_rational(lhs),
@@ -544,13 +552,13 @@ def _cmd_hs_witness(args, max_enum):
             entry("guaranteed bound at least epsilon*delta/2",
                   w.guaranteed_bound, ">=", inst.epsilon * inst.delta / 2)
         )
-        support = _sorted_support(inst.P)
-        for A in _support_subsets(support, max_enum):
-            if vertex_p(A) >= 2 * inst.epsilon:
-                transcript.append(
-                    entry(f"Qstar mass of {_event_name(A)}",
-                          w.q_star(A), ">=", w.guaranteed_bound)
-                )
+        events = support_events(inst.P, max_enum)
+        q_star = events.mass(w.q_star)
+        for A in events.where(events.mass(vertex_p), GE, 2 * inst.epsilon):
+            transcript.append(
+                entry(f"Qstar mass of {_event_name(events.event(A))}",
+                      q_star.at(A), ">=", w.guaranteed_bound)
+            )
     witness = {
         "probability_vectors": [_rs(w.q_star.mass)],
         "weight_vectors": [_rs(w.weights)],
@@ -575,13 +583,13 @@ def _cmd_hs_dual_witness(args, max_enum):
         return "dual hypothesis fails; no witness", None, [], input_obj
     transcript = []
     strict = inst.epsilon * inst.delta
-    support = _sorted_support(inst.P)
-    for A in _support_subsets(support, max_enum):
-        if vertex_p(A) < strict:
-            transcript.append(
-                entry(f"Qstar mass of {_event_name(A)}",
-                      w.q_star(A), "<", w.guaranteed_bound)
-            )
+    events = support_events(inst.P, max_enum)
+    q_star = events.mass(w.q_star)
+    for A in events.where(events.mass(vertex_p), LT, strict):
+        transcript.append(
+            entry(f"Qstar mass of {_event_name(events.event(A))}",
+                  q_star.at(A), "<", w.guaranteed_bound)
+        )
     witness = {
         "probability_vectors": [_rs(w.q_star.mass)],
         "weight_vectors": [_rs(w.weights)],
@@ -742,24 +750,20 @@ def _cmd_build_contiguous(args, max_enum):
                   sum(weights, Fraction(0)), "=", Fraction(1))
         )
         market = seq.markets[n - 1]
-        p_base = market.P.vertices[0]
+        events = support_events(market.P, max_enum)
+        p_base, q = events.mass(market.P.vertices[0]), events.mass(q_n)
         for m_level in range(1, n + 1):
             e, d = cs.schedule[m_level - 1]
             if 2 * e > 1:
                 continue
             beta = Fraction(1, 2**m_level) * (e * d / 2)
-            worst = None
-            for A in _support_subsets(market.support, max_enum):
-                if p_base(A) >= 2 * e:
-                    val = q_n(A)
-                    if worst is None or val < worst:
-                        worst = val
+            worst = events.best(min, q, (p_base, GE, 2 * e))
             if worst is not None:
                 transcript.append(
                     entry(
                         f"market {n}, level {m_level}: least mixture mass on "
                         f"qualifying events",
-                        worst, ">=", beta,
+                        worst.value, ">=", beta,
                     )
                 )
     witness = {
@@ -788,17 +792,14 @@ def _cmd_weak_contiguity(args, max_enum):
     transcript = []
     for n, q in enumerate(picks, start=1):
         market = seq.markets[n - 1]
-        p_base = market.P.vertices[0]
-        worst = None
-        for A in _support_subsets(market.support, max_enum):
-            if p_base(A) < delta:
-                val = q(A)
-                if worst is None or val > worst:
-                    worst = val
+        events = support_events(market.P, max_enum)
+        worst = events.best(
+            max, events.mass(q), (events.mass(market.P.vertices[0]), LT, delta)
+        )
         if worst is not None and eps <= 1:
             transcript.append(
                 entry(f"market {n}: largest witness mass on small events",
-                      worst, "<", eps)
+                      worst.value, "<", eps)
             )
     witness = {
         "delta": format_rational(delta),

@@ -1,5 +1,7 @@
 """Semantic exception hierarchy shared by all modules."""
 
+from typing import Optional
+
 
 class RobustFtapError(Exception):
     """Base class for all library errors."""
@@ -14,12 +16,20 @@ class EmptyPolytope(RobustFtapError):
 
 
 class EnumerationCapExceeded(RobustFtapError):
-    """Subset or basis enumeration would exceed the configured cap."""
+    """Subset or basis enumeration would exceed the configured cap.
 
-    def __init__(self, size: int, cap: int):
-        super().__init__(f"enumeration over {size} outcomes exceeds cap {cap}")
+    ``events``, when given, is the number of events the refused scan
+    would have enumerated (2**size).
+    """
+
+    def __init__(self, size: int, cap: int, events: Optional[int] = None):
+        message = f"enumeration over {size} outcomes exceeds cap {cap}"
+        if events is not None:
+            message += f" ({events} events refused)"
+        super().__init__(message)
         self.size = size
         self.cap = cap
+        self.events = events
 
 
 class HypothesisViolated(RobustFtapError):

@@ -1,24 +1,20 @@
 """Quantitative Halmos-Savage machinery with constructive witnesses.
 
-Hypothesis checking over all events (by exhaustive subset enumeration of
-the quasi-sure support), the primal/dual test-function polytopes, the
-inf-sup / sup-inf values of the expectation game, and witness measures
-that are verified exhaustively before being returned.
+Hypothesis checking over all events of the quasi-sure support (by the
+integer event kernel of :mod:`robust_ftap.events`), the primal/dual
+test-function polytopes, the inf-sup / sup-inf values of the expectation
+game, and witness measures that are verified exhaustively before being
+returned.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
-from typing import Iterable, Optional
+from typing import Optional
 
-from .errors import (
-    BoundViolated,
-    DimensionMismatch,
-    EnumerationCapExceeded,
-    HypothesisViolated,
-)
+from .errors import BoundViolated, DimensionMismatch, HypothesisViolated
+from .events import LT, support_events
 from .lp_core import (
     Constraint,
     GE,
@@ -89,15 +85,6 @@ class HsWitness:
     guaranteed_bound: Fraction
 
 
-def _support_subsets(support: tuple[str, ...], cap: int):
-    if len(support) > cap:
-        raise EnumerationCapExceeded(len(support), cap)
-    n = len(support)
-    for size in range(n + 1):
-        for combo in combinations(support, size):
-            yield frozenset(combo)
-
-
 def _sorted_support(P: AmbiguitySet) -> tuple[str, ...]:
     sup = quasi_sure_support(P)
     return tuple(o for o in P.space.outcomes if o in sup)
@@ -112,21 +99,15 @@ def check_hypothesis_primal(
     "exists P in the set" is a max over P-vertices, same for Q.  Returns the
     verdict and the qualifying event whose best Q-mass is smallest.
     """
-    support = _sorted_support(inst.P)
-    holds = True
-    worst: frozenset[str] = frozenset()
-    worst_val: Optional[Fraction] = None
-    for A in _support_subsets(support, max_enum):
-        p_max = max(v(A) for v in inst.P.vertices)
-        if p_max < inst.epsilon:
-            continue
-        q_max = max(v(A) for v in inst.Q.vertices)
-        if worst_val is None or q_max < worst_val:
-            worst_val = q_max
-            worst = A
-        if q_max < inst.delta:
-            holds = False
-    return holds, worst
+    events = support_events(inst.P, max_enum)
+    worst = events.best(
+        min,
+        events.upper(inst.Q.vertices),
+        (events.upper(inst.P.vertices), GE, inst.epsilon),
+    )
+    if worst is None:
+        return True, frozenset()
+    return worst.value >= inst.delta, worst.event
 
 
 def check_hypothesis_dual(
@@ -137,21 +118,15 @@ def check_hypothesis_dual(
     Returns the verdict and the qualifying event whose best (smallest)
     Q-mass is largest; on failure that event violates the condition.
     """
-    support = _sorted_support(inst.P)
-    holds = True
-    worst: frozenset[str] = frozenset()
-    worst_val: Optional[Fraction] = None
-    for A in _support_subsets(support, max_enum):
-        p_min = min(v(A) for v in inst.P.vertices)
-        if not (p_min < inst.delta):
-            continue
-        q_min = min(v(A) for v in inst.Q.vertices)
-        if worst_val is None or q_min > worst_val:
-            worst_val = q_min
-            worst = A
-        if not (q_min < inst.epsilon):
-            holds = False
-    return holds, worst
+    events = support_events(inst.P, max_enum)
+    worst = events.best(
+        max,
+        events.lower(inst.Q.vertices),
+        (events.lower(inst.P.vertices), LT, inst.delta),
+    )
+    if worst is None:
+        return True, frozenset()
+    return worst.value < inst.epsilon, worst.event
 
 
 def _d_set_polytope(
@@ -187,7 +162,7 @@ def _q_vertex_polytope(inst: HsInstance, support: tuple[str, ...]) -> VertexPoly
 
 def _expectation_game(
     inst: HsInstance, vertex_p: ProbabilityMeasure, kind: str
-) -> tuple[tuple[str, ...], MinimaxResult]:
+) -> MinimaxResult:
     """Solve the expectation game between Q-mixtures and D-set functions.
 
     Primal kind returns the game for E_Q[h]; the dual kind is realized by
@@ -199,10 +174,9 @@ def _expectation_game(
     payoff = [
         [sign if i == j else Fraction(0) for j in range(n)] for i in range(n)
     ]
-    res = minimax_value(
+    return minimax_value(
         MinimaxInstance(payoff, _q_vertex_polytope(inst, support), dset)
     )
-    return support, res
 
 
 def basic_lemma_value(
@@ -210,7 +184,7 @@ def basic_lemma_value(
 ) -> Fraction:
     """Primal: inf over D-set h of sup over Q of E_Q[h].
     Dual: sup over the dual D-set of inf over Q of E_Q[h]."""
-    _, res = _expectation_game(inst, vertex_p, kind)
+    res = _expectation_game(inst, vertex_p, kind)
     return res.value if kind == PRIMAL else -res.value
 
 
@@ -238,7 +212,7 @@ def construct_hs_witness(
         weights = tuple(Fraction(1, k) for _ in range(k))
         q_star = mix(inst.Q.vertices, weights)
         return HsWitness(PRIMAL, vertex_p, q_star, weights, NO_QUALIFYING_SET)
-    support, res = _expectation_game(inst, vertex_p, PRIMAL)
+    res = _expectation_game(inst, vertex_p, PRIMAL)
     bound = res.value
     if bound < inst.epsilon * inst.delta / 2:
         raise BoundViolated(
@@ -246,9 +220,12 @@ def construct_hs_witness(
             f"= {inst.epsilon * inst.delta / 2}"
         )
     q_star = mix(inst.Q.vertices, res.x_weights)
-    for A in _support_subsets(support, max_enum):
-        if vertex_p(A) >= threshold and q_star(A) < bound:
-            raise BoundViolated(f"witness fails on event {sorted(A)}")
+    events = support_events(inst.P, max_enum)
+    p, q = events.mass(vertex_p), events.mass(q_star)
+    worst = events.best(min, q, (p, GE, threshold))
+    if worst is not None and worst.value < bound:
+        first = next(m for m in events.where(p, GE, threshold) if q.at(m) < bound)
+        raise BoundViolated(f"witness fails on event {sorted(events.event(first))}")
     return HsWitness(PRIMAL, vertex_p, q_star, res.x_weights, bound)
 
 
@@ -268,7 +245,7 @@ def construct_dual_hs_witness(
         raise HypothesisViolated(
             "the dual epsilon-delta hypothesis fails on this instance"
         )
-    support, res = _expectation_game(inst, vertex_p, DUAL)
+    res = _expectation_game(inst, vertex_p, DUAL)
     value = -res.value  # inf over Q of sup over the dual D-set
     if value > (2 - inst.epsilon) * inst.epsilon:
         raise BoundViolated(
@@ -278,9 +255,12 @@ def construct_dual_hs_witness(
     q_star = mix(inst.Q.vertices, res.x_weights)
     bound = 2 * inst.epsilon
     strict = inst.epsilon * inst.delta
-    for A in _support_subsets(support, max_enum):
-        if vertex_p(A) < strict and not (q_star(A) < bound):
-            raise BoundViolated(f"dual witness fails on event {sorted(A)}")
+    events = support_events(inst.P, max_enum)
+    p, q = events.mass(vertex_p), events.mass(q_star)
+    worst = events.best(max, q, (p, LT, strict))
+    if worst is not None and not worst.value < bound:
+        first = next(m for m in events.where(p, LT, strict) if not q.at(m) < bound)
+        raise BoundViolated(f"dual witness fails on event {sorted(events.event(first))}")
     return HsWitness(DUAL, vertex_p, q_star, res.x_weights, bound)
 
 
@@ -299,15 +279,11 @@ def hs_modulus(
     epsilon = Fraction(epsilon)
     if P.space != Q.space:
         raise DimensionMismatch("P and Q live on different spaces")
-    support = _sorted_support(P)
-    best: Optional[Fraction] = None
-    for A in _support_subsets(support, max_enum):
-        if max(v(A) for v in P.vertices) < epsilon:
-            continue
-        q_max = max(v(A) for v in Q.vertices)
-        if best is None or q_max < best:
-            best = q_max
-    return NO_QUALIFYING_SET if best is None else best
+    events = support_events(P, max_enum)
+    best = events.best(
+        min, events.upper(Q.vertices), (events.upper(P.vertices), GE, epsilon)
+    )
+    return NO_QUALIFYING_SET if best is None else best.value
 
 
 def indicator_restricted_value(
@@ -321,12 +297,10 @@ def indicator_restricted_value(
     of Q(A); None when no indicator is admissible.  Always an upper bound
     for the continuous D-set optimum.
     """
-    support = _sorted_support(inst.P)
-    best: Optional[Fraction] = None
-    for A in _support_subsets(support, max_enum):
-        if vertex_p(A) < 2 * inst.epsilon:
-            continue
-        q_max = max(v(A) for v in inst.Q.vertices)
-        if best is None or q_max < best:
-            best = q_max
-    return best
+    events = support_events(inst.P, max_enum)
+    best = events.best(
+        min,
+        events.upper(inst.Q.vertices),
+        (events.mass(vertex_p), GE, 2 * inst.epsilon),
+    )
+    return None if best is None else best.value

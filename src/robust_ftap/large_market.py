@@ -9,16 +9,13 @@ the family, while the scanners search for explicit witness strategies.
 
 from __future__ import annotations
 
+from collections import defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
-from typing import Optional, Sequence
+from typing import Iterator, Optional, Sequence
 
-from .errors import (
-    EmptyMartingalePolytope,
-    EnumerationCapExceeded,
-    HypothesisViolated,
-)
+from .errors import CertificateError, EmptyMartingalePolytope, HypothesisViolated
+from .events import LT, support_events
 from .halmos_savage import (
     DEFAULT_MAX_ENUM,
     NO_QUALIFYING_SET,
@@ -106,13 +103,6 @@ class ContiguousSequence:
     schedule: tuple[tuple[Fraction, Fraction], ...]  # (epsilon_m, delta_m)
 
 
-def _subsets(support: tuple[str, ...], cap: int):
-    if len(support) > cap:
-        raise EnumerationCapExceeded(len(support), cap)
-    for size in range(len(support) + 1):
-        yield from (frozenset(c) for c in combinations(support, size))
-
-
 def _feasible_strategy(
     m: Market,
     event: frozenset[str],
@@ -134,14 +124,42 @@ def _feasible_strategy(
     return sol.primal if sol.status == "Optimal" else None
 
 
-def _best_vertex(P: AmbiguitySet, event: frozenset[str]) -> tuple[ProbabilityMeasure, Fraction]:
-    best = P.vertices[0]
-    best_val = best(event)
-    for v in P.vertices[1:]:
-        val = v(event)
-        if val > best_val:
-            best, best_val = v, val
-    return best, best_val
+def _feasible_events(
+    m: Market,
+    level: Fraction,
+    alpha: Fraction,
+    floor: Fraction,
+    infeasible: list[tuple[int, Fraction, Fraction]],
+    max_enum: int,
+) -> Iterator[tuple[tuple[Fraction, ...], ProbabilityMeasure, Fraction]]:
+    """(H, vertex, mass) for each event whose best P-vertex mass is at
+    least level and whose strategy LP is feasible, by size and then
+    lexicographically.  vertex is the first P-vertex of largest mass on the
+    event, mass its mass of the high-gain event {gain of H >= alpha}.
+
+    ``infeasible`` collects the (event mask, alpha, floor) of this market's
+    infeasible LPs.  The LP only tightens when the event grows (for
+    alpha >= -floor a constraint moves from >= -floor to >= alpha), when
+    alpha grows and when floor shrinks, so an LP is skipped once a recorded
+    (event0, alpha0, floor0) has event0 inside the event, alpha0 <= alpha
+    and floor0 >= floor.
+    """
+    events = support_events(m.P, max_enum)
+    upper = events.upper(m.P.vertices)
+    prune = alpha >= -floor
+    for mask in events.where(upper, GE, level):
+        if prune and any(
+            bad & mask == bad and a0 <= alpha and f0 >= floor
+            for bad, a0, f0 in infeasible
+        ):
+            continue
+        H = _feasible_strategy(m, events.event(mask), alpha, floor)
+        if H is None:
+            infeasible.append((mask, alpha, floor))
+            continue
+        vertex = m.P.vertices[upper.first_best(mask)]
+        gain_event = events.mask(o for o in events.labels if m.gain(H, o) >= alpha)
+        yield H, vertex, events.mass(vertex).at(gain_event)
 
 
 def scan_aa1(
@@ -167,6 +185,7 @@ def scan_aa1(
         raise ValueError("the loss schedule must be positive and decreasing")
     if not c_schedule:
         return None
+    infeasible = defaultdict(list)  # per market index
     for alpha in (Fraction(a) for a in alpha_grid):
         indices, strategies, bounds, measures = [], [], [], []
         next_market = 1
@@ -174,24 +193,20 @@ def scan_aa1(
             slot = None
             for n in range(next_market, len(seq) + 1):
                 m = seq.markets[n - 1]
-                for event in _subsets(m.support, max_enum):
-                    vertex, p_val = _best_vertex(m.P, event)
-                    if p_val < alpha:
-                        continue
-                    H = _feasible_strategy(m, event, alpha, c_k)
-                    if H is not None:
-                        slot = (n, H, vertex)
-                        break
-                if slot:
+                found = _feasible_events(m, alpha, alpha, c_k, infeasible[n], max_enum)
+                slot = next(found, None)
+                if slot is not None:
                     break
             if slot is None:
                 break
-            n, H, vertex = slot
-            m = seq.markets[n - 1]
+            H, vertex, p_gain = slot
             # re-verify against the stored measure, exactly
-            gain_event = frozenset(o for o in m.support if m.gain(H, o) >= alpha)
-            assert vertex(gain_event) >= alpha
-            assert all(m.gain(H, o) >= -c_k for o in m.support)
+            if not p_gain >= alpha:
+                raise CertificateError(
+                    f"market {n}: the high-gain event carries less than {alpha}"
+                )
+            if not all(m.gain(H, o) >= -c_k for o in m.support):
+                raise CertificateError(f"market {n}: the strategy loses more than {c_k}")
             indices.append(n)
             strategies.append(H)
             bounds.append(c_k)
@@ -227,6 +242,7 @@ def scan_aa2(
     target_levels = [Fraction(t) for t in target_levels]
     if any(a > b for a, b in zip(target_levels, target_levels[1:])):
         raise ValueError("target levels must be nondecreasing")
+    infeasible = defaultdict(list)  # per market index
     for alpha in (Fraction(a) for a in alpha_grid):
         indices, strategies, measures, attained = [], [], [], []
         next_market = 1
@@ -234,17 +250,8 @@ def scan_aa2(
             slot = None
             for n in range(next_market, len(seq) + 1):
                 m = seq.markets[n - 1]
-                for event in _subsets(m.support, max_enum):
-                    vertex, p_val = _best_vertex(m.P, event)
-                    if p_val < level:
-                        continue
-                    H = _feasible_strategy(m, event, alpha, ONE)
-                    if H is None:
-                        continue
-                    gain_event = frozenset(
-                        o for o in m.support if m.gain(H, o) >= alpha
-                    )
-                    p_attained = vertex(gain_event)
+                found = _feasible_events(m, level, alpha, ONE, infeasible[n], max_enum)
+                for H, vertex, p_attained in found:
                     if p_attained >= level:
                         slot = (n, H, vertex, p_attained)
                         break
@@ -332,18 +339,11 @@ def _dual_modulus(
     Equals the least P-mass among events where every martingale mass is at
     least epsilon; sentinel 2 when no such event exists.
     """
-    from .halmos_savage import _sorted_support, _support_subsets
-
-    support = _sorted_support(P)
-    best: Optional[Fraction] = None
-    for A in _support_subsets(support, max_enum):
-        q_min = min(v(A) for v in Q.vertices)
-        if q_min < epsilon:
-            continue
-        p_min = min(v(A) for v in P.vertices)
-        if best is None or p_min < best:
-            best = p_min
-    return NO_QUALIFYING_SET if best is None else best
+    events = support_events(P, max_enum)
+    best = events.best(
+        min, events.lower(P.vertices), (events.lower(Q.vertices), GE, epsilon)
+    )
+    return NO_QUALIFYING_SET if best is None else best.value
 
 
 def build_contiguous_sequence(
@@ -399,16 +399,17 @@ def build_contiguous_sequence(
             Fraction(1, 2**m_level) / norm for m_level in range(1, n + 1)
         )
         q_n = mix(components, weights)
-        # bound verification by subset enumeration, per level
-        support = market.support
+        # bound verification over every event, per level
+        events = support_events(market.P, max_enum)
+        p, q = events.mass(p_sequence[n - 1]), events.mass(q_n)
         for m_level in range(1, n + 1):
             e, d = eps[m_level - 1], delta[m_level - 1]
             if 2 * e > 1:
                 continue
             beta = Fraction(1, 2**m_level) * (e * d / 2)
-            for A in _subsets(support, max_enum):
-                if p_sequence[n - 1](A) >= 2 * e:
-                    assert q_n(A) >= beta, "contiguity bound failed"
+            worst = events.best(min, q, (p, GE, 2 * e))
+            if worst is not None and worst.value < beta:
+                raise CertificateError("contiguity bound failed")
         per_market.append(q_n)
         all_weights.append(weights)
         all_components.append(tuple(components))
@@ -460,9 +461,12 @@ def weak_contiguity_witness(
         market = seq.markets[n - 1]
         inst = HsInstance(market.P, q_sets[n - 1], half, d_eff)
         w = construct_dual_hs_witness(inst, p_sequence[n - 1], max_enum)
-        for A in _subsets(market.support, max_enum):
-            if p_sequence[n - 1](A) < delta:
-                assert w.q_star(A) < epsilon, "weak contiguity bound failed"
+        events = support_events(market.P, max_enum)
+        worst = events.best(
+            max, events.mass(w.q_star), (events.mass(p_sequence[n - 1]), LT, delta)
+        )
+        if worst is not None and not worst.value < epsilon:
+            raise CertificateError("weak contiguity bound failed")
         picks.append(w.q_star)
     return delta, tuple(picks)
 
@@ -482,5 +486,6 @@ def martingale_contradiction_margin(
     poly = martingale_polytope(m, max_enum)
     if not poly.vertices:
         raise EmptyMartingalePolytope("no martingale measure")
-    event = frozenset(o for o in m.support if m.gain(H, o) >= alpha)
-    return max(v(event) for v in poly.vertices)
+    events = support_events(m.P, max_enum)
+    event = events.mask(o for o in events.labels if m.gain(H, o) >= alpha)
+    return events.upper(poly.vertices).at(event)

@@ -14,6 +14,7 @@ from fractions import Fraction
 from typing import Iterable, Optional, Sequence
 
 from .errors import (
+    CertificateError,
     DimensionMismatch,
     EmptyMartingalePolytope,
     EnumerationCapExceeded,
@@ -144,7 +145,8 @@ def check_na(m: Market) -> tuple[bool, Optional[ArbitrageWitness]]:
     for o in support:
         lp = LinearProgram(m.delta_s(o), "max", base, lower=lower, upper=upper)
         sol = solve_lp(lp)
-        assert sol.status == "Optimal"
+        if sol.status != "Optimal":
+            raise CertificateError(f"the boxed arbitrage LP at {o} is {sol.status}")
         if sol.value > 0:
             return False, ArbitrageWitness(H=sol.primal, strict_outcome=o)
     return True, None
@@ -222,7 +224,8 @@ def check_ftap(
     """Both sides of the one-period FTAP equivalence, reported per P-vertex.
 
     The verdicts must agree (no-arbitrage holds iff every P-vertex admits a
-    martingale measure dominating it); their agreement is asserted.
+    martingale measure dominating it); their agreement is checked, and
+    CertificateError is raised if it fails.
     """
     na_holds, _ = check_na(m)
     per_vertex = []
@@ -232,7 +235,8 @@ def check_ftap(
         per_vertex.append((vp, q))
         if q is None:
             all_dominated = False
-    assert na_holds == all_dominated, "FTAP equivalence failed on this market"
+    if na_holds != all_dominated:
+        raise CertificateError("FTAP equivalence failed on this market")
     return na_holds == all_dominated, per_vertex
 
 
@@ -257,7 +261,8 @@ def superhedge(
     ]
     lp = LinearProgram([ONE] + [ZERO] * m.d, "min", cons)
     sol = solve_lp(lp)
-    assert sol.status == "Optimal", "superhedging LP must be solvable under NA"
+    if sol.status != "Optimal":
+        raise CertificateError("superhedging LP must be solvable under NA")
     price = sol.value
     H = sol.primal[1:]
     q_mass = [ZERO] * m.space.size
@@ -268,10 +273,14 @@ def superhedge(
     poly = martingale_polytope(m, max_enum)
     if not poly.vertices:
         raise EmptyMartingalePolytope("no martingale measure under NA?")
-    assert poly.contains(attaining), "dual solution is not a martingale measure"
+    if not poly.contains(attaining):
+        raise CertificateError("dual solution is not a martingale measure")
     best = max(v.expectation(f) for v in poly.vertices)
-    assert best == price, "LP price differs from vertex-enumeration price"
-    assert attaining.expectation(f) == price
+    if best != price:
+        raise CertificateError("LP price differs from vertex-enumeration price")
+    if attaining.expectation(f) != price:
+        raise CertificateError("the attaining measure does not reach the price")
     for o in support:
-        assert price + m.gain(H, o) >= f.value_at(o)
+        if price + m.gain(H, o) < f.value_at(o):
+            raise CertificateError(f"the hedge does not dominate the payoff at {o}")
     return HedgeCertificate(price=price, H=H, payoff=f, attaining_q=attaining)

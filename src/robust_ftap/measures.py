@@ -17,9 +17,6 @@ from typing import Iterable, Sequence
 
 from .errors import DimensionMismatch
 
-Rational = Fraction
-
-
 def _as_fractions(values: Iterable) -> tuple[Fraction, ...]:
     return tuple(Fraction(v) for v in values)
 
@@ -108,9 +105,6 @@ class ProbabilityMeasure:
         return frozenset(
             o for o, m in zip(self.space.outcomes, self.mass) if m > 0
         )
-
-    def as_signed(self) -> SignedMeasure:
-        return SignedMeasure(self.space, self.mass)
 
     def expectation(self, f: "BoundedFunction") -> Fraction:
         if f.space is not self.space and f.space != self.space:

@@ -142,6 +142,25 @@ class TestSubcommands:
             ["martingale-polytope", "--input", path, "--max-enum", "1"]
         ) == 2
 
+    def test_cap_message_reports_refused_events(self, tmp_path, capsys):
+        path = write(tmp_path, "pair.json", PAIR)
+        args = ["hs-modulus", "--input", path, "--epsilon", "1/2", "--max-enum", "1"]
+        assert main(args) == 2
+        assert capsys.readouterr().err == (
+            "enumeration cap exceeded: enumeration over 2 outcomes exceeds "
+            "cap 1 (4 events refused)\n"
+        )
+
+    @pytest.mark.parametrize(
+        "outcomes", [[1, 2], ["a", None], "ab", ["a", ["b"]], ["a", "a"], ["a", ""]]
+    )
+    def test_pair_outcomes_must_be_strings(self, tmp_path, capsys, outcomes):
+        path = write(tmp_path, "pair.json", dict(PAIR, outcomes=outcomes))
+        assert main(["hs-modulus", "--input", path, "--epsilon", "1/2"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("input error: pair.outcomes: ")
+        assert "Traceback" not in err
+
     def test_env_cap_override(self, tmp_path, capsys, monkeypatch):
         path = write(tmp_path, "m1.json", M1)
         monkeypatch.setenv("ROBUST_FTAP_MAX_ENUM", "1")

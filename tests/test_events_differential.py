@@ -1,0 +1,256 @@
+"""Differential tests of the integer event kernel against the frozenset
+scans it replaced (`frozenset_events`).
+
+Both enumerate the same events and break ties by the same order (size,
+then lexicographic in support order), so every value, verdict and
+tie-break event must be exactly equal.  The masses are drawn from small
+integer weights, so that many events tie.  Each test also runs with a
+3-bit low block, so that supports of 4 to 10 outcomes take the kernel's
+multi-block (Gray-code) path as well as its single-block one.
+"""
+
+from contextlib import contextmanager
+from fractions import Fraction
+from itertools import combinations
+from unittest import mock
+
+import pytest
+from hypothesis import event, given, settings
+from hypothesis import strategies as st
+
+import frozenset_events as ref
+from robust_ftap import events as events_module
+from robust_ftap import large_market
+from robust_ftap.errors import EnumerationCapExceeded
+from robust_ftap.events import GE, LT, EventSpace, support_events
+from robust_ftap.halmos_savage import (
+    HsInstance,
+    check_hypothesis_dual,
+    check_hypothesis_primal,
+    hs_modulus,
+    indicator_restricted_value,
+)
+from robust_ftap.large_market import MarketSequence, _dual_modulus, scan_aa1, scan_aa2
+from robust_ftap.market import Market
+from robust_ftap.measures import AmbiguitySet, ProbabilityMeasure, SampleSpace
+
+F = Fraction
+
+LOW_BITS = [10, 3]
+LEVELS = [F(k, 8) for k in range(0, 10)]
+
+
+@contextmanager
+def low_bits(bits):
+    with mock.patch.object(events_module, "LOW_BITS", bits):
+        yield
+
+
+def _measure(space, weights):
+    total = sum(weights)
+    return ProbabilityMeasure(space, [F(w, total) for w in weights])
+
+
+@st.composite
+def pairs(draw, max_n=10):
+    """(P, Q) on up to max_n outcomes, every Q-vertex dominated by P."""
+    n = draw(st.integers(1, max_n) | st.integers(max_n - 2, max_n))
+    space = SampleSpace([f"o{i}" for i in range(n)])
+    weights = st.lists(st.integers(0, 3), min_size=n, max_size=n).filter(any)
+    p_rows = draw(st.lists(weights, min_size=1, max_size=3))
+    support = [i for i in range(n) if any(row[i] for row in p_rows)]
+    q_rows = draw(
+        st.lists(
+            st.lists(st.integers(0, 3), min_size=len(support), max_size=len(support))
+            .filter(any),
+            min_size=1,
+            max_size=3,
+        )
+    )
+    P = AmbiguitySet(space, [_measure(space, row) for row in p_rows])
+    Q = []
+    for row in q_rows:
+        full = [0] * n
+        for i, w in zip(support, row):
+            full[i] = w
+        Q.append(_measure(space, full))
+    return P, AmbiguitySet(space, Q)
+
+
+levels = st.sampled_from(LEVELS[1:8])  # in (0, 1)
+
+
+@pytest.mark.parametrize("bits", LOW_BITS)
+@settings(max_examples=60, deadline=None)
+@given(pair=pairs(), epsilon=levels, delta=levels, level=st.sampled_from(LEVELS))
+def test_hs_scans_match_frozenset_scans(bits, pair, epsilon, delta, level):
+    P, Q = pair
+    event(f"{len(ref.sorted_support(P))} support outcomes")
+    inst = HsInstance(P, Q, epsilon, delta)
+    with low_bits(bits):
+        assert check_hypothesis_primal(inst) == ref.check_hypothesis_primal(inst)
+        assert check_hypothesis_dual(inst) == ref.check_hypothesis_dual(inst)
+        for e in (epsilon, delta, level):
+            assert hs_modulus(P, Q, e) == ref.hs_modulus(P, Q, e)
+            assert _dual_modulus(P, Q, e, 20) == ref.dual_modulus(P, Q, e)
+        for vp in P.vertices:
+            assert indicator_restricted_value(inst, vp) == (
+                ref.indicator_restricted_value(inst, vp)
+            )
+
+
+@pytest.mark.parametrize("bits", LOW_BITS)
+@settings(max_examples=100, deadline=None)
+@given(
+    pair=pairs(),
+    pick=st.sampled_from([min, max]),
+    agg=st.sampled_from([(max, max), (min, min), (max, min), (min, max)]),
+    op=st.sampled_from([GE, LT]),
+    t=st.sampled_from(LEVELS),
+)
+def test_kernel_best_matches_brute_force(bits, pair, pick, agg, op, t):
+    P, Q = pair
+    side_agg, value_agg = agg
+    with low_bits(bits):
+        events = support_events(P, 20)
+        side = events.upper(P.vertices) if side_agg is max else events.lower(P.vertices)
+        value = events.upper(Q.vertices) if value_agg is max else events.lower(Q.vertices)
+        got = events.best(pick, value, (side, op, t))
+
+        def qualifies(A):
+            mass = side_agg(v(A) for v in P.vertices)
+            return mass >= t if op == GE else mass < t
+
+        want = ref.best(
+            pick, lambda A: value_agg(v(A) for v in Q.vertices), qualifies,
+            ref.sorted_support(P),
+        )
+        assert (got is None) == (want is None)
+        if got is not None:
+            assert (got.value, got.event) == want
+        # the ordered scan lists the qualifying events in the same order
+        assert [events.event(m) for m in events.where(side, op, t)] == [
+            A for A in ref.support_subsets(ref.sorted_support(P), 20) if qualifies(A)
+        ]
+
+
+def test_twelve_outcomes_take_two_high_bits():
+    # at the default 10-bit low block, 12 outcomes stream 4 blocks
+    space = SampleSpace([f"o{i}" for i in range(12)])
+    P = AmbiguitySet(space, [_measure(space, [1, 2, 0, 3, 1, 1, 2, 0, 1, 3, 1, 2]),
+                             _measure(space, [2, 1, 1, 0, 1, 3, 1, 1, 0, 1, 2, 1])])
+    Q = AmbiguitySet(space, [_measure(space, [1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1])])
+    inst = HsInstance(P, Q, F(1, 4), F(1, 3))
+    assert check_hypothesis_primal(inst) == ref.check_hypothesis_primal(inst)
+    assert check_hypothesis_dual(inst) == ref.check_hypothesis_dual(inst)
+    assert hs_modulus(P, Q, F(3, 8)) == ref.hs_modulus(P, Q, F(3, 8))
+
+
+def test_ties_pick_the_first_event_in_order():
+    # uniform masses: every event of a size ties, so the first of the
+    # smallest (or largest) qualifying size must win
+    space = SampleSpace(["a", "b", "c", "d", "e"])
+    U = _measure(space, [1] * 5)
+    for bits in LOW_BITS:
+        with low_bits(bits):
+            events = EventSpace(space, space.outcomes, 20)
+            u = events.mass(U)
+            assert events.best(min, u, (u, GE, F(2, 5))) == (F(2, 5), {"a", "b"})
+            assert events.best(max, u, (u, LT, F(3, 5))) == (F(2, 5), {"a", "b"})
+            assert events.best(max, u, (u, GE, 0)).event == set(space.outcomes)
+            assert events.best(min, u, (u, LT, F(1, 5))) == (0, frozenset())
+            assert events.best(min, u, (u, GE, 2)) is None
+
+
+def test_order_is_combinations_order():
+    labels = [f"o{i}" for i in range(7)]
+    events = EventSpace(SampleSpace(labels), labels, 20)
+    want = [frozenset(c) for k in range(8) for c in combinations(labels, k)]
+    assert [events.event(m) for m in events.masks()] == want
+
+
+def test_cap_reports_refused_events():
+    space = SampleSpace(["a", "b", "c"])
+    P = AmbiguitySet(space, [_measure(space, [1, 1, 1])])
+    with pytest.raises(EnumerationCapExceeded) as info:
+        hs_modulus(P, P, F(1, 2), max_enum=2)
+    assert str(info.value) == "enumeration over 3 outcomes exceeds cap 2 (8 events refused)"
+    assert info.value.events == 8
+
+
+# ---------------------------------------------------------------------------
+# the pruned asymptotic-arbitrage scanners against the unpruned scans
+
+
+def _na_market(space, deltas_head, q_weights, vertices):
+    """A one-asset market whose increments have zero mean under q."""
+    total = sum(q_weights)
+    q = [F(w, total) for w in q_weights]
+    head = sum(qi * d for qi, d in zip(q, deltas_head))
+    deltas = list(deltas_head) + [-head / q[-1]]
+    P = AmbiguitySet(space, [_measure(space, v) for v in vertices])
+    return Market(space, [0], [[d] for d in deltas], P)
+
+
+@st.composite
+def sequences(draw):
+    n = draw(st.integers(2, 5))
+    space = SampleSpace([f"o{i}" for i in range(n)])
+    markets = []
+    for _ in range(draw(st.integers(1, 4))):
+        head = draw(st.lists(st.integers(-4, 4), min_size=n - 1, max_size=n - 1))
+        q_weights = draw(st.lists(st.integers(1, 3), min_size=n, max_size=n))
+        # the first P-vertex charges every outcome, so that NA holds on
+        # the quasi-sure support
+        vertices = [draw(st.lists(st.integers(1, 3), min_size=n, max_size=n))]
+        vertices += draw(
+            st.lists(
+                st.lists(st.integers(0, 3), min_size=n, max_size=n).filter(any),
+                max_size=2,
+            )
+        )
+        markets.append(_na_market(space, head, q_weights, vertices))
+    return MarketSequence(markets)
+
+
+def _count_lps(monkeypatch):
+    counter = {"lps": 0}
+    solve = large_market.solve_lp
+
+    def counted(lp):
+        counter["lps"] += 1
+        return solve(lp)
+
+    monkeypatch.setattr(large_market, "solve_lp", counted)
+    return counter
+
+
+ALPHAS = [F(1, 4), F(1, 2), F(1)]
+
+
+@settings(max_examples=60, deadline=None)
+@given(seq=sequences(), c0=st.sampled_from([F(1), F(2)]))
+def test_pruned_scans_match_unpruned(seq, c0):
+    schedule = [c0, c0 / 2, c0 / 3]
+    levels = [F(1, 4), F(1, 2), F(2, 3)]
+    aa1 = scan_aa1(seq, ALPHAS, schedule)
+    aa2 = scan_aa2(seq, ALPHAS, levels)
+    assert aa1 == ref.scan_aa1(seq, ALPHAS, schedule)
+    assert aa2 == ref.scan_aa2(seq, ALPHAS, levels)
+    event(f"aa1 witness: {aa1 is not None}, aa2 witness: {aa2 is not None}")
+
+
+def test_pruning_saves_lps(monkeypatch):
+    # increments (1, -1) under the uniform law: no H gains 1/10 on an event
+    # while losing at most 1/20 elsewhere.  Each market needs the LPs of
+    # {u} and {d} only; {u, d} and every larger alpha are pruned.
+    space = SampleSpace(["u", "d"])
+    seq = MarketSequence([_na_market(space, [1], [1, 1], [[1, 1]])] * 3)
+    alphas = [F(1, 10), F(1, 5), F(3, 10), F(2, 5), F(1, 2)]
+    schedule = [F(1, 20), F(1, 30), F(1, 40)]
+    counter = _count_lps(monkeypatch)
+    assert scan_aa1(seq, alphas, schedule) is None
+    assert counter["lps"] == 3 * 2
+    counter["lps"] = 0
+    assert ref.scan_aa1(seq, alphas, schedule) is None
+    assert counter["lps"] == 3 * 3 * 5

@@ -250,6 +250,28 @@ class TestCertificateChecks:
                 print(__debug__, "rejected:", exc)
             else:
                 print(__debug__, "accepted")
+
+            from fractions import Fraction
+            from robust_ftap import cli, market
+            from robust_ftap.measures import (
+                AmbiguitySet, ProbabilityMeasure, SampleSpace)
+            try:
+                cli.entry("claimed bound", Fraction(1, 3), ">=", Fraction(1, 2))
+            except CertificateError as exc:
+                print("entry rejected:", exc)
+            else:
+                print("entry accepted")
+            space = SampleSpace(["u", "d"])
+            P = AmbiguitySet(space, [ProbabilityMeasure(space, ["1/2", "1/2"])])
+            m = market.Market(space, [1], [[2], [0]], P)
+            solve = market.solve_lp
+            market.solve_lp = lambda lp: replace(solve(lp), status="Unbounded")
+            try:
+                market.check_na(m)
+            except CertificateError as exc:
+                print("check_na rejected:", exc)
+            else:
+                print("check_na accepted")
             """
         )
         root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
@@ -262,7 +284,11 @@ class TestCertificateChecks:
             text=True,
             check=True,
         )
-        assert out.stdout.strip() == "False rejected: primal infeasible (<= row)"
+        assert out.stdout.splitlines() == [
+            "False rejected: primal infeasible (<= row)",
+            "entry rejected: claimed bound: 1/3 >= 1/2 is false",
+            "check_na rejected: the boxed arbitrage LP at u is Unbounded",
+        ]
 
 
 class TestLinearAlgebra:
