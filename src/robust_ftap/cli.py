@@ -2,11 +2,12 @@
 
 Every subcommand loads rational-valued JSON inputs, dispatches to the
 library, and emits a certificate containing the verdict, an explicit
-witness, and a transcript of asserted inequalities with both sides as
-rational strings.  A separate ``verify`` subcommand re-checks a
-certificate without re-running the original computation: it validates
-the payload digest, re-evaluates every transcript inequality, and checks
-the membership constraints of the witness vectors.
+witness, and a transcript: the claims (:mod:`robust_ftap.claims`) the
+library checked before it returned, with both sides as rational strings.
+A separate ``verify`` subcommand re-checks a certificate without re-running
+the original computation: it validates the payload digest, re-evaluates
+every transcript inequality, and checks the membership constraints of the
+witness vectors.
 
 All numbers are serialized as exact rational strings (``p/q`` in lowest
 terms, or a plain integer); floats are rejected on input.
@@ -15,6 +16,7 @@ terms, or a plain integer); floats are rejected on input.
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import json
 import os
@@ -24,16 +26,14 @@ import tempfile
 from fractions import Fraction
 from typing import Optional, Sequence
 
+from .claims import RELATIONS, Claim, probability_defects
 from .errors import (
-    BoundViolated,
-    CertificateError,
     EnumerationCapExceeded,
     HypothesisViolated,
     InputError,
     NaViolated,
     RobustFtapError,
 )
-from .events import GE, LT, support_events
 from .halmos_savage import (
     NO_QUALIFYING_SET,
     HsInstance,
@@ -42,6 +42,7 @@ from .halmos_savage import (
     construct_dual_hs_witness,
     construct_hs_witness,
     hs_modulus,
+    witness_claims,
 )
 from .large_market import (
     DEFAULT_ALPHA_GRID,
@@ -50,30 +51,29 @@ from .large_market import (
     certify_moduli,
     scan_aa1,
     scan_aa2,
+    weak_contiguity_claims,
     weak_contiguity_witness,
 )
 from .market import (
     Market,
     check_na,
     check_ftap,
+    dominating_claims,
     martingale_polytope,
     superhedge,
 )
-from .measures import AmbiguitySet, BoundedFunction, ProbabilityMeasure, SampleSpace
+from .measures import (
+    DEFAULT_MAX_ENUM,
+    AmbiguitySet,
+    BoundedFunction,
+    ProbabilityMeasure,
+    SampleSpace,
+)
 
-DEFAULT_MAX_ENUM = 20
 ENV_MAX_ENUM = "ROBUST_FTAP_MAX_ENUM"
 
 _RATIONAL_RE = re.compile(r"-?[0-9]+(/[1-9][0-9]*)?\Z")
 _DECIMAL_RE = re.compile(r"-?[0-9]+\.[0-9]{1,12}\Z")
-
-_RELATIONS = {
-    "<": lambda a, b: a < b,
-    "<=": lambda a, b: a <= b,
-    "=": lambda a, b: a == b,
-    ">=": lambda a, b: a >= b,
-    ">": lambda a, b: a > b,
-}
 
 
 # ---------------------------------------------------------------------------
@@ -109,13 +109,22 @@ def format_rational(x: Fraction) -> str:
     return str(Fraction(x))
 
 
+def _rs(values) -> list[str]:
+    return [format_rational(v) for v in values]
+
+
 def _parse_list(values, field: str) -> list[Fraction]:
     if not isinstance(values, list):
         raise InputError(f"{field}: expected a list")
     return [parse_rational(v, f"{field}[{i}]") for i, v in enumerate(values)]
 
 
-def _parse_grid(text: str, field: str) -> list[Fraction]:
+def _parse_grid(
+    text: Optional[str], field: str, default=None
+) -> Optional[list[Fraction]]:
+    """The comma-separated grid of an option; ``default`` when it is not given."""
+    if not text:
+        return default
     items = [t for t in text.split(",") if t.strip()]
     if not items:
         raise InputError(f"{field}: empty grid")
@@ -148,6 +157,20 @@ def _load_space(outcomes, field: str) -> SampleSpace:
         raise InputError(f"{field}: {exc}") from exc
 
 
+def _load_vertices(rows, space: SampleSpace, field: str) -> AmbiguitySet:
+    """The ambiguity set of a nonempty list of probability vectors."""
+    if not isinstance(rows, list) or not rows:
+        raise InputError(f"{field}: expected a nonempty list")
+    vertices = []
+    for i, row in enumerate(rows):
+        mass = _parse_list(row, f"{field}[{i}]")
+        try:
+            vertices.append(ProbabilityMeasure(space, mass))
+        except (ValueError, RobustFtapError) as exc:
+            raise InputError(f"{field}[{i}]: {exc}") from exc
+    return AmbiguitySet(space, vertices)
+
+
 def load_market(obj, where: str = "market") -> Market:
     if not isinstance(obj, dict):
         raise InputError(f"{where}: expected an object")
@@ -168,20 +191,11 @@ def load_market(obj, where: str = "market") -> Market:
     for i, row in enumerate(s1):
         if len(row) != d:
             raise InputError(f"{where}.S1[{i}]: expected {d} entries")
-    verts_obj = obj["ambiguity_vertices"]
-    if not isinstance(verts_obj, list) or not verts_obj:
-        raise InputError(f"{where}.ambiguity_vertices: expected a nonempty list")
-    vertices = []
-    for i, v in enumerate(verts_obj):
-        mass = _parse_list(v, f"{where}.ambiguity_vertices[{i}]")
-        try:
-            vertices.append(ProbabilityMeasure(space, mass))
-        except (ValueError, RobustFtapError) as exc:
-            raise InputError(
-                f"{where}.ambiguity_vertices[{i}]: {exc}"
-            ) from exc
+    P = _load_vertices(
+        obj["ambiguity_vertices"], space, f"{where}.ambiguity_vertices"
+    )
     try:
-        return Market(space, s0, s1, AmbiguitySet(space, vertices))
+        return Market(space, s0, s1, P)
     except (ValueError, RobustFtapError) as exc:
         raise InputError(f"{where}: {exc}") from exc
 
@@ -190,11 +204,9 @@ def market_to_obj(m: Market) -> dict:
     return {
         "outcomes": list(m.space.outcomes),
         "d": m.d,
-        "S0": [format_rational(x) for x in m.s0],
-        "S1": [[format_rational(x) for x in row] for row in m.s1],
-        "ambiguity_vertices": [
-            [format_rational(x) for x in v.mass] for v in m.P.vertices
-        ],
+        "S0": _rs(m.s0),
+        "S1": [_rs(row) for row in m.s1],
+        "ambiguity_vertices": [_rs(v.mass) for v in m.P.vertices],
     }
 
 
@@ -235,29 +247,15 @@ def load_hs_pair(obj) -> tuple[SampleSpace, AmbiguitySet, AmbiguitySet]:
         if key not in obj:
             raise InputError(f"pair file: missing field {key!r}")
     space = _load_space(obj["outcomes"], "pair.outcomes")
-
-    def to_set(rows, name) -> AmbiguitySet:
-        if not isinstance(rows, list) or not rows:
-            raise InputError(f"pair.{name}: expected a nonempty list")
-        vertices = []
-        for i, row in enumerate(rows):
-            mass = _parse_list(row, f"pair.{name}[{i}]")
-            try:
-                vertices.append(ProbabilityMeasure(space, mass))
-            except (ValueError, RobustFtapError) as exc:
-                raise InputError(f"pair.{name}[{i}]: {exc}") from exc
-        return AmbiguitySet(space, vertices)
-
-    return space, to_set(obj["p_vertices"], "p_vertices"), to_set(
-        obj["q_vertices"], "q_vertices"
-    )
+    P = _load_vertices(obj["p_vertices"], space, "pair.p_vertices")
+    return space, P, _load_vertices(obj["q_vertices"], space, "pair.q_vertices")
 
 
 def hs_pair_to_obj(space, P: AmbiguitySet, Q: AmbiguitySet) -> dict:
     return {
         "outcomes": list(space.outcomes),
-        "p_vertices": [[format_rational(x) for x in v.mass] for v in P.vertices],
-        "q_vertices": [[format_rational(x) for x in v.mass] for v in Q.vertices],
+        "p_vertices": [_rs(v.mass) for v in P.vertices],
+        "q_vertices": [_rs(v.mass) for v in Q.vertices],
     }
 
 
@@ -273,24 +271,6 @@ def canonical_json(obj) -> bytes:
 
 def _digest(obj) -> str:
     return hashlib.sha256(canonical_json(obj)).hexdigest()
-
-
-def entry(description: str, lhs: Fraction, relation: str, rhs: Fraction) -> dict:
-    """A transcript entry for a claim that holds; raises CertificateError
-    for a false claim or an unknown relation."""
-    if relation not in _RELATIONS:
-        raise CertificateError(f"{description}: unknown relation {relation!r}")
-    if not _RELATIONS[relation](lhs, rhs):
-        raise CertificateError(
-            f"{description}: {format_rational(lhs)} {relation} "
-            f"{format_rational(rhs)} is false"
-        )
-    return {
-        "description": description,
-        "lhs": format_rational(lhs),
-        "relation": relation,
-        "rhs": format_rational(rhs),
-    }
 
 
 def build_certificate(command, input_obj, verdict, witness, transcript) -> dict:
@@ -329,12 +309,12 @@ def verify_certificate(cert) -> list[str]:
             lhs = parse_rational(e["lhs"], f"transcript[{i}].lhs")
             rhs = parse_rational(e["rhs"], f"transcript[{i}].rhs")
             rel = e["relation"]
-            if rel not in _RELATIONS:
+            if rel not in RELATIONS:
                 raise InputError(f"transcript[{i}]: unknown relation {rel!r}")
         except (InputError, KeyError, TypeError) as exc:
             problems.append(f"transcript[{i}]: malformed entry ({exc})")
             continue
-        if not _RELATIONS[rel](lhs, rhs):
+        if not RELATIONS[rel](lhs, rhs):
             problems.append(
                 f"transcript[{i}] fails: {e['lhs']} {rel} {e['rhs']}"
                 f" ({e.get('description', '')})"
@@ -348,10 +328,10 @@ def verify_certificate(cert) -> list[str]:
                 except InputError as exc:
                     problems.append(str(exc))
                     continue
-                if any(v < 0 for v in values):
-                    problems.append(f"witness.{field}[{j}] has a negative entry")
-                if sum(values) != 1:
-                    problems.append(f"witness.{field}[{j}] does not sum to 1")
+                problems += (
+                    f"witness.{field}[{j}] {defect}"
+                    for defect in probability_defects(values)
+                )
     return problems
 
 
@@ -359,12 +339,16 @@ def verify_certificate(cert) -> list[str]:
 # shared serialization helpers
 
 
-def _rs(values) -> list[str]:
-    return [format_rational(v) for v in values]
-
-
-def _event_name(event) -> str:
-    return "{" + ",".join(sorted(event)) + "}"
+def _transcript(claims: Sequence[Claim]) -> list[dict]:
+    return [
+        {
+            "description": c.description,
+            "lhs": format_rational(c.lhs),
+            "relation": c.relation,
+            "rhs": format_rational(c.rhs),
+        }
+        for c in claims
+    ]
 
 
 def _modulus_str(x: Fraction) -> str:
@@ -372,81 +356,41 @@ def _modulus_str(x: Fraction) -> str:
 
 
 # ---------------------------------------------------------------------------
-# subcommand handlers; each returns (verdict, witness, transcript, input_obj)
+# subcommand handlers; each returns (verdict, witness, claims, input_obj)
 
 
 def _cmd_check_na(args, max_enum):
     m = load_market(_load_json(args.input))
     holds, w = check_na(m)
-    transcript = []
     if holds:
-        return "NA holds", None, transcript, market_to_obj(m)
-    for o in m.support:
-        transcript.append(
-            entry(f"gain of H at {o}", m.gain(w.H, o), ">=", Fraction(0))
-        )
-    transcript.append(
-        entry(
-            f"strict gain at {w.strict_outcome}",
-            m.gain(w.H, w.strict_outcome),
-            ">",
-            Fraction(0),
-        )
-    )
+        return "NA holds", None, [], market_to_obj(m)
     witness = {"H": _rs(w.H), "strict_outcome": w.strict_outcome}
-    return "NA fails", witness, transcript, market_to_obj(m)
-
-
-def _martingale_transcript(m: Market, vertices, transcript):
-    support = m.support
-    for k, q in enumerate(vertices):
-        for i in range(m.d):
-            lhs = sum(
-                (q.mass_of(o) * m.delta_s(o)[i] for o in support), Fraction(0)
-            )
-            transcript.append(
-                entry(f"vertex {k}: expected increment of asset {i}",
-                      lhs, "=", Fraction(0))
-            )
+    return "NA fails", witness, w.claims, market_to_obj(m)
 
 
 def _cmd_martingale_polytope(args, max_enum):
     m = load_market(_load_json(args.input))
     poly = martingale_polytope(m, max_enum)
-    transcript = []
-    _martingale_transcript(m, poly.vertices, transcript)
+    claims = [
+        c for k, q in enumerate(poly.vertices)
+        for c in m.martingale_claims(q, f"vertex {k}")
+    ]
     witness = {"probability_vectors": [_rs(v.mass) for v in poly.vertices]}
     verdict = f"{len(poly.vertices)} martingale vertices"
-    return verdict, witness, transcript, market_to_obj(m)
+    return verdict, witness, claims, market_to_obj(m)
 
 
 def _cmd_ftap(args, max_enum):
     m = load_market(_load_json(args.input))
-    ok, per_vertex = check_ftap(m)
-    na_holds = all(q is not None for _, q in per_vertex)
-    transcript = []
-    dominating = []
-    vectors = []
+    na_holds, per_vertex = check_ftap(m)
+    claims, dominating, vectors = [], [], []
     for vp, q in per_vertex:
         if q is None:
             dominating.append(None)
             continue
         dominating.append(len(vectors))
         vectors.append(_rs(q.mass))
-        for i in range(m.d):
-            lhs = sum(
-                (q.mass_of(o) * m.delta_s(o)[i] for o in m.support),
-                Fraction(0),
-            )
-            transcript.append(
-                entry(f"dominating Q: expected increment of asset {i}",
-                      lhs, "=", Fraction(0))
-            )
-        for o in sorted(vp.support):
-            transcript.append(
-                entry(f"dominating Q positive at {o}", q.mass_of(o), ">",
-                      Fraction(0))
-            )
+        claims += dominating_claims(m, vp, q)
     verdict = (
         "NA holds; every ambiguity vertex admits a dominating martingale measure"
         if na_holds
@@ -456,7 +400,7 @@ def _cmd_ftap(args, max_enum):
         "probability_vectors": vectors,
         "dominating_index_per_vertex": dominating,
     }
-    return verdict, witness, transcript, market_to_obj(m)
+    return verdict, witness, claims, market_to_obj(m)
 
 
 def _cmd_superhedge(args, max_enum):
@@ -471,32 +415,13 @@ def _cmd_superhedge(args, max_enum):
     except NaViolated:
         return ("NA fails; superhedging duality unavailable", None, [],
                 input_obj)
-    transcript = []
-    for o in m.support:
-        transcript.append(
-            entry(f"hedge dominates payoff at {o}",
-                  cert.price + m.gain(cert.H, o), ">=", f.value_at(o))
-        )
-    transcript.append(
-        entry("attaining measure reaches the price",
-              cert.attaining_q.expectation(f), "=", cert.price)
-    )
-    for i in range(m.d):
-        lhs = sum(
-            (cert.attaining_q.mass_of(o) * m.delta_s(o)[i] for o in m.support),
-            Fraction(0),
-        )
-        transcript.append(
-            entry(f"attaining measure: expected increment of asset {i}",
-                  lhs, "=", Fraction(0))
-        )
     witness = {
         "price": format_rational(cert.price),
         "H": _rs(cert.H),
         "probability_vectors": [_rs(cert.attaining_q.mass)],
     }
-    return f"superhedging price {format_rational(cert.price)}", witness, \
-        transcript, input_obj
+    verdict = f"superhedging price {format_rational(cert.price)}"
+    return verdict, witness, cert.claims, input_obj
 
 
 def _hs_instance(args):
@@ -539,66 +464,29 @@ def _vertex_p(inst, args):
     return inst.P.vertices[args.vertex_index]
 
 
-def _cmd_hs_witness(args, max_enum):
+def _cmd_hs_witness(args, max_enum, kind):
     inst, input_obj = _hs_instance(args)
     vertex_p = _vertex_p(inst, args)
+    construct = construct_hs_witness if kind == "primal" else construct_dual_hs_witness
     try:
-        w = construct_hs_witness(inst, vertex_p, max_enum)
+        w = construct(inst, vertex_p, max_enum)
     except HypothesisViolated:
-        return "primal hypothesis fails; no witness", None, [], input_obj
-    transcript = []
-    if w.guaranteed_bound != NO_QUALIFYING_SET:
-        transcript.append(
-            entry("guaranteed bound at least epsilon*delta/2",
-                  w.guaranteed_bound, ">=", inst.epsilon * inst.delta / 2)
-        )
-        events = support_events(inst.P, max_enum)
-        q_star = events.mass(w.q_star)
-        for A in events.where(events.mass(vertex_p), GE, 2 * inst.epsilon):
-            transcript.append(
-                entry(f"Qstar mass of {_event_name(events.event(A))}",
-                      q_star.at(A), ">=", w.guaranteed_bound)
-            )
+        return f"{kind} hypothesis fails; no witness", None, [], input_obj
+    bound = format_rational(w.guaranteed_bound)
+    if kind == "dual":
+        verdict = f"dual witness with strict bound {bound}"
+    elif w.guaranteed_bound == NO_QUALIFYING_SET:
+        verdict = "no event reaches mass 2*epsilon; conclusion vacuous"
+    else:
+        verdict = f"witness with guaranteed bound {bound}"
     witness = {
         "probability_vectors": [_rs(w.q_star.mass)],
         "weight_vectors": [_rs(w.weights)],
-        "guaranteed_bound": format_rational(w.guaranteed_bound),
+        "guaranteed_bound": bound,
         "for_vertex_p": _rs(vertex_p.mass),
     }
-    verdict = (
-        "no event reaches mass 2*epsilon; conclusion vacuous"
-        if w.guaranteed_bound == NO_QUALIFYING_SET
-        else f"witness with guaranteed bound {format_rational(w.guaranteed_bound)}"
-    )
     input_obj = dict(input_obj, vertex_index=args.vertex_index)
-    return verdict, witness, transcript, input_obj
-
-
-def _cmd_hs_dual_witness(args, max_enum):
-    inst, input_obj = _hs_instance(args)
-    vertex_p = _vertex_p(inst, args)
-    try:
-        w = construct_dual_hs_witness(inst, vertex_p, max_enum)
-    except HypothesisViolated:
-        return "dual hypothesis fails; no witness", None, [], input_obj
-    transcript = []
-    strict = inst.epsilon * inst.delta
-    events = support_events(inst.P, max_enum)
-    q_star = events.mass(w.q_star)
-    for A in events.where(events.mass(vertex_p), LT, strict):
-        transcript.append(
-            entry(f"Qstar mass of {_event_name(events.event(A))}",
-                  q_star.at(A), "<", w.guaranteed_bound)
-        )
-    witness = {
-        "probability_vectors": [_rs(w.q_star.mass)],
-        "weight_vectors": [_rs(w.weights)],
-        "guaranteed_bound": format_rational(w.guaranteed_bound),
-        "for_vertex_p": _rs(vertex_p.mass),
-    }
-    verdict = f"dual witness with strict bound {format_rational(w.guaranteed_bound)}"
-    input_obj = dict(input_obj, vertex_index=args.vertex_index)
-    return verdict, witness, transcript, input_obj
+    return verdict, witness, witness_claims(inst, w, max_enum), input_obj
 
 
 def _cmd_hs_modulus(args, max_enum):
@@ -615,109 +503,39 @@ def _cmd_hs_modulus(args, max_enum):
     return f"modulus {_modulus_str(value)}", witness, [], input_obj
 
 
-def _alpha_grid(args):
-    if args.alpha_grid:
-        return _parse_grid(args.alpha_grid, "--alpha-grid")
-    return list(DEFAULT_ALPHA_GRID)
-
-
-def _cmd_scan_aa1(args, max_enum):
+def _cmd_scan(args, max_enum, kind):
     seq = load_sequence(_load_json(args.input))
-    c_schedule = (
-        _parse_grid(args.c_schedule, "--c-schedule") if args.c_schedule else None
-    )
+    if kind == "first":
+        scan, levels = scan_aa1, _parse_grid(args.c_schedule, "--c-schedule")
+    else:
+        scan, levels = scan_aa2, _parse_grid(args.target_levels, "--target-levels")
+    alphas = _parse_grid(args.alpha_grid, "--alpha-grid", list(DEFAULT_ALPHA_GRID))
     try:
-        w = scan_aa1(seq, _alpha_grid(args), c_schedule, max_enum)
+        w = scan(seq, alphas, levels, max_enum)
     except ValueError as exc:
         raise InputError(str(exc)) from exc
     input_obj = sequence_to_obj(seq)
     if w is None:
-        return "no first-kind witness on this family", None, [], input_obj
-    transcript = []
-    for k, (n, H, c_k, vert) in enumerate(
-        zip(w.indices, w.strategies, w.bounds, w.measures)
-    ):
-        m = seq.markets[n - 1]
-        gain_event = frozenset(o for o in m.support if m.gain(H, o) >= w.alpha)
-        transcript.append(
-            entry(f"slot {k + 1} (market {n}): P-mass of the high-gain event",
-                  vert(gain_event), ">=", w.alpha)
-        )
-        worst = min(m.gain(H, o) for o in m.support)
-        transcript.append(
-            entry(f"slot {k + 1} (market {n}): worst-case gain",
-                  worst, ">=", -c_k)
-        )
+        return f"no {kind}-kind witness on this family", None, [], input_obj
     witness = {
         "alpha": format_rational(w.alpha),
         "indices": list(w.indices),
         "strategies": [_rs(H) for H in w.strategies],
-        "bounds": _rs(w.bounds),
         "probability_vectors": [_rs(v.mass) for v in w.measures],
     }
-    verdict = f"first-kind witness at alpha {format_rational(w.alpha)}"
-    return verdict, witness, transcript, input_obj
-
-
-def _cmd_scan_aa2(args, max_enum):
-    seq = load_sequence(_load_json(args.input))
-    targets = (
-        _parse_grid(args.target_levels, "--target-levels")
-        if args.target_levels
-        else None
-    )
-    try:
-        w = scan_aa2(seq, _alpha_grid(args), targets, max_enum)
-    except ValueError as exc:
-        raise InputError(str(exc)) from exc
-    input_obj = sequence_to_obj(seq)
-    if w is None:
-        return "no second-kind witness on this family", None, [], input_obj
-    transcript = []
-    for k, (n, H, vert, p_k) in enumerate(
-        zip(w.indices, w.strategies, w.measures, w.attained)
-    ):
-        m = seq.markets[n - 1]
-        gain_event = frozenset(o for o in m.support if m.gain(H, o) >= w.alpha)
-        transcript.append(
-            entry(f"slot {k + 1} (market {n}): attained P-mass",
-                  vert(gain_event), ">=", p_k)
-        )
-        worst = min(m.gain(H, o) for o in m.support)
-        transcript.append(
-            entry(f"slot {k + 1} (market {n}): worst-case gain",
-                  worst, ">=", Fraction(-1))
-        )
-    witness = {
-        "alpha": format_rational(w.alpha),
-        "indices": list(w.indices),
-        "strategies": [_rs(H) for H in w.strategies],
-        "attained": _rs(w.attained),
-        "probability_vectors": [_rs(v.mass) for v in w.measures],
-    }
-    verdict = f"second-kind witness at alpha {format_rational(w.alpha)}"
-    return verdict, witness, transcript, input_obj
-
-
-def _epsilon_grid(args):
-    if args.epsilon_grid:
-        return _parse_grid(args.epsilon_grid, "--epsilon-grid")
-    return list(DEFAULT_ALPHA_GRID)
+    if kind == "first":
+        witness["bounds"] = _rs(w.bounds)
+    else:
+        witness["attained"] = _rs(w.attained)
+    verdict = f"{kind}-kind witness at alpha {format_rational(w.alpha)}"
+    return verdict, witness, w.claims, input_obj
 
 
 def _cmd_certify(args, max_enum, kind):
     seq = load_sequence(_load_json(args.input))
-    grid = _epsilon_grid(args)
+    grid = _parse_grid(args.epsilon_grid, "--epsilon-grid", list(DEFAULT_ALPHA_GRID))
     table = certify_moduli(seq, grid, kind, max_enum)
     input_obj = dict(sequence_to_obj(seq), epsilon_grid=_rs(grid), kind=kind)
-    transcript = []
-    positive = all(u > 0 for u in table.uniform_delta)
-    for eps, u in zip(table.epsilon_grid, table.uniform_delta):
-        if u > 0:
-            transcript.append(
-                entry(f"uniform modulus at epsilon {format_rational(eps)}",
-                      u, ">", Fraction(0))
-            )
     witness = {
         "epsilon_grid": _rs(table.epsilon_grid),
         "per_market": [
@@ -729,10 +547,10 @@ def _cmd_certify(args, max_enum, kind):
     verdict = (
         f"uniform positive moduli: finite-horizon certificate of no "
         f"{label}-kind asymptotic arbitrage"
-        if positive
+        if table.positive
         else "no uniform positive modulus on this grid"
     )
-    return verdict, witness, transcript, input_obj
+    return verdict, witness, table.claims, input_obj
 
 
 def _cmd_build_contiguous(args, max_enum):
@@ -741,31 +559,6 @@ def _cmd_build_contiguous(args, max_enum):
         cs = build_contiguous_sequence(seq, max_enum=max_enum)
     except HypothesisViolated as exc:
         return f"construction unavailable: {exc}", None, [], sequence_to_obj(seq)
-    transcript = []
-    for n, (q_n, weights) in enumerate(
-        zip(cs.per_market, cs.mixture_weights), start=1
-    ):
-        transcript.append(
-            entry(f"market {n}: mixture weights sum",
-                  sum(weights, Fraction(0)), "=", Fraction(1))
-        )
-        market = seq.markets[n - 1]
-        events = support_events(market.P, max_enum)
-        p_base, q = events.mass(market.P.vertices[0]), events.mass(q_n)
-        for m_level in range(1, n + 1):
-            e, d = cs.schedule[m_level - 1]
-            if 2 * e > 1:
-                continue
-            beta = Fraction(1, 2**m_level) * (e * d / 2)
-            worst = events.best(min, q, (p_base, GE, 2 * e))
-            if worst is not None:
-                transcript.append(
-                    entry(
-                        f"market {n}, level {m_level}: least mixture mass on "
-                        f"qualifying events",
-                        worst.value, ">=", beta,
-                    )
-                )
     witness = {
         "probability_vectors": [_rs(q.mass) for q in cs.per_market],
         "weight_vectors": [_rs(w) for w in cs.mixture_weights],
@@ -774,7 +567,7 @@ def _cmd_build_contiguous(args, max_enum):
         ],
     }
     verdict = f"contiguous dominating mixtures built for {len(seq)} markets"
-    return verdict, witness, transcript, sequence_to_obj(seq)
+    return verdict, witness, cs.claims, sequence_to_obj(seq)
 
 
 def _cmd_weak_contiguity(args, max_enum):
@@ -789,18 +582,7 @@ def _cmd_weak_contiguity(args, max_enum):
         )
     except HypothesisViolated as exc:
         return f"certificate unavailable: {exc}", None, [], input_obj
-    transcript = []
-    for n, q in enumerate(picks, start=1):
-        market = seq.markets[n - 1]
-        events = support_events(market.P, max_enum)
-        worst = events.best(
-            max, events.mass(q), (events.mass(market.P.vertices[0]), LT, delta)
-        )
-        if worst is not None and eps <= 1:
-            transcript.append(
-                entry(f"market {n}: largest witness mass on small events",
-                      worst.value, "<", eps)
-            )
+    claims = weak_contiguity_claims(seq, delta, picks, eps, max_enum=max_enum)
     witness = {
         "delta": format_rational(delta),
         "probability_vectors": [_rs(q.mass) for q in picks],
@@ -809,7 +591,7 @@ def _cmd_weak_contiguity(args, max_enum):
         f"finite-horizon weak-contiguity certificate: delta "
         f"{format_rational(delta)} at epsilon {format_rational(eps)}"
     )
-    return verdict, witness, transcript, input_obj
+    return verdict, witness, claims, input_obj
 
 
 _HANDLERS = {
@@ -818,11 +600,11 @@ _HANDLERS = {
     "ftap": _cmd_ftap,
     "superhedge": _cmd_superhedge,
     "hs-check": _cmd_hs_check,
-    "hs-witness": _cmd_hs_witness,
-    "hs-dual-witness": _cmd_hs_dual_witness,
+    "hs-witness": lambda a, c: _cmd_hs_witness(a, c, "primal"),
+    "hs-dual-witness": lambda a, c: _cmd_hs_witness(a, c, "dual"),
     "hs-modulus": _cmd_hs_modulus,
-    "scan-aa1": _cmd_scan_aa1,
-    "scan-aa2": _cmd_scan_aa2,
+    "scan-aa1": lambda a, c: _cmd_scan(a, c, "first"),
+    "scan-aa2": lambda a, c: _cmd_scan(a, c, "second"),
     "certify-naa1": lambda a, c: _cmd_certify(a, c, "primal"),
     "certify-naa2": lambda a, c: _cmd_certify(a, c, "dual"),
     "build-contiguous": _cmd_build_contiguous,
@@ -855,15 +637,12 @@ def _emit(cert: dict, args) -> None:
     else:
         lines = [f"command: {cert['command']}", f"verdict: {cert['verdict']}"]
         if cert["witness"] is not None:
-            lines.append("witness:")
-            lines.append(
-                "  " + json.dumps(cert["witness"], sort_keys=True)
-            )
+            lines += ["witness:", "  " + json.dumps(cert["witness"], sort_keys=True)]
         lines.append(f"transcript: {len(cert['transcript'])} checked inequalities")
-        for e in cert["transcript"]:
-            lines.append(
-                f"  {e['description']}: {e['lhs']} {e['relation']} {e['rhs']}"
-            )
+        lines += (
+            f"  {e['description']}: {e['lhs']} {e['relation']} {e['rhs']}"
+            for e in cert["transcript"]
+        )
         lines.append(f"payload_sha256: {cert['payload_sha256']}")
         text = "\n".join(lines) + "\n"
     if args.output:
@@ -876,6 +655,7 @@ def _emit(cert: dict, args) -> None:
 # argument parsing and dispatch
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="robust-ftap",
@@ -973,11 +753,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         if not args.input:
             raise InputError(f"{args.command} requires --input <file>")
         max_enum = _resolve_max_enum(args)
-        verdict, witness, transcript, input_obj = _HANDLERS[args.command](
-            args, max_enum
-        )
+        verdict, witness, claims, input_obj = _HANDLERS[args.command](args, max_enum)
         cert = build_certificate(
-            args.command, input_obj, verdict, witness, transcript
+            args.command, input_obj, verdict, witness, _transcript(claims)
         )
         _emit(cert, args)
         return 0
@@ -987,7 +765,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except EnumerationCapExceeded as exc:
         sys.stderr.write(f"enumeration cap exceeded: {exc}\n")
         return 2
-    except (BoundViolated, AssertionError, RobustFtapError) as exc:
+    except (AssertionError, RobustFtapError) as exc:
         sys.stderr.write(f"internal assertion failed: {exc}\n")
         return 3
 

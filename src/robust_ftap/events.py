@@ -35,7 +35,7 @@ from typing import Callable, Iterable, Iterator, NamedTuple, Optional, Sequence
 
 from .errors import EnumerationCapExceeded
 from .lp_core import GE
-from .measures import AmbiguitySet, ProbabilityMeasure, SampleSpace, quasi_sure_support
+from .measures import AmbiguitySet, ProbabilityMeasure, SampleSpace, ordered_support
 
 #: Width of the low-bit block: at most 2**LOW_BITS table entries per measure.
 LOW_BITS = 10
@@ -194,9 +194,7 @@ class Envelope:
 
 def support_events(P: AmbiguitySet, max_enum: int) -> EventSpace:
     """The events of the quasi-sure support of P, in sample-space order."""
-    support = quasi_sure_support(P)
-    labels = [o for o in P.space.outcomes if o in support]
-    return EventSpace(P.space, labels, max_enum)
+    return EventSpace(P.space, ordered_support(P), max_enum)
 
 
 def _bits(mask: int, n: int) -> list[int]:

@@ -13,6 +13,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
+from .claims import Claim, claim
 from .errors import BoundViolated, DimensionMismatch, HypothesisViolated
 from .events import LT, support_events
 from .lp_core import (
@@ -26,14 +27,13 @@ from .lp_core import (
     minimax_value,
 )
 from .measures import (
+    DEFAULT_MAX_ENUM,
     AmbiguitySet,
     ProbabilityMeasure,
     dominated_by,
     mix,
-    quasi_sure_support,
+    ordered_support,
 )
-
-DEFAULT_MAX_ENUM = 20
 
 #: Sentinel for "no event qualifies": a value no probability can reach.
 NO_QUALIFYING_SET = Fraction(2)
@@ -85,11 +85,6 @@ class HsWitness:
     guaranteed_bound: Fraction
 
 
-def _sorted_support(P: AmbiguitySet) -> tuple[str, ...]:
-    sup = quasi_sure_support(P)
-    return tuple(o for o in P.space.outcomes if o in sup)
-
-
 def check_hypothesis_primal(
     inst: HsInstance, max_enum: int = DEFAULT_MAX_ENUM
 ) -> tuple[bool, frozenset[str]]:
@@ -137,7 +132,7 @@ def _d_set_polytope(
     Off-support coordinates are fixed to 0, so each h is a deterministic
     representative of its equivalence class modulo the polar set.
     """
-    support = _sorted_support(inst.P)
+    support = ordered_support(inst.P)
     n = len(support)
     cons: list[Constraint] = []
     for i in range(n):
@@ -214,19 +209,17 @@ def construct_hs_witness(
         return HsWitness(PRIMAL, vertex_p, q_star, weights, NO_QUALIFYING_SET)
     res = _expectation_game(inst, vertex_p, PRIMAL)
     bound = res.value
-    if bound < inst.epsilon * inst.delta / 2:
-        raise BoundViolated(
-            f"sup-inf value {bound} below epsilon*delta/2 "
-            f"= {inst.epsilon * inst.delta / 2}"
-        )
+    _bound_claim(inst, bound)
     q_star = mix(inst.Q.vertices, res.x_weights)
+    w = HsWitness(PRIMAL, vertex_p, q_star, res.x_weights, bound)
     events = support_events(inst.P, max_enum)
-    p, q = events.mass(vertex_p), events.mass(q_star)
-    worst = events.best(min, q, (p, GE, threshold))
+    worst = events.best(
+        min, events.mass(q_star), (events.mass(vertex_p), GE, threshold)
+    )
     if worst is not None and worst.value < bound:
-        first = next(m for m in events.where(p, GE, threshold) if q.at(m) < bound)
-        raise BoundViolated(f"witness fails on event {sorted(events.event(first))}")
-    return HsWitness(PRIMAL, vertex_p, q_star, res.x_weights, bound)
+        witness_claims(inst, w, max_enum)  # raises at the first failing event
+        raise BoundViolated(f"witness fails on event {sorted(worst.event)}")
+    return w
 
 
 def construct_dual_hs_witness(
@@ -253,15 +246,53 @@ def construct_dual_hs_witness(
             f"= {(2 - inst.epsilon) * inst.epsilon}"
         )
     q_star = mix(inst.Q.vertices, res.x_weights)
-    bound = 2 * inst.epsilon
-    strict = inst.epsilon * inst.delta
+    w = HsWitness(DUAL, vertex_p, q_star, res.x_weights, 2 * inst.epsilon)
     events = support_events(inst.P, max_enum)
-    p, q = events.mass(vertex_p), events.mass(q_star)
-    worst = events.best(max, q, (p, LT, strict))
-    if worst is not None and not worst.value < bound:
-        first = next(m for m in events.where(p, LT, strict) if not q.at(m) < bound)
-        raise BoundViolated(f"dual witness fails on event {sorted(events.event(first))}")
-    return HsWitness(DUAL, vertex_p, q_star, res.x_weights, bound)
+    strict = inst.epsilon * inst.delta
+    worst = events.best(max, events.mass(q_star), (events.mass(vertex_p), LT, strict))
+    if worst is not None and not worst.value < w.guaranteed_bound:
+        witness_claims(inst, w, max_enum)  # raises at the first failing event
+        raise BoundViolated(f"dual witness fails on event {sorted(worst.event)}")
+    return w
+
+
+def witness_claims(
+    inst: HsInstance, w: HsWitness, max_enum: int = DEFAULT_MAX_ENUM
+) -> tuple[Claim, ...]:
+    """What the witness guarantees, one claim per qualifying event, with
+    the events by size and then in support order.
+
+    Primal kind: the bound is at least epsilon*delta/2, and every event A
+    with for_vertex_p(A) >= 2*epsilon has q_star(A) >= the bound; nothing
+    when no event can reach 2*epsilon.  Dual kind: every event A with
+    for_vertex_p(A) < epsilon*delta has q_star(A) < the bound.  Raises
+    CertificateError at the first false claim.
+    """
+    claims = []
+    if w.kind == PRIMAL:
+        if w.guaranteed_bound == NO_QUALIFYING_SET:
+            return ()
+        claims.append(_bound_claim(inst, w.guaranteed_bound))
+        op, t, relation = GE, 2 * inst.epsilon, ">="
+    else:
+        op, t, relation = LT, inst.epsilon * inst.delta, "<"
+    events = support_events(inst.P, max_enum)
+    q_star = events.mass(w.q_star)
+    for A in events.where(events.mass(w.for_vertex_p), op, t):
+        claims.append(
+            claim(f"Qstar mass of {_event_name(events.event(A))}",
+                  q_star.at(A), relation, w.guaranteed_bound)
+        )
+    return tuple(claims)
+
+
+def _bound_claim(inst: HsInstance, bound: Fraction) -> Claim:
+    return claim("guaranteed bound at least epsilon*delta/2",
+                 bound, ">=", inst.epsilon * inst.delta / 2)
+
+
+def _event_name(event: frozenset[str]) -> str:
+    return "{" + ",".join(sorted(event)) + "}"
 
 
 def hs_modulus(

@@ -10,14 +10,14 @@ the family, while the scanners search for explicit witness strategies.
 from __future__ import annotations
 
 from collections import defaultdict
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterator, Optional, Sequence
 
-from .errors import CertificateError, EmptyMartingalePolytope, HypothesisViolated
+from .claims import Claim, claim
+from .errors import EmptyMartingalePolytope, HypothesisViolated
 from .events import LT, support_events
 from .halmos_savage import (
-    DEFAULT_MAX_ENUM,
     NO_QUALIFYING_SET,
     HsInstance,
     construct_dual_hs_witness,
@@ -26,7 +26,7 @@ from .halmos_savage import (
 )
 from .lp_core import Constraint, GE, LinearProgram, solve_lp
 from .market import Market, MartingalePolytope, check_na, martingale_polytope
-from .measures import AmbiguitySet, ProbabilityMeasure, mix
+from .measures import DEFAULT_MAX_ENUM, AmbiguitySet, ProbabilityMeasure, mix
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
@@ -66,24 +66,28 @@ class MarketSequence:
 
 @dataclass(frozen=True)
 class Aa1Witness:
-    """First-kind asymptotic arbitrage data on a subsequence of markets."""
+    """First-kind asymptotic arbitrage data on a subsequence of markets;
+    ``claims`` lists the checks of each slot."""
 
     indices: tuple[int, ...]  # 1-based market indices
     strategies: tuple[tuple[Fraction, ...], ...]
     bounds: tuple[Fraction, ...]  # c_k, positive and decreasing
     alpha: Fraction
     measures: tuple[ProbabilityMeasure, ...]
+    claims: tuple[Claim, ...] = field(default=(), repr=False, compare=False)
 
 
 @dataclass(frozen=True)
 class Aa2Witness:
-    """Second-kind asymptotic arbitrage data on a subsequence of markets."""
+    """Second-kind asymptotic arbitrage data on a subsequence of markets;
+    ``claims`` lists the checks of each slot."""
 
     indices: tuple[int, ...]
     strategies: tuple[tuple[Fraction, ...], ...]
     alpha: Fraction
     measures: tuple[ProbabilityMeasure, ...]
     attained: tuple[Fraction, ...]  # p_k, nondecreasing
+    claims: tuple[Claim, ...] = field(default=(), repr=False, compare=False)
 
 
 @dataclass(frozen=True)
@@ -92,15 +96,36 @@ class ModulusTable:
     per_market: tuple[tuple[Fraction, ...], ...]  # [market][epsilon index]
     uniform_delta: tuple[Fraction, ...]  # per epsilon, min over markets
 
+    @property
+    def positive(self) -> bool:
+        """Whether every uniform modulus is positive: the finite-family
+        certificate of no asymptotic arbitrage of the table's kind."""
+        return all(u > 0 for u in self.uniform_delta)
+
+    @property
+    def claims(self) -> tuple[Claim, ...]:
+        """The positive uniform moduli, one claim per level."""
+        return tuple(
+            claim(f"uniform modulus at epsilon {eps}", u, ">", ZERO)
+            for eps, u in zip(self.epsilon_grid, self.uniform_delta)
+            if u > 0
+        )
+
 
 @dataclass(frozen=True)
 class ContiguousSequence:
-    """Per-market dominating martingale mixtures built on a level schedule."""
+    """Per-market dominating martingale mixtures built on a level schedule;
+    ``claims`` lists the checks of each market's mixture."""
 
     per_market: tuple[ProbabilityMeasure, ...]
     mixture_weights: tuple[tuple[Fraction, ...], ...]
     components: tuple[tuple[ProbabilityMeasure, ...], ...]
     schedule: tuple[tuple[Fraction, Fraction], ...]  # (epsilon_m, delta_m)
+    claims: tuple[Claim, ...] = field(default=(), repr=False, compare=False)
+
+
+def _worst_gain(m: Market, H: Sequence[Fraction]) -> Fraction:
+    return min(m.gain(H, o) for o in m.support)
 
 
 def _feasible_strategy(
@@ -187,7 +212,7 @@ def scan_aa1(
         return None
     infeasible = defaultdict(list)  # per market index
     for alpha in (Fraction(a) for a in alpha_grid):
-        indices, strategies, bounds, measures = [], [], [], []
+        indices, strategies, bounds, measures, claims = [], [], [], [], []
         next_market = 1
         for c_k in c_schedule:
             slot = None
@@ -200,13 +225,11 @@ def scan_aa1(
             if slot is None:
                 break
             H, vertex, p_gain = slot
-            # re-verify against the stored measure, exactly
-            if not p_gain >= alpha:
-                raise CertificateError(
-                    f"market {n}: the high-gain event carries less than {alpha}"
-                )
-            if not all(m.gain(H, o) >= -c_k for o in m.support):
-                raise CertificateError(f"market {n}: the strategy loses more than {c_k}")
+            name = f"slot {len(indices) + 1} (market {n})"
+            claims.append(
+                claim(f"{name}: P-mass of the high-gain event", p_gain, ">=", alpha)
+            )
+            claims.append(claim(f"{name}: worst-case gain", _worst_gain(m, H), ">=", -c_k))
             indices.append(n)
             strategies.append(H)
             bounds.append(c_k)
@@ -219,6 +242,7 @@ def scan_aa1(
                 bounds=tuple(bounds),
                 alpha=alpha,
                 measures=tuple(measures),
+                claims=tuple(claims),
             )
     return None
 
@@ -244,7 +268,7 @@ def scan_aa2(
         raise ValueError("target levels must be nondecreasing")
     infeasible = defaultdict(list)  # per market index
     for alpha in (Fraction(a) for a in alpha_grid):
-        indices, strategies, measures, attained = [], [], [], []
+        indices, strategies, measures, attained, claims = [], [], [], [], []
         next_market = 1
         for level in target_levels:
             slot = None
@@ -260,6 +284,13 @@ def scan_aa2(
             if slot is None:
                 break
             n, H, vertex, p_attained = slot
+            name = f"slot {len(indices) + 1} (market {n})"
+            # the slot's mass p_k is the attained mass itself
+            claims.append(
+                claim(f"{name}: attained P-mass", p_attained, ">=", p_attained)
+            )
+            m = seq.markets[n - 1]
+            claims.append(claim(f"{name}: worst-case gain", _worst_gain(m, H), ">=", -ONE))
             indices.append(n)
             strategies.append(H)
             measures.append(vertex)
@@ -273,6 +304,7 @@ def scan_aa2(
                     alpha=alpha,
                     measures=tuple(measures),
                     attained=tuple(attained),
+                    claims=tuple(claims),
                 )
     return None
 
@@ -309,26 +341,21 @@ def certify_moduli(
     """
     if kind not in ("primal", "dual"):
         raise ValueError("kind must be 'primal' or 'dual'")
+    return _moduli(seq, martingale_sets(seq, max_enum), epsilon_grid, kind, max_enum)
+
+
+def _moduli(seq, q_sets, epsilon_grid, kind: str, max_enum: int) -> ModulusTable:
+    """:func:`certify_moduli` against the martingale sets already enumerated."""
     epsilon_grid = tuple(Fraction(e) for e in epsilon_grid)
-    q_sets = martingale_sets(seq, max_enum)
-    per_market = []
-    for m, q_set in zip(seq.markets, q_sets):
-        row = []
-        for eps in epsilon_grid:
-            if kind == "primal":
-                row.append(hs_modulus(m.P, q_set, eps, max_enum))
-            else:
-                row.append(_dual_modulus(m.P, q_set, eps, max_enum))
-        per_market.append(tuple(row))
+    modulus = hs_modulus if kind == "primal" else _dual_modulus
+    per_market = tuple(
+        tuple(modulus(m.P, q_set, eps, max_enum) for eps in epsilon_grid)
+        for m, q_set in zip(seq.markets, q_sets)
+    )
     uniform = tuple(
-        min(per_market[n][j] for n in range(len(seq)))
-        for j in range(len(epsilon_grid))
+        min(row[j] for row in per_market) for j in range(len(epsilon_grid))
     )
-    return ModulusTable(
-        epsilon_grid=epsilon_grid,
-        per_market=tuple(per_market),
-        uniform_delta=uniform,
-    )
+    return ModulusTable(epsilon_grid, per_market, uniform)
 
 
 def _dual_modulus(
@@ -344,6 +371,18 @@ def _dual_modulus(
         min, events.lower(P.vertices), (events.lower(Q.vertices), GE, epsilon)
     )
     return NO_QUALIFYING_SET if best is None else best.value
+
+
+def _base_measures(
+    seq: MarketSequence, p_sequence: Optional[Sequence[ProbabilityMeasure]]
+) -> list[ProbabilityMeasure]:
+    """One base measure per market; by default each market's first P-vertex."""
+    if p_sequence is None:
+        return [m.P.vertices[0] for m in seq.markets]
+    p_sequence = list(p_sequence)
+    if len(p_sequence) != len(seq):
+        raise ValueError("one base measure per market required")
+    return p_sequence
 
 
 def build_contiguous_sequence(
@@ -362,13 +401,10 @@ def build_contiguous_sequence(
     N = len(seq)
     if N == 0:
         raise ValueError("sequence must be nonempty")
-    if p_sequence is None:
-        p_sequence = [m.P.vertices[0] for m in seq.markets]
-    p_sequence = list(p_sequence)
-    if len(p_sequence) != N:
-        raise ValueError("one base measure per market required")
+    p_sequence = _base_measures(seq, p_sequence)
     eps = [Fraction(1, mm) for mm in range(1, N + 1)]
-    table = certify_moduli(seq, eps, kind="primal", max_enum=max_enum)
+    q_sets = martingale_sets(seq, max_enum)
+    table = _moduli(seq, q_sets, eps, "primal", max_enum)
     delta = []
     for m_idx in range(N):
         u = table.uniform_delta[m_idx]
@@ -379,8 +415,7 @@ def build_contiguous_sequence(
         # the modulus can reach 1 (or the no-qualifying-event sentinel);
         # shrink into (0,1) since only a lower bound is needed
         delta.append(u if u < 1 else Fraction(1, 2))
-    q_sets = martingale_sets(seq, max_enum)
-    per_market, all_weights, all_components = [], [], []
+    per_market, all_weights, all_components, claims = [], [], [], []
     for n in range(1, N + 1):
         market = seq.markets[n - 1]
         components = []
@@ -399,6 +434,9 @@ def build_contiguous_sequence(
             Fraction(1, 2**m_level) / norm for m_level in range(1, n + 1)
         )
         q_n = mix(components, weights)
+        claims.append(
+            claim(f"market {n}: mixture weights sum", sum(weights, ZERO), "=", ONE)
+        )
         # bound verification over every event, per level
         events = support_events(market.P, max_enum)
         p, q = events.mass(p_sequence[n - 1]), events.mass(q_n)
@@ -408,8 +446,12 @@ def build_contiguous_sequence(
                 continue
             beta = Fraction(1, 2**m_level) * (e * d / 2)
             worst = events.best(min, q, (p, GE, 2 * e))
-            if worst is not None and worst.value < beta:
-                raise CertificateError("contiguity bound failed")
+            if worst is not None:
+                claims.append(claim(
+                    f"market {n}, level {m_level}: least mixture mass on "
+                    f"qualifying events",
+                    worst.value, ">=", beta,
+                ))
         per_market.append(q_n)
         all_weights.append(weights)
         all_components.append(tuple(components))
@@ -419,6 +461,7 @@ def build_contiguous_sequence(
         mixture_weights=tuple(all_weights),
         components=tuple(all_components),
         schedule=schedule,
+        claims=tuple(claims),
     )
 
 
@@ -433,22 +476,20 @@ def weak_contiguity_witness(
     Works at the half level e' = epsilon / 2: with delta = e' * d(e') where
     d is the uniform dual modulus at e', each per-market witness measure
     satisfies P_n(A) < delta implies Q_n(A) < 2 e' = epsilon, verified by
-    full enumeration.
+    full enumeration (:func:`weak_contiguity_claims`).
     """
     epsilon = Fraction(epsilon)
     N = len(seq)
     if N == 0:
         raise ValueError("sequence must be nonempty")
-    if p_sequence is None:
-        p_sequence = [m.P.vertices[0] for m in seq.markets]
-    p_sequence = list(p_sequence)
+    p_sequence = _base_measures(seq, p_sequence)
     q_sets = martingale_sets(seq, max_enum)
     if epsilon > 1:
         # vacuous: every probability is < epsilon
         picks = tuple(qs.vertices[0] for qs in q_sets)
         return ONE, picks
     half = epsilon / 2
-    table = certify_moduli(seq, [half], kind="dual", max_enum=max_enum)
+    table = _moduli(seq, q_sets, [half], "dual", max_enum)
     d = table.uniform_delta[0]
     if d <= 0:
         raise HypothesisViolated(
@@ -461,14 +502,36 @@ def weak_contiguity_witness(
         market = seq.markets[n - 1]
         inst = HsInstance(market.P, q_sets[n - 1], half, d_eff)
         w = construct_dual_hs_witness(inst, p_sequence[n - 1], max_enum)
-        events = support_events(market.P, max_enum)
-        worst = events.best(
-            max, events.mass(w.q_star), (events.mass(p_sequence[n - 1]), LT, delta)
-        )
-        if worst is not None and not worst.value < epsilon:
-            raise CertificateError("weak contiguity bound failed")
         picks.append(w.q_star)
+    weak_contiguity_claims(seq, delta, picks, epsilon, p_sequence, max_enum)
     return delta, tuple(picks)
+
+
+def weak_contiguity_claims(
+    seq: MarketSequence,
+    delta,
+    picks: Sequence[ProbabilityMeasure],
+    epsilon,
+    p_sequence: Optional[Sequence[ProbabilityMeasure]] = None,
+    max_enum: int = DEFAULT_MAX_ENUM,
+) -> tuple[Claim, ...]:
+    """The weak-contiguity bound P_n(A) < delta => picks[n](A) < epsilon: per
+    market with such events A, a claim on their largest pick mass; none for
+    epsilon > 1.  Raises CertificateError when a claim fails."""
+    epsilon = Fraction(epsilon)
+    if epsilon > 1:
+        return ()
+    claims = []
+    bases = _base_measures(seq, p_sequence)
+    for n, (market, p, q) in enumerate(zip(seq.markets, bases, picks), start=1):
+        events = support_events(market.P, max_enum)
+        worst = events.best(max, events.mass(q), (events.mass(p), LT, delta))
+        if worst is not None:
+            claims.append(claim(
+                f"market {n}: largest witness mass on small events",
+                worst.value, "<", epsilon,
+            ))
+    return tuple(claims)
 
 
 def martingale_contradiction_margin(

@@ -9,10 +9,11 @@ price is cross-checked against vertex enumeration.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable, Optional, Sequence
 
+from .claims import Claim, claim
 from .errors import (
     CertificateError,
     DimensionMismatch,
@@ -29,14 +30,13 @@ from .lp_core import (
     solve_lp,
 )
 from .measures import (
+    DEFAULT_MAX_ENUM,
     AmbiguitySet,
     BoundedFunction,
     ProbabilityMeasure,
     SampleSpace,
-    quasi_sure_support,
+    ordered_support,
 )
-
-DEFAULT_MAX_ENUM = 20
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
@@ -44,13 +44,19 @@ ONE = Fraction(1)
 
 @dataclass(frozen=True)
 class Market:
-    """One-period market: d assets, outcome-indexed payoffs, ambiguity set."""
+    """One-period market: d assets, outcome-indexed payoffs, ambiguity set.
+
+    The quasi-sure support, in sample-space order, and the price increment
+    at every outcome are computed once, at construction.
+    """
 
     space: SampleSpace
     d: int
     s0: tuple[Fraction, ...]
     s1: tuple[tuple[Fraction, ...], ...]  # |outcomes| rows x d columns
     P: AmbiguitySet
+    support: tuple[str, ...] = field(init=False, repr=False, compare=False)
+    _increments: dict = field(init=False, repr=False, compare=False)
 
     def __init__(
         self,
@@ -71,26 +77,51 @@ class Market:
         object.__setattr__(self, "s0", s0)
         object.__setattr__(self, "s1", s1)
         object.__setattr__(self, "P", P)
+        object.__setattr__(self, "support", ordered_support(P))
+        increments = {
+            o: tuple(x - y for x, y in zip(row, s0))
+            for o, row in zip(space.outcomes, s1)
+        }
+        object.__setattr__(self, "_increments", increments)
 
     def delta_s(self, outcome: str) -> tuple[Fraction, ...]:
-        row = self.s1[self.space.index(outcome)]
-        return tuple(x - y for x, y in zip(row, self.s0))
+        return self._increments[outcome]
 
     def gain(self, H: Sequence[Fraction], outcome: str) -> Fraction:
         return sum(
             (h * d for h, d in zip(H, self.delta_s(outcome))), ZERO
         )
 
-    @property
-    def support(self) -> tuple[str, ...]:
-        sup = quasi_sure_support(self.P)
-        return tuple(o for o in self.space.outcomes if o in sup)
+    def measure(self, values: Iterable) -> ProbabilityMeasure:
+        """The probability measure with the given masses on the support."""
+        mass = dict(zip(self.support, values))
+        return ProbabilityMeasure(
+            self.space, [mass.get(o, ZERO) for o in self.space.outcomes]
+        )
+
+    def martingale_claims(
+        self, q: ProbabilityMeasure, name: str
+    ) -> tuple[Claim, ...]:
+        """E_q[increment of asset i] = 0 over the support, for each asset i;
+        raises CertificateError when q is not a martingale measure."""
+        return tuple(
+            claim(
+                f"{name}: expected increment of asset {i}",
+                sum((q.mass_of(o) * self.delta_s(o)[i] for o in self.support), ZERO),
+                "=",
+                ZERO,
+            )
+            for i in range(self.d)
+        )
 
 
 @dataclass(frozen=True)
 class ArbitrageWitness:
+    """An arbitrage H; ``claims`` lists its gains on the support, checked."""
+
     H: tuple[Fraction, ...]
     strict_outcome: str
+    claims: tuple[Claim, ...] = field(default=(), repr=False, compare=False)
 
 
 @dataclass(frozen=True)
@@ -103,28 +134,25 @@ class MartingalePolytope:
 
     def contains(self, q: ProbabilityMeasure) -> bool:
         m = self.market
-        support = set(m.support)
-        if any(
-            mass > 0 and o not in support
-            for o, mass in zip(q.space.outcomes, q.mass)
-        ):
+        if not q.support <= set(m.support):
             return False
-        if sum(q.mass) != 1 or any(mass < 0 for mass in q.mass):
+        try:
+            m.martingale_claims(q, "q")
+        except CertificateError:
             return False
-        for i in range(m.d):
-            if sum(
-                q.mass_of(o) * m.delta_s(o)[i] for o in support
-            ) != 0:
-                return False
         return True
 
 
 @dataclass(frozen=True)
 class HedgeCertificate:
+    """The least superhedging price with its hedge H and a martingale
+    measure attaining it; ``claims`` lists the checks of all three."""
+
     price: Fraction
     H: tuple[Fraction, ...]
     payoff: BoundedFunction
     attaining_q: ProbabilityMeasure
+    claims: tuple[Claim, ...] = field(default=(), repr=False, compare=False)
 
 
 def check_na(m: Market) -> tuple[bool, Optional[ArbitrageWitness]]:
@@ -148,7 +176,12 @@ def check_na(m: Market) -> tuple[bool, Optional[ArbitrageWitness]]:
         if sol.status != "Optimal":
             raise CertificateError(f"the boxed arbitrage LP at {o} is {sol.status}")
         if sol.value > 0:
-            return False, ArbitrageWitness(H=sol.primal, strict_outcome=o)
+            H = sol.primal
+            claims = tuple(
+                claim(f"gain of H at {s}", m.gain(H, s), ">=", ZERO) for s in support
+            )
+            claims += (claim(f"strict gain at {o}", m.gain(H, o), ">", ZERO),)
+            return False, ArbitrageWitness(H, o, claims)
     return True, None
 
 
@@ -170,13 +203,7 @@ def martingale_polytope(
         rows.append([m.delta_s(o)[i] for o in support])
         rhs.append(ZERO)
     verts = enumerate_basic_feasible(rows, rhs)
-    measures = []
-    for q in verts:
-        mass = [ZERO] * m.space.size
-        for o, v in zip(support, q):
-            mass[m.space.index(o)] = v
-        measures.append(ProbabilityMeasure(m.space, mass))
-    return MartingalePolytope(market=m, vertices=tuple(measures))
+    return MartingalePolytope(market=m, vertices=tuple(m.measure(q) for q in verts))
 
 
 def find_dominating_martingale(
@@ -212,18 +239,27 @@ def find_dominating_martingale(
     sol = solve_lp(lp)
     if sol.status != "Optimal" or sol.value <= 0:
         return None
-    mass = [ZERO] * m.space.size
-    for o, v in zip(support, sol.primal[:n]):
-        mass[m.space.index(o)] = v
-    return ProbabilityMeasure(m.space, mass)
+    return m.measure(sol.primal[:n])
+
+
+def dominating_claims(
+    m: Market, vertex_p: ProbabilityMeasure, q: ProbabilityMeasure
+) -> tuple[Claim, ...]:
+    """q is a martingale measure charging every outcome that vertex_p
+    charges; raises CertificateError when a claim fails."""
+    return m.martingale_claims(q, "dominating Q") + tuple(
+        claim(f"dominating Q positive at {o}", q.mass_of(o), ">", ZERO)
+        for o in sorted(vertex_p.support)
+    )
 
 
 def check_ftap(
     m: Market,
 ) -> tuple[bool, list[tuple[ProbabilityMeasure, Optional[ProbabilityMeasure]]]]:
-    """Both sides of the one-period FTAP equivalence, reported per P-vertex.
+    """The no-arbitrage verdict and the other side of the one-period FTAP
+    equivalence, a dominating martingale measure (or None) per P-vertex.
 
-    The verdicts must agree (no-arbitrage holds iff every P-vertex admits a
+    The sides must agree (no-arbitrage holds iff every P-vertex admits a
     martingale measure dominating it); their agreement is checked, and
     CertificateError is raised if it fails.
     """
@@ -237,7 +273,7 @@ def check_ftap(
             all_dominated = False
     if na_holds != all_dominated:
         raise CertificateError("FTAP equivalence failed on this market")
-    return na_holds == all_dominated, per_vertex
+    return na_holds, per_vertex
 
 
 def superhedge(
@@ -265,22 +301,20 @@ def superhedge(
         raise CertificateError("superhedging LP must be solvable under NA")
     price = sol.value
     H = sol.primal[1:]
-    q_mass = [ZERO] * m.space.size
-    for o, y in zip(support, sol.dual):
-        q_mass[m.space.index(o)] = y
-    attaining = ProbabilityMeasure(m.space, q_mass)
+    attaining = m.measure(sol.dual)
+    claims = tuple(
+        claim(f"hedge dominates payoff at {o}", price + m.gain(H, o), ">=", f.value_at(o))
+        for o in support
+    )
+    claims += (
+        claim("attaining measure reaches the price", attaining.expectation(f), "=", price),
+    )
+    claims += m.martingale_claims(attaining, "attaining measure")
 
     poly = martingale_polytope(m, max_enum)
     if not poly.vertices:
         raise EmptyMartingalePolytope("no martingale measure under NA?")
-    if not poly.contains(attaining):
-        raise CertificateError("dual solution is not a martingale measure")
     best = max(v.expectation(f) for v in poly.vertices)
     if best != price:
         raise CertificateError("LP price differs from vertex-enumeration price")
-    if attaining.expectation(f) != price:
-        raise CertificateError("the attaining measure does not reach the price")
-    for o in support:
-        if price + m.gain(H, o) < f.value_at(o):
-            raise CertificateError(f"the hedge does not dominate the payoff at {o}")
-    return HedgeCertificate(price=price, H=H, payoff=f, attaining_q=attaining)
+    return HedgeCertificate(price, H, f, attaining, claims)

@@ -17,6 +17,11 @@ from typing import Iterable, Sequence
 
 from .errors import DimensionMismatch
 
+#: Default cap on the support size of an enumeration: the 2**n events of a
+#: scan, or the bases of a vertex enumeration over n outcomes.
+DEFAULT_MAX_ENUM = 20
+
+
 def _as_fractions(values: Iterable) -> tuple[Fraction, ...]:
     return tuple(Fraction(v) for v in values)
 
@@ -184,6 +189,12 @@ def quasi_sure_support(P: AmbiguitySet) -> frozenset[str]:
     for v in P.vertices:
         support |= v.support
     return support
+
+
+def ordered_support(P: AmbiguitySet) -> tuple[str, ...]:
+    """The quasi-sure support of P in the order of its sample space."""
+    support = quasi_sure_support(P)
+    return tuple(o for o in P.space.outcomes if o in support)
 
 
 def dominated_by(Q: ProbabilityMeasure, P: AmbiguitySet) -> bool:

@@ -252,11 +252,11 @@ class TestCertificateChecks:
                 print(__debug__, "accepted")
 
             from fractions import Fraction
-            from robust_ftap import cli, market
+            from robust_ftap import claims, market
             from robust_ftap.measures import (
                 AmbiguitySet, ProbabilityMeasure, SampleSpace)
             try:
-                cli.entry("claimed bound", Fraction(1, 3), ">=", Fraction(1, 2))
+                claims.claim("claimed bound", Fraction(1, 3), ">=", Fraction(1, 2))
             except CertificateError as exc:
                 print("entry rejected:", exc)
             else:

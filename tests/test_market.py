@@ -154,8 +154,8 @@ class TestFtap:
 
     def test_arbitrage_market_has_no_dominating_q(self):
         m = market_from_deltas(W2, [1, 0])
-        ok, per_vertex = check_ftap(m)
-        assert ok  # the two sides agree (both negative)
+        na, per_vertex = check_ftap(m)
+        assert not na
         assert all(q is None for _, q in per_vertex)
 
     def test_zero_increment_market(self):
@@ -171,8 +171,8 @@ class TestFtap:
         rng = random.Random(11)
         for _ in range(150):
             m = _random_market(rng)
-            ok, _ = check_ftap(m)  # equivalence asserted internally
-            assert ok
+            na, _ = check_ftap(m)  # equivalence asserted internally
+            assert na == check_na(m)[0]
 
 
 class TestSuperhedge:
