@@ -711,8 +711,6 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="re-check an emitted certificate")
     p.add_argument("--certificate", required=True)
-    p.add_argument("--format", choices=("json", "text"), default="text")
-    p.add_argument("--output")
     return parser
 
 

@@ -275,21 +275,18 @@ def scan_aa2(
             for n in range(next_market, len(seq) + 1):
                 m = seq.markets[n - 1]
                 found = _feasible_events(m, level, alpha, ONE, infeasible[n], max_enum)
-                for H, vertex, p_attained in found:
-                    if p_attained >= level:
-                        slot = (n, H, vertex, p_attained)
-                        break
-                if slot:
+                slot = next(found, None)
+                if slot is not None:
                     break
             if slot is None:
                 break
-            n, H, vertex, p_attained = slot
+            H, vertex, p_attained = slot
             name = f"slot {len(indices) + 1} (market {n})"
-            # the slot's mass p_k is the attained mass itself
+            # the high-gain event contains the scanned event, whose best
+            # P-vertex mass is at least the slot's target level
             claims.append(
-                claim(f"{name}: attained P-mass", p_attained, ">=", p_attained)
+                claim(f"{name}: attained P-mass", p_attained, ">=", level)
             )
-            m = seq.markets[n - 1]
             claims.append(claim(f"{name}: worst-case gain", _worst_gain(m, H), ">=", -ONE))
             indices.append(n)
             strategies.append(H)

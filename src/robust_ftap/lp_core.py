@@ -12,9 +12,9 @@ checked exactly before it is returned (`check_optimal`, `check_infeasible`,
 `check_unbounded`), and a failed check raises CertificateError.
 
 On top of the solver sits a bilinear minimax over a vertex-polytope /
-polytope pair.  The minimax value is computed twice, once per quantifier
-order, and the two values are checked to be exactly equal before being
-returned; this is the finite-dimensional sup-inf exchange.
+polytope pair, solved as one LP: its primal is the sup-inf order and its
+exactly checked dual the inf-sup order, so the finite-dimensional sup-inf
+exchange is the strong duality that `check_optimal` proves.
 """
 
 from __future__ import annotations
@@ -693,139 +693,70 @@ class MinimaxResult:
     y_star: tuple[Fraction, ...]
 
 
-def _bx(B, x):
-    return tuple(sum(row[j] * x[j] for j in range(len(x))) for row in B)
-
-
 def minimax_value(inst: MinimaxInstance) -> MinimaxResult:
-    """Common value of sup_x inf_y and inf_y sup_x of y.Bx, computed as two
-    LPs (the inner problem of each order is dualized or vertex-enumerated);
-    their exact equality is checked before returning."""
+    """Common value of sup_x inf_y and inf_y sup_x of y.Bx, from one LP.
+
+    The LP is the sup-inf order with the inner inf over Y dualized:
+    max sum_r mu_r b_r subject to sum_r mu_r a_r = B x, x = sum_k
+    lambda_k x_k, lambda in the simplex.  Its primal gives the value and
+    the weights lambda (x*); its dual, which `check_optimal` verifies
+    exactly, is the inf-sup order: the multipliers y* of the rows
+    sum_r mu_r a_r - B x = 0 lie in Y, satisfy y*.Bx_k <= value for every
+    X-vertex, and their objective equals the value.  A vertex-listed Y is
+    played as the simplex of its vertex weights w, with y* = sum_l w_l v_l.
+    """
     B = inst.payoff
     xverts = inst.X.vertices
     if not xverts:
         raise EmptyPolytope("X has no vertices")
-    ydim = len(B)
     for row in B:
         if len(row) != inst.X.dim:
             raise DimensionMismatch("payoff columns must match X dimension")
-
-    bx_list = [_bx(B, x) for x in xverts]  # B x_k, one per X vertex
-
-    # Route 1: inf over y of max over X-vertices  (sup over a polytope of a
-    # linear functional is a max over its vertices)
-    if isinstance(inst.Y, VertexPolytope):
-        yverts = inst.Y.vertices
-        if not yverts:
-            raise EmptyPolytope("Y has no vertices")
-        L = len(yverts)
-        # variables (mu_1..mu_L, s): min s, s >= sum_l mu_l (v_l . B x_k)
-        cons = []
-        for bx in bx_list:
-            coeffs = [-sum(v[i] * bx[i] for i in range(ydim)) for v in yverts]
-            cons.append(Constraint(coeffs + [ONE], GE, 0))
-        cons.append(Constraint([ONE] * L + [ZERO], EQ, 1))
-        lp1 = LinearProgram(
-            objective=[ZERO] * L + [ONE],
-            sense="min",
-            constraints=cons,
-            lower=[ZERO] * L + [None],
+    Y = inst.Y
+    if isinstance(Y, VertexPolytope) and not Y.vertices:
+        raise EmptyPolytope("Y has no vertices")
+    if Y.dim != len(B):
+        raise DimensionMismatch("payoff rows must match Y dimension")
+    if isinstance(Y, VertexPolytope):
+        # payoff rows v_l . B over the simplex of vertex weights w
+        B = [[_dot(v, col) for col in zip(*B)] for v in Y.vertices]
+        L = len(B)
+        Y = HPolytope(
+            L,
+            [Constraint([int(j == l) for j in range(L)], GE, 0) for l in range(L)]
+            + [Constraint([1] * L, EQ, 1)],
         )
-        sol1 = solve_lp(lp1)
-        if sol1.status != "Optimal":
-            raise EmptyPolytope("inner minimization over Y failed")
-        mu = sol1.primal[:L]
-        y_star = tuple(
-            sum(mu[l] * yverts[l][i] for l in range(L)) for i in range(ydim)
+    ydim, R, K = Y.dim, len(Y.constraints), len(xverts)
+    # B x_k, one per X vertex
+    bx = [[_dot(row, x) for row in B] for x in xverts]
+    # variables (mu_1..mu_R, lambda_1..lambda_K); mu_r <= 0 on <= rows,
+    # >= 0 on >= rows and free on = rows, as the inner dual requires
+    cons = [
+        Constraint(
+            [row.coeffs[i] for row in Y.constraints] + [-b[i] for b in bx], EQ, 0
         )
-        value1 = sol1.value
-    else:
-        Y: HPolytope = inst.Y
-        if Y.dim != ydim:
-            raise DimensionMismatch("payoff rows must match Y dimension")
-        # variables (y, s): min s subject to s >= y . B x_k and y in Y
-        cons = []
-        for bx in bx_list:
-            cons.append(Constraint([-v for v in bx] + [ONE], GE, 0))
-        for row in Y.constraints:
-            cons.append(Constraint(list(row.coeffs) + [ZERO], row.relation, row.rhs))
-        lp1 = LinearProgram(
-            objective=[ZERO] * ydim + [ONE],
-            sense="min",
-            constraints=cons,
-        )
-        sol1 = solve_lp(lp1)
-        if sol1.status == "Infeasible":
-            raise EmptyPolytope("Y is empty")
-        if sol1.status != "Optimal":
-            raise EmptyPolytope("inner minimization over Y unbounded")
-        y_star = sol1.primal[:ydim]
-        value1 = sol1.value
-
-    # Route 2: sup over conv(X) of inf over y, with the inner inf dualized
-    K = len(xverts)
-    if isinstance(inst.Y, VertexPolytope):
-        yverts = inst.Y.vertices
-        # max t s.t. t <= v_l . B (X lambda), sum lambda = 1
-        cons = []
-        for v in yverts:
-            coeffs = [
-                sum(v[i] * bx_list[k][i] for i in range(ydim)) for k in range(K)
-            ]
-            cons.append(Constraint(coeffs + [-ONE], GE, 0))
-        cons.append(Constraint([ONE] * K + [ZERO], EQ, 1))
-        lp2 = LinearProgram(
-            objective=[ZERO] * K + [ONE],
-            sense="max",
-            constraints=cons,
-            lower=[ZERO] * K + [None],
-        )
-        sol2 = solve_lp(lp2)
-        if sol2.status != "Optimal":
-            raise EmptyPolytope("outer maximization over X failed")
-        lam = sol2.primal[:K]
-        value2 = sol2.value
-    else:
-        Y = inst.Y
-        R = len(Y.constraints)
-        # inner LP (y free):  min (Bx) . y  s.t.  a_r . y rel_r b_r
-        # its dual: max sum_r mu_r b_r  s.t.  sum_r mu_r a_r = Bx,
-        #           mu_r <= 0 for <=, free for =, >= 0 for >=
-        # combined with x = sum_k lambda_k x_k:
-        cons = []
-        for i in range(ydim):
-            coeffs = [Y.constraints[r].coeffs[i] for r in range(R)]
-            coeffs += [-bx_list[k][i] for k in range(K)]
-            cons.append(Constraint(coeffs, EQ, 0))
-        cons.append(Constraint([ZERO] * R + [ONE] * K, EQ, 1))
-        lower: list[Optional[Fraction]] = []
-        upper: list[Optional[Fraction]] = []
-        for r in range(R):
-            rel = Y.constraints[r].relation
-            lower.append(ZERO if rel == GE else None)
-            upper.append(ZERO if rel == LE else None)
-        lower += [ZERO] * K
-        upper += [None] * K
-        lp2 = LinearProgram(
+        for i in range(ydim)
+    ]
+    cons.append(Constraint([ZERO] * R + [ONE] * K, EQ, 1))
+    rels = [row.relation for row in Y.constraints]
+    sol = solve_lp(
+        LinearProgram(
             objective=[row.rhs for row in Y.constraints] + [ZERO] * K,
             sense="max",
             constraints=cons,
-            lower=lower,
-            upper=upper,
+            lower=[ZERO if rel == GE else None for rel in rels] + [ZERO] * K,
+            upper=[ZERO if rel == LE else None for rel in rels] + [None] * K,
         )
-        sol2 = solve_lp(lp2)
-        if sol2.status == "Infeasible":
-            raise EmptyPolytope("inner problem over Y is unbounded below")
-        if sol2.status != "Optimal":
-            raise EmptyPolytope("outer maximization over X failed")
-        lam = sol2.primal[R : R + K]
-        value2 = sol2.value
-
-    if value1 != value2:
-        raise CertificateError("minimax exchange failed: sup-inf != inf-sup")
-    x_star = tuple(
-        sum(lam[k] * xverts[k][j] for k in range(K)) for j in range(inst.X.dim)
     )
+    if sol.status == "Unbounded":
+        raise EmptyPolytope("Y is empty")
+    if sol.status != "Optimal":
+        raise EmptyPolytope("Y is empty or the inner infimum over Y is -infinity")
+    lam = sol.primal[R:]
+    y_star = sol.dual[:ydim]
+    if isinstance(inst.Y, VertexPolytope):
+        y_star = tuple(_dot(y_star, coord) for coord in zip(*inst.Y.vertices))
+    x_star = tuple(_dot(lam, coord) for coord in zip(*xverts))
     return MinimaxResult(
-        value=value1, x_star=x_star, x_weights=tuple(lam), y_star=tuple(y_star)
+        value=sol.value, x_star=x_star, x_weights=lam, y_star=y_star
     )

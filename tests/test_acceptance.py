@@ -28,15 +28,8 @@ from robust_ftap.large_market import (
     scan_aa1,
     scan_aa2,
 )
-from robust_ftap.lp_core import (
-    Constraint,
-    EQ,
-    GE,
-    HPolytope,
-    MinimaxInstance,
-    VertexPolytope,
-    minimax_value,
-)
+from minimax_reference import criterion_3_instances
+from robust_ftap.lp_core import minimax_value
 from robust_ftap.market import (
     Market,
     check_ftap,
@@ -138,42 +131,17 @@ def test_criterion_2_superhedging_duality():
 
 def test_criterion_3_minimax_exchange():
     start = time.monotonic()
-    rng = random.Random(31415)
     ok = True
-    for _ in range(500):
-        xdim = rng.randint(1, 6)
-        ydim = rng.randint(1, 6)
-        B = [
-            [F(rng.randint(-20, 20), rng.randint(1, 10)) for _ in range(xdim)]
-            for _ in range(ydim)
-        ]
-        xverts = [
-            [F(rng.randint(-2, 2), rng.randint(1, 2)) for _ in range(xdim)]
-            for _ in range(rng.randint(1, 3))
-        ]
-        if rng.random() < 0.5:
-            yverts = [
-                [F(1) if j == i else F(0) for j in range(ydim)]
-                for i in range(ydim)
-            ]
-            Y = VertexPolytope(yverts)
-        else:
-            cons = [
-                Constraint(
-                    [F(1) if j == i else F(0) for j in range(ydim)], GE, 0
-                )
-                for i in range(ydim)
-            ]
-            cons.append(Constraint([F(1)] * ydim, EQ, 1))
-            Y = HPolytope(ydim, cons)
-        # minimax_value computes inf-sup and sup-inf independently and
-        # asserts their exact equality before returning
-        res = minimax_value(MinimaxInstance(B, VertexPolytope(xverts), Y))
+    for inst in criterion_3_instances():
+        # minimax_value solves the sup-inf LP, and its exactly checked dual
+        # y* attains the same value in the inf-sup order
+        res = minimax_value(inst)
+        B = inst.payoff
         bx = [
-            sum(B[i][j] * res.x_star[j] for j in range(xdim))
-            for i in range(ydim)
+            sum(row[j] * res.x_star[j] for j in range(len(res.x_star)))
+            for row in B
         ]
-        if sum(res.y_star[i] * bx[i] for i in range(ydim)) != res.value:
+        if sum(res.y_star[i] * bx[i] for i in range(len(B))) != res.value:
             ok = False
             break
     report(3, "minimax exchange, zero gap on 500 instances", ok,

@@ -227,6 +227,14 @@ class TestVerify:
         assert main(["verify", "--certificate", cpath]) == 0
         assert "accepted" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("flag", [["--output", "v.out"], ["--format", "json"]])
+    def test_refuses_output_and_format(self, tmp_path, capsys, flag):
+        cpath = write(tmp_path, "cert_copy.json", self.cert_for(tmp_path))
+        with pytest.raises(SystemExit) as exc:
+            main(["verify", "--certificate", cpath] + flag)
+        assert exc.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+
     def test_rejects_tampered_verdict(self, tmp_path, capsys):
         cert = self.cert_for(tmp_path)
         cert["verdict"] = "superhedging price 1/2"

@@ -143,6 +143,15 @@ class TestScanAa2:
             event = frozenset(o for o in m.support if m.gain(H, o) >= w.alpha)
             assert P_k(event) == p_k
 
+    def test_attained_mass_claimed_against_target_level(self):
+        levels = (F(1, 3), F(1, 2), F(3, 5))
+        w = scan_aa2(widening_family(), alpha_grid=[F(1)], target_levels=levels)
+        assert w.attained == (F(1, 2), F(2, 3), F(3, 4))
+        mass_claims = [c for c in w.claims if c.description.endswith("attained P-mass")]
+        assert [(c.lhs, c.relation, c.rhs) for c in mass_claims] == [
+            (p_k, ">=", level) for p_k, level in zip(w.attained, levels)
+        ]
+
     def test_negative_control(self):
         assert scan_aa2(flat_family()) is None
 

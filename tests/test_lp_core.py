@@ -11,6 +11,8 @@ from fractions import Fraction
 
 import pytest
 
+from minimax_reference import check_against_reference
+from robust_ftap import lp_core
 from robust_ftap.errors import CertificateError, DimensionMismatch, EmptyPolytope
 from robust_ftap.lp_core import (
     Constraint,
@@ -337,8 +339,10 @@ class TestMinimax:
         B = [[1, -1], [-1, 1]]
         X = VertexPolytope([[1, 0], [0, 1]])
         Y = VertexPolytope([[1, 0], [0, 1]])
-        res = minimax_value(MinimaxInstance(B, X, Y))
+        inst = MinimaxInstance(B, X, Y)
+        res = minimax_value(inst)
         assert res.value == 0
+        check_against_reference(inst, res)
 
     def test_degenerate_x(self):
         rng = random.Random(13)
@@ -351,12 +355,14 @@ class TestMinimax:
             x0 = [F(rng.randint(-2, 2), rng.randint(1, 2)) for _ in range(n)]
             X = VertexPolytope([x0])
             yverts = [[F(1) if j == i else F(0) for j in range(n)] for i in range(n)]
-            res = minimax_value(MinimaxInstance(B, X, VertexPolytope(yverts)))
+            inst = MinimaxInstance(B, X, VertexPolytope(yverts))
+            res = minimax_value(inst)
             bx = [sum(B[i][j] * x0[j] for j in range(n)) for i in range(n)]
             expected = min(
                 sum(v[i] * bx[i] for i in range(n)) for v in yverts
             )
             assert res.value == expected
+            check_against_reference(inst, res)
 
     def test_dset_game(self):
         # X = conv{(9/10,1/10),(1/10,9/10)}, Y = {0<=h<=1, E_P[h] >= 1/2}
@@ -369,15 +375,39 @@ class TestMinimax:
             Constraint([0, 1], LE, 1),
             Constraint([F(1, 2), F(1, 2)], GE, F(1, 2)),
         ]
-        res = minimax_value(MinimaxInstance([[1, 0], [0, 1]], X, HPolytope(2, cons)))
+        inst = MinimaxInstance([[1, 0], [0, 1]], X, HPolytope(2, cons))
+        res = minimax_value(inst)
         assert res.value == F(1, 2)
         assert res.y_star == (F(1, 2), F(1, 2))
+        check_against_reference(inst, res)
 
     def test_empty_y_raises(self):
         X = VertexPolytope([[1]])
         cons = [Constraint([1], GE, 1), Constraint([1], LE, 0)]
         with pytest.raises(EmptyPolytope):
             minimax_value(MinimaxInstance([[1]], X, HPolytope(1, cons)))
+
+    def test_inner_infimum_minus_infinity_raises(self):
+        # Y = {y >= 0}, B = [[1]], X = {-1}: inf over y >= 0 of -y is -inf
+        X = VertexPolytope([[-1]])
+        Y = HPolytope(1, [Constraint([1], GE, 0)])
+        with pytest.raises(EmptyPolytope):
+            minimax_value(MinimaxInstance([[1]], X, Y))
+
+    @pytest.mark.parametrize("kind", ["vertices", "rows"])
+    def test_one_lp_per_call(self, monkeypatch, kind):
+        calls = []
+
+        def counting(lp):
+            calls.append(lp)
+            return solve_lp(lp)
+
+        monkeypatch.setattr(lp_core, "solve_lp", counting)
+        X = VertexPolytope([[1, 0], [0, 1], [F(1, 2), F(1, 2)]])
+        Y = VertexPolytope([[1, 0], [0, 1]]) if kind == "vertices" else _simplex_h(2)
+        res = minimax_value(MinimaxInstance([[1, -1], [-2, 3]], X, Y))
+        assert len(calls) == 1
+        assert res.value == F(1, 7)
 
     def test_saddle_value_random(self):
         rng = random.Random(99)
@@ -402,7 +432,9 @@ class TestMinimax:
                         for i in range(ydim)
                     ]
                 )
-            res = minimax_value(MinimaxInstance(B, X, Y))
+            inst = MinimaxInstance(B, X, Y)
+            res = minimax_value(inst)
+            check_against_reference(inst, res)
             # (x*, y*) is a saddle point, so the payoff there is the value
             bx = [
                 sum(B[i][j] * res.x_star[j] for j in range(xdim))
