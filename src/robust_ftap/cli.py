@@ -119,16 +119,28 @@ def _parse_list(values, field: str) -> list[Fraction]:
     return [parse_rational(v, f"{field}[{i}]") for i, v in enumerate(values)]
 
 
+def _parse_level(value, field: str, below_one: bool = False) -> Fraction:
+    """A level (epsilon, delta): a rational above 0, and below 1 where
+    ``below_one`` (the levels of a Halmos-Savage hypothesis).  Above 1, a
+    modulus or contiguity level is vacuous but meaningful."""
+    x = parse_rational(value, field)
+    if x <= 0 or (below_one and x >= 1):
+        interval = "(0, 1)" if below_one else "(0, infinity)"
+        raise InputError(f"{field}: {format_rational(x)} is not in {interval}")
+    return x
+
+
 def _parse_grid(
-    text: Optional[str], field: str, default=None
+    text: Optional[str], field: str, default=None, parse=parse_rational
 ) -> Optional[list[Fraction]]:
-    """The comma-separated grid of an option; ``default`` when it is not given."""
+    """The comma-separated grid of an option, each item read by ``parse``;
+    ``default`` when it is not given."""
     if not text:
         return default
     items = [t for t in text.split(",") if t.strip()]
     if not items:
         raise InputError(f"{field}: empty grid")
-    return [parse_rational(t.strip(), field) for t in items]
+    return [parse(t.strip(), field) for t in items]
 
 
 # ---------------------------------------------------------------------------
@@ -322,7 +334,11 @@ def verify_certificate(cert) -> list[str]:
     witness = cert["witness"]
     if isinstance(witness, dict):
         for field in ("probability_vectors", "weight_vectors"):
-            for j, vec in enumerate(witness.get(field, []) or []):
+            vectors = witness.get(field) or []
+            if not isinstance(vectors, list):
+                problems.append(f"witness.{field}: expected a list")
+                continue
+            for j, vec in enumerate(vectors):
                 try:
                     values = _parse_list(vec, f"witness.{field}[{j}]")
                 except InputError as exc:
@@ -411,7 +427,7 @@ def _cmd_superhedge(args, max_enum):
     input_obj = {"market": market_to_obj(m),
                  "payoff": {"values": _rs(f.values)}}
     try:
-        cert = superhedge(m, f, max_enum)
+        cert = superhedge(m, f)
     except NaViolated:
         return ("NA fails; superhedging duality unavailable", None, [],
                 input_obj)
@@ -428,8 +444,8 @@ def _hs_instance(args):
     space, P, Q = load_hs_pair(_load_json(args.input))
     if args.epsilon is None or args.delta is None:
         raise InputError("this subcommand requires --epsilon and --delta")
-    eps = parse_rational(args.epsilon, "--epsilon")
-    delta = parse_rational(args.delta, "--delta")
+    eps = _parse_level(args.epsilon, "--epsilon", below_one=True)
+    delta = _parse_level(args.delta, "--delta", below_one=True)
     try:
         inst = HsInstance(P, Q, eps, delta)
     except ValueError as exc:
@@ -493,7 +509,7 @@ def _cmd_hs_modulus(args, max_enum):
     space, P, Q = load_hs_pair(_load_json(args.input))
     if args.epsilon is None:
         raise InputError("hs-modulus requires --epsilon")
-    eps = parse_rational(args.epsilon, "--epsilon")
+    eps = _parse_level(args.epsilon, "--epsilon")
     value = hs_modulus(P, Q, eps, max_enum)
     input_obj = {
         "pair": hs_pair_to_obj(space, P, Q),
@@ -533,7 +549,9 @@ def _cmd_scan(args, max_enum, kind):
 
 def _cmd_certify(args, max_enum, kind):
     seq = load_sequence(_load_json(args.input))
-    grid = _parse_grid(args.epsilon_grid, "--epsilon-grid", list(DEFAULT_ALPHA_GRID))
+    grid = _parse_grid(
+        args.epsilon_grid, "--epsilon-grid", list(DEFAULT_ALPHA_GRID), _parse_level
+    )
     table = certify_moduli(seq, grid, kind, max_enum)
     input_obj = dict(sequence_to_obj(seq), epsilon_grid=_rs(grid), kind=kind)
     witness = {
@@ -574,7 +592,7 @@ def _cmd_weak_contiguity(args, max_enum):
     seq = load_sequence(_load_json(args.input))
     if args.epsilon is None:
         raise InputError("weak-contiguity requires --epsilon")
-    eps = parse_rational(args.epsilon, "--epsilon")
+    eps = _parse_level(args.epsilon, "--epsilon")
     input_obj = dict(sequence_to_obj(seq), epsilon=format_rational(eps))
     try:
         delta, picks = weak_contiguity_witness(

@@ -19,17 +19,27 @@ class EnumerationCapExceeded(RobustFtapError):
     """Subset or basis enumeration would exceed the configured cap.
 
     ``events``, when given, is the number of events the refused scan
-    would have enumerated (2**size).
+    would have enumerated (2**size); ``bases``, the number of candidate
+    bases a refused vertex enumeration would have tried (C(size, rank)).
     """
 
-    def __init__(self, size: int, cap: int, events: Optional[int] = None):
+    def __init__(
+        self,
+        size: int,
+        cap: int,
+        events: Optional[int] = None,
+        bases: Optional[int] = None,
+    ):
         message = f"enumeration over {size} outcomes exceeds cap {cap}"
         if events is not None:
             message += f" ({events} events refused)"
+        if bases is not None:
+            message += f" ({bases} bases refused)"
         super().__init__(message)
         self.size = size
         self.cap = cap
         self.events = events
+        self.bases = bases
 
 
 class HypothesisViolated(RobustFtapError):

@@ -7,9 +7,10 @@ fraction-free row operations reduced by the gcd (Edmonds 1967, Bareiss
 where its solution is built.  Optimal solutions come back with dual
 multipliers whose objective equals the primal objective as a rational,
 with no tolerance; infeasible problems come back with Farkas multipliers
-and unbounded ones with an improving ray.  Each of the three outcomes is
-checked exactly before it is returned (`check_optimal`, `check_infeasible`,
-`check_unbounded`), and a failed check raises CertificateError.
+and unbounded ones with a feasible point and an improving ray.  Each of
+the three outcomes is checked exactly before it is returned
+(`check_optimal`, `check_infeasible`, `check_unbounded`), and a failed
+check raises CertificateError.
 
 On top of the solver sits a bilinear minimax over a vertex-polytope /
 polytope pair, solved as one LP: its primal is the sup-inf order and its
@@ -107,7 +108,8 @@ class LpSolution:
     variables), and primal and dual objectives agree exactly in `value`.
     For Infeasible, `dual` and `upper_dual` carry the Farkas multipliers of
     the rows and of the upper bounds (see `check_infeasible`); for
-    Unbounded, `primal` carries an improving ray (see `check_unbounded`).
+    Unbounded, `point` is a feasible point and `primal` an improving ray
+    (see `check_unbounded`).
     """
 
     status: str  # "Optimal" | "Infeasible" | "Unbounded"
@@ -116,6 +118,7 @@ class LpSolution:
     value: Optional[Fraction] = None
     reduced_costs: tuple[Fraction, ...] = ()
     upper_dual: tuple[Fraction, ...] = ()
+    point: tuple[Fraction, ...] = ()
 
 
 # ---------------------------------------------------------------------------
@@ -366,6 +369,14 @@ def solve_lp(lp: LinearProgram) -> LpSolution:
     tab.price(cost2)
     enter = tab.run([True] * ncols + [False] * m)
 
+    # the basic solution, feasible since phase 1 and kept feasible by phase 2
+    z = [ZERO] * total
+    for r, bv in enumerate(tab.basis):
+        z[bv] = tab.entry(r, total)
+    x = list(shift)
+    for col, (j, s) in enumerate(cols):
+        x[j] += s * z[col]
+
     if enter is not None:
         ray = [ZERO] * n
         if enter < nz:
@@ -376,18 +387,11 @@ def solve_lp(lp: LinearProgram) -> LpSolution:
             if tab.rows[r][enter] and bv < nz:
                 vj, vs = cols[bv]
                 ray[vj] -= vs * tab.entry(r, enter)
-        sol = LpSolution(status="Unbounded", primal=tuple(ray))
+        sol = LpSolution(status="Unbounded", primal=tuple(ray), point=tuple(x))
         check_unbounded(lp, sol)
         return sol
 
-    # optimal: recover primal, duals, reduced costs
-    z = [ZERO] * total
-    for r, bv in enumerate(tab.basis):
-        z[bv] = tab.entry(r, total)
-    x = list(shift)
-    for col, (j, s) in enumerate(cols):
-        x[j] += s * z[col]
-
+    # optimal: the basic solution, duals, reduced costs
     obj_shift = sum(c[j] * shift[j] for j in range(n))
     value_min = -tab.reduced(total) + obj_shift
     value = value_min if minimize else -value_min
@@ -441,6 +445,23 @@ def _row_sums(lp: LinearProgram, y: Sequence[Fraction]) -> list[Fraction]:
     return out
 
 
+def _require_feasible(lp: LinearProgram, x: Sequence[Fraction]) -> None:
+    """x satisfies every row and every bound of the LP."""
+    for row in lp.constraints:
+        lhs = _dot(row.coeffs, x)
+        if row.relation == LE:
+            _require(lhs <= row.rhs, "primal infeasible (<= row)")
+        elif row.relation == GE:
+            _require(lhs >= row.rhs, "primal infeasible (>= row)")
+        else:
+            _require(lhs == row.rhs, "primal infeasible (= row)")
+    for j, xj in enumerate(x):
+        if lp.lower[j] is not None:
+            _require(xj >= lp.lower[j], "primal below lower bound")
+        if lp.upper[j] is not None:
+            _require(xj <= lp.upper[j], "primal above upper bound")
+
+
 def check_optimal(lp: LinearProgram, sol: LpSolution) -> None:
     """Exact verification of an Optimal solution against the original LP.
 
@@ -458,19 +479,7 @@ def check_optimal(lp: LinearProgram, sol: LpSolution) -> None:
         and len(sol.reduced_costs) == n,
         "solution vectors have the wrong length",
     )
-    for row in lp.constraints:
-        lhs = _dot(row.coeffs, x)
-        if row.relation == LE:
-            _require(lhs <= row.rhs, "primal infeasible (<= row)")
-        elif row.relation == GE:
-            _require(lhs >= row.rhs, "primal infeasible (>= row)")
-        else:
-            _require(lhs == row.rhs, "primal infeasible (= row)")
-    for j in range(n):
-        if lp.lower[j] is not None:
-            _require(x[j] >= lp.lower[j], "primal below lower bound")
-        if lp.upper[j] is not None:
-            _require(x[j] <= lp.upper[j], "primal above upper bound")
+    _require_feasible(lp, x)
 
     maximize = lp.sense == "max"
     # row multipliers: for max, y >= 0 on <= rows, y <= 0 on >= rows
@@ -549,18 +558,21 @@ def check_infeasible(lp: LinearProgram, sol: LpSolution) -> None:
 
 
 def check_unbounded(lp: LinearProgram, sol: LpSolution) -> None:
-    """Exact verification of an improving ray d = `sol.primal`.
+    """Exact verification of a feasible point x = `sol.point` and an
+    improving ray d = `sol.primal`.
 
-    d must satisfy the homogeneous system (a.d <= 0, >= 0 or = 0 with the
-    row's relation; d_j >= 0 under a lower bound, d_j <= 0 under an upper
-    bound) and strictly improve the objective; with the feasible point that
-    phase 1 found, the LP value is then unbounded.  Raises CertificateError
-    on any exact violation.
+    x must satisfy every row and bound of the LP, and d the homogeneous
+    system (a.d <= 0, >= 0 or = 0 with the row's relation; d_j >= 0 under
+    a lower bound, d_j <= 0 under an upper bound) and strictly improve the
+    objective; x + s d is then feasible for every s >= 0, and the LP value
+    is unbounded.  Raises CertificateError on any exact violation.
     """
     _require(sol.status == "Unbounded", f"status {sol.status!r} is not Unbounded")
     n = lp.num_vars
     d = sol.primal
     _require(len(d) == n, "ray has the wrong length")
+    _require(len(sol.point) == n, "feasible point has the wrong length")
+    _require_feasible(lp, sol.point)
     for row in lp.constraints:
         lhs = _dot(row.coeffs, d)
         if row.relation == LE:

@@ -215,6 +215,14 @@ def reference_solve_lp(lp: LinearProgram) -> LpSolution:
     allow2 = [True] * ncols + [False] * m
     status, red2, const2, enter = tab.run(cost2, allow2)
 
+    # the basic solution: feasible, and optimal unless a ray improves it
+    z = [ZERO] * total
+    for r, bv in enumerate(tab.basis):
+        z[bv] = tab.b[r]
+    x = list(shift)
+    for col, (j, s) in enumerate(cols):
+        x[j] += s * z[col]
+
     if status == "unbounded":
         assert enter is not None
         ray = [ZERO] * n
@@ -227,16 +235,9 @@ def reference_solve_lp(lp: LinearProgram) -> LpSolution:
             if a and bv < nz:
                 vj, vs = cols[bv]
                 ray[vj] += vs * (-a)
-        return LpSolution(status="Unbounded", primal=tuple(ray))
+        return LpSolution(status="Unbounded", primal=tuple(ray), point=tuple(x))
 
-    # optimal: recover primal, duals, reduced costs
-    z = [ZERO] * total
-    for r, bv in enumerate(tab.basis):
-        z[bv] = tab.b[r]
-    x = list(shift)
-    for col, (j, s) in enumerate(cols):
-        x[j] += s * z[col]
-
+    # optimal: duals and reduced costs
     obj_shift = sum(c[j] * shift[j] for j in range(n))
     value_min = -const2[0] + obj_shift
     value = value_min if minimize else -value_min

@@ -1,0 +1,32 @@
+"""The per-outcome no-arbitrage check that `market.check_na` replaced.
+
+It solves one boxed LP per support outcome, max gain at that outcome over
+H in [-1, 1]^d with nonnegative gains on the support, and reports the
+first outcome with a positive optimum.  `market.check_na` now decides the
+verdict with one LP for a full-support martingale measure and falls back
+to this search only to name the arbitrage; this copy is the slow
+reference of the differential test in `test_na_differential.py`.
+"""
+
+from fractions import Fraction
+
+from robust_ftap.lp_core import GE, Constraint, LinearProgram, solve_lp
+
+ZERO = Fraction(0)
+ONE = Fraction(1)
+
+
+def reference_check_na(m):
+    """(True, None) under no-arbitrage, else (False, (H, strict outcome))."""
+    if m.d == 0:
+        return True, None
+    base = [Constraint(m.delta_s(o), GE, 0) for o in m.support]
+    for o in m.support:
+        lp = LinearProgram(
+            m.delta_s(o), "max", base, lower=[-ONE] * m.d, upper=[ONE] * m.d
+        )
+        sol = solve_lp(lp)
+        assert sol.status == "Optimal", sol.status
+        if sol.value > 0:
+            return False, (sol.primal, o)
+    return True, None

@@ -2,6 +2,7 @@
 and certificate self-verification."""
 
 import json
+import os
 import random
 from fractions import Fraction
 
@@ -28,6 +29,10 @@ M1 = {
     "S1": [["2"], ["1/2"]],
     "ambiguity_vertices": [["1/2", "1/2"]],
 }
+
+SEQUENCE = os.path.join(
+    os.path.dirname(os.path.abspath(__file__)), "golden", "inputs", "sequence_flat.json"
+)
 
 PAIR = {
     "outcomes": ["a", "b"],
@@ -196,6 +201,59 @@ class TestSubcommands:
         assert main(["martingale-polytope", "--input", path]) == 1
         assert "ROBUST_FTAP_MAX_ENUM" in capsys.readouterr().err
 
+    def test_cap_message_reports_refused_bases(self, tmp_path, capsys):
+        m3 = dict(M1, outcomes=["u", "m", "d"], S1=[["2"], ["1"], ["0"]],
+                  ambiguity_vertices=[["1/3", "1/3", "1/3"]])
+        path = write(tmp_path, "m3.json", m3)
+        assert main(["martingale-polytope", "--input", path, "--max-enum", "2"]) == 2
+        assert capsys.readouterr().err == (
+            "enumeration cap exceeded: enumeration over 3 outcomes exceeds "
+            "cap 2 (3 bases refused)\n"
+        )
+
+    def test_superhedge_has_no_enumeration_cap(self, tmp_path):
+        # 24 outcomes, increments -11..12: above the default cap of 20.  The
+        # call payoff is convex, so the martingale measure on the two extreme
+        # increments attains its price: 12 * 11/23
+        n = 24
+        big = {
+            "outcomes": [f"o{k}" for k in range(n)],
+            "d": 1,
+            "S0": ["0"],
+            "S1": [[str(k - 11)] for k in range(n)],
+            "ambiguity_vertices": [[f"1/{n}"] * n],
+        }
+        path = write(tmp_path, "m24.json", big)
+        fpath = write(tmp_path, "f24.json",
+                      {"values": [str(max(k - 11, 0)) for k in range(n)]})
+        code, cert = run_json(
+            tmp_path, ["superhedge", "--input", path, "--payoff", fpath]
+        )
+        assert code == 0
+        assert cert["verdict"] == "superhedging price 132/23"
+        q = cert["witness"]["probability_vectors"][0]
+        assert (q[0], q[-1]) == ("12/23", "11/23") and set(q[1:-1]) == {"0"}
+        assert verify_certificate(cert) == []
+
+    @pytest.mark.parametrize(
+        "argv,flag",
+        [
+            (["hs-modulus", "--epsilon", "-1"], "--epsilon"),
+            (["hs-modulus", "--epsilon", "0"], "--epsilon"),
+            (["certify-naa1", "--epsilon-grid", "0"], "--epsilon-grid"),
+            (["certify-naa2", "--epsilon-grid", "1/4,-1/2"], "--epsilon-grid"),
+            (["weak-contiguity", "--epsilon", "-1"], "--epsilon"),
+            (["hs-witness", "--epsilon", "1", "--delta", "1/4"], "--epsilon"),
+            (["hs-check", "--epsilon", "1/4", "--delta", "0"], "--delta"),
+        ],
+    )
+    def test_levels_share_one_rule(self, tmp_path, capsys, argv, flag):
+        inp = write(tmp_path, "p.json", PAIR) if argv[0].startswith("hs-") else SEQUENCE
+        assert main(argv + ["--input", inp]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"input error: {flag}: ") and "is not in (0, " in err
+        assert "Traceback" not in err
+
     def test_negative_verdict_is_exit_zero(self, tmp_path):
         arb = dict(M1, S1=[["2"], ["1"]])  # increments (1, 0): arbitrage
         path = write(tmp_path, "arb.json", arb)
@@ -256,6 +314,16 @@ class TestVerify:
             except json.JSONDecodeError:
                 continue  # not valid JSON at all: rejected upstream
             assert verify_certificate(obj), f"mutation at {pos} accepted"
+
+    def test_rejects_witness_vectors_that_are_not_a_list(self, tmp_path, capsys):
+        cert = build_certificate("demo", {}, "ok", {"probability_vectors": 5}, [])
+        assert verify_certificate(cert) == [
+            "witness.probability_vectors: expected a list"
+        ]
+        cpath = write(tmp_path, "cert_bad.json", cert)
+        assert main(["verify", "--certificate", cpath]) == 1
+        out = capsys.readouterr().out
+        assert "witness.probability_vectors: expected a list" in out
 
     def test_rejects_bad_weight_vector(self):
         cert = build_certificate(

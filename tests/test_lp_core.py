@@ -92,6 +92,12 @@ class TestSolveLp:
             check_unbounded(lp, replace(sol, primal=(F(0),)))
         with pytest.raises(CertificateError, match=">= row"):
             check_unbounded(lp, replace(sol, primal=(F(-1),)))
+        # the feasible point is part of the certificate
+        assert sol.point == (F(0),)
+        with pytest.raises(CertificateError, match="primal infeasible"):
+            check_unbounded(lp, replace(sol, point=(F(-1),)))
+        with pytest.raises(CertificateError, match="feasible point"):
+            check_unbounded(lp, replace(sol, point=()))
 
     def test_dimension_mismatch(self):
         with pytest.raises(DimensionMismatch):
@@ -274,6 +280,18 @@ class TestCertificateChecks:
                 print("check_na rejected:", exc)
             else:
                 print("check_na accepted")
+            # an arbitrage market: the full-support LP (3 variables) reaches
+            # t* = 0, and the boxed arbitrage LPs (1 variable) are forged
+            arb = market.Market(space, [1], [[2], [1]], P)
+            market.solve_lp = lambda lp: (
+                solve(lp) if lp.num_vars > 1
+                else replace(solve(lp), status="Unbounded"))
+            try:
+                market.check_na(arb)
+            except CertificateError as exc:
+                print("arbitrage search rejected:", exc)
+            else:
+                print("arbitrage search accepted")
             """
         )
         root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
@@ -289,7 +307,8 @@ class TestCertificateChecks:
         assert out.stdout.splitlines() == [
             "False rejected: primal infeasible (<= row)",
             "entry rejected: claimed bound: 1/3 >= 1/2 is false",
-            "check_na rejected: the boxed arbitrage LP at u is Unbounded",
+            "check_na rejected: the full-support martingale LP is Unbounded",
+            "arbitrage search rejected: the boxed arbitrage LP at u is Unbounded",
         ]
 
 

@@ -4,8 +4,9 @@ replaced (`fraction_simplex.reference_solve_lp`).
 Both engines build the same columns, artificials and row flips and follow
 Bland's rule, so they make the same pivots: every field of their solutions
 (status, primal, dual, value, reduced costs, upper-bound multipliers, the
-Farkas vector of an Infeasible LP and the ray of an Unbounded one) must be
-exactly equal, and each must pass the check for its status.
+Farkas vector of an Infeasible LP and the feasible point and ray of an
+Unbounded one) must be exactly equal, and each must pass the check for its
+status.
 """
 
 from fractions import Fraction
@@ -76,7 +77,7 @@ def _assert_same(lp):
     sol = solve_lp(lp)
     ref = reference_solve_lp(lp)
     for field in (
-        "status", "primal", "dual", "value", "reduced_costs", "upper_dual"
+        "status", "primal", "dual", "value", "reduced_costs", "upper_dual", "point"
     ):
         assert getattr(sol, field) == getattr(ref, field), field
     CHECKS[sol.status](lp, sol)

@@ -217,7 +217,7 @@ class TestSuperhedge:
                 for _ in range(m.space.size)
             ]
             f = BoundedFunction(m.space, values)
-            cert = superhedge(m, f)  # asserts LP price == vertex price
+            cert = superhedge(m, f)
             best = max(
                 v.expectation(f) for v in martingale_polytope(m).vertices
             )

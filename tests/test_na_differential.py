@@ -1,0 +1,167 @@
+"""Differential and count tests of the one-LP no-arbitrage decision.
+
+`market.check_na` decides no-arbitrage with one LP for a martingale
+measure charging the whole quasi-sure support, and runs the per-outcome
+search of `na_reference.reference_check_na` only to name an arbitrage.
+On hypothesis-drawn markets (no assets, redundant assets, arbitrage, and
+markets whose martingale measures all miss part of the support) the
+verdict, H and the strict outcome must equal the reference's, and under
+no-arbitrage the returned measure must be a full-support martingale
+measure.  The count tests pin the LPs a market costs: one, paid once.
+"""
+
+from fractions import Fraction
+
+import pytest
+from hypothesis import event, given, settings
+from hypothesis import strategies as st
+
+from na_reference import reference_check_na
+from robust_ftap import market
+from robust_ftap.large_market import MarketSequence
+from robust_ftap.market import (
+    Market,
+    check_na,
+    full_support_martingale,
+    martingale_polytope,
+    superhedge,
+)
+from robust_ftap.measures import (
+    AmbiguitySet,
+    BoundedFunction,
+    ProbabilityMeasure,
+    SampleSpace,
+)
+
+F = Fraction
+
+small = st.builds(F, st.integers(-3, 3), st.sampled_from([1, 1, 2, 3]))
+KINDS = ("drawn", "no assets", "redundant", "arbitrage", "martingale, none full")
+
+
+@st.composite
+def markets(draw):
+    kind = draw(st.sampled_from(KINDS))
+    n = draw(st.integers(2 if kind == "martingale, none full" else 1, 6))
+    d = 0 if kind == "no assets" else draw(st.integers(1, 3))
+    cols = [draw(st.lists(small, min_size=n, max_size=n)) for _ in range(d)]
+    if kind in ("drawn", "redundant") and draw(st.booleans()):
+        # centred columns: the uniform law is a martingale measure
+        cols = [[x - sum(col) / n for x in col] for col in cols]
+    space = SampleSpace([f"o{k}" for k in range(n)])
+    if kind == "drawn":
+        # P-vertices on drawn supports: outcomes outside them are ignored
+        vertices = []
+        for _ in range(draw(st.integers(1, 3))):
+            weights = draw(st.lists(st.integers(0, 3), min_size=n, max_size=n))
+            if not any(weights):
+                weights[draw(st.integers(0, n - 1))] = 1
+            vertices.append([F(w, sum(weights)) for w in weights])
+    else:
+        vertices = [[F(1, n)] * n]
+    if kind == "redundant":
+        a, b = draw(small), draw(small)
+        i, j = draw(st.integers(0, d - 1)), draw(st.integers(0, d - 1))
+        cols.append([a * x + b * y for x, y in zip(cols[i], cols[j])])
+    if kind in ("arbitrage", "martingale, none full"):
+        # asset 0 never falls and rises somewhere: H = e_0 is an arbitrage
+        rise = draw(st.integers(0, n - 1))
+        cols[0] = [abs(x) for x in cols[0]]
+        cols[0][rise] = draw(st.integers(1, 3))
+    if kind == "martingale, none full":
+        # another outcome is flat: its point mass is a martingale measure
+        flat = draw(st.integers(0, n - 2))
+        flat += flat >= rise
+        for col in cols:
+            col[flat] = F(0)
+    P = AmbiguitySet(space, [ProbabilityMeasure(space, v) for v in vertices])
+    s1 = [[col[k] for col in cols] for k in range(n)]
+    return kind, Market(space, [0] * len(cols), s1, P)
+
+
+@settings(max_examples=300, deadline=None)
+@given(markets())
+def test_matches_per_outcome_search(drawn):
+    kind, m = drawn
+    holds, witness = check_na(m)
+    want_holds, want_witness = reference_check_na(m)
+    event(f"{kind}: {'NA' if holds else 'arbitrage'}")
+    assert holds == want_holds
+    q = full_support_martingale(m)
+    if holds:
+        assert witness is None
+        assert q.support == set(m.support)
+        for i in range(m.d):
+            assert sum(q.mass_of(o) * m.delta_s(o)[i] for o in m.support) == 0
+    else:
+        assert q is None
+        assert (witness.H, witness.strict_outcome) == want_witness
+    if kind in ("arbitrage", "martingale, none full"):
+        assert not holds
+    if kind == "martingale, none full":
+        assert martingale_polytope(m).vertices
+
+
+def _fresh_na_market():
+    space = SampleSpace(["u", "m", "d"])
+    P = AmbiguitySet(space, [ProbabilityMeasure(space, ["1/3", "1/3", "1/3"])])
+    return Market(space, [1], [[2], [1], [0]], P)
+
+
+@pytest.fixture
+def counted(monkeypatch):
+    """Counts the LPs solved in `market`; vertex enumeration must not run."""
+    calls = {"lp": 0}
+    solve = market.solve_lp
+
+    def solve_counted(lp):
+        calls["lp"] += 1
+        return solve(lp)
+
+    def refuse(*args):
+        raise AssertionError("vertex enumeration called")
+
+    monkeypatch.setattr(market, "solve_lp", solve_counted)
+    monkeypatch.setattr(market, "enumerate_basic_feasible", refuse)
+    return calls
+
+
+def test_check_na_solves_one_lp_once(counted):
+    m = _fresh_na_market()
+    assert check_na(m) == (True, None)
+    assert counted["lp"] == 1
+    assert check_na(m) == (True, None)
+    assert full_support_martingale(m).mass == (F(1, 3), F(1, 3), F(1, 3))
+    MarketSequence([m, m])
+    assert counted["lp"] == 1
+
+
+def test_superhedge_solves_one_lp_per_call(counted):
+    m = _fresh_na_market()
+    check_na(m)
+    counted["lp"] = 0
+    for values in ([1, 0, 0], [0, 1, 0], [3, 0, 3]):
+        superhedge(m, BoundedFunction(m.space, values))
+    assert counted["lp"] == 3
+
+
+def test_verdict_is_stored_on_the_market(counted):
+    m, twin = _fresh_na_market(), _fresh_na_market()
+    check_na(m)
+    # equal markets compare and hash alike, filled cache or not, but share
+    # no verdict: nothing is kept outside the market object
+    assert m == twin and hash(m) == hash(twin)
+    check_na(twin)
+    assert counted["lp"] == 2
+
+
+def test_arbitrage_market_pays_the_search_once(counted):
+    space = SampleSpace(["u", "d"])
+    P = AmbiguitySet(space, [ProbabilityMeasure(space, ["1/2", "1/2"])])
+    m = Market(space, [1], [[2], [1]], P)
+    holds, witness = check_na(m)
+    assert not holds and witness.strict_outcome == "u"
+    # the full-support LP, then the boxed LP at u, which finds H
+    assert counted["lp"] == 2
+    assert check_na(m) == (False, witness)
+    assert counted["lp"] == 2
