@@ -120,7 +120,7 @@ def _parse_list(values, field: str) -> list[Fraction]:
 
 
 def _parse_level(value, field: str, below_one: bool = False) -> Fraction:
-    """A level (epsilon, delta): a rational above 0, and below 1 where
+    """A level (epsilon, delta, alpha): a rational above 0, and below 1 where
     ``below_one`` (the levels of a Halmos-Savage hypothesis).  Above 1, a
     modulus or contiguity level is vacuous but meaningful."""
     x = parse_rational(value, field)
@@ -372,10 +372,11 @@ def _modulus_str(x: Fraction) -> str:
 
 
 # ---------------------------------------------------------------------------
-# subcommand handlers; each returns (verdict, witness, claims, input_obj)
+# subcommand handlers; each returns (verdict, witness, claims, input_obj),
+# and those of the enumerating subcommands also take the enumeration cap
 
 
-def _cmd_check_na(args, max_enum):
+def _cmd_check_na(args):
     m = load_market(_load_json(args.input))
     holds, w = check_na(m)
     if holds:
@@ -396,7 +397,7 @@ def _cmd_martingale_polytope(args, max_enum):
     return verdict, witness, claims, market_to_obj(m)
 
 
-def _cmd_ftap(args, max_enum):
+def _cmd_ftap(args):
     m = load_market(_load_json(args.input))
     na_holds, per_vertex = check_ftap(m)
     claims, dominating, vectors = [], [], []
@@ -419,7 +420,7 @@ def _cmd_ftap(args, max_enum):
     return verdict, witness, claims, market_to_obj(m)
 
 
-def _cmd_superhedge(args, max_enum):
+def _cmd_superhedge(args):
     if not args.payoff:
         raise InputError("superhedge requires --payoff <file>")
     m = load_market(_load_json(args.input))
@@ -525,7 +526,9 @@ def _cmd_scan(args, max_enum, kind):
         scan, levels = scan_aa1, _parse_grid(args.c_schedule, "--c-schedule")
     else:
         scan, levels = scan_aa2, _parse_grid(args.target_levels, "--target-levels")
-    alphas = _parse_grid(args.alpha_grid, "--alpha-grid", list(DEFAULT_ALPHA_GRID))
+    alphas = _parse_grid(
+        args.alpha_grid, "--alpha-grid", list(DEFAULT_ALPHA_GRID), _parse_level
+    )
     try:
         w = scan(seq, alphas, levels, max_enum)
     except ValueError as exc:
@@ -684,20 +687,25 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add(name, **kwargs):
+    def add(name, enumerates=True, **kwargs):
         p = sub.add_parser(name, **kwargs)
         p.add_argument("--input", help="input JSON file")
         p.add_argument("--output", help="write the certificate here (atomic)")
         p.add_argument("--format", choices=("json", "text"), default="json")
-        p.add_argument("--max-enum", type=int, default=None,
-                       help="enumeration cap (default 20; env "
-                            f"{ENV_MAX_ENUM} overrides)")
+        if enumerates:
+            p.add_argument("--max-enum", type=int, default=None,
+                           help="enumeration cap (default 20; env "
+                                f"{ENV_MAX_ENUM} overrides)")
         return p
 
-    add("check-na", help="robust no-arbitrage verdict for one market")
+    # check-na, ftap and superhedge solve LPs only: no cap to set
+    add("check-na", enumerates=False,
+        help="robust no-arbitrage verdict for one market")
     add("martingale-polytope", help="vertex list of the martingale polytope")
-    add("ftap", help="both sides of the one-period FTAP equivalence")
-    p = add("superhedge", help="least superhedging price and hedge")
+    add("ftap", enumerates=False,
+        help="both sides of the one-period FTAP equivalence")
+    p = add("superhedge", enumerates=False,
+            help="least superhedging price and hedge")
     p.add_argument("--payoff", help="payoff JSON file")
 
     for name in ("hs-check", "hs-witness", "hs-dual-witness"):
@@ -733,7 +741,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _resolve_max_enum(args) -> int:
-    if getattr(args, "max_enum", None) is not None:
+    if args.max_enum is not None:
         cap, source = args.max_enum, "--max-enum"
     else:
         env = os.environ.get(ENV_MAX_ENUM)
@@ -768,8 +776,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             return _run_verify(args)
         if not args.input:
             raise InputError(f"{args.command} requires --input <file>")
-        max_enum = _resolve_max_enum(args)
-        verdict, witness, claims, input_obj = _HANDLERS[args.command](args, max_enum)
+        cap = (_resolve_max_enum(args),) if "max_enum" in vars(args) else ()
+        verdict, witness, claims, input_obj = _HANDLERS[args.command](args, *cap)
         cert = build_certificate(
             args.command, input_obj, verdict, witness, _transcript(claims)
         )

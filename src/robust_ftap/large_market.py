@@ -9,14 +9,14 @@ the family, while the scanners search for explicit witness strategies.
 
 from __future__ import annotations
 
-from collections import defaultdict
+import functools
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Iterator, Optional, Sequence
+from typing import Callable, Iterator, Optional, Sequence
 
 from .claims import Claim, claim
 from .errors import EmptyMartingalePolytope, HypothesisViolated
-from .events import LT, support_events
+from .events import LT, Envelope, EventSpace, support_events
 from .halmos_savage import (
     NO_QUALIFYING_SET,
     HsInstance,
@@ -151,29 +151,27 @@ def _feasible_strategy(
 
 def _feasible_events(
     m: Market,
+    events: EventSpace,
+    upper: Envelope,
+    infeasible: list[tuple[int, Fraction, Fraction]],
     level: Fraction,
     alpha: Fraction,
     floor: Fraction,
-    infeasible: list[tuple[int, Fraction, Fraction]],
-    max_enum: int,
 ) -> Iterator[tuple[tuple[Fraction, ...], ProbabilityMeasure, Fraction]]:
-    """(H, vertex, mass) for each event whose best P-vertex mass is at
-    least level and whose strategy LP is feasible, by size and then
+    """(H, vertex, mass) for each event whose best P-vertex mass (``upper``)
+    is at least level and whose strategy LP is feasible, by size and then
     lexicographically.  vertex is the first P-vertex of largest mass on the
     event, mass its mass of the high-gain event {gain of H >= alpha}.
 
     ``infeasible`` collects the (event mask, alpha, floor) of this market's
-    infeasible LPs.  The LP only tightens when the event grows (for
-    alpha >= -floor a constraint moves from >= -floor to >= alpha), when
-    alpha grows and when floor shrinks, so an LP is skipped once a recorded
+    infeasible LPs.  As alpha > 0 > -floor, the LP only tightens when the
+    event grows (a constraint moves from >= -floor to >= alpha), when alpha
+    grows and when floor shrinks, so an LP is skipped once a recorded
     (event0, alpha0, floor0) has event0 inside the event, alpha0 <= alpha
     and floor0 >= floor.
     """
-    events = support_events(m.P, max_enum)
-    upper = events.upper(m.P.vertices)
-    prune = alpha >= -floor
     for mask in events.where(upper, GE, level):
-        if prune and any(
+        if any(
             bad & mask == bad and a0 <= alpha and f0 >= floor
             for bad, a0, f0 in infeasible
         ):
@@ -187,6 +185,62 @@ def _feasible_events(
         yield H, vertex, events.mass(vertex).at(gain_event)
 
 
+def _fill_slots(
+    seq: MarketSequence,
+    alpha_grid: Sequence,
+    slots: Callable[[Fraction], list[tuple[Fraction, Fraction]]],
+    mass_claim: str,
+    max_enum: int,
+) -> Optional[tuple[dict, tuple[Fraction, ...]]]:
+    """The slot search of both asymptotic-arbitrage kinds.
+
+    ``slots(alpha)`` lists a (level, floor) per slot; slot k takes the first
+    market after slot k-1's with an event of best P-vertex mass >= level
+    and a strategy gaining >= alpha on it and >= -floor elsewhere.  Returns
+    the shared witness fields and the high-gain P-masses at the first alpha
+    that fills a nonempty list of slots; None when no alpha does.
+    """
+    alphas = [Fraction(a) for a in alpha_grid]
+    if any(a <= 0 for a in alphas):
+        raise ValueError("alpha levels must be positive")
+
+    @functools.cache
+    def market_scan(n: int):
+        # built on the market's first visit, kept for the rest of the scan
+        m = seq.markets[n - 1]
+        events = support_events(m.P, max_enum)
+        return m, events, events.upper(m.P.vertices), []
+
+    for alpha in alphas:
+        filled, claims = [], []
+        next_market = 1
+        for level, floor in slots(alpha):
+            candidates = (
+                (n, slot)
+                for n in range(next_market, len(seq) + 1)
+                for slot in _feasible_events(*market_scan(n), level, alpha, floor)
+            )
+            found = next(candidates, None)
+            if found is None:
+                break
+            n, (H, vertex, mass) = found
+            name = f"slot {len(filled) + 1} (market {n})"
+            # the high-gain event contains the scanned event, whose best
+            # P-vertex mass is at least the slot's level
+            claims.append(claim(f"{name}: {mass_claim}", mass, ">=", level))
+            worst = _worst_gain(seq.markets[n - 1], H)
+            claims.append(claim(f"{name}: worst-case gain", worst, ">=", -floor))
+            filled.append((n, H, vertex, mass))
+            next_market = n + 1
+        else:
+            if filled:
+                indices, strategies, measures, masses = zip(*filled)
+                fields = dict(indices=indices, strategies=strategies, alpha=alpha,
+                              measures=measures, claims=tuple(claims))
+                return fields, masses
+    return None
+
+
 def scan_aa1(
     seq: MarketSequence,
     alpha_grid: Sequence = DEFAULT_ALPHA_GRID,
@@ -195,11 +249,10 @@ def scan_aa1(
 ) -> Optional[Aa1Witness]:
     """Search for a first-kind asymptotic arbitrage on the finite family.
 
-    For a fixed level alpha, schedule slot k needs a market (strictly after
-    the previous slot's) on which some strategy H gains at least alpha on
-    an event carrying P-mass >= alpha while losing at most c_k elsewhere
-    on the support.  A witness exists only when every slot can be filled;
-    slots are filled greedily with the first feasible market.
+    For a fixed level alpha > 0, schedule slot k needs a market (strictly
+    after the previous slot's) on which some strategy H gains at least
+    alpha on an event carrying P-mass >= alpha while losing at most c_k
+    elsewhere on the support: the slot (alpha, c_k) of the shared search.
     """
     if c_schedule is None:
         c_schedule = [Fraction(1, k + 1) for k in range(len(seq))]
@@ -208,43 +261,12 @@ def scan_aa1(
         a <= b for a, b in zip(c_schedule, c_schedule[1:])
     ):
         raise ValueError("the loss schedule must be positive and decreasing")
-    if not c_schedule:
+    found = _fill_slots(seq, alpha_grid, lambda alpha: [(alpha, c) for c in c_schedule],
+                        "P-mass of the high-gain event", max_enum)
+    if found is None:
         return None
-    infeasible = defaultdict(list)  # per market index
-    for alpha in (Fraction(a) for a in alpha_grid):
-        indices, strategies, bounds, measures, claims = [], [], [], [], []
-        next_market = 1
-        for c_k in c_schedule:
-            slot = None
-            for n in range(next_market, len(seq) + 1):
-                m = seq.markets[n - 1]
-                found = _feasible_events(m, alpha, alpha, c_k, infeasible[n], max_enum)
-                slot = next(found, None)
-                if slot is not None:
-                    break
-            if slot is None:
-                break
-            H, vertex, p_gain = slot
-            name = f"slot {len(indices) + 1} (market {n})"
-            claims.append(
-                claim(f"{name}: P-mass of the high-gain event", p_gain, ">=", alpha)
-            )
-            claims.append(claim(f"{name}: worst-case gain", _worst_gain(m, H), ">=", -c_k))
-            indices.append(n)
-            strategies.append(H)
-            bounds.append(c_k)
-            measures.append(vertex)
-            next_market = n + 1
-        else:
-            return Aa1Witness(
-                indices=tuple(indices),
-                strategies=tuple(strategies),
-                bounds=tuple(bounds),
-                alpha=alpha,
-                measures=tuple(measures),
-                claims=tuple(claims),
-            )
-    return None
+    fields, _ = found
+    return Aa1Witness(**fields, bounds=tuple(c_schedule))
 
 
 def scan_aa2(
@@ -256,9 +278,8 @@ def scan_aa2(
     """Search for a second-kind asymptotic arbitrage on the finite family.
 
     Same LP family as the first-kind scan but with a uniform loss bound of
-    1; slot k requires an event carrying P-mass at least target_levels[k].
-    The witness exists only when every slot can be filled by an unused
-    later market.
+    1; slot k requires an event carrying P-mass at least target_levels[k]:
+    the slot (target_levels[k], 1) of the shared search.
     """
     if target_levels is None:
         N = max(len(seq), 1)
@@ -266,44 +287,12 @@ def scan_aa2(
     target_levels = [Fraction(t) for t in target_levels]
     if any(a > b for a, b in zip(target_levels, target_levels[1:])):
         raise ValueError("target levels must be nondecreasing")
-    infeasible = defaultdict(list)  # per market index
-    for alpha in (Fraction(a) for a in alpha_grid):
-        indices, strategies, measures, attained, claims = [], [], [], [], []
-        next_market = 1
-        for level in target_levels:
-            slot = None
-            for n in range(next_market, len(seq) + 1):
-                m = seq.markets[n - 1]
-                found = _feasible_events(m, level, alpha, ONE, infeasible[n], max_enum)
-                slot = next(found, None)
-                if slot is not None:
-                    break
-            if slot is None:
-                break
-            H, vertex, p_attained = slot
-            name = f"slot {len(indices) + 1} (market {n})"
-            # the high-gain event contains the scanned event, whose best
-            # P-vertex mass is at least the slot's target level
-            claims.append(
-                claim(f"{name}: attained P-mass", p_attained, ">=", level)
-            )
-            claims.append(claim(f"{name}: worst-case gain", _worst_gain(m, H), ">=", -ONE))
-            indices.append(n)
-            strategies.append(H)
-            measures.append(vertex)
-            attained.append(p_attained)
-            next_market = n + 1
-        else:
-            if indices:
-                return Aa2Witness(
-                    indices=tuple(indices),
-                    strategies=tuple(strategies),
-                    alpha=alpha,
-                    measures=tuple(measures),
-                    attained=tuple(attained),
-                    claims=tuple(claims),
-                )
-    return None
+    found = _fill_slots(seq, alpha_grid, lambda alpha: [(t, ONE) for t in target_levels],
+                        "attained P-mass", max_enum)
+    if found is None:
+        return None
+    fields, attained = found
+    return Aa2Witness(**fields, attained=attained)
 
 
 def martingale_sets(

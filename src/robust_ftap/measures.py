@@ -1,9 +1,8 @@
 """Finite-sample-space measure theory with exact rational arithmetic.
 
-Probability and signed measures on a labeled finite outcome set, the
-Hahn-Jordan decomposition, total variation, quasi-sure supports of convex
-ambiguity sets (given by vertex lists), the set-level domination relation,
-and the quasi-sure sup-norm of bounded functions.
+Probability measures and bounded functions on a labeled finite outcome
+set, quasi-sure supports of convex ambiguity sets (given by vertex lists)
+and the set-level domination relation.
 
 All values are immutable after construction and every operation is a pure
 function, so concurrent use on shared inputs is safe.
@@ -58,27 +57,6 @@ def _check_space(space: SampleSpace, values: tuple[Fraction, ...]) -> None:
         raise DimensionMismatch(
             f"{len(values)} values for a space of size {space.size}"
         )
-
-
-@dataclass(frozen=True)
-class SignedMeasure:
-    """Exact rational mass function of arbitrary sign."""
-
-    space: SampleSpace
-    mass: tuple[Fraction, ...]
-
-    def __init__(self, space: SampleSpace, mass: Iterable):
-        mass = _as_fractions(mass)
-        _check_space(space, mass)
-        object.__setattr__(self, "space", space)
-        object.__setattr__(self, "mass", mass)
-
-    def __call__(self, event: Iterable[str]) -> Fraction:
-        idx = {self.space.index(o) for o in event}
-        return sum((self.mass[i] for i in idx), Fraction(0))
-
-    def mass_of(self, label: str) -> Fraction:
-        return self.mass[self.space.index(label)]
 
 
 @dataclass(frozen=True)
@@ -143,11 +121,7 @@ class AmbiguitySet:
 
 @dataclass(frozen=True)
 class BoundedFunction:
-    """Rational-valued function on the outcomes.
-
-    Stored on all of the space but compared modulo the polar set of an
-    ambient ambiguity set (see :func:`qs_equal`).
-    """
+    """Rational-valued function on the outcomes."""
 
     space: SampleSpace
     values: tuple[Fraction, ...]
@@ -160,27 +134,6 @@ class BoundedFunction:
 
     def value_at(self, label: str) -> Fraction:
         return self.values[self.space.index(label)]
-
-
-def hahn_jordan(
-    mu: SignedMeasure,
-) -> tuple[SignedMeasure, SignedMeasure, frozenset[str]]:
-    """Split mu into nonnegative parts with disjoint supports.
-
-    Outcomes with mass exactly 0 are assigned to the positive side, which
-    makes the (otherwise null-set ambiguous) decomposition deterministic.
-    """
-    plus = SignedMeasure(mu.space, (max(m, Fraction(0)) for m in mu.mass))
-    minus = SignedMeasure(mu.space, (max(-m, Fraction(0)) for m in mu.mass))
-    omega_plus = frozenset(
-        o for o, m in zip(mu.space.outcomes, mu.mass) if m >= 0
-    )
-    return plus, minus, omega_plus
-
-
-def total_variation(mu: SignedMeasure) -> Fraction:
-    """Total-variation norm: the positive part's mass plus the negative part's."""
-    return sum((abs(m) for m in mu.mass), Fraction(0))
 
 
 def quasi_sure_support(P: AmbiguitySet) -> frozenset[str]:
@@ -206,20 +159,6 @@ def dominated_by(Q: ProbabilityMeasure, P: AmbiguitySet) -> bool:
     if Q.space != P.space:
         raise DimensionMismatch("measure and ambiguity set on different spaces")
     return Q.support <= quasi_sure_support(P)
-
-
-def qs_sup_norm(h: BoundedFunction, P: AmbiguitySet) -> Fraction:
-    """Sup of |h| over the quasi-sure support (the essential sup-norm)."""
-    if h.space != P.space:
-        raise DimensionMismatch("function and ambiguity set on different spaces")
-    support = quasi_sure_support(P)
-    return max(abs(h.value_at(o)) for o in support)
-
-
-def qs_equal(f: BoundedFunction, g: BoundedFunction, P: AmbiguitySet) -> bool:
-    """Equality of functions modulo the polar set of P."""
-    support = quasi_sure_support(P)
-    return all(f.value_at(o) == g.value_at(o) for o in support)
 
 
 def mix(

@@ -245,6 +245,9 @@ class TestSubcommands:
             (["weak-contiguity", "--epsilon", "-1"], "--epsilon"),
             (["hs-witness", "--epsilon", "1", "--delta", "1/4"], "--epsilon"),
             (["hs-check", "--epsilon", "1/4", "--delta", "0"], "--delta"),
+            (["scan-aa1", "--alpha-grid", "0"], "--alpha-grid"),
+            (["scan-aa1", "--alpha-grid", "-1"], "--alpha-grid"),
+            (["scan-aa2", "--alpha-grid", "1/2,0"], "--alpha-grid"),
         ],
     )
     def test_levels_share_one_rule(self, tmp_path, capsys, argv, flag):
@@ -253,6 +256,21 @@ class TestSubcommands:
         err = capsys.readouterr().err
         assert err.startswith(f"input error: {flag}: ") and "is not in (0, " in err
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize("command", ["check-na", "ftap", "superhedge"])
+    def test_max_enum_only_where_it_acts(self, tmp_path, capsys, command):
+        # these subcommands enumerate nothing, so they have no cap to set
+        path = write(tmp_path, "m1.json", M1)
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--input", path, "--max-enum", "1"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --max-enum 1" in capsys.readouterr().err
+
+    def test_env_cap_ignored_where_nothing_enumerates(self, tmp_path, monkeypatch):
+        path = write(tmp_path, "m1.json", M1)
+        monkeypatch.setenv("ROBUST_FTAP_MAX_ENUM", "-1")
+        code, cert = run_json(tmp_path, ["check-na", "--input", path])
+        assert code == 0 and cert["verdict"] == "NA holds"
 
     def test_negative_verdict_is_exit_zero(self, tmp_path):
         arb = dict(M1, S1=[["2"], ["1"]])  # increments (1, 0): arbitrage

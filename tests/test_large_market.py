@@ -6,6 +6,8 @@ from itertools import combinations
 
 import pytest
 
+from robust_ftap import large_market
+from robust_ftap.errors import EnumerationCapExceeded
 from robust_ftap.halmos_savage import NO_QUALIFYING_SET
 from robust_ftap.large_market import (
     Aa1Witness,
@@ -121,6 +123,65 @@ class TestScanAa1:
             scan_aa1(seq, c_schedule=[F(1, 2), F(1, 2)])  # not decreasing
         with pytest.raises(ValueError):
             scan_aa1(seq, c_schedule=[0])
+
+
+class TestSlotFiller:
+    """The slot search shared by both scanners."""
+
+    @pytest.fixture
+    def counts(self, monkeypatch):
+        counts = {"lps": 0, "events": []}
+        solve, events = large_market.solve_lp, large_market.support_events
+
+        def counted_solve(lp):
+            counts["lps"] += 1
+            return solve(lp)
+
+        def counted_events(P, max_enum):
+            counts["events"].append(id(P))
+            return events(P, max_enum)
+
+        monkeypatch.setattr(large_market, "solve_lp", counted_solve)
+        monkeypatch.setattr(large_market, "support_events", counted_events)
+        return counts
+
+    @pytest.mark.parametrize("alpha", [F(0), F(-1)])
+    def test_alpha_must_be_positive(self, alpha):
+        seq = shrinking_family(3)
+        with pytest.raises(ValueError, match="alpha"):
+            scan_aa1(seq, alpha_grid=[F(1, 2), alpha], c_schedule=[1])
+        with pytest.raises(ValueError, match="alpha"):
+            scan_aa2(seq, alpha_grid=[alpha], target_levels=[F(1, 2)])
+
+    def test_empty_schedules_solve_nothing(self, counts):
+        seq = shrinking_family(3)
+        assert scan_aa1(seq, c_schedule=[]) is None
+        assert scan_aa2(seq, target_levels=[]) is None
+        assert counts["lps"] == 0
+
+    def test_events_built_once_per_visited_market(self, counts):
+        # no alpha of the default grid fills a slot, so every alpha visits
+        # all three markets
+        seq = flat_family(3)
+        assert scan_aa1(seq, c_schedule=[F(1, 20), F(1, 30), F(1, 40)]) is None
+        assert counts["lps"] > 0
+        assert sorted(counts["events"]) == sorted(id(m.P) for m in seq.markets)
+        counts["events"].clear()
+        assert scan_aa2(seq, target_levels=[F(3, 4)] * 3) is None
+        assert sorted(counts["events"]) == sorted(id(m.P) for m in seq.markets)
+
+    def test_unreached_market_is_not_enumerated(self, counts):
+        # market 2 has more outcomes than the cap, but slot 1 is filled on
+        # market 1 and nothing later is visited
+        W3 = SampleSpace(["u", "m", "d"])
+        uniform = ProbabilityMeasure(W3, [F(1, 3)] * 3)
+        wide = Market(W3, [0], [[1], [0], [-1]], AmbiguitySet(W3, [uniform]))
+        seq = MarketSequence([shrinking_family(1).markets[0], wide])
+        w = scan_aa1(seq, alpha_grid=[F(1, 2)], c_schedule=[1], max_enum=2)
+        assert w.indices == (1,)
+        assert counts["events"] == [id(seq.markets[0].P)]
+        with pytest.raises(EnumerationCapExceeded):
+            scan_aa1(seq, alpha_grid=[F(1, 2)], c_schedule=[1, F(1, 2)], max_enum=2)
 
 
 class TestScanAa2:

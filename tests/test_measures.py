@@ -1,4 +1,4 @@
-"""Measure-theory layer: decompositions, norms, supports, domination."""
+"""Measure-theory layer: measures, supports, domination."""
 
 import random
 from fractions import Fraction
@@ -12,14 +12,9 @@ from robust_ftap.measures import (
     BoundedFunction,
     ProbabilityMeasure,
     SampleSpace,
-    SignedMeasure,
     dominated_by,
-    hahn_jordan,
     mix,
-    qs_equal,
-    qs_sup_norm,
     quasi_sure_support,
-    total_variation,
 )
 
 F = Fraction
@@ -72,69 +67,6 @@ class TestProbabilityMeasure:
         p = pm(W2, F(1, 3), F(2, 3))
         f = BoundedFunction(W2, [3, -3])
         assert p.expectation(f) == -1
-
-
-class TestHahnJordan:
-    def test_two_point_split(self):
-        mu = SignedMeasure(W2, [F(1, 2), F(-1, 5)])
-        plus, minus, omega_plus = hahn_jordan(mu)
-        assert plus.mass == (F(1, 2), F(0))
-        assert minus.mass == (F(0), F(1, 5))
-        assert omega_plus == {"w1"}
-
-    def test_zero_measure(self):
-        mu = SignedMeasure(W2, [0, 0])
-        plus, minus, omega_plus = hahn_jordan(mu)
-        assert plus.mass == minus.mass == (F(0), F(0))
-        assert omega_plus == {"w1", "w2"}
-
-    def test_three_point_split(self):
-        mu = SignedMeasure(W3, [3, -1, 2])
-        plus, minus, _ = hahn_jordan(mu)
-        assert plus.mass == (F(3), F(0), F(2))
-        assert minus.mass == (F(0), F(1), F(0))
-
-    def test_difference_and_disjoint_supports(self):
-        rng = random.Random(7)
-        for _ in range(200):
-            n = rng.randint(1, 5)
-            space = SampleSpace([f"o{i}" for i in range(n)])
-            mu = SignedMeasure(
-                space, [F(rng.randint(-8, 8), rng.randint(1, 8)) for _ in range(n)]
-            )
-            plus, minus, _ = hahn_jordan(mu)
-            for a, b, c in zip(mu.mass, plus.mass, minus.mass):
-                assert a == b - c
-                assert b == 0 or c == 0
-            assert total_variation(mu) == total_variation(plus) + total_variation(minus)
-
-
-class TestTotalVariation:
-    @pytest.mark.parametrize(
-        "mass,expected",
-        [
-            ((F(1, 2), F(-1, 5)), F(7, 10)),
-            ((F(0), F(0)), F(0)),
-            ((F(1), F(-1)), F(2)),
-        ],
-    )
-    def test_examples(self, mass, expected):
-        assert total_variation(SignedMeasure(W2, mass)) == expected
-
-    def test_triangle_inequality(self):
-        rng = random.Random(11)
-        for _ in range(200):
-            n = rng.randint(1, 4)
-            space = SampleSpace([f"o{i}" for i in range(n)])
-            m1 = [F(rng.randint(-6, 6), rng.randint(1, 6)) for _ in range(n)]
-            m2 = [F(rng.randint(-6, 6), rng.randint(1, 6)) for _ in range(n)]
-            c = F(rng.randint(-6, 6), rng.randint(1, 6))
-            combined = SignedMeasure(space, [a + c * b for a, b in zip(m1, m2)])
-            lhs = total_variation(combined)
-            rhs = total_variation(SignedMeasure(space, m1)) + abs(
-                c
-            ) * total_variation(SignedMeasure(space, m2))
-            assert lhs <= rhs
 
 
 class TestQuasiSureSupport:
@@ -231,37 +163,6 @@ class TestDominatedBy:
             Q = rng.choice(measures)
             P = AmbiguitySet(space, vertices)
             assert dominated_by(Q, P) == _dominated_brute_force(Q, vertices)
-
-
-class TestQsSupNorm:
-    def test_polar_outcome_ignored(self):
-        h = BoundedFunction(W2, [3, -1])
-        assert qs_sup_norm(h, AmbiguitySet(W2, [pm(W2, 1, 0)])) == 3
-
-    def test_full_support(self):
-        h = BoundedFunction(W2, [3, -1])
-        P = AmbiguitySet(W2, [pm(W2, 1, 0), pm(W2, 0, 1)])
-        assert qs_sup_norm(h, P) == 3
-
-    def test_vanishing_quasi_surely(self):
-        h = BoundedFunction(W2, [0, -5])
-        assert qs_sup_norm(h, AmbiguitySet(W2, [pm(W2, 1, 0)])) == 0
-
-    def test_norm_on_quotient(self):
-        rng = random.Random(23)
-        for _ in range(100):
-            n = rng.randint(1, 4)
-            space = SampleSpace([f"o{i}" for i in range(n)])
-            P = AmbiguitySet(space, [_random_measure(space, rng)])
-            h = BoundedFunction(
-                space, [F(rng.randint(-5, 5), rng.randint(1, 5)) for _ in range(n)]
-            )
-            vanishes = all(
-                h.value_at(o) == 0 for o in quasi_sure_support(P)
-            )
-            assert (qs_sup_norm(h, P) == 0) == vanishes
-            zero = BoundedFunction(space, [0] * n)
-            assert qs_equal(h, zero, P) == vanishes
 
 
 class TestMix:
