@@ -93,13 +93,16 @@ def parse_rational(value, field: str = "value") -> Fraction:
         )
     if isinstance(value, str):
         text = value.strip()
-        if _RATIONAL_RE.match(text):
-            return Fraction(text)
-        if _DECIMAL_RE.match(text):
-            whole, frac = text.split(".")
-            sign = -1 if whole.startswith("-") else 1
-            num = abs(int(whole)) * 10 ** len(frac) + int(frac)
-            return Fraction(sign * num, 10 ** len(frac))
+        try:
+            if _RATIONAL_RE.match(text):
+                return Fraction(text)
+            if _DECIMAL_RE.match(text):
+                whole, frac = text.split(".")
+                sign = -1 if whole.startswith("-") else 1
+                num = abs(int(whole)) * 10 ** len(frac) + int(frac)
+                return Fraction(sign * num, 10 ** len(frac))
+        except ValueError as exc:  # more digits than int() converts
+            raise InputError(f"{field}: {exc}") from exc
         raise InputError(f"{field}: {value!r} is not a valid rational string")
     raise InputError(f"{field}: expected a rational string, got {type(value).__name__}")
 
@@ -155,6 +158,8 @@ def _load_json(path: str):
         raise InputError(f"cannot read {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise InputError(f"{path}: invalid JSON at line {exc.lineno}: {exc.msg}") from exc
+    except (ValueError, RecursionError) as exc:  # bad UTF-8, too many digits, nesting
+        raise InputError(f"{path}: unreadable JSON: {exc}") from exc
 
 
 def _load_space(outcomes, field: str) -> SampleSpace:
@@ -311,7 +316,11 @@ def verify_certificate(cert) -> list[str]:
         return problems
     payload = {k: cert[k] for k in
                ("command", "input_digest", "verdict", "witness", "transcript")}
-    if _digest(payload) != cert["payload_sha256"]:
+    try:
+        digest = _digest(payload)
+    except (TypeError, ValueError) as exc:  # not JSON, or an int past the str limit
+        return [f"payload cannot be serialized ({exc})"]
+    if digest != cert["payload_sha256"]:
         problems.append("payload digest mismatch")
     transcript = cert["transcript"]
     if not isinstance(transcript, list):
@@ -525,7 +534,8 @@ def _cmd_scan(args, max_enum, kind):
     if kind == "first":
         scan, levels = scan_aa1, _parse_grid(args.c_schedule, "--c-schedule")
     else:
-        scan, levels = scan_aa2, _parse_grid(args.target_levels, "--target-levels")
+        scan = scan_aa2
+        levels = _parse_grid(args.target_levels, "--target-levels", parse=_parse_level)
     alphas = _parse_grid(
         args.alpha_grid, "--alpha-grid", list(DEFAULT_ALPHA_GRID), _parse_level
     )

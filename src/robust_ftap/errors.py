@@ -46,10 +46,6 @@ class HypothesisViolated(RobustFtapError):
     """An (epsilon, delta) hypothesis required by a construction fails."""
 
 
-class BoundViolated(RobustFtapError):
-    """A guaranteed bound failed verification; signals an implementation bug."""
-
-
 class NaViolated(RobustFtapError):
     """An operation requiring no-arbitrage was called on a market with arbitrage."""
 

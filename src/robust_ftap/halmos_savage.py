@@ -14,7 +14,7 @@ from fractions import Fraction
 from typing import Optional
 
 from .claims import Claim, claim
-from .errors import BoundViolated, DimensionMismatch, HypothesisViolated
+from .errors import CertificateError, DimensionMismatch, HypothesisViolated
 from .events import LT, support_events
 from .lp_core import (
     Constraint,
@@ -218,7 +218,7 @@ def construct_hs_witness(
     )
     if worst is not None and worst.value < bound:
         witness_claims(inst, w, max_enum)  # raises at the first failing event
-        raise BoundViolated(f"witness fails on event {sorted(worst.event)}")
+        raise CertificateError(f"witness fails on event {sorted(worst.event)}")
     return w
 
 
@@ -240,11 +240,8 @@ def construct_dual_hs_witness(
         )
     res = _expectation_game(inst, vertex_p, DUAL)
     value = -res.value  # inf over Q of sup over the dual D-set
-    if value > (2 - inst.epsilon) * inst.epsilon:
-        raise BoundViolated(
-            f"inf-sup value {value} above (2-epsilon)*epsilon "
-            f"= {(2 - inst.epsilon) * inst.epsilon}"
-        )
+    claim("inf-sup value at most (2-epsilon)*epsilon",
+          value, "<=", (2 - inst.epsilon) * inst.epsilon)
     q_star = mix(inst.Q.vertices, res.x_weights)
     w = HsWitness(DUAL, vertex_p, q_star, res.x_weights, 2 * inst.epsilon)
     events = support_events(inst.P, max_enum)
@@ -252,7 +249,7 @@ def construct_dual_hs_witness(
     worst = events.best(max, events.mass(q_star), (events.mass(vertex_p), LT, strict))
     if worst is not None and not worst.value < w.guaranteed_bound:
         witness_claims(inst, w, max_enum)  # raises at the first failing event
-        raise BoundViolated(f"dual witness fails on event {sorted(worst.event)}")
+        raise CertificateError(f"dual witness fails on event {sorted(worst.event)}")
     return w
 
 

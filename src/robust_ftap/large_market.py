@@ -285,8 +285,8 @@ def scan_aa2(
         N = max(len(seq), 1)
         target_levels = [1 - Fraction(1, k + 1) for k in range(1, N + 1)]
     target_levels = [Fraction(t) for t in target_levels]
-    if any(a > b for a, b in zip(target_levels, target_levels[1:])):
-        raise ValueError("target levels must be nondecreasing")
+    if any(t <= 0 for t in target_levels) or target_levels != sorted(target_levels):
+        raise ValueError("target levels must be positive and nondecreasing")
     found = _fill_slots(seq, alpha_grid, lambda alpha: [(t, ONE) for t in target_levels],
                         "attained P-mass", max_enum)
     if found is None:

@@ -3,9 +3,9 @@
 The market carries a deterministic initial price vector, a payoff matrix
 over the outcomes and a polytope of candidate laws.  All verdicts come
 with machine-checkable witnesses: a martingale measure charging the whole
-quasi-sure support or an explicit arbitrage strategy, the vertex list of
-the martingale-measure polytope, or a superhedge with a martingale
-measure attaining its price.
+quasi-sure support, or an explicit arbitrage strategy read off the dual
+of the same LP; the vertex list of the martingale-measure polytope; or a
+superhedge with a martingale measure attaining its price.
 """
 
 from __future__ import annotations
@@ -169,9 +169,8 @@ def check_na(m: Market) -> tuple[bool, Optional[ArbitrageWitness]]:
     """Robust no-arbitrage: no H with nonnegative gain quasi-surely and a
     strictly positive gain on a support outcome.
 
-    Decided once per market (see `full_support_martingale`); the arbitrage
-    witness, when there is one, comes from the per-outcome search of
-    `_arbitrage_search`.
+    Decided once per market by one LP (see `full_support_martingale`); the
+    arbitrage witness, when there is one, is read off that LP's dual.
     """
     q, witness = m._no_arbitrage
     return q is not None, witness
@@ -191,10 +190,17 @@ def full_support_martingale(m: Market) -> Optional[ProbabilityMeasure]:
 def _decide_na(
     m: Market,
 ) -> tuple[Optional[ProbabilityMeasure], Optional[ArbitrageWitness]]:
-    """One LP, max t with q >= t on the whole support, decides NA: t* > 0
-    gives a full-support martingale measure.  Otherwise the per-outcome
-    search must find an arbitrage; when it finds none, the two sides of the
-    duality disagree and CertificateError is raised."""
+    """One LP, max t with q >= t on the whole support, decides NA.
+
+    t* > 0 gives a full-support martingale measure.  Otherwise the checked
+    dual names the arbitrage: H is the multipliers y of the martingale
+    rows when t* = 0 (the reduced costs give H . dS_o >= mu_t + w_o with
+    w >= 0 and sum w = 1 - mu_t), and -y when the LP is infeasible (the
+    Farkas multipliers give -y . dS_o >= y_0 > 0).  The strict outcome is
+    the first support outcome where H gains, or the first outcome when H
+    gains nowhere; every gain is claimed, so a bad dual raises
+    CertificateError.
+    """
     sol = solve_lp(_charging_lp(m, m.support))
     if sol.status == "Optimal" and sol.value > 0:
         q = m.measure(sol.primal[:-1])
@@ -202,40 +208,14 @@ def _decide_na(
         return q, None
     if sol.status not in ("Optimal", "Infeasible"):
         raise CertificateError(f"the full-support martingale LP is {sol.status}")
-    witness = _arbitrage_search(m)
-    if witness is None:
-        raise CertificateError(
-            "no full-support martingale measure, and no arbitrage either"
-        )
-    return None, witness
-
-
-def _arbitrage_search(m: Market) -> Optional[ArbitrageWitness]:
-    """An arbitrage H with a strict gain at the first support outcome that
-    admits one, or None.
-
-    The arbitrage cone is scale invariant, so H is normalized into the box
-    [-1, 1]^d to keep each LP bounded; one LP per candidate strict outcome.
-    """
-    support = m.support
-    base = [
-        Constraint(m.delta_s(o), GE, 0) for o in support
-    ]
-    lower = [-ONE] * m.d
-    upper = [ONE] * m.d
-    for o in support:
-        lp = LinearProgram(m.delta_s(o), "max", base, lower=lower, upper=upper)
-        sol = solve_lp(lp)
-        if sol.status != "Optimal":
-            raise CertificateError(f"the boxed arbitrage LP at {o} is {sol.status}")
-        if sol.value > 0:
-            H = sol.primal
-            claims = tuple(
-                claim(f"gain of H at {s}", m.gain(H, s), ">=", ZERO) for s in support
-            )
-            claims += (claim(f"strict gain at {o}", m.gain(H, o), ">", ZERO),)
-            return ArbitrageWitness(H, o, claims)
-    return None
+    sign = 1 if sol.status == "Optimal" else -1
+    H = tuple(sign * y for y in sol.dual[1 : 1 + m.d])
+    strict = next((o for o in m.support if m.gain(H, o) > 0), m.support[0])
+    claims = tuple(
+        claim(f"gain of H at {o}", m.gain(H, o), ">=", ZERO) for o in m.support
+    )
+    claims += (claim(f"strict gain at {strict}", m.gain(H, strict), ">", ZERO),)
+    return None, ArbitrageWitness(H, strict, claims)
 
 
 def martingale_polytope(

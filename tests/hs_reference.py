@@ -1,0 +1,125 @@
+"""LP-free reference for the inner game of the quantitative Halmos-Savage
+witnesses, and criterion 4/5's seeded instances.
+
+For a fixed mixture q, the inner problem of the expectation game is a
+fractional knapsack over the quasi-sure support of P, with h in [0, 1]^n:
+
+- primal: min q.h subject to p.h >= 2*epsilon;
+- dual: max q.h subject to p.h <= epsilon*delta.
+
+Both are solved greedily by the ratio q_o / p_o, with no LP.  At the
+witness mixture q* the primal minimum is the guaranteed bound and the
+dual maximum the dual game value, so `test_hs_knapsack_differential.py`
+checks `halmos_savage`'s LPs against this module exactly.
+"""
+
+from __future__ import annotations
+
+import random
+from fractions import Fraction
+from typing import Iterator, Optional
+
+from robust_ftap.halmos_savage import (
+    HsInstance,
+    check_hypothesis_dual,
+    check_hypothesis_primal,
+)
+from robust_ftap.measures import (
+    AmbiguitySet,
+    ProbabilityMeasure,
+    SampleSpace,
+    ordered_support,
+    quasi_sure_support,
+)
+
+F = Fraction
+
+
+def _items(inst: HsInstance, q: ProbabilityMeasure, p: ProbabilityMeasure):
+    """(q_o, p_o) per outcome of the quasi-sure support of P."""
+    return [(q.mass_of(o), p.mass_of(o)) for o in ordered_support(inst.P)]
+
+
+def knapsack_min(
+    inst: HsInstance, q: ProbabilityMeasure, p: ProbabilityMeasure
+) -> Optional[Fraction]:
+    """min q.h over h in [0, 1]^n with p.h >= 2*epsilon; None when no h
+    reaches 2*epsilon."""
+    need = 2 * inst.epsilon
+    value = F(0)
+    for qo, po in sorted(
+        ((qo, po) for qo, po in _items(inst, q, p) if po > 0),
+        key=lambda item: item[0] / item[1],
+    ):
+        if need <= 0:
+            break
+        h = min(F(1), need / po)
+        value += h * qo
+        need -= h * po
+    return value if need <= 0 else None
+
+
+def knapsack_max(
+    inst: HsInstance, q: ProbabilityMeasure, p: ProbabilityMeasure
+) -> Fraction:
+    """max q.h over h in [0, 1]^n with p.h <= epsilon*delta."""
+    room = inst.epsilon * inst.delta
+    items = _items(inst, q, p)
+    value = sum((qo for qo, po in items if po == 0), F(0))
+    for qo, po in sorted(
+        ((qo, po) for qo, po in items if po > 0),
+        key=lambda item: item[0] / item[1],
+        reverse=True,
+    ):
+        h = min(F(1), room / po)
+        value += h * qo
+        room -= h * po
+        if room == 0:
+            break
+    return value
+
+
+def random_vertex(space, rng, max_denom=10):
+    denom = rng.randint(1, max_denom)
+    counts = [0] * space.size
+    for _ in range(denom):
+        counts[rng.randrange(space.size)] += 1
+    return ProbabilityMeasure(space, [F(c, denom) for c in counts])
+
+
+def _random_hs_instance(rng):
+    n = rng.randint(1, 8)
+    space = SampleSpace([f"o{i}" for i in range(n)])
+    P = AmbiguitySet(
+        space, [random_vertex(space, rng) for _ in range(rng.randint(1, 3))]
+    )
+    support = sorted(quasi_sure_support(P), key=space.index)
+    q_verts = []
+    for _ in range(rng.randint(1, 3)):
+        denom = rng.randint(1, 10)
+        counts = [0] * len(support)
+        for _ in range(denom):
+            counts[rng.randrange(len(support))] += 1
+        mass = [F(0)] * n
+        for o, c in zip(support, counts):
+            mass[space.index(o)] = F(c, denom)
+        q_verts.append(ProbabilityMeasure(space, mass))
+    eps = F(rng.randint(1, 5), 10)
+    delta = F(rng.randint(1, 5), 10)
+    return HsInstance(P, AmbiguitySet(space, q_verts), eps, delta)
+
+
+def criterion_4_5_instances() -> Iterator[tuple[str, HsInstance]]:
+    """Criterion 4/5's seeded games: the first 300 drawn instances on which
+    the primal hypothesis holds, as ("primal", inst), and the first 300 on
+    which the dual one holds, as ("dual", inst), in drawing order."""
+    rng = random.Random(2718)
+    primal_done = dual_done = 0
+    while primal_done < 300 or dual_done < 300:
+        inst = _random_hs_instance(rng)
+        if primal_done < 300 and check_hypothesis_primal(inst)[0]:
+            primal_done += 1
+            yield "primal", inst
+        if dual_done < 300 and check_hypothesis_dual(inst)[0]:
+            dual_done += 1
+            yield "dual", inst

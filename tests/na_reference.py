@@ -3,9 +3,9 @@
 It solves one boxed LP per support outcome, max gain at that outcome over
 H in [-1, 1]^d with nonnegative gains on the support, and reports the
 first outcome with a positive optimum.  `market.check_na` now decides the
-verdict with one LP for a full-support martingale measure and falls back
-to this search only to name the arbitrage; this copy is the slow
-reference of the differential test in `test_na_differential.py`.
+verdict with one LP for a full-support martingale measure and reads the
+arbitrage off that LP's dual; this copy is the slow reference of the
+verdict in the differential test in `test_na_differential.py`.
 """
 
 from fractions import Fraction

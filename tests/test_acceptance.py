@@ -13,10 +13,7 @@ from itertools import combinations
 
 from robust_ftap.cli import main, verify_certificate
 from robust_ftap.halmos_savage import (
-    HsInstance,
     basic_lemma_value,
-    check_hypothesis_dual,
-    check_hypothesis_primal,
     construct_dual_hs_witness,
     construct_hs_witness,
 )
@@ -28,6 +25,7 @@ from robust_ftap.large_market import (
     scan_aa1,
     scan_aa2,
 )
+from hs_reference import criterion_4_5_instances, random_vertex
 from minimax_reference import criterion_3_instances
 from robust_ftap.lp_core import minimax_value
 from robust_ftap.market import (
@@ -56,14 +54,6 @@ def report(num, label, ok, elapsed, budget):
     )
     assert ok, f"criterion {num} failed"
     assert elapsed < budget, f"criterion {num} exceeded {budget}s"
-
-
-def random_vertex(space, rng, max_denom=10):
-    denom = rng.randint(1, max_denom)
-    counts = [0] * space.size
-    for _ in range(denom):
-        counts[rng.randrange(space.size)] += 1
-    return ProbabilityMeasure(space, [F(c, denom) for c in counts])
 
 
 def random_market(rng):
@@ -148,39 +138,13 @@ def test_criterion_3_minimax_exchange():
            time.monotonic() - start, 60)
 
 
-def _random_hs_instance(rng):
-    n = rng.randint(1, 8)
-    space = SampleSpace([f"o{i}" for i in range(n)])
-    P = AmbiguitySet(
-        space, [random_vertex(space, rng) for _ in range(rng.randint(1, 3))]
-    )
-    support = sorted(quasi_sure_support(P), key=space.index)
-    q_verts = []
-    for _ in range(rng.randint(1, 3)):
-        denom = rng.randint(1, 10)
-        counts = [0] * len(support)
-        for _ in range(denom):
-            counts[rng.randrange(len(support))] += 1
-        mass = [F(0)] * n
-        for o, c in zip(support, counts):
-            mass[space.index(o)] = F(c, denom)
-        q_verts.append(ProbabilityMeasure(space, mass))
-    eps = F(rng.randint(1, 5), 10)
-    delta = F(rng.randint(1, 5), 10)
-    return HsInstance(P, AmbiguitySet(space, q_verts), eps, delta)
-
-
 def test_criterion_4_and_5_quantitative_hs():
     start = time.monotonic()
-    rng = random.Random(2718)
     ok4 = ok5 = True
-    primal_done = dual_done = 0
-    while primal_done < 300 or dual_done < 300:
-        inst = _random_hs_instance(rng)
+    for kind, inst in criterion_4_5_instances():
         support = quasi_sure_support(inst.P)
-        if primal_done < 300 and check_hypothesis_primal(inst)[0]:
-            primal_done += 1
-            vp = inst.P.vertices[0]
+        vp = inst.P.vertices[0]
+        if kind == "primal":
             w = construct_hs_witness(inst, vp)
             for A in all_events(support):
                 if vp(A) >= 2 * inst.epsilon:
@@ -189,9 +153,7 @@ def test_criterion_4_and_5_quantitative_hs():
             for v in inst.P.vertices:
                 if basic_lemma_value(inst, v, "primal") < inst.epsilon * inst.delta:
                     ok5 = False
-        if dual_done < 300 and check_hypothesis_dual(inst)[0]:
-            dual_done += 1
-            vp = inst.P.vertices[0]
+        else:
             w = construct_dual_hs_witness(inst, vp)
             for A in all_events(support):
                 if vp(A) < inst.epsilon * inst.delta:

@@ -248,6 +248,8 @@ class TestSubcommands:
             (["scan-aa1", "--alpha-grid", "0"], "--alpha-grid"),
             (["scan-aa1", "--alpha-grid", "-1"], "--alpha-grid"),
             (["scan-aa2", "--alpha-grid", "1/2,0"], "--alpha-grid"),
+            (["scan-aa2", "--target-levels", "0"], "--target-levels"),
+            (["scan-aa2", "--target-levels", "-1"], "--target-levels"),
         ],
     )
     def test_levels_share_one_rule(self, tmp_path, capsys, argv, flag):
@@ -285,6 +287,60 @@ class TestSubcommands:
         assert main(["check-na", "--input", path, "--format", "text"]) == 0
         out = capsys.readouterr().out
         assert "verdict: NA holds" in out
+
+
+class TestUnreadableInput:
+    """A number past the 4300-digit limit of int/str conversion is an input
+    error naming its field or file, or a malformed transcript entry; so is
+    a file that is not UTF-8 or nests too deeply for the JSON decoder."""
+
+    DIGITS = "1" * 5000
+
+    def test_long_rational_string(self, tmp_path, capsys):
+        path = write(tmp_path, "m.json", dict(M1, S0=[self.DIGITS]))
+        assert main(["check-na", "--input", path]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("input error: market.S0[0]: ")
+        assert "Traceback" not in err
+
+    def test_long_json_integer(self, tmp_path, capsys):
+        path = tmp_path / "m.json"
+        path.write_text(json.dumps(M1).replace('"S0": ["1"]', f'"S0": [{self.DIGITS}]'))
+        assert main(["check-na", "--input", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"input error: {path}: unreadable JSON: ")
+        assert "Traceback" not in err
+
+    def test_certificate_object_that_is_not_json(self):
+        # no JSON file can carry these past the loader, but a dict can
+        cert = build_certificate("check-na", {}, "NA fails", None, [])
+        cert["transcript"] = [
+            {"description": "d", "lhs": 10**5000, "relation": ">=", "rhs": "0"}
+        ]
+        assert verify_certificate(cert)[0].startswith("payload cannot be serialized (")
+        cert["transcript"], cert["witness"] = [], {"H": {1, 2}}
+        assert verify_certificate(cert)[0].startswith("payload cannot be serialized (")
+
+    @pytest.mark.parametrize(
+        "content", [b"\xff\xfe{}", b"[" * 100000], ids=["not-utf8", "deep"]
+    )
+    def test_undecodable_file(self, tmp_path, capsys, content):
+        path = tmp_path / "m.json"
+        path.write_bytes(content)
+        assert main(["check-na", "--input", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"input error: {path}: unreadable JSON: ")
+        assert "Traceback" not in err
+
+    def test_long_transcript_entry(self, tmp_path, capsys):
+        arb = write(tmp_path, "arb.json", dict(M1, S1=[["2"], ["1"]]))
+        code, cert = run_json(tmp_path, ["check-na", "--input", arb])
+        assert code == 0 and cert["transcript"]
+        cert["transcript"][0]["lhs"] = self.DIGITS
+        assert main(["verify", "--certificate", write(tmp_path, "c.json", cert)]) == 1
+        out = capsys.readouterr().out
+        assert out.startswith("certificate REJECTED\n")
+        assert "transcript[0]: malformed entry (transcript[0].lhs: " in out
 
 
 class TestVerify:

@@ -153,6 +153,15 @@ class TestSlotFiller:
         with pytest.raises(ValueError, match="alpha"):
             scan_aa2(seq, alpha_grid=[alpha], target_levels=[F(1, 2)])
 
+    @pytest.mark.parametrize("level", [F(0), F(-1)])
+    def test_target_level_must_be_positive(self, level):
+        # a level of 0 is met by any event, so the witness would be vacuous
+        seq = flat_family(3)
+        with pytest.raises(ValueError, match="target levels"):
+            scan_aa2(seq, alpha_grid=[F(1, 2)], target_levels=[level])
+        with pytest.raises(ValueError, match="target levels"):
+            scan_aa2(seq, alpha_grid=[F(1, 2)], target_levels=[level, F(1, 2)])
+
     def test_empty_schedules_solve_nothing(self, counts):
         seq = shrinking_family(3)
         assert scan_aa1(seq, c_schedule=[]) is None

@@ -280,18 +280,19 @@ class TestCertificateChecks:
                 print("check_na rejected:", exc)
             else:
                 print("check_na accepted")
-            # an arbitrage market: the full-support LP (3 variables) reaches
-            # t* = 0, and the boxed arbitrage LPs (1 variable) are forged
+            # an arbitrage market: the full-support LP reaches t* = 0, and
+            # its dual, which names H, is forged
             arb = market.Market(space, [1], [[2], [1]], P)
-            market.solve_lp = lambda lp: (
-                solve(lp) if lp.num_vars > 1
-                else replace(solve(lp), status="Unbounded"))
+            def forged(lp):
+                sol = solve(lp)
+                return replace(sol, dual=tuple(-y for y in sol.dual))
+            market.solve_lp = forged
             try:
                 market.check_na(arb)
             except CertificateError as exc:
-                print("arbitrage search rejected:", exc)
+                print("arbitrage rejected:", exc)
             else:
-                print("arbitrage search accepted")
+                print("arbitrage accepted")
             """
         )
         root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
@@ -308,7 +309,7 @@ class TestCertificateChecks:
             "False rejected: primal infeasible (<= row)",
             "entry rejected: claimed bound: 1/3 >= 1/2 is false",
             "check_na rejected: the full-support martingale LP is Unbounded",
-            "arbitrage search rejected: the boxed arbitrage LP at u is Unbounded",
+            "arbitrage rejected: gain of H at u: -1 >= 0 is false",
         ]
 
 

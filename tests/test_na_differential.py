@@ -1,13 +1,15 @@
 """Differential and count tests of the one-LP no-arbitrage decision.
 
 `market.check_na` decides no-arbitrage with one LP for a martingale
-measure charging the whole quasi-sure support, and runs the per-outcome
-search of `na_reference.reference_check_na` only to name an arbitrage.
-On hypothesis-drawn markets (no assets, redundant assets, arbitrage, and
-markets whose martingale measures all miss part of the support) the
-verdict, H and the strict outcome must equal the reference's, and under
-no-arbitrage the returned measure must be a full-support martingale
-measure.  The count tests pin the LPs a market costs: one, paid once.
+measure charging the whole quasi-sure support and reads the arbitrage off
+that LP's checked dual.  On hypothesis-drawn markets (no assets, redundant
+assets, arbitrage, and markets whose martingale measures all miss part of
+the support) the verdict must equal that of the per-outcome search of
+`na_reference.reference_check_na`; under no-arbitrage the returned
+measure must be a full-support martingale measure, and otherwise H must
+gain >= 0 on the support and > 0 first at its strict outcome (an
+arbitrage is not unique, so H itself may differ from the reference's).
+The count tests pin the LPs a market costs: one, paid once.
 """
 
 from fractions import Fraction
@@ -94,8 +96,11 @@ def test_matches_per_outcome_search(drawn):
         for i in range(m.d):
             assert sum(q.mass_of(o) * m.delta_s(o)[i] for o in m.support) == 0
     else:
-        assert q is None
-        assert (witness.H, witness.strict_outcome) == want_witness
+        assert q is None and want_witness is not None
+        gains = [m.gain(witness.H, o) for o in m.support]
+        assert all(g >= 0 for g in gains)
+        first = next(k for k, g in enumerate(gains) if g > 0)
+        assert witness.strict_outcome == m.support[first]
     if kind in ("arbitrage", "martingale, none full"):
         assert not holds
     if kind == "martingale, none full":
@@ -158,10 +163,14 @@ def test_verdict_is_stored_on_the_market(counted):
 def test_arbitrage_market_pays_the_search_once(counted):
     space = SampleSpace(["u", "d"])
     P = AmbiguitySet(space, [ProbabilityMeasure(space, ["1/2", "1/2"])])
-    m = Market(space, [1], [[2], [1]], P)
-    holds, witness = check_na(m)
-    assert not holds and witness.strict_outcome == "u"
-    # the full-support LP, then the boxed LP at u, which finds H
-    assert counted["lp"] == 2
-    assert check_na(m) == (False, witness)
-    assert counted["lp"] == 2
+    # increments (1, 0): t* = 0, H from the dual; increments (1, 1): no
+    # martingale measure at all, H from the Farkas multipliers
+    for s1 in ([[2], [1]], [[2], [2]]):
+        counted["lp"] = 0
+        m = Market(space, [1], s1, P)
+        holds, witness = check_na(m)
+        assert not holds and witness.strict_outcome == "u"
+        # the full-support LP alone, whose dual names H
+        assert counted["lp"] == 1
+        assert check_na(m) == (False, witness)
+        assert counted["lp"] == 1
