@@ -108,8 +108,15 @@ def parse_rational(value, field: str = "value") -> Fraction:
 
 
 def format_rational(x: Fraction) -> str:
-    """Canonical rational string: lowest terms, `p/q` or a bare integer."""
-    return str(Fraction(x))
+    """Canonical rational string: lowest terms, `p/q` or a bare integer.
+
+    Every input number is below the interpreter's int/str digit limit, but
+    an exact result computed from them can pass it; such a result cannot
+    be written, and the input is refused."""
+    try:
+        return str(Fraction(x))
+    except ValueError as exc:
+        raise InputError(f"a computed value cannot be written: {exc}") from exc
 
 
 def _rs(values) -> list[str]:

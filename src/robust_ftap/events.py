@@ -10,10 +10,15 @@ compares integer subset sums against integer thresholds, so no
 ``Fraction`` appears inside the loop.
 
 Scans stream the subset sums block by block: a table of the low bits
-(at most ``2**LOW_BITS`` entries per measure) is shifted by the sum of
-the high bits, which walk through a Gray code.  Memory stays at
-O(V * 2**LOW_BITS) for V measures whatever the support size; no table of
-all 2**n events is built.
+(at most ``2**LOW_BITS`` = 64 entries per measure) is shifted by the sum
+of the high bits, which walk through a Gray code.  Memory stays at
+O(V * 2**6) for V measures whatever the support size; no table of all
+2**n events is built.  Each entry of a block is its offset plus a table
+entry, so the block's aggregates lie between those of offset + min and
+offset + max of the tables: a best-value scan skips every block whose
+side cannot pass the test (for ``>=``, agg(offsets + max) is below the
+threshold; for ``<``, agg(offsets + min) reaches it) or whose values
+cannot beat the best found so far, and streams only the rest.
 
 Events are ordered by size and then lexicographically in label order,
 the order of ``itertools.combinations`` over the support.  For two masks
@@ -38,7 +43,7 @@ from .lp_core import GE
 from .measures import AmbiguitySet, ProbabilityMeasure, SampleSpace, ordered_support
 
 #: Width of the low-bit block: at most 2**LOW_BITS table entries per measure.
-LOW_BITS = 10
+LOW_BITS = 6
 
 #: The relations of a scan's condition: lp_core's ">=" and a strict "<".
 LT = "<"
@@ -119,17 +124,38 @@ class EventSpace:
             for row in value.rows
         ]
         side_tables = [self._tables(row, 0) for row in side.rows]
+        side_lows = [low for low, _ in side_tables]
+        value_lows = [low for low, _ in value_tables]
+        beats = int.__lt__ if pick is min else int.__gt__
+        # every entry of a block is offset + low[e], so agg and pick of the
+        # block lie between agg of offset + min(low) and of offset + max(low):
+        # the side bound is the most a block can pass the test with, the
+        # value bound the best value it can hold.  A lone block is streamed
+        # whatever its bounds.
+        prune = self.size > self._low_bits
+        if prune:
+            side_bound = [(max if op == GE else min)(low) for low in side_lows]
+            value_bound = [pick(low) for low in value_lows]
         cut = len(side_tables)
-        found = []
-        for block in self._blocks(side_tables + value_tables):
-            qualifies = map(test, _aggregate(side.agg, block[:cut]))
-            values = _aggregate(value.agg, block[cut:])
+        best = None
+        for offsets in self._blocks([high for _, high in side_tables + value_tables]):
+            side_offsets, value_offsets = offsets[:cut], offsets[cut:]
+            # the value integers carry the order key, so two events never
+            # tie and a block that cannot beat the best has nothing to add
+            if prune and (
+                not test(side.agg(map(int.__add__, side_offsets, side_bound)))
+                or best is not None
+                and not beats(value.agg(map(int.__add__, value_offsets, value_bound)), best)
+            ):
+                continue
+            qualifies = map(test, _aggregate(side.agg, _shifted(side_offsets, side_lows)))
+            values = _aggregate(value.agg, _shifted(value_offsets, value_lows))
             b = pick(compress(values, qualifies), default=None)
-            if b is not None:
-                found.append(b)
-        if not found:
+            if b is not None and (best is None or beats(b, best)):
+                best = b
+        if best is None:
             return None
-        numerator, rest = divmod(pick(found), scale)
+        numerator, rest = divmod(best, scale)
         key = rest if pick is min else scale - 1 - rest
         return Best(Fraction(numerator, value.denominator), self.event(self._mask_of_key(key)))
 
@@ -147,13 +173,12 @@ class EventSpace:
             low += [w + x for x in low]
         return low, weights[self._low_bits:]
 
-    def _blocks(self, tables) -> Iterator[list[Iterable[int]]]:
-        """Each table's subset sums over the low block, once per setting of
-        the high bits, which follow a Gray code; each is read once."""
-        lows = [low for low, _ in tables]
-        highs = [high for _, high in tables]
-        yield lows
-        offsets = [0] * len(tables)
+    def _blocks(self, highs: list[list[int]]) -> Iterator[list[int]]:
+        """Each table's offset (its sum over the high bits), once per
+        setting of the high bits, which follow a Gray code.  The list is
+        updated in place, so read it before taking the next."""
+        offsets = [0] * len(highs)
+        yield offsets
         gray = 0
         for g in range(1, 1 << (self.size - self._low_bits)):
             j = (g & -g).bit_length() - 1
@@ -161,7 +186,7 @@ class EventSpace:
             up = gray >> j & 1
             for t, high in enumerate(highs):
                 offsets[t] += high[j] if up else -high[j]
-            yield [map(o.__add__, low) for o, low in zip(offsets, lows)]
+            yield offsets
 
 
 class Envelope:
@@ -208,6 +233,10 @@ def _test(op: str, threshold: int):
     if op == LT:
         return threshold.__gt__
     raise ValueError(f"unknown relation {op!r}")
+
+
+def _shifted(offsets, lows):
+    return [map(o.__add__, low) if o else low for o, low in zip(offsets, lows)]
 
 
 def _aggregate(agg, lists):

@@ -716,6 +716,12 @@ def minimax_value(inst: MinimaxInstance) -> MinimaxResult:
     sum_r mu_r a_r - B x = 0 lie in Y, satisfy y*.Bx_k <= value for every
     X-vertex, and their objective equals the value.  A vertex-listed Y is
     played as the simplex of its vertex weights w, with y* = sum_l w_l v_l.
+
+    The inner dual wants mu_r >= 0 on >= rows, mu_r <= 0 on <= rows and
+    mu_r free on = rows.  A <= row enters as nu_r = -mu_r >= 0 instead,
+    with its coefficients and its objective entry negated, so every
+    variable but those of = rows is bounded below by 0 and none above.
+    The rows, and with them y*, are the same either way.
     """
     B = inst.payoff
     xverts = inst.X.vertices
@@ -741,23 +747,25 @@ def minimax_value(inst: MinimaxInstance) -> MinimaxResult:
     ydim, R, K = Y.dim, len(Y.constraints), len(xverts)
     # B x_k, one per X vertex
     bx = [[_dot(row, x) for row in B] for x in xverts]
-    # variables (mu_1..mu_R, lambda_1..lambda_K); mu_r <= 0 on <= rows,
-    # >= 0 on >= rows and free on = rows, as the inner dual requires
+    # variables (nu_1..nu_R, lambda_1..lambda_K): nu_r = -mu_r on <= rows
+    # and mu_r elsewhere, each row's coefficients and rhs signed to match
+    signed = [
+        ([-a if a else a for a in row.coeffs], -row.rhs) if row.relation == LE
+        else (row.coeffs, row.rhs)
+        for row in Y.constraints
+    ]
     cons = [
-        Constraint(
-            [row.coeffs[i] for row in Y.constraints] + [-b[i] for b in bx], EQ, 0
-        )
+        Constraint([a[i] for a, _ in signed] + [-b[i] for b in bx], EQ, 0)
         for i in range(ydim)
     ]
     cons.append(Constraint([ZERO] * R + [ONE] * K, EQ, 1))
-    rels = [row.relation for row in Y.constraints]
     sol = solve_lp(
         LinearProgram(
-            objective=[row.rhs for row in Y.constraints] + [ZERO] * K,
+            objective=[rhs for _, rhs in signed] + [ZERO] * K,
             sense="max",
             constraints=cons,
-            lower=[ZERO if rel == GE else None for rel in rels] + [ZERO] * K,
-            upper=[ZERO if rel == LE else None for rel in rels] + [None] * K,
+            lower=[None if row.relation == EQ else ZERO for row in Y.constraints]
+            + [ZERO] * K,
         )
     )
     if sol.status == "Unbounded":

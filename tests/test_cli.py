@@ -342,6 +342,29 @@ class TestUnreadableInput:
         assert out.startswith("certificate REJECTED\n")
         assert "transcript[0]: malformed entry (transcript[0].lhs: " in out
 
+    def test_computed_value_past_the_limit(self, tmp_path, capsys):
+        # every input number is below the limit, but the martingale measure
+        # and the superhedging price computed from them are not
+        market = {
+            "outcomes": ["a", "b", "c"],
+            "d": 1,
+            "S0": ["1/" + "7" * 2500],
+            "S1": [["3"], ["1/" + "3" * 2400], ["0"]],
+            "ambiguity_vertices": [["1/3", "1/3", "1/3"]],
+        }
+        path = write(tmp_path, "m.json", market)
+        payoff = write(tmp_path, "f.json", {"values": ["1/" + "9" * 2500, "0", "0"]})
+        for argv in (["ftap", "--input", path],
+                     ["superhedge", "--input", path, "--payoff", payoff]):
+            assert main(argv) == 1
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err.startswith(
+                "input error: a computed value cannot be written: Exceeds the limit"
+            )
+            assert "Traceback" not in captured.err
+        assert main(["check-na", "--input", path]) == 0
+
 
 class TestVerify:
     def cert_for(self, tmp_path, name="m1.json"):

@@ -4,9 +4,12 @@ scans it replaced (`frozenset_events`).
 Both enumerate the same events and break ties by the same order (size,
 then lexicographic in support order), so every value, verdict and
 tie-break event must be exactly equal.  The masses are drawn from small
-integer weights, so that many events tie.  Each test also runs with a
-3-bit low block, so that supports of 4 to 10 outcomes take the kernel's
-multi-block (Gray-code) path as well as its single-block one.
+integer weights, so that many events tie.  Each test runs at the
+default 6-bit low block and also at 10 and 3 bits, so that supports of 4
+to 10 outcomes take the kernel's multi-block (Gray-code) path as well as
+its single-block one; supports of 11 to 13 outcomes, the size of the
+benchmark's ambiguity pairs, are scanned in many blocks at every width,
+most of which the kernel skips by their bounds.
 """
 
 from contextlib import contextmanager
@@ -36,7 +39,7 @@ from robust_ftap.measures import AmbiguitySet, ProbabilityMeasure, SampleSpace
 
 F = Fraction
 
-LOW_BITS = [10, 3]
+LOW_BITS = [10, 6, 3]
 LEVELS = [F(k, 8) for k in range(0, 10)]
 
 
@@ -52,12 +55,14 @@ def _measure(space, weights):
 
 
 @st.composite
-def pairs(draw, max_n=10):
-    """(P, Q) on up to max_n outcomes, every Q-vertex dominated by P."""
-    n = draw(st.integers(1, max_n) | st.integers(max_n - 2, max_n))
+def pairs(draw, min_n=1, max_n=10):
+    """(P, Q) on min_n to max_n outcomes, every Q-vertex dominated by P;
+    the support is every outcome when min_n > 1."""
+    n = draw(st.integers(min_n, max_n) | st.integers(max_n - 2, max_n))
     space = SampleSpace([f"o{i}" for i in range(n)])
     weights = st.lists(st.integers(0, 3), min_size=n, max_size=n).filter(any)
-    p_rows = draw(st.lists(weights, min_size=1, max_size=3))
+    first = st.lists(st.integers(1, 3), min_size=n, max_size=n) if min_n > 1 else weights
+    p_rows = [draw(first)] + draw(st.lists(weights, max_size=2))
     support = [i for i in range(n) if any(row[i] for row in p_rows)]
     q_rows = draw(
         st.lists(
@@ -99,6 +104,36 @@ def test_hs_scans_match_frozenset_scans(bits, pair, epsilon, delta, level):
             )
 
 
+def _envelopes(events, P, Q, agg):
+    """The side (over P) and value (over Q) envelopes of agg = (side, value)."""
+    side_agg, value_agg = agg
+    side = events.upper(P.vertices) if side_agg is max else events.lower(P.vertices)
+    value = events.upper(Q.vertices) if value_agg is max else events.lower(Q.vertices)
+    return side, value
+
+
+def _qualifies(P, side_agg, op, t):
+    def qualifies(A):
+        mass = side_agg(v(A) for v in P.vertices)
+        return mass >= t if op == GE else mass < t
+
+    return qualifies
+
+
+def _kernel_best(P, Q, pick, agg, op, t):
+    events = support_events(P, 20)
+    side, value = _envelopes(events, P, Q, agg)
+    got = events.best(pick, value, (side, op, t))
+    return None if got is None else (got.value, got.event)
+
+
+def _reference_best(P, Q, pick, agg, op, t):
+    return ref.best(
+        pick, lambda A: agg[1](v(A) for v in Q.vertices), _qualifies(P, agg[0], op, t),
+        ref.sorted_support(P),
+    )
+
+
 @pytest.mark.parametrize("bits", LOW_BITS)
 @settings(max_examples=100, deadline=None)
 @given(
@@ -110,40 +145,85 @@ def test_hs_scans_match_frozenset_scans(bits, pair, epsilon, delta, level):
 )
 def test_kernel_best_matches_brute_force(bits, pair, pick, agg, op, t):
     P, Q = pair
-    side_agg, value_agg = agg
     with low_bits(bits):
-        events = support_events(P, 20)
-        side = events.upper(P.vertices) if side_agg is max else events.lower(P.vertices)
-        value = events.upper(Q.vertices) if value_agg is max else events.lower(Q.vertices)
-        got = events.best(pick, value, (side, op, t))
-
-        def qualifies(A):
-            mass = side_agg(v(A) for v in P.vertices)
-            return mass >= t if op == GE else mass < t
-
-        want = ref.best(
-            pick, lambda A: value_agg(v(A) for v in Q.vertices), qualifies,
-            ref.sorted_support(P),
-        )
-        assert (got is None) == (want is None)
-        if got is not None:
-            assert (got.value, got.event) == want
+        assert _kernel_best(P, Q, pick, agg, op, t) == _reference_best(P, Q, pick, agg, op, t)
         # the ordered scan lists the qualifying events in the same order
+        events = support_events(P, 20)
+        side, _ = _envelopes(events, P, Q, agg)
+        qualifies = _qualifies(P, agg[0], op, t)
         assert [events.event(m) for m in events.where(side, op, t)] == [
             A for A in ref.support_subsets(ref.sorted_support(P), 20) if qualifies(A)
         ]
 
 
 def test_twelve_outcomes_take_two_high_bits():
-    # at the default 10-bit low block, 12 outcomes stream 4 blocks
+    # at a 10-bit low block, 12 outcomes stream 4 blocks
     space = SampleSpace([f"o{i}" for i in range(12)])
     P = AmbiguitySet(space, [_measure(space, [1, 2, 0, 3, 1, 1, 2, 0, 1, 3, 1, 2]),
                              _measure(space, [2, 1, 1, 0, 1, 3, 1, 1, 0, 1, 2, 1])])
     Q = AmbiguitySet(space, [_measure(space, [1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1])])
     inst = HsInstance(P, Q, F(1, 4), F(1, 3))
-    assert check_hypothesis_primal(inst) == ref.check_hypothesis_primal(inst)
-    assert check_hypothesis_dual(inst) == ref.check_hypothesis_dual(inst)
-    assert hs_modulus(P, Q, F(3, 8)) == ref.hs_modulus(P, Q, F(3, 8))
+    with low_bits(10):
+        assert check_hypothesis_primal(inst) == ref.check_hypothesis_primal(inst)
+        assert check_hypothesis_dual(inst) == ref.check_hypothesis_dual(inst)
+        assert hs_modulus(P, Q, F(3, 8)) == ref.hs_modulus(P, Q, F(3, 8))
+
+
+@settings(max_examples=12, deadline=None)
+@given(
+    pair=pairs(min_n=11, max_n=13),
+    pick=st.sampled_from([min, max]),
+    agg=st.sampled_from([(max, max), (min, min), (max, min), (min, max)]),
+    op=st.sampled_from([GE, LT]),
+    t=st.sampled_from(LEVELS),
+)
+def test_hs_sized_supports_match_brute_force(pair, pick, agg, op, t):
+    # 2**11 to 2**13 events with masses full of ties, in 32 to 1024
+    # blocks: one frozenset scan against the kernel at every width
+    P, Q = pair
+    want = _reference_best(P, Q, pick, agg, op, t)
+    for bits in LOW_BITS:
+        with low_bits(bits):
+            assert _kernel_best(P, Q, pick, agg, op, t) == want
+
+
+def _count_streamed(monkeypatch):
+    """Counts the blocks that `best` streams rather than skips."""
+    counter = {"blocks": 0}
+    shifted = events_module._shifted
+
+    def counted(offsets, lows):
+        counter["blocks"] += 1
+        return shifted(offsets, lows)
+
+    monkeypatch.setattr(events_module, "_shifted", counted)
+    return counter
+
+
+@pytest.mark.parametrize("bits", LOW_BITS)
+@pytest.mark.parametrize("pick", [min, max])
+@pytest.mark.parametrize(
+    "op,t,skipped",
+    # P puts 1/66 on each of o0..o5 and 10/66 on each of o6..o11.  At a
+    # 6-bit low block the high bits are o6..o11, so the side test fails
+    # on the whole of every block with at most 2 of them for >= 30/66
+    # (1 + 6 + 15 = 22 blocks), and with 3 or more for < 25/66 (42 blocks)
+    [(GE, F(30, 66), 22), (LT, F(25, 66), 42)],
+)
+def test_blocks_failing_the_side_test(monkeypatch, bits, pick, op, t, skipped):
+    space = SampleSpace([f"o{i}" for i in range(12)])
+    P = AmbiguitySet(space, [_measure(space, [1] * 6 + [10] * 6)])
+    Q = AmbiguitySet(space, [_measure(space, [1, 2, 1, 2, 1, 2, 1, 2, 1, 2, 1, 2]),
+                             _measure(space, [2] * 6 + [1] * 6)])
+    agg = (max, min)
+    counter = _count_streamed(monkeypatch)
+    with low_bits(bits):
+        got = _kernel_best(P, Q, pick, agg, op, t)
+    assert got is not None
+    assert got == _reference_best(P, Q, pick, agg, op, t)
+    # each streamed block shifts the side and the value tables once
+    if bits == 6:
+        assert 0 < counter["blocks"] // 2 <= 64 - skipped
 
 
 def test_ties_pick_the_first_event_in_order():

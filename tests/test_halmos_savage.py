@@ -1,12 +1,17 @@
 """Quantitative domination: hypothesis checks, game values, witnesses,
 and the modulus function."""
 
+import json
+import os
 import random
 from fractions import Fraction
 from itertools import combinations
 
 import pytest
 
+from minimax_reference import check_against_reference
+from robust_ftap import halmos_savage, lp_core
+from robust_ftap.cli import load_hs_pair
 from robust_ftap.errors import HypothesisViolated
 from robust_ftap.halmos_savage import (
     NO_QUALIFYING_SET,
@@ -331,3 +336,39 @@ class TestHsModulus:
             values = [hs_modulus(inst.P, inst.Q, e) for e in grid]
             for a, b in zip(values, values[1:]):
                 assert a <= b
+
+
+class TestGameLp:
+    """The expectation game is one LP, and no variable of it has an upper
+    bound: the multipliers of the D-set's <= rows enter as nu = -mu >= 0."""
+
+    PAIR = os.path.join(os.path.dirname(os.path.abspath(__file__)),
+                        "golden", "inputs", "pair.json")
+
+    @pytest.mark.parametrize("kind", ["primal", "dual"])
+    def test_golden_pair_game_shape(self, monkeypatch, kind):
+        with open(self.PAIR) as fh:
+            _, P, Q = load_hs_pair(json.load(fh))
+        inst = HsInstance(P, Q, F(1, 4), F(1, 8))
+        games, lps = [], []
+        minimax, solve = lp_core.minimax_value, lp_core.solve_lp
+
+        def capture_game(game):
+            games.append(game)
+            return minimax(game)
+
+        def capture_lp(lp):
+            lps.append(lp)
+            return solve(lp)
+
+        monkeypatch.setattr(halmos_savage, "minimax_value", capture_game)
+        monkeypatch.setattr(lp_core, "solve_lp", capture_lp)
+        basic_lemma_value(inst, P.vertices[0], kind)
+        [game], [lp] = games, lps
+        assert all(u is None for u in lp.upper)
+        assert all(lo == 0 for lo in lp.lower)
+        assert len(lp.constraints) == game.Y.dim + 1
+        # one column per D-set row and per Q-vertex
+        assert lp.num_vars == len(game.Y.constraints) + len(game.X.vertices)
+        monkeypatch.undo()
+        check_against_reference(game, minimax(game))
