@@ -1,11 +1,13 @@
 """One-period robust market: no-arbitrage, martingale measures, superhedging.
 
 The market carries a deterministic initial price vector, a payoff matrix
-over the outcomes and a polytope of candidate laws.  All verdicts come
+over the outcomes and a polytope of candidate laws.  Every LP and the
+polytope are built on the d+1 rows of the martingale system, sum q = 1
+and E_q[increments] = 0 on the quasi-sure support.  All verdicts come
 with machine-checkable witnesses: a martingale measure charging the whole
 quasi-sure support, or an explicit arbitrage strategy read off the dual
 of the same LP; the vertex list of the martingale-measure polytope; or a
-superhedge with a martingale measure attaining its price.
+superhedge read off the dual of max E_q[f], with the maximizing q.
 """
 
 from __future__ import annotations
@@ -26,8 +28,8 @@ from .errors import (
 from .lp_core import (
     Constraint,
     EQ,
-    GE,
     LinearProgram,
+    LpSolution,
     enumerate_basic_feasible,
     matrix_rank,
     solve_lp,
@@ -194,16 +196,15 @@ def _decide_na(
 
     t* > 0 gives a full-support martingale measure.  Otherwise the checked
     dual names the arbitrage: H is the multipliers y of the martingale
-    rows when t* = 0 (the reduced costs give H . dS_o >= mu_t + w_o with
-    w >= 0 and sum w = 1 - mu_t), and -y when the LP is infeasible (the
-    Farkas multipliers give -y . dS_o >= y_0 > 0).  The strict outcome is
-    the first support outcome where H gains, or the first outcome when H
-    gains nowhere; every gain is claimed, so a bad dual raises
-    CertificateError.
+    rows when t* = 0 (the reduced costs give H . dS_o >= 0 at every
+    outcome and H . sum_o dS_o >= 1), and -y when the LP is infeasible
+    (the Farkas multipliers give -y . dS_o >= y_0 > 0).  The strict
+    outcome is the first support outcome where H gains, or the first
+    outcome when H gains nowhere; every gain is claimed, so a bad dual
+    raises CertificateError.
     """
-    sol = solve_lp(_charging_lp(m, m.support))
-    if sol.status == "Optimal" and sol.value > 0:
-        q = m.measure(sol.primal[:-1])
+    sol, q = _max_charge(m, m.support)
+    if q is not None:
         _charging_claims(m, q, m.support, "full-support Q")
         return q, None
     if sol.status not in ("Optimal", "Infeasible"):
@@ -227,41 +228,44 @@ def martingale_polytope(
     desk scale.  A support larger than `max_enum` is refused with the
     number of bases C(n, rank) the enumeration would have tried.
     """
-    support = m.support
-    n = len(support)
-    rows = [[ONE] * n]
-    rhs = [ONE]
-    for i in range(m.d):
-        rows.append([m.delta_s(o)[i] for o in support])
-        rhs.append(ZERO)
+    n = len(m.support)
+    rows = [row.coeffs for row in _martingale_rows(m)]
     if n > max_enum:
         raise EnumerationCapExceeded(n, max_enum, bases=comb(n, matrix_rank(rows)))
-    verts = enumerate_basic_feasible(rows, rhs)
+    verts = enumerate_basic_feasible(rows, [ONE] + [ZERO] * m.d)
     return MartingalePolytope(market=m, vertices=tuple(m.measure(q) for q in verts))
 
 
-def _charging_lp(m: Market, charged: Sequence[str]) -> LinearProgram:
-    """max t over (q on the support, t) subject to sum q = 1, E_q[increments]
-    = 0, q_o >= t for every charged outcome o, q >= 0 and t <= 1; a
-    positive optimum is a martingale measure charging every outcome in
-    `charged`."""
-    support = m.support
-    n = len(support)
-    cons = [Constraint([ONE] * n + [ZERO], EQ, 1)]
-    for i in range(m.d):
-        cons.append(
-            Constraint([m.delta_s(o)[i] for o in support] + [ZERO], EQ, 0)
-        )
-    for o in charged:
-        row = [ONE if s == o else ZERO for s in support] + [-ONE]
-        cons.append(Constraint(row, GE, 0))
-    return LinearProgram(
-        [ZERO] * n + [ONE],
-        "max",
-        cons,
-        lower=[ZERO] * n + [None],
-        upper=[None] * n + [ONE],
+def _martingale_rows(m: Market, *extra: Sequence[Fraction]) -> list[Constraint]:
+    """The d+1 equality rows sum q = 1 and E_q[increment of asset i] = 0
+    over the support, one column per support outcome and then one per
+    `extra` column of d+1 coefficients; every market LP is built on them."""
+    cols = [(ONE,) + m.delta_s(o) for o in m.support] + list(extra)
+    return [
+        Constraint([col[k] for col in cols], EQ, ONE if k == 0 else ZERO)
+        for k in range(m.d + 1)
+    ]
+
+
+def _max_charge(
+    m: Market, charged: Sequence[str]
+) -> tuple[LpSolution, Optional[ProbabilityMeasure]]:
+    """The checked solution of max t over (s on the support, t >= 0)
+    subject to the martingale rows of q, where q_o = s_o + t on every
+    charged outcome and q_o = s_o elsewhere, and q when t* > 0: then q is a
+    martingale measure charging every outcome in `charged`.  The column of
+    t is the sum of (1, dS_o) over `charged`, so t <= 1 / |charged| holds
+    without a bound."""
+    t_col = [sum(c, ZERO) for c in zip(*((ONE,) + m.delta_s(o) for o in charged))]
+    n = len(m.support)
+    lp = LinearProgram(
+        [ZERO] * n + [ONE], "max", _martingale_rows(m, t_col), lower=[ZERO] * (n + 1)
     )
+    sol = solve_lp(lp)
+    if sol.status != "Optimal" or sol.value <= 0:
+        return sol, None
+    *s, t = sol.primal
+    return sol, m.measure(v + t if o in charged else v for o, v in zip(m.support, s))
 
 
 def find_dominating_martingale(
@@ -275,11 +279,7 @@ def find_dominating_martingale(
     """
     if vertex_p.support - set(m.support):
         return None
-    p_support = [o for o in m.support if vertex_p.mass_of(o) > 0]
-    sol = solve_lp(_charging_lp(m, p_support))
-    if sol.status != "Optimal" or sol.value <= 0:
-        return None
-    return m.measure(sol.primal[:-1])
+    return _max_charge(m, [o for o in m.support if vertex_p.mass_of(o) > 0])[1]
 
 
 def _charging_claims(
@@ -326,11 +326,13 @@ def check_ftap(
 def superhedge(m: Market, f: BoundedFunction) -> HedgeCertificate:
     """Least price x admitting H with x + H . increments >= f quasi-surely.
 
-    One LP; its checked dual is a martingale measure q with E_q[f] equal to
-    the price.  Under every martingale measure Q a hedge dominating f costs
-    at least E_Q[f] (weak duality), so the hedge and q meeting at the price
-    prove that it is least and that q attains sup E_Q[f]; no vertex
-    enumeration is needed.
+    One LP, max E_q[f] over the martingale measures on the support; its
+    value is the price, its primal the attaining measure q, and its checked
+    dual (x, H) on the martingale rows satisfies x + H . dS_o >= f(o) at
+    every support outcome.  Under every martingale measure Q a hedge
+    dominating f costs at least E_Q[f] (weak duality), so the hedge and q
+    meeting at the price prove that it is least and that q attains
+    sup E_Q[f]; no vertex enumeration is needed.
     """
     na_holds, _ = check_na(m)
     if not na_holds:
@@ -338,20 +340,18 @@ def superhedge(m: Market, f: BoundedFunction) -> HedgeCertificate:
     if f.space != m.space:
         raise DimensionMismatch("payoff on a different space")
     support = m.support
-    # variables: (x, H); minimize x subject to x + H . dS(o) >= f(o)
-    cons = [
-        Constraint((ONE,) + m.delta_s(o), GE, f.value_at(o)) for o in support
-    ]
-    lp = LinearProgram([ONE] + [ZERO] * m.d, "min", cons)
-    sol = solve_lp(lp)
+    values = [f.value_at(o) for o in support]
+    sol = solve_lp(
+        LinearProgram(values, "max", _martingale_rows(m), lower=[ZERO] * len(support))
+    )
     if sol.status != "Optimal":
         raise CertificateError("superhedging LP must be solvable under NA")
     price = sol.value
-    H = sol.primal[1:]
-    attaining = m.measure(sol.dual)
+    H = sol.dual[1:]
+    attaining = m.measure(sol.primal)
     claims = tuple(
-        claim(f"hedge dominates payoff at {o}", price + m.gain(H, o), ">=", f.value_at(o))
-        for o in support
+        claim(f"hedge dominates payoff at {o}", price + m.gain(H, o), ">=", v)
+        for o, v in zip(support, values)
     )
     claims += (
         claim("attaining measure reaches the price", attaining.expectation(f), "=", price),

@@ -262,7 +262,7 @@ class TestCertificateChecks:
             from fractions import Fraction
             from robust_ftap import claims, market
             from robust_ftap.measures import (
-                AmbiguitySet, ProbabilityMeasure, SampleSpace)
+                AmbiguitySet, BoundedFunction, ProbabilityMeasure, SampleSpace)
             try:
                 claims.claim("claimed bound", Fraction(1, 3), ">=", Fraction(1, 2))
             except CertificateError as exc:
@@ -293,6 +293,18 @@ class TestCertificateChecks:
                 print("arbitrage rejected:", exc)
             else:
                 print("arbitrage accepted")
+            # an NA market: superhedge reads H off its LP's dual, forged
+            na = market.Market(space, [1], [[2], [0]], P)
+            market.solve_lp = solve
+            market.check_na(na)
+            market.solve_lp = forged
+            payoff = BoundedFunction(space, [1, 0])
+            try:
+                market.superhedge(na, payoff)
+            except CertificateError as exc:
+                print("superhedge rejected:", exc)
+            else:
+                print("superhedge accepted")
             """
         )
         root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
@@ -310,6 +322,7 @@ class TestCertificateChecks:
             "entry rejected: claimed bound: 1/3 >= 1/2 is false",
             "check_na rejected: the full-support martingale LP is Unbounded",
             "arbitrage rejected: gain of H at u: -1 >= 0 is false",
+            "superhedge rejected: hedge dominates payoff at u: 0 >= 1 is false",
         ]
 
 

@@ -9,20 +9,30 @@ the support) the verdict must equal that of the per-outcome search of
 measure must be a full-support martingale measure, and otherwise H must
 gain >= 0 on the support and > 0 first at its strict outcome (an
 arbitrage is not unique, so H itself may differ from the reference's).
-The count tests pin the LPs a market costs: one, paid once.
+Every market LP is built on the d+1 equality rows of the martingale
+system; on the same markets the charging LPs of `check_na` and of each
+P-vertex and the superhedge LP must agree with the row-per-outcome LPs
+of `market_reference` that they replaced.  The count tests pin the LPs a
+market costs, one paid once, and their shape and pivots on a golden
+market.
 """
 
+import json
+import os
 from fractions import Fraction
 
 import pytest
 from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
+from market_reference import reference_charging_lp, reference_superhedge_lp
 from na_reference import reference_check_na
-from robust_ftap import market
+from robust_ftap import lp_core, market
+from robust_ftap.cli import load_market, load_payoff
 from robust_ftap.large_market import MarketSequence
 from robust_ftap.market import (
     Market,
+    check_ftap,
     check_na,
     full_support_martingale,
     martingale_polytope,
@@ -107,6 +117,49 @@ def test_matches_per_outcome_search(drawn):
         assert martingale_polytope(m).vertices
 
 
+@settings(max_examples=300, deadline=None)
+@given(markets(), st.data())
+def test_matches_row_per_outcome_lps(drawn, data):
+    kind, m = drawn
+    holds, _ = check_na(m)
+    # the full support (check_na), then each P-vertex's support
+    # (find_dominating_martingale): same status and t*, and q, like the
+    # reference's, is a martingale measure charging the charged outcomes
+    # (an optimal q is not unique, so its other masses may differ)
+    _, per_vertex = check_ftap(m)
+    qs = [full_support_martingale(m)] + [q for _, q in per_vertex]
+    supports = [m.support] + [
+        [o for o in m.support if vp.mass_of(o) > 0] for vp in m.P.vertices
+    ]
+    for charged, q in zip(supports, qs):
+        want = lp_core.solve_lp(reference_charging_lp(m, charged))
+        got, _ = market._max_charge(m, charged)
+        assert got.status == want.status
+        if got.status == "Infeasible":
+            assert q is None
+            continue
+        assert got.value == want.value
+        if want.value == 0:
+            assert q is None
+            continue
+        assert min(q.mass_of(o) for o in charged) == want.value
+        want_q = m.measure(want.primal[:-1])
+        assert set(charged) <= q.support & want_q.support
+        assert q.support <= set(m.support)
+        m.martingale_claims(q, "q")
+    if not holds:
+        return
+    f = BoundedFunction(
+        m.space, data.draw(st.lists(small, min_size=m.space.size, max_size=m.space.size))
+    )
+    cert = superhedge(m, f)
+    want = lp_core.solve_lp(reference_superhedge_lp(m, f))
+    assert want.status == "Optimal" and cert.price == want.value
+    for o in m.support:
+        assert f.value_at(o) <= cert.price + m.gain(cert.H, o)
+    assert cert.attaining_q.expectation(f) == cert.price
+
+
 def _fresh_na_market():
     space = SampleSpace(["u", "m", "d"])
     P = AmbiguitySet(space, [ProbabilityMeasure(space, ["1/3", "1/3", "1/3"])])
@@ -174,3 +227,44 @@ def test_arbitrage_market_pays_the_search_once(counted):
         assert counted["lp"] == 1
         assert check_na(m) == (False, witness)
         assert counted["lp"] == 1
+
+
+GOLDEN = os.path.join(os.path.dirname(os.path.abspath(__file__)), "golden", "inputs")
+
+
+def _golden(name):
+    with open(os.path.join(GOLDEN, name), encoding="utf-8") as fh:
+        return json.load(fh)
+
+
+def test_market_lps_are_the_martingale_system(monkeypatch):
+    """check_na, the two P-vertices of find_dominating_martingale and
+    superhedge on market_two_assets.json: each LP has exactly the d+1
+    martingale rows, all equalities, and no upper bound; the simplex
+    pivots of each are pinned."""
+    m = load_market(_golden("market_two_assets.json"))
+    f = load_payoff(_golden("payoff_two_assets.json"), m.space)
+    solved, pivots = [], [0]
+    solve, pivot = market.solve_lp, lp_core._Tableau.pivot
+
+    def solve_counted(lp):
+        pivots[0] = 0
+        sol = solve(lp)
+        solved.append((lp, pivots[0]))
+        return sol
+
+    def pivot_counted(tab, r, j):
+        pivots[0] += 1
+        pivot(tab, r, j)
+
+    monkeypatch.setattr(market, "solve_lp", solve_counted)
+    monkeypatch.setattr(lp_core._Tableau, "pivot", pivot_counted)
+    assert check_ftap(m)[0]
+    superhedge(m, f)
+    assert len(solved) == 1 + len(m.P.vertices) + 1
+    for lp, _ in solved:
+        assert [row.relation for row in lp.constraints] == ["="] * (m.d + 1)
+        assert [row.rhs for row in lp.constraints] == [1] + [0] * m.d
+        assert all(up is None for up in lp.upper)
+        assert all(lo == 0 for lo in lp.lower)
+    assert [n for _, n in solved] == [4, 4, 4, 4]
