@@ -51,8 +51,7 @@ from .large_market import (
     certify_moduli,
     scan_aa1,
     scan_aa2,
-    weak_contiguity_claims,
-    weak_contiguity_witness,
+    weak_contiguity_certificate,
 )
 from .market import (
     Market,
@@ -615,12 +614,11 @@ def _cmd_weak_contiguity(args, max_enum):
     eps = _parse_level(args.epsilon, "--epsilon")
     input_obj = dict(sequence_to_obj(seq), epsilon=format_rational(eps))
     try:
-        delta, picks = weak_contiguity_witness(
+        delta, picks, claims = weak_contiguity_certificate(
             seq, epsilon=eps, max_enum=max_enum
         )
     except HypothesisViolated as exc:
         return f"certificate unavailable: {exc}", None, [], input_obj
-    claims = weak_contiguity_claims(seq, delta, picks, eps, max_enum=max_enum)
     witness = {
         "delta": format_rational(delta),
         "probability_vectors": [_rs(q.mass) for q in picks],

@@ -457,7 +457,20 @@ def weak_contiguity_witness(
     epsilon=Fraction(1, 4),
     max_enum: int = DEFAULT_MAX_ENUM,
 ) -> tuple[Fraction, tuple[ProbabilityMeasure, ...]]:
-    """Per-epsilon weak-contiguity certificate for the martingale sets.
+    """Per-epsilon weak-contiguity certificate for the martingale sets:
+    delta and the per-market witness measures of
+    :func:`weak_contiguity_certificate`, without its claims."""
+    return weak_contiguity_certificate(seq, p_sequence, epsilon, max_enum)[:2]
+
+
+def weak_contiguity_certificate(
+    seq: MarketSequence,
+    p_sequence: Optional[Sequence[ProbabilityMeasure]] = None,
+    epsilon=Fraction(1, 4),
+    max_enum: int = DEFAULT_MAX_ENUM,
+) -> tuple[Fraction, tuple[ProbabilityMeasure, ...], tuple[Claim, ...]]:
+    """Per-epsilon weak-contiguity certificate for the martingale sets, as
+    delta, the per-market witness measures and their checked claims.
 
     Works at the half level e' = epsilon / 2: with delta = e' * d(e') where
     d is the uniform dual modulus at e', each per-market witness measure
@@ -473,7 +486,7 @@ def weak_contiguity_witness(
     if epsilon > 1:
         # vacuous: every probability is < epsilon
         picks = tuple(qs.vertices[0] for qs in q_sets)
-        return ONE, picks
+        return ONE, picks, ()
     half = epsilon / 2
     table = _moduli(seq, q_sets, [half], "dual", max_enum)
     d = table.uniform_delta[0]
@@ -489,8 +502,8 @@ def weak_contiguity_witness(
         inst = HsInstance(market.P, q_sets[n - 1], half, d_eff)
         w = construct_dual_hs_witness(inst, p_sequence[n - 1], max_enum)
         picks.append(w.q_star)
-    weak_contiguity_claims(seq, delta, picks, epsilon, p_sequence, max_enum)
-    return delta, tuple(picks)
+    claims = weak_contiguity_claims(seq, delta, picks, epsilon, p_sequence, max_enum)
+    return delta, tuple(picks), claims
 
 
 def weak_contiguity_claims(

@@ -3,14 +3,16 @@
 A two-phase simplex with Bland's anti-cycling rule on an integer tableau:
 rows are Python ints over a positive factor per row, and pivots are
 fraction-free row operations reduced by the gcd (Edmonds 1967, Bareiss
-1968), so `fractions.Fraction` appears only where the LP is read in and
-where its solution is built.  Optimal solutions come back with dual
-multipliers whose objective equals the primal objective as a rational,
-with no tolerance; infeasible problems come back with Farkas multipliers
-and unbounded ones with a feasible point and an improving ray.  Each of
-the three outcomes is checked exactly before it is returned
-(`check_optimal`, `check_infeasible`, `check_unbounded`), and a failed
-check raises CertificateError.
+1968).  A `LinearProgram` scales its rows and objective to integers once,
+when it is built, and the solution is read off the integer tableau, so
+`fractions.Fraction` appears only in the LP as given and in the
+`LpSolution`.  Optimal solutions come back with dual multipliers whose
+objective equals the primal objective as a rational, with no tolerance;
+infeasible ones with Farkas multipliers and unbounded ones with a feasible
+point and an improving ray.  Each outcome is checked exactly before it is
+returned (`check_optimal`, `check_infeasible`, `check_unbounded`; a failed
+check raises CertificateError), in integers on the LP's scaled rows and
+never on the tableau, each solution vector over its common denominator.
 
 On top of the solver sits a bilinear minimax over a vertex-polytope /
 polytope pair, solved as one LP: its primal is the sup-inf order and its
@@ -20,7 +22,7 @@ exchange is the strong duality that `check_optimal` proves.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import reduce
 from itertools import combinations
@@ -34,6 +36,16 @@ ONE = Fraction(1)
 
 LE, EQ, GE = "<=", "=", ">="
 _RELATIONS = (LE, EQ, GE)
+
+
+def _scaled(values: Sequence) -> tuple[list[int], int]:
+    """The integers s * v for v in `values` and s, the lcm of their
+    denominators: `values` over the common denominator s (ints count as
+    over 1)."""
+    # reduce() rather than lcm(*...): a star-argument tuple per row raised
+    # the peak RSS of the market-lp benchmark by about 1.5 MiB
+    s = reduce(lcm, [v.denominator for v in values], 1)
+    return [v.numerator * (s // v.denominator) for v in values], s
 
 
 @dataclass(frozen=True)
@@ -52,13 +64,25 @@ class Constraint:
 
 @dataclass(frozen=True)
 class LinearProgram:
-    """General-form LP: optimize c.x subject to rows and per-variable bounds."""
+    """General-form LP: optimize c.x subject to rows and per-variable bounds.
+
+    Its scaled rows, which the solver and the checks read, are built with
+    it: `_rows` holds (a, relation, b, s) per row, its coefficients and rhs
+    times s > 0, the lcm of their denominators; the constraints come first,
+    then one row x_j <= u_j per upper bound.  A positive scale keeps the
+    relation, and a row's multiplier is s times that of its scaled row.
+    `_cost` and `_lower` are the objective and the lower bounds (0 for a
+    free variable) in the same form, as (integers, scale).
+    """
 
     objective: tuple[Fraction, ...]
     sense: str  # "max" | "min"
     constraints: tuple[Constraint, ...]
     lower: tuple[Optional[Fraction], ...]
     upper: tuple[Optional[Fraction], ...]
+    _rows: tuple = field(init=False, repr=False, compare=False)
+    _cost: tuple[list[int], int] = field(init=False, repr=False, compare=False)
+    _lower: tuple[list[int], int] = field(init=False, repr=False, compare=False)
 
     def __init__(
         self,
@@ -88,11 +112,20 @@ class LinearProgram:
         )
         if len(lo) != n or len(up) != n:
             raise DimensionMismatch("one bound entry per variable required")
-        object.__setattr__(self, "objective", objective)
-        object.__setattr__(self, "sense", sense)
-        object.__setattr__(self, "constraints", constraints)
-        object.__setattr__(self, "lower", lo)
-        object.__setattr__(self, "upper", up)
+        rows = []
+        for row in constraints:
+            a, s = _scaled(row.coeffs + (row.rhs,))
+            rows.append((a[:n], row.relation, a[n], s))
+        for j, u in enumerate(up):
+            if u is not None:
+                unit = [u.denominator if k == j else 0 for k in range(n)]
+                rows.append((unit, LE, u.numerator, u.denominator))
+        for name, value in (
+            ("objective", objective), ("sense", sense), ("constraints", constraints),
+            ("lower", lo), ("upper", up), ("_rows", tuple(rows)),
+            ("_cost", _scaled(objective)), ("_lower", _scaled([b or ZERO for b in lo])),
+        ):
+            object.__setattr__(self, name, value)
 
     @property
     def num_vars(self) -> int:
@@ -129,10 +162,7 @@ class LpSolution:
 def _int_row(values: Sequence) -> list[int]:
     """The rational row `values` times a positive factor that makes every
     entry an integer with no common divisor (ints are accepted too)."""
-    # reduce() rather than lcm(*...)/gcd(*...): a star-argument tuple per row
-    # raised the peak RSS of the market-lp benchmark by about 1.5 MiB
-    den = reduce(lcm, [v.denominator for v in values], 1)
-    row = [v.numerator * (den // v.denominator) for v in values]
+    row, _ = _scaled(values)
     g = reduce(gcd, row, 0)
     return [a // g for a in row] if g > 1 else row
 
@@ -184,47 +214,34 @@ def _row_reduce(rows: list[list[int]], ncols: int) -> int:
 class _Tableau:
     """Dense simplex tableau for min c.z, A z = b, z >= 0 in Python ints.
 
-    Row i of the input is ``[A_i, b_i]``, its entries Fractions or ints;
-    artificial column ncols + i starts in the basis of row i.  Each stored
-    row is ``[A_i, artificials, b_i, 0]`` scaled to integers by a positive
-    factor: the row's entry in the column of its basic variable, where the
-    rational row has a 1.  After the m constraint rows comes the
-    reduced-cost row ``[red, -value, z]``, whose last entry z > 0 is its
-    factor (the column of the objective variable).  The ratio of two
-    entries of one row never needs the factor.
+    Row i of the input is ``[A_i, s_i e_i, b_i, 0]`` in integers: s_i > 0
+    times the rational row ``[A_i, e_i, b_i, 0]``, where artificial column
+    ncols + i starts in the basis of row i.  Every stored row stays a
+    positive multiple of its rational row, the multiple being its entry in
+    the column of its basic variable, where the rational row has a 1.
+    After the m constraint rows comes the reduced-cost row
+    ``[red, -value, z]``, whose last entry z > 0 is its factor (the column
+    of the objective variable).  The ratio of two entries of one row never
+    needs the factor.
     """
 
-    def __init__(self, rows: list[list], ncols: int):
-        m = len(rows)
-        self.m = m
-        self.total = ncols + m
-        self.basis = [ncols + i for i in range(m)]
-        self.rows = [
-            _int_row(row[:ncols] + [int(k == i) for k in range(m)] + [row[ncols], 0])
-            for i, row in enumerate(rows)
-        ]
-        self.rows.append([0] * (self.total + 2))  # reduced costs: see price()
-
-    def entry(self, r: int, c: int) -> Fraction:
-        """Rational entry (r, c); c = total gives the right-hand side."""
-        row = self.rows[r]
-        return Fraction(row[c], row[self.basis[r]])
-
-    def reduced(self, c: int) -> Fraction:
-        """Reduced cost of column c (c = total gives minus the objective)."""
-        obj = self.rows[self.m]
-        return Fraction(obj[c], obj[-1])
+    def __init__(self, rows: list[list[int]], ncols: int):
+        self.m = len(rows)
+        self.total = ncols + self.m
+        self.basis = [ncols + i for i in range(self.m)]
+        self.rows = rows + [[0] * (self.total + 2)]  # reduced costs: see price()
 
     def pivot(self, r: int, j: int) -> None:
         """Column j enters the basis in row r."""
         _pivot(self.rows, r, j)
         self.basis[r] = j
 
-    def price(self, cost: list) -> None:
-        """Install the reduced-cost row of `cost` (one entry per column):
-        pivoting again on each basic position clears the basic columns from
-        it and leaves the constraint rows as they are."""
-        self.rows[self.m] = _int_row(cost + [0, 1])
+    def price(self, cost: list[int], scale: int = 1) -> None:
+        """Install the reduced-cost row of the rational costs `cost` / `scale`
+        (one integer per column): pivoting again on each basic position
+        clears the basic columns from it and leaves the constraint rows as
+        they are."""
+        self.rows[self.m] = cost + [0, scale]
         for r, bv in enumerate(self.basis):
             _pivot(self.rows, r, bv)
 
@@ -267,73 +284,55 @@ def solve_lp(lp: LinearProgram) -> LpSolution:
     `check_infeasible` or `check_unbounded` raises CertificateError if the
     solution does not prove its status.
     """
-    n = lp.num_vars
-    minimize = lp.sense == "min"
-    c = [f if minimize else -f for f in lp.objective]
+    n, ncons = lp.num_vars, len(lp.constraints)
+    sign = 1 if lp.sense == "min" else -1  # the solver minimizes sign * c.x
+    (low, lden), (cost, cscale) = lp._lower, lp._cost
 
     # Variable handling: a lower bound is shifted away (x = lo + u, u >= 0);
-    # an unbounded-below variable is split into u+ - u-; an upper bound
-    # becomes an appended constraint row.  Column map entries are
-    # (var, sign) pairs contributing sign * z_col to x_var.
-    shift = [ZERO] * n
+    # an unbounded-below variable is split into u+ - u-; an upper bound is
+    # one of the LP's scaled rows.  Column map entries are (var, sign)
+    # pairs contributing sign * z_col to x_var.
     cols: list[tuple[int, int]] = []
     for j in range(n):
         cols.append((j, 1))
-        if lp.lower[j] is not None:
-            shift[j] = lp.lower[j]
-        else:
+        if lp.lower[j] is None:
             cols.append((j, -1))
-
-    rows: list[tuple[tuple[Fraction, ...], str, Fraction]] = [
-        (row.coeffs, row.relation, row.rhs) for row in lp.constraints
-    ]
-    upper_rows: list[int] = []  # variable index per appended upper row
-    for j in range(n):
-        if lp.upper[j] is not None:
-            unit = tuple(ONE if k == j else ZERO for k in range(n))
-            rows.append((unit, LE, lp.upper[j]))
-            upper_rows.append(j)
+    rows = lp._rows
     m = len(rows)
 
     nz = len(cols)
     # slack columns: one per inequality row
-    slack_of_row: list[Optional[int]] = []
-    nslack = 0
-    for _, rel, _ in rows:
-        if rel == EQ:
-            slack_of_row.append(None)
-        else:
-            slack_of_row.append(nz + nslack)
-            nslack += 1
-    ncols = nz + nslack
+    slack: dict[int, int] = {}
+    for r, (_, rel, _, _) in enumerate(rows):
+        if rel != EQ:
+            slack[r] = nz + len(slack)
+    ncols = nz + len(slack)
 
-    tab_rows: list[list] = []
+    tab_rows: list[list[int]] = []
     flip: list[int] = []
-    for r, (coeffs, rel, rhs) in enumerate(rows):
-        row = [0] * (ncols + 1)
-        for col, (j, s) in enumerate(cols):
-            if coeffs[j]:
-                row[col] = s * coeffs[j]
-        sc = slack_of_row[r]
-        if sc is not None:
-            row[sc] = 1 if rel == LE else -1
-        row[ncols] = rhs - sum(coeffs[j] * shift[j] for j in range(n) if shift[j])
-        if row[ncols] < 0:
-            row = [-a for a in row]
-            flip.append(-1)
-        else:
-            flip.append(1)
-        tab_rows.append(row)
+    for r, (a, rel, b, s) in enumerate(rows):
+        row = [cs * a[j] for j, cs in cols] + [0] * len(slack)
+        if r in slack:
+            row[slack[r]] = s if rel == LE else -s
+        # the rhs shifted by the lower bounds, (b lden - a.low) / lden; a row
+        # whose shifted rhs is fractional is scaled once more, by t
+        shifted = b * lden - _idot(a, low)
+        g = gcd(shifted, lden)
+        t = lden // g
+        flip.append(-1 if shifted < 0 else 1)
+        tab_rows.append(
+            [flip[r] * t * v for v in row]
+            + [t * s if k == r else 0 for k in range(m)]
+            + [abs(shifted) // g, 0]
+        )
 
     tab = _Tableau(tab_rows, ncols)
     total = tab.total
 
-    def per_variable(lam: list[Fraction]) -> tuple[Fraction, ...]:
-        # multipliers of the appended upper-bound rows, one per variable
-        out = [ZERO] * n
-        for k, j in enumerate(upper_rows):
-            out[j] = lam[len(lp.constraints) + k]
-        return tuple(out)
+    def split(lam: list[Fraction]) -> tuple[tuple, tuple]:
+        # the constraints' multipliers; per variable, its upper-bound row's
+        mu = iter(lam[ncons:])
+        return tuple(lam[:ncons]), tuple(ZERO if u is None else next(mu) for u in lp.upper)
 
     # phase 1
     tab.price([0] * ncols + [1] * m)
@@ -344,12 +343,11 @@ def solve_lp(lp: LinearProgram) -> LpSolution:
     if any(tab.basis[r] >= ncols and tab.rows[r][total] for r in range(m)):
         # Farkas certificate: multipliers from phase-1 reduced costs of the
         # artificial columns, mapped back through the row flips.
-        lam = [flip[i] * (ONE - tab.reduced(ncols + i)) for i in range(m)]
-        sol = LpSolution(
-            status="Infeasible",
-            dual=tuple(lam[: len(lp.constraints)]),
-            upper_dual=per_variable(lam),
+        obj, z = tab.rows[m], tab.rows[m][-1]
+        dual, upper_dual = split(
+            [Fraction(flip[i] * (z - obj[ncols + i]), z) for i in range(m)]
         )
+        sol = LpSolution(status="Infeasible", dual=dual, upper_dual=upper_dual)
         check_infeasible(lp, sol)
         return sol
 
@@ -363,64 +361,56 @@ def solve_lp(lp: LinearProgram) -> LpSolution:
 
     # phase 2: artificial columns stay in the tableau (they carry the dual
     # multipliers) but may not enter
-    cost2 = [0] * total
-    for col, (j, s) in enumerate(cols):
-        cost2[col] = s * c[j]
-    tab.price(cost2)
+    tab.price([sign * cs * cost[j] for j, cs in cols] + [0] * (total - nz), cscale)
     enter = tab.run([True] * ncols + [False] * m)
 
     # the basic solution, feasible since phase 1 and kept feasible by phase 2
-    z = [ZERO] * total
+    x = [lo or ZERO for lo in lp.lower]
     for r, bv in enumerate(tab.basis):
-        z[bv] = tab.entry(r, total)
-    x = list(shift)
-    for col, (j, s) in enumerate(cols):
-        x[j] += s * z[col]
+        if bv < nz and tab.rows[r][total]:
+            j, cs = cols[bv]
+            v = Fraction(cs * tab.rows[r][total], tab.rows[r][bv])
+            x[j] = v + x[j] if x[j] else v
 
     if enter is not None:
         ray = [ZERO] * n
         if enter < nz:
-            j, s = cols[enter]
-            ray[j] += s
+            j, cs = cols[enter]
+            ray[j] += cs
         for r in range(m):
             bv = tab.basis[r]
             if tab.rows[r][enter] and bv < nz:
                 vj, vs = cols[bv]
-                ray[vj] -= vs * tab.entry(r, enter)
+                ray[vj] -= Fraction(vs * tab.rows[r][enter], tab.rows[r][bv])
         sol = LpSolution(status="Unbounded", primal=tuple(ray), point=tuple(x))
         check_unbounded(lp, sol)
         return sol
 
-    # optimal: the basic solution, duals, reduced costs
-    obj_shift = sum(c[j] * shift[j] for j in range(n))
-    value_min = -tab.reduced(total) + obj_shift
-    value = value_min if minimize else -value_min
-
-    # artificial cost 0 in phase 2
-    lam = [-flip[i] * tab.reduced(ncols + i) for i in range(m)]
-    if not minimize:
-        lam = [-v for v in lam]
-
-    reduced = [ZERO] * n
-    for j in range(n):
-        reduced[j] = lp.objective[j] - sum(
-            lam[i] * rows[i][0][j] for i in range(m) if lam[i]
-        )
-
+    # optimal: everything over the objective row's factor z.  The dual of
+    # row i is minus its artificial's reduced cost (cost 0 in phase 2)
+    # through the flip, and a variable's reduced cost is that of its first
+    # column; both are negated for max.
+    obj, z = tab.rows[m], tab.rows[m][-1]
+    dual, upper_dual = split(
+        [Fraction(-sign * flip[i] * obj[ncols + i], z) for i in range(m)]
+    )
+    value = z * _idot(cost, low) - sign * obj[total] * cscale * lden
     sol = LpSolution(
         status="Optimal",
         primal=tuple(x),
-        dual=tuple(lam[: len(lp.constraints)]),
-        value=value,
-        reduced_costs=tuple(reduced),
-        upper_dual=per_variable(lam),
+        dual=dual,
+        value=Fraction(value, z * cscale * lden),
+        reduced_costs=tuple(
+            Fraction(sign * obj[col], z) for col, (_, cs) in enumerate(cols) if cs > 0
+        ),
+        upper_dual=upper_dual,
     )
     check_optimal(lp, sol)
     return sol
 
 
 # ---------------------------------------------------------------------------
-# certificate checks
+# certificate checks, in integers on the LP's scaled rows
 # ---------------------------------------------------------------------------
 
 
@@ -434,32 +424,58 @@ def _dot(u: Sequence[Fraction], v: Sequence[Fraction]) -> Fraction:
     return sum((a * b for a, b in zip(u, v) if a and b), ZERO)
 
 
-def _row_sums(lp: LinearProgram, y: Sequence[Fraction]) -> list[Fraction]:
-    """sum_i y_i a_ij for each variable j."""
-    out = [ZERO] * lp.num_vars
-    for yi, row in zip(y, lp.constraints):
-        if yi:
-            for j, a in enumerate(row.coeffs):
-                if a:
-                    out[j] += yi * a
+def _idot(u: Sequence[int], v: Sequence[int]) -> int:
+    return sum(a * b for a, b in zip(u, v) if a)
+
+
+def _holds(lhs: int, relation: str, rhs: int) -> bool:
+    return lhs <= rhs if relation == LE else lhs >= rhs if relation == GE else lhs == rhs
+
+
+def _require_feasible(lp: LinearProgram, x: Sequence) -> tuple[list[int], int]:
+    """x = X / D satisfies every row and bound of the LP; returns X and D."""
+    X, D = _scaled(x)
+    ncons = len(lp.constraints)
+    for k, (a, rel, b, _) in enumerate(lp._rows):
+        _require(
+            _holds(_idot(a, X), rel, b * D),
+            "primal above upper bound" if k >= ncons else f"primal infeasible ({rel} row)",
+        )
+    low, lden = lp._lower
+    for xj, lo, bound in zip(X, low, lp.lower):
+        if bound is not None:
+            _require(xj * lden >= lo * D, "primal below lower bound")
+    return X, D
+
+
+def _multipliers(
+    lp: LinearProgram, y: Sequence, mu: Sequence, *extra: Sequence
+) -> tuple[list[int], list[int], int]:
+    """The multipliers y of the constraints and mu of the upper bounds, and
+    the vectors `extra`, over one denominator E > 0.
+
+    Returns W with W_i = E y_i / s_i for the LP's scaled rows (so W.a = E
+    times the rational combination), E times the `extra` entries, and E;
+    mu must vanish where a variable has no upper bound.
+    """
+    _require(
+        all(not v for v, u in zip(mu, lp.upper) if u is None),
+        "multiplier on a missing upper bound",
+    )
+    ys = list(y) + [v for v, u in zip(mu, lp.upper) if u is not None]
+    num, d = _scaled(ys + [v for vec in extra for v in vec])
+    scale = reduce(lcm, [s for *_, s in lp._rows], 1)
+    W = [w * (scale // s) for w, (*_, s) in zip(num, lp._rows)]
+    return W, [v * scale for v in num[len(ys):]], d * scale
+
+
+def _combination(lp: LinearProgram, W: Sequence[int]) -> list[int]:
+    """sum_i W_i a_ij over the LP's scaled rows, for each variable j."""
+    out = [0] * lp.num_vars
+    for w, (a, *_) in zip(W, lp._rows):
+        if w:
+            out = [o + w * aj for o, aj in zip(out, a)]
     return out
-
-
-def _require_feasible(lp: LinearProgram, x: Sequence[Fraction]) -> None:
-    """x satisfies every row and every bound of the LP."""
-    for row in lp.constraints:
-        lhs = _dot(row.coeffs, x)
-        if row.relation == LE:
-            _require(lhs <= row.rhs, "primal infeasible (<= row)")
-        elif row.relation == GE:
-            _require(lhs >= row.rhs, "primal infeasible (>= row)")
-        else:
-            _require(lhs == row.rhs, "primal infeasible (= row)")
-    for j, xj in enumerate(x):
-        if lp.lower[j] is not None:
-            _require(xj >= lp.lower[j], "primal below lower bound")
-        if lp.upper[j] is not None:
-            _require(xj <= lp.upper[j], "primal above upper bound")
 
 
 def check_optimal(lp: LinearProgram, sol: LpSolution) -> None:
@@ -467,54 +483,45 @@ def check_optimal(lp: LinearProgram, sol: LpSolution) -> None:
 
     Checks primal feasibility, dual sign conventions, stationarity of the
     reduced costs, and equality of primal and dual objectives; raises
-    CertificateError on any exact violation.
+    CertificateError on any exact violation.  With the multipliers and
+    reduced costs over one denominator E (see `_multipliers`) and the
+    objective c = `_cost` / s_c, stationarity c - y.A - mu = r reads
+    c_j E = s_c (G_j + R_j) in integers, with G = W.a.
     """
     _require(sol.status == "Optimal", f"status {sol.status!r} is not Optimal")
     n = lp.num_vars
-    x = sol.primal
     _require(
-        len(x) == n
+        len(sol.primal) == n
         and len(sol.dual) == len(lp.constraints)
         and len(sol.upper_dual) == n
-        and len(sol.reduced_costs) == n,
+        and len(sol.reduced_costs) == n
+        and sol.value is not None,
         "solution vectors have the wrong length",
     )
-    _require_feasible(lp, x)
+    X, D = _require_feasible(lp, sol.primal)
 
     maximize = lp.sense == "max"
-    # row multipliers: for max, y >= 0 on <= rows, y <= 0 on >= rows
-    for y, row in zip(sol.dual, lp.constraints):
-        if row.relation == LE:
-            _require((y >= 0) if maximize else (y <= 0), "dual sign (<= row)")
-        elif row.relation == GE:
-            _require((y <= 0) if maximize else (y >= 0), "dual sign (>= row)")
-    reduced = [
-        cj - s - mu
-        for cj, s, mu in zip(lp.objective, _row_sums(lp, sol.dual), sol.upper_dual)
-    ]
-    for j in range(n):
-        mu_up = sol.upper_dual[j]
-        if lp.upper[j] is None:
-            _require(mu_up == 0, "multiplier on a missing upper bound")
+    # for max, y >= 0 on <= rows (upper bounds included), y <= 0 on >= rows
+    W, R, E = _multipliers(lp, sol.dual, sol.upper_dual, sol.reduced_costs)
+    for w, (_, rel, _, _) in zip(W, lp._rows):
+        if rel != EQ:
+            nonneg = maximize == (rel == LE)
+            _require(w >= 0 if nonneg else w <= 0, f"dual sign ({rel} row)")
+    (cost, sc), (low, lden) = lp._cost, lp._lower
+    for cj, gj, rj, lo in zip(cost, _combination(lp, W), R, lp.lower):
+        _require(cj * E == sc * (gj + rj), "stored reduced cost mismatch")
+        if lo is None:
+            _require(rj == 0, "free variable has nonzero reduced cost")
         else:
-            _require((mu_up >= 0) if maximize else (mu_up <= 0), "dual sign (upper)")
-        r = reduced[j]
-        _require(r == sol.reduced_costs[j], "stored reduced cost mismatch")
-        if lp.lower[j] is None:
-            _require(r == 0, "free variable has nonzero reduced cost")
-        else:
-            _require((r <= 0) if maximize else (r >= 0), "reduced cost sign")
+            _require((rj <= 0) if maximize else (rj >= 0), "reduced cost sign")
 
-    dual_obj = _dot(sol.dual, [row.rhs for row in lp.constraints])
-    dual_obj += sum(
-        mu * up for mu, up in zip(sol.upper_dual, lp.upper) if up is not None
+    # y.b + r.lo, over E * lden
+    dual_obj = lden * _idot(W, [b for _, _, b, _ in lp._rows]) + _idot(R, low)
+    vn, vd = sol.value.numerator, sol.value.denominator
+    _require(
+        vd * _idot(cost, X) == vn * sc * D, "stored value differs from primal objective"
     )
-    dual_obj += sum(
-        r * lo for r, lo in zip(reduced, lp.lower) if lo is not None
-    )
-    primal_obj = _dot(lp.objective, x)
-    _require(primal_obj == sol.value, "stored value differs from primal objective")
-    _require(dual_obj == sol.value, "strong duality gap")
+    _require(vd * dual_obj == vn * E * lden, "strong duality gap")
 
 
 def check_infeasible(lp: LinearProgram, sol: LpSolution) -> None:
@@ -529,31 +536,23 @@ def check_infeasible(lp: LinearProgram, sol: LpSolution) -> None:
     Raises CertificateError on any exact violation.
     """
     _require(sol.status == "Infeasible", f"status {sol.status!r} is not Infeasible")
-    n = lp.num_vars
     _require(
-        len(sol.dual) == len(lp.constraints) and len(sol.upper_dual) == n,
+        len(sol.dual) == len(lp.constraints) and len(sol.upper_dual) == lp.num_vars,
         "Farkas vector has the wrong length",
     )
-    for y, row in zip(sol.dual, lp.constraints):
-        if row.relation == LE:
-            _require(y <= 0, "Farkas sign (<= row)")
-        elif row.relation == GE:
-            _require(y >= 0, "Farkas sign (>= row)")
-    bound = _dot(sol.dual, [row.rhs for row in lp.constraints])
-    g = _row_sums(lp, sol.dual)
-    for j in range(n):
-        mu = sol.upper_dual[j]
-        if lp.upper[j] is None:
-            _require(mu == 0, "Farkas multiplier on a missing upper bound")
-        else:
-            _require(mu <= 0, "Farkas sign (upper)")
-            bound += mu * lp.upper[j]
-        gj = g[j] + mu
-        if lp.lower[j] is None:
+    W, _, _ = _multipliers(lp, sol.dual, sol.upper_dual)
+    for w, (_, rel, _, _) in zip(W, lp._rows):
+        if rel != EQ:
+            _require((w <= 0) if rel == LE else (w >= 0), f"Farkas sign ({rel} row)")
+    # y.b + mu.u - g.l, over E * lden
+    low, lden = lp._lower
+    bound = lden * _idot(W, [b for _, _, b, _ in lp._rows])
+    for gj, lo, bound_j in zip(_combination(lp, W), low, lp.lower):
+        if bound_j is None:
             _require(gj == 0, "Farkas combination nonzero on a free variable")
         else:
             _require(gj <= 0, "Farkas combination positive on a bounded variable")
-            bound -= gj * lp.lower[j]
+            bound -= gj * lo
     _require(bound > 0, "Farkas combination is not contradictory")
 
 
@@ -569,24 +568,16 @@ def check_unbounded(lp: LinearProgram, sol: LpSolution) -> None:
     """
     _require(sol.status == "Unbounded", f"status {sol.status!r} is not Unbounded")
     n = lp.num_vars
-    d = sol.primal
-    _require(len(d) == n, "ray has the wrong length")
+    _require(len(sol.primal) == n, "ray has the wrong length")
     _require(len(sol.point) == n, "feasible point has the wrong length")
     _require_feasible(lp, sol.point)
-    for row in lp.constraints:
-        lhs = _dot(row.coeffs, d)
-        if row.relation == LE:
-            _require(lhs <= 0, "ray leaves a <= row")
-        elif row.relation == GE:
-            _require(lhs >= 0, "ray leaves a >= row")
-        else:
-            _require(lhs == 0, "ray leaves an = row")
-    for j in range(n):
-        if lp.lower[j] is not None:
-            _require(d[j] >= 0, "ray leaves a lower bound")
-        if lp.upper[j] is not None:
-            _require(d[j] <= 0, "ray leaves an upper bound")
-    gain = _dot(lp.objective, d)
+    d, _ = _scaled(sol.primal)
+    for a, rel, _, _ in lp._rows:
+        _require(_holds(_idot(a, d), rel, 0), f"ray leaves a {rel} row")
+    for dj, lo in zip(d, lp.lower):
+        if lo is not None:
+            _require(dj >= 0, "ray leaves a lower bound")
+    gain = _idot(lp._cost[0], d)
     _require(gain > 0 if lp.sense == "max" else gain < 0, "ray does not improve")
 
 
@@ -595,14 +586,22 @@ def check_unbounded(lp: LinearProgram, sol: LpSolution) -> None:
 # ---------------------------------------------------------------------------
 
 
-def solve_square(matrix: Sequence[Sequence[Fraction]], rhs: Sequence[Fraction]):
+def solve_square(
+    matrix: Sequence[Sequence[Fraction]],
+    rhs: Sequence[Fraction],
+    nonnegative: bool = False,
+):
     """Solve a square rational system by fraction-free elimination.
 
-    Returns the solution vector or None when the matrix is singular.
+    Returns the solution vector, or None when the matrix is singular or,
+    with `nonnegative`, when the solution has a negative entry; the sign
+    test runs on the reduced integer rows, before any Fraction is built.
     """
     n = len(rhs)
     rows = [_int_row(list(row) + [b]) for row, b in zip(matrix, rhs)]
     if _row_reduce(rows, n) < n:
+        return None
+    if nonnegative and any(row[n] * row[i] < 0 for i, row in enumerate(rows)):
         return None
     return [Fraction(row[n], row[i]) for i, row in enumerate(rows)]
 
@@ -635,8 +634,8 @@ def enumerate_basic_feasible(
     out: list[tuple[Fraction, ...]] = []
     for basis in combinations(range(nvars), rank):
         square = [[row[j] for j in basis] for row in A_ind]
-        sol = solve_square(square, b_ind)
-        if sol is None or any(v < 0 for v in sol):
+        sol = solve_square(square, b_ind, nonnegative=True)
+        if sol is None:
             continue
         q = [ZERO] * nvars
         for j, v in zip(basis, sol):

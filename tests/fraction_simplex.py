@@ -7,14 +7,20 @@ same columns, artificials and row flips and choose the same pivots, so
 every field of their solutions must agree exactly.  The one addition is
 that an Infeasible result also reports the Farkas multipliers of the
 appended upper-bound rows, in ``upper_dual``, as the engine does.
+
+It also keeps the engine's former certificate checks, which work in
+Fractions on the LP's constraints as given (``check_optimal``,
+``check_infeasible``, ``check_unbounded``): the reference for the integer
+checks on the scaled rows.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Optional
+from typing import Optional, Sequence
 
-from robust_ftap.lp_core import EQ, LE, LinearProgram, LpSolution
+from robust_ftap.errors import CertificateError
+from robust_ftap.lp_core import EQ, GE, LE, LinearProgram, LpSolution
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
@@ -266,3 +272,174 @@ def reference_solve_lp(lp: LinearProgram) -> LpSolution:
         reduced_costs=tuple(reduced),
         upper_dual=tuple(upper_dual_full),
     )
+
+
+# ---------------------------------------------------------------------------
+# reference certificate checks over Fractions
+# ---------------------------------------------------------------------------
+
+
+def _require(ok: bool, what: str) -> None:
+    if not ok:
+        raise CertificateError(what)
+
+
+def _dot(u: Sequence[Fraction], v: Sequence[Fraction]) -> Fraction:
+    """Exact dot product; zero terms are skipped, as Fraction products cost."""
+    return sum((a * b for a, b in zip(u, v) if a and b), ZERO)
+
+
+def _row_sums(lp: LinearProgram, y: Sequence[Fraction]) -> list[Fraction]:
+    """sum_i y_i a_ij for each variable j."""
+    out = [ZERO] * lp.num_vars
+    for yi, row in zip(y, lp.constraints):
+        if yi:
+            for j, a in enumerate(row.coeffs):
+                if a:
+                    out[j] += yi * a
+    return out
+
+
+def _require_feasible(lp: LinearProgram, x: Sequence[Fraction]) -> None:
+    """x satisfies every row and every bound of the LP."""
+    for row in lp.constraints:
+        lhs = _dot(row.coeffs, x)
+        if row.relation == LE:
+            _require(lhs <= row.rhs, "primal infeasible (<= row)")
+        elif row.relation == GE:
+            _require(lhs >= row.rhs, "primal infeasible (>= row)")
+        else:
+            _require(lhs == row.rhs, "primal infeasible (= row)")
+    for j, xj in enumerate(x):
+        if lp.lower[j] is not None:
+            _require(xj >= lp.lower[j], "primal below lower bound")
+        if lp.upper[j] is not None:
+            _require(xj <= lp.upper[j], "primal above upper bound")
+
+
+def check_optimal(lp: LinearProgram, sol: LpSolution) -> None:
+    """Exact verification of an Optimal solution against the original LP.
+
+    Checks primal feasibility, dual sign conventions, stationarity of the
+    reduced costs, and equality of primal and dual objectives; raises
+    CertificateError on any exact violation.
+    """
+    _require(sol.status == "Optimal", f"status {sol.status!r} is not Optimal")
+    n = lp.num_vars
+    x = sol.primal
+    _require(
+        len(x) == n
+        and len(sol.dual) == len(lp.constraints)
+        and len(sol.upper_dual) == n
+        and len(sol.reduced_costs) == n,
+        "solution vectors have the wrong length",
+    )
+    _require_feasible(lp, x)
+
+    maximize = lp.sense == "max"
+    # row multipliers: for max, y >= 0 on <= rows, y <= 0 on >= rows
+    for y, row in zip(sol.dual, lp.constraints):
+        if row.relation == LE:
+            _require((y >= 0) if maximize else (y <= 0), "dual sign (<= row)")
+        elif row.relation == GE:
+            _require((y <= 0) if maximize else (y >= 0), "dual sign (>= row)")
+    reduced = [
+        cj - s - mu
+        for cj, s, mu in zip(lp.objective, _row_sums(lp, sol.dual), sol.upper_dual)
+    ]
+    for j in range(n):
+        mu_up = sol.upper_dual[j]
+        if lp.upper[j] is None:
+            _require(mu_up == 0, "multiplier on a missing upper bound")
+        else:
+            _require((mu_up >= 0) if maximize else (mu_up <= 0), "dual sign (upper)")
+        r = reduced[j]
+        _require(r == sol.reduced_costs[j], "stored reduced cost mismatch")
+        if lp.lower[j] is None:
+            _require(r == 0, "free variable has nonzero reduced cost")
+        else:
+            _require((r <= 0) if maximize else (r >= 0), "reduced cost sign")
+
+    dual_obj = _dot(sol.dual, [row.rhs for row in lp.constraints])
+    dual_obj += sum(
+        mu * up for mu, up in zip(sol.upper_dual, lp.upper) if up is not None
+    )
+    dual_obj += sum(
+        r * lo for r, lo in zip(reduced, lp.lower) if lo is not None
+    )
+    primal_obj = _dot(lp.objective, x)
+    _require(primal_obj == sol.value, "stored value differs from primal objective")
+    _require(dual_obj == sol.value, "strong duality gap")
+
+
+def check_infeasible(lp: LinearProgram, sol: LpSolution) -> None:
+    """Exact verification of a Farkas certificate of infeasibility.
+
+    The multipliers are y = `sol.dual` on the rows and mu = `sol.upper_dual`
+    on the upper bounds, with y <= 0 on <= rows, y >= 0 on >= rows and
+    mu <= 0.  With g_j = sum_i y_i a_ij + mu_j, every feasible x would have
+    g.x >= y.b + mu.u; the certificate requires g_j = 0 for free variables
+    and g_j <= 0 for variables with a lower bound l_j, so g.x <= sum g_j l_j,
+    and y.b + mu.u - sum g_j l_j > 0 makes the two bounds contradict.
+    Raises CertificateError on any exact violation.
+    """
+    _require(sol.status == "Infeasible", f"status {sol.status!r} is not Infeasible")
+    n = lp.num_vars
+    _require(
+        len(sol.dual) == len(lp.constraints) and len(sol.upper_dual) == n,
+        "Farkas vector has the wrong length",
+    )
+    for y, row in zip(sol.dual, lp.constraints):
+        if row.relation == LE:
+            _require(y <= 0, "Farkas sign (<= row)")
+        elif row.relation == GE:
+            _require(y >= 0, "Farkas sign (>= row)")
+    bound = _dot(sol.dual, [row.rhs for row in lp.constraints])
+    g = _row_sums(lp, sol.dual)
+    for j in range(n):
+        mu = sol.upper_dual[j]
+        if lp.upper[j] is None:
+            _require(mu == 0, "Farkas multiplier on a missing upper bound")
+        else:
+            _require(mu <= 0, "Farkas sign (upper)")
+            bound += mu * lp.upper[j]
+        gj = g[j] + mu
+        if lp.lower[j] is None:
+            _require(gj == 0, "Farkas combination nonzero on a free variable")
+        else:
+            _require(gj <= 0, "Farkas combination positive on a bounded variable")
+            bound -= gj * lp.lower[j]
+    _require(bound > 0, "Farkas combination is not contradictory")
+
+
+def check_unbounded(lp: LinearProgram, sol: LpSolution) -> None:
+    """Exact verification of a feasible point x = `sol.point` and an
+    improving ray d = `sol.primal`.
+
+    x must satisfy every row and bound of the LP, and d the homogeneous
+    system (a.d <= 0, >= 0 or = 0 with the row's relation; d_j >= 0 under
+    a lower bound, d_j <= 0 under an upper bound) and strictly improve the
+    objective; x + s d is then feasible for every s >= 0, and the LP value
+    is unbounded.  Raises CertificateError on any exact violation.
+    """
+    _require(sol.status == "Unbounded", f"status {sol.status!r} is not Unbounded")
+    n = lp.num_vars
+    d = sol.primal
+    _require(len(d) == n, "ray has the wrong length")
+    _require(len(sol.point) == n, "feasible point has the wrong length")
+    _require_feasible(lp, sol.point)
+    for row in lp.constraints:
+        lhs = _dot(row.coeffs, d)
+        if row.relation == LE:
+            _require(lhs <= 0, "ray leaves a <= row")
+        elif row.relation == GE:
+            _require(lhs >= 0, "ray leaves a >= row")
+        else:
+            _require(lhs == 0, "ray leaves an = row")
+    for j in range(n):
+        if lp.lower[j] is not None:
+            _require(d[j] >= 0, "ray leaves a lower bound")
+        if lp.upper[j] is not None:
+            _require(d[j] <= 0, "ray leaves an upper bound")
+    gain = _dot(lp.objective, d)
+    _require(gain > 0 if lp.sense == "max" else gain < 0, "ray does not improve")

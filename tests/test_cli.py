@@ -8,6 +8,7 @@ from fractions import Fraction
 
 import pytest
 
+from robust_ftap import cli, large_market
 from robust_ftap.cli import (
     build_certificate,
     canonical_json,
@@ -281,6 +282,26 @@ class TestSubcommands:
         assert code == 0
         assert cert["verdict"] == "NA fails"
         assert cert["witness"]["strict_outcome"] == "u"
+
+    def test_weak_contiguity_scans_once(self, tmp_path, monkeypatch):
+        # the transcript is the library's own claims: the small-event scan
+        # behind them runs once, not again in the CLI
+        calls = []
+        claims = large_market.weak_contiguity_claims
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return claims(*args, **kwargs)
+
+        monkeypatch.setattr(large_market, "weak_contiguity_claims", counted)
+        # a CLI that imports the claim builder itself is counted too
+        monkeypatch.setattr(cli, "weak_contiguity_claims", counted, raising=False)
+        path = os.path.join(os.path.dirname(SEQUENCE), "sequence_shrinking.json")
+        code, cert = run_json(
+            tmp_path, ["weak-contiguity", "--input", path, "--epsilon", "1/2"]
+        )
+        assert code == 0 and cert["transcript"]
+        assert len(calls) == 1
 
     def test_text_format(self, tmp_path, capsys):
         path = write(tmp_path, "m1.json", M1)

@@ -1,21 +1,27 @@
 """Differential test of the integer simplex against the Fraction simplex it
-replaced (`fraction_simplex.reference_solve_lp`).
+replaced (`fraction_simplex.reference_solve_lp`), and of the integer
+certificate checks against the Fraction checks they replaced.
 
 Both engines build the same columns, artificials and row flips and follow
 Bland's rule, so they make the same pivots: every field of their solutions
 (status, primal, dual, value, reduced costs, upper-bound multipliers, the
 Farkas vector of an Infeasible LP and the feasible point and ray of an
 Unbounded one) must be exactly equal, and each must pass the check for its
-status.
+status.  A solution with one field forged by a small rational must be
+accepted or rejected alike by the integer check on the scaled rows and by
+the reference check on the rows as given.
 """
 
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
 from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
+import fraction_simplex
 from fraction_simplex import reference_solve_lp
+from robust_ftap.errors import CertificateError
 from robust_ftap.lp_core import (
     EQ,
     GE,
@@ -34,6 +40,12 @@ CHECKS = {
     "Optimal": check_optimal,
     "Infeasible": check_infeasible,
     "Unbounded": check_unbounded,
+}
+
+REFERENCE_CHECKS = {
+    "Optimal": fraction_simplex.check_optimal,
+    "Infeasible": fraction_simplex.check_infeasible,
+    "Unbounded": fraction_simplex.check_unbounded,
 }
 
 rationals = st.builds(F, st.integers(-6, 6), st.integers(1, 4))
@@ -88,6 +100,56 @@ def _assert_same(lp):
 @given(linear_programs())
 def test_matches_fraction_simplex(lp):
     event(_assert_same(lp).status)
+
+
+# the fields that make up the certificate of each status
+FORGEABLE = {
+    "Optimal": ("value", "primal", "dual", "reduced_costs", "upper_dual"),
+    "Infeasible": ("dual", "upper_dual"),
+    "Unbounded": ("primal", "point"),
+}
+
+
+def _accepts(check, lp, sol):
+    try:
+        check(lp, sol)
+    except CertificateError:
+        return False
+    return True
+
+
+def _plain(v):
+    """An integral rational as a plain int, as a hand-forged solution has."""
+    return int(v) if v.denominator == 1 else v
+
+
+@settings(max_examples=400, deadline=None)
+@given(linear_programs(), st.data())
+def test_checks_agree_on_forged_solutions(lp, data):
+    sol = solve_lp(lp)
+    name = data.draw(
+        st.sampled_from([f for f in FORGEABLE[sol.status] if getattr(sol, f) != ()])
+    )
+    delta = data.draw(rationals)  # 0 leaves the solution as it is
+    if name == "value":
+        forged = replace(sol, value=sol.value + delta)
+    else:
+        vec = list(getattr(sol, name))
+        vec[data.draw(st.integers(0, len(vec) - 1))] += delta
+        forged = replace(sol, **{name: tuple(vec)})
+    if data.draw(st.booleans()):
+        forged = replace(
+            forged,
+            **{
+                f: tuple(map(_plain, getattr(forged, f)))
+                for f in ("primal", "dual", "reduced_costs", "upper_dual", "point")
+            },
+            value=None if forged.value is None else _plain(forged.value),
+        )
+    accepted = _accepts(CHECKS[sol.status], lp, forged)
+    assert accepted == _accepts(REFERENCE_CHECKS[sol.status], lp, forged)
+    assert accepted or delta
+    event(f"{sol.status} {name}: {'accepted' if accepted else 'rejected'}")
 
 
 BEALE = LinearProgram(
