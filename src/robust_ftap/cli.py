@@ -51,7 +51,7 @@ from .large_market import (
     certify_moduli,
     scan_aa1,
     scan_aa2,
-    weak_contiguity_certificate,
+    _weak_contiguity_certificate,
 )
 from .market import (
     Market,
@@ -614,7 +614,7 @@ def _cmd_weak_contiguity(args, max_enum):
     eps = _parse_level(args.epsilon, "--epsilon")
     input_obj = dict(sequence_to_obj(seq), epsilon=format_rational(eps))
     try:
-        delta, picks, claims = weak_contiguity_certificate(
+        delta, picks, claims = _weak_contiguity_certificate(
             seq, epsilon=eps, max_enum=max_enum
         )
     except HypothesisViolated as exc:

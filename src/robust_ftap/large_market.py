@@ -457,26 +457,24 @@ def weak_contiguity_witness(
     epsilon=Fraction(1, 4),
     max_enum: int = DEFAULT_MAX_ENUM,
 ) -> tuple[Fraction, tuple[ProbabilityMeasure, ...]]:
-    """Per-epsilon weak-contiguity certificate for the martingale sets:
-    delta and the per-market witness measures of
-    :func:`weak_contiguity_certificate`, without its claims."""
-    return weak_contiguity_certificate(seq, p_sequence, epsilon, max_enum)[:2]
-
-
-def weak_contiguity_certificate(
-    seq: MarketSequence,
-    p_sequence: Optional[Sequence[ProbabilityMeasure]] = None,
-    epsilon=Fraction(1, 4),
-    max_enum: int = DEFAULT_MAX_ENUM,
-) -> tuple[Fraction, tuple[ProbabilityMeasure, ...], tuple[Claim, ...]]:
-    """Per-epsilon weak-contiguity certificate for the martingale sets, as
-    delta, the per-market witness measures and their checked claims.
+    """Per-epsilon weak-contiguity certificate for the martingale sets.
 
     Works at the half level e' = epsilon / 2: with delta = e' * d(e') where
     d is the uniform dual modulus at e', each per-market witness measure
     satisfies P_n(A) < delta implies Q_n(A) < 2 e' = epsilon, verified by
     full enumeration (:func:`weak_contiguity_claims`).
     """
+    return _weak_contiguity_certificate(seq, p_sequence, epsilon, max_enum)[:2]
+
+
+def _weak_contiguity_certificate(
+    seq: MarketSequence,
+    p_sequence: Optional[Sequence[ProbabilityMeasure]] = None,
+    epsilon=Fraction(1, 4),
+    max_enum: int = DEFAULT_MAX_ENUM,
+) -> tuple[Fraction, tuple[ProbabilityMeasure, ...], tuple[Claim, ...]]:
+    """:func:`weak_contiguity_witness` as (delta, picks, claims), with the
+    checked claims of its bound, so the CLI need not scan again."""
     epsilon = Fraction(epsilon)
     N = len(seq)
     if N == 0:

@@ -586,22 +586,19 @@ def check_unbounded(lp: LinearProgram, sol: LpSolution) -> None:
 # ---------------------------------------------------------------------------
 
 
-def solve_square(
-    matrix: Sequence[Sequence[Fraction]],
-    rhs: Sequence[Fraction],
-    nonnegative: bool = False,
-):
-    """Solve a square rational system by fraction-free elimination.
+def solve_square(matrix: Sequence[Sequence[Fraction]], rhs: Sequence[Fraction]):
+    """The nonnegative solution of a square rational system, by
+    fraction-free elimination.
 
-    Returns the solution vector, or None when the matrix is singular or,
-    with `nonnegative`, when the solution has a negative entry; the sign
-    test runs on the reduced integer rows, before any Fraction is built.
+    Returns None when the matrix is singular or the solution has a negative
+    entry; the sign test runs on the reduced integer rows, before any
+    Fraction is built.
     """
     n = len(rhs)
     rows = [_int_row(list(row) + [b]) for row, b in zip(matrix, rhs)]
     if _row_reduce(rows, n) < n:
         return None
-    if nonnegative and any(row[n] * row[i] < 0 for i, row in enumerate(rows)):
+    if any(row[n] * row[i] < 0 for i, row in enumerate(rows)):
         return None
     return [Fraction(row[n], row[i]) for i, row in enumerate(rows)]
 
@@ -634,7 +631,7 @@ def enumerate_basic_feasible(
     out: list[tuple[Fraction, ...]] = []
     for basis in combinations(range(nvars), rank):
         square = [[row[j] for j in basis] for row in A_ind]
-        sol = solve_square(square, b_ind, nonnegative=True)
+        sol = solve_square(square, b_ind)
         if sol is None:
             continue
         q = [ZERO] * nvars

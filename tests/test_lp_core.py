@@ -333,6 +333,8 @@ class TestLinearAlgebra:
             F(1, 4),
         ]
         assert solve_square([[F(1), F(1)], [F(2), F(2)]], [F(1), F(2)]) is None
+        # a negative entry: not a basic feasible solution
+        assert solve_square([[F(1), F(1)], [F(1), F(-1)]], [F(1), F(3)]) is None
 
     def test_matrix_rank(self):
         assert matrix_rank([[F(1), F(2)], [F(2), F(4)]]) == 1
