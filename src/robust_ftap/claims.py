@@ -15,6 +15,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import CertificateError
+from .measures import rational
 
 RELATIONS = {
     "<": operator.lt,
@@ -40,7 +41,7 @@ def claim(description: str, lhs, relation: str, rhs) -> Claim:
     false or the relation is unknown."""
     if relation not in RELATIONS:
         raise CertificateError(f"{description}: unknown relation {relation!r}")
-    lhs, rhs = Fraction(lhs), Fraction(rhs)
+    lhs, rhs = rational(lhs), rational(rhs)
     if not RELATIONS[relation](lhs, rhs):
         raise CertificateError(f"{description}: {lhs} {relation} {rhs} is false")
     return Claim(description, lhs, relation, rhs)

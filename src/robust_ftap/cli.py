@@ -67,12 +67,14 @@ from .measures import (
     BoundedFunction,
     ProbabilityMeasure,
     SampleSpace,
+    rational,
 )
 
 ENV_MAX_ENUM = "ROBUST_FTAP_MAX_ENUM"
 
-_RATIONAL_RE = re.compile(r"-?[0-9]+(/[1-9][0-9]*)?\Z")
-_DECIMAL_RE = re.compile(r"-?[0-9]+\.[0-9]{1,12}\Z")
+# p, p/q or p.f: the integer part with its sign, then the denominator or
+# the fractional digits
+_NUMBER_RE = re.compile(r"(-?[0-9]+)(?:/([1-9][0-9]*)|\.([0-9]{1,12}))?\Z")
 
 
 # ---------------------------------------------------------------------------
@@ -91,18 +93,18 @@ def parse_rational(value, field: str = "value") -> Fraction:
             f"{field}: floats are not accepted; use a rational string"
         )
     if isinstance(value, str):
-        text = value.strip()
+        match = _NUMBER_RE.match(value.strip())
+        if match is None:
+            raise InputError(f"{field}: {value!r} is not a valid rational string")
+        whole, den, frac = match.groups()
         try:
-            if _RATIONAL_RE.match(text):
-                return Fraction(text)
-            if _DECIMAL_RE.match(text):
-                whole, frac = text.split(".")
-                sign = -1 if whole.startswith("-") else 1
-                num = abs(int(whole)) * 10 ** len(frac) + int(frac)
-                return Fraction(sign * num, 10 ** len(frac))
+            if den is not None:
+                return Fraction(int(whole), int(den))
+            if frac is not None:  # the sign of whole carries over: -0.5 is -05/10
+                return Fraction(int(whole + frac), 10 ** len(frac))
+            return Fraction(int(whole))
         except ValueError as exc:  # more digits than int() converts
             raise InputError(f"{field}: {exc}") from exc
-        raise InputError(f"{field}: {value!r} is not a valid rational string")
     raise InputError(f"{field}: expected a rational string, got {type(value).__name__}")
 
 
@@ -113,7 +115,7 @@ def format_rational(x: Fraction) -> str:
     an exact result computed from them can pass it; such a result cannot
     be written, and the input is refused."""
     try:
-        return str(Fraction(x))
+        return str(rational(x))
     except ValueError as exc:
         raise InputError(f"a computed value cannot be written: {exc}") from exc
 

@@ -40,7 +40,13 @@ from typing import Callable, Iterable, Iterator, NamedTuple, Optional, Sequence
 
 from .errors import EnumerationCapExceeded
 from .lp_core import GE
-from .measures import AmbiguitySet, ProbabilityMeasure, SampleSpace, ordered_support
+from .measures import (
+    AmbiguitySet,
+    ProbabilityMeasure,
+    SampleSpace,
+    ordered_support,
+    rational,
+)
 
 #: Width of the low-bit block: at most 2**LOW_BITS table entries per measure.
 LOW_BITS = 6
@@ -202,7 +208,7 @@ class Envelope:
 
     def threshold(self, t) -> int:
         """The least numerator N with N / denominator >= t."""
-        return ceil(Fraction(t) * self.denominator)
+        return ceil(rational(t) * self.denominator)
 
     def numerators(self, mask: int) -> list[int]:
         """Each measure's numerator of mu(A) for the event of ``mask``."""

@@ -21,6 +21,8 @@ from .lp_core import (
     GE,
     HPolytope,
     LE,
+    ONE,
+    ZERO,
     MinimaxInstance,
     MinimaxResult,
     VertexPolytope,
@@ -33,6 +35,7 @@ from .measures import (
     dominated_by,
     mix,
     ordered_support,
+    rational,
 )
 
 #: Sentinel for "no event qualifies": a value no probability can reach.
@@ -52,7 +55,7 @@ class HsInstance:
     delta: Fraction
 
     def __init__(self, P: AmbiguitySet, Q: AmbiguitySet, epsilon, delta):
-        epsilon, delta = Fraction(epsilon), Fraction(delta)
+        epsilon, delta = rational(epsilon), rational(delta)
         if P.space != Q.space:
             raise DimensionMismatch("P and Q live on different spaces")
         if not (0 < epsilon < 1) or not (0 < delta < 1):
@@ -136,9 +139,9 @@ def _d_set_polytope(
     n = len(support)
     cons: list[Constraint] = []
     for i in range(n):
-        unit = [Fraction(1) if j == i else Fraction(0) for j in range(n)]
-        cons.append(Constraint(unit, GE, 0))
-        cons.append(Constraint(unit, LE, 1))
+        unit = [ONE if j == i else ZERO for j in range(n)]
+        cons.append(Constraint(unit, GE, ZERO))
+        cons.append(Constraint(unit, LE, ONE))
     weights = [vertex_p.mass_of(o) for o in support]
     if kind == PRIMAL:
         cons.append(Constraint(weights, GE, 2 * inst.epsilon))
@@ -165,10 +168,8 @@ def _expectation_game(
     """
     support, dset = _d_set_polytope(inst, vertex_p, kind)
     n = len(support)
-    sign = Fraction(1) if kind == PRIMAL else Fraction(-1)
-    payoff = [
-        [sign if i == j else Fraction(0) for j in range(n)] for i in range(n)
-    ]
+    sign = ONE if kind == PRIMAL else -ONE
+    payoff = [[sign if i == j else ZERO for j in range(n)] for i in range(n)]
     return minimax_value(
         MinimaxInstance(payoff, _q_vertex_polytope(inst, support), dset)
     )
@@ -304,7 +305,7 @@ def hs_modulus(
     the sentinel value 2 (impossible for a probability) signals that no
     event qualifies.
     """
-    epsilon = Fraction(epsilon)
+    epsilon = rational(epsilon)
     if P.space != Q.space:
         raise DimensionMismatch("P and Q live on different spaces")
     events = support_events(P, max_enum)

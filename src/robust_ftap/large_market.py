@@ -26,7 +26,7 @@ from .halmos_savage import (
 )
 from .lp_core import Constraint, GE, LinearProgram, solve_lp
 from .market import Market, MartingalePolytope, check_na, martingale_polytope
-from .measures import DEFAULT_MAX_ENUM, AmbiguitySet, ProbabilityMeasure, mix
+from .measures import DEFAULT_MAX_ENUM, AmbiguitySet, ProbabilityMeasure, mix, rational
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
@@ -200,7 +200,7 @@ def _fill_slots(
     the shared witness fields and the high-gain P-masses at the first alpha
     that fills a nonempty list of slots; None when no alpha does.
     """
-    alphas = [Fraction(a) for a in alpha_grid]
+    alphas = [rational(a) for a in alpha_grid]
     if any(a <= 0 for a in alphas):
         raise ValueError("alpha levels must be positive")
 
@@ -256,7 +256,7 @@ def scan_aa1(
     """
     if c_schedule is None:
         c_schedule = [Fraction(1, k + 1) for k in range(len(seq))]
-    c_schedule = [Fraction(c) for c in c_schedule]
+    c_schedule = [rational(c) for c in c_schedule]
     if any(c <= 0 for c in c_schedule) or any(
         a <= b for a, b in zip(c_schedule, c_schedule[1:])
     ):
@@ -284,7 +284,7 @@ def scan_aa2(
     if target_levels is None:
         N = max(len(seq), 1)
         target_levels = [1 - Fraction(1, k + 1) for k in range(1, N + 1)]
-    target_levels = [Fraction(t) for t in target_levels]
+    target_levels = [rational(t) for t in target_levels]
     if any(t <= 0 for t in target_levels) or target_levels != sorted(target_levels):
         raise ValueError("target levels must be positive and nondecreasing")
     found = _fill_slots(seq, alpha_grid, lambda alpha: [(t, ONE) for t in target_levels],
@@ -332,7 +332,7 @@ def certify_moduli(
 
 def _moduli(seq, q_sets, epsilon_grid, kind: str, max_enum: int) -> ModulusTable:
     """:func:`certify_moduli` against the martingale sets already enumerated."""
-    epsilon_grid = tuple(Fraction(e) for e in epsilon_grid)
+    epsilon_grid = tuple(map(rational, epsilon_grid))
     modulus = hs_modulus if kind == "primal" else _dual_modulus
     per_market = tuple(
         tuple(modulus(m.P, q_set, eps, max_enum) for eps in epsilon_grid)
@@ -475,7 +475,7 @@ def _weak_contiguity_certificate(
 ) -> tuple[Fraction, tuple[ProbabilityMeasure, ...], tuple[Claim, ...]]:
     """:func:`weak_contiguity_witness` as (delta, picks, claims), with the
     checked claims of its bound, so the CLI need not scan again."""
-    epsilon = Fraction(epsilon)
+    epsilon = rational(epsilon)
     N = len(seq)
     if N == 0:
         raise ValueError("sequence must be nonempty")
@@ -515,7 +515,7 @@ def weak_contiguity_claims(
     """The weak-contiguity bound P_n(A) < delta => picks[n](A) < epsilon: per
     market with such events A, a claim on their largest pick mass; none for
     epsilon > 1.  Raises CertificateError when a claim fails."""
-    epsilon = Fraction(epsilon)
+    epsilon = rational(epsilon)
     if epsilon > 1:
         return ()
     claims = []

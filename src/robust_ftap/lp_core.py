@@ -3,16 +3,19 @@
 A two-phase simplex with Bland's anti-cycling rule on an integer tableau:
 rows are Python ints over a positive factor per row, and pivots are
 fraction-free row operations reduced by the gcd (Edmonds 1967, Bareiss
-1968).  A `LinearProgram` scales its rows and objective to integers once,
-when it is built, and the solution is read off the integer tableau, so
-`fractions.Fraction` appears only in the LP as given and in the
-`LpSolution`.  Optimal solutions come back with dual multipliers whose
-objective equals the primal objective as a rational, with no tolerance;
-infeasible ones with Farkas multipliers and unbounded ones with a feasible
-point and an improving ray.  Each outcome is checked exactly before it is
-returned (`check_optimal`, `check_infeasible`, `check_unbounded`; a failed
-check raises CertificateError), in integers on the LP's scaled rows and
-never on the tableau, each solution vector over its common denominator.
+1968).  Values become `fractions.Fraction`s at one boundary,
+`measures.rational`, when a `Constraint` or `LinearProgram` is built (a
+Fraction is kept as it is).  The `LinearProgram` then scales its rows and
+objective to integers once, and the solution is read off the integer
+tableau, so past that boundary the solver works in ints and builds
+Fractions only for the `LpSolution`.  Optimal solutions come back with
+dual multipliers whose objective equals the primal objective as a
+rational, with no tolerance; infeasible ones with Farkas multipliers and
+unbounded ones with a feasible point and an improving ray.  Each outcome
+is checked exactly before it is returned (`check_optimal`,
+`check_infeasible`, `check_unbounded`; a failed check raises
+CertificateError), in integers on the LP's scaled rows and never on the
+tableau, each solution vector over its common denominator.
 
 On top of the solver sits a bilinear minimax over a vertex-polytope /
 polytope pair, solved as one LP: its primal is the sup-inf order and its
@@ -30,22 +33,13 @@ from math import gcd, lcm
 from typing import Iterable, Optional, Sequence
 
 from .errors import CertificateError, DimensionMismatch, EmptyPolytope
+from .measures import rational, scaled
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
 
 LE, EQ, GE = "<=", "=", ">="
 _RELATIONS = (LE, EQ, GE)
-
-
-def _scaled(values: Sequence) -> tuple[list[int], int]:
-    """The integers s * v for v in `values` and s, the lcm of their
-    denominators: `values` over the common denominator s (ints count as
-    over 1)."""
-    # reduce() rather than lcm(*...): a star-argument tuple per row raised
-    # the peak RSS of the market-lp benchmark by about 1.5 MiB
-    s = reduce(lcm, [v.denominator for v in values], 1)
-    return [v.numerator * (s // v.denominator) for v in values], s
 
 
 @dataclass(frozen=True)
@@ -57,9 +51,9 @@ class Constraint:
     def __init__(self, coeffs: Iterable, relation: str, rhs):
         if relation not in _RELATIONS:
             raise ValueError(f"relation must be one of {_RELATIONS}")
-        object.__setattr__(self, "coeffs", tuple(Fraction(c) for c in coeffs))
+        object.__setattr__(self, "coeffs", tuple(map(rational, coeffs)))
         object.__setattr__(self, "relation", relation)
-        object.__setattr__(self, "rhs", Fraction(rhs))
+        object.__setattr__(self, "rhs", rational(rhs))
 
 
 @dataclass(frozen=True)
@@ -92,7 +86,7 @@ class LinearProgram:
         lower: Optional[Sequence] = None,
         upper: Optional[Sequence] = None,
     ):
-        objective = tuple(Fraction(c) for c in objective)
+        objective = tuple(map(rational, objective))
         n = len(objective)
         if sense not in ("max", "min"):
             raise ValueError("sense must be 'max' or 'min'")
@@ -103,18 +97,18 @@ class LinearProgram:
                     f"constraint has {len(row.coeffs)} coefficients, expected {n}"
                 )
         lo = tuple(
-            None if b is None else Fraction(b)
+            None if b is None else rational(b)
             for b in (lower if lower is not None else [None] * n)
         )
         up = tuple(
-            None if b is None else Fraction(b)
+            None if b is None else rational(b)
             for b in (upper if upper is not None else [None] * n)
         )
         if len(lo) != n or len(up) != n:
             raise DimensionMismatch("one bound entry per variable required")
         rows = []
         for row in constraints:
-            a, s = _scaled(row.coeffs + (row.rhs,))
+            a, s = scaled(row.coeffs + (row.rhs,))
             rows.append((a[:n], row.relation, a[n], s))
         for j, u in enumerate(up):
             if u is not None:
@@ -123,7 +117,7 @@ class LinearProgram:
         for name, value in (
             ("objective", objective), ("sense", sense), ("constraints", constraints),
             ("lower", lo), ("upper", up), ("_rows", tuple(rows)),
-            ("_cost", _scaled(objective)), ("_lower", _scaled([b or ZERO for b in lo])),
+            ("_cost", scaled(objective)), ("_lower", scaled([b or ZERO for b in lo])),
         ):
             object.__setattr__(self, name, value)
 
@@ -162,7 +156,7 @@ class LpSolution:
 def _int_row(values: Sequence) -> list[int]:
     """The rational row `values` times a positive factor that makes every
     entry an integer with no common divisor (ints are accepted too)."""
-    row, _ = _scaled(values)
+    row, _ = scaled(values)
     g = reduce(gcd, row, 0)
     return [a // g for a in row] if g > 1 else row
 
@@ -434,7 +428,7 @@ def _holds(lhs: int, relation: str, rhs: int) -> bool:
 
 def _require_feasible(lp: LinearProgram, x: Sequence) -> tuple[list[int], int]:
     """x = X / D satisfies every row and bound of the LP; returns X and D."""
-    X, D = _scaled(x)
+    X, D = scaled(x)
     ncons = len(lp.constraints)
     for k, (a, rel, b, _) in enumerate(lp._rows):
         _require(
@@ -463,7 +457,7 @@ def _multipliers(
         "multiplier on a missing upper bound",
     )
     ys = list(y) + [v for v, u in zip(mu, lp.upper) if u is not None]
-    num, d = _scaled(ys + [v for vec in extra for v in vec])
+    num, d = scaled(ys + [v for vec in extra for v in vec])
     scale = reduce(lcm, [s for *_, s in lp._rows], 1)
     W = [w * (scale // s) for w, (*_, s) in zip(num, lp._rows)]
     return W, [v * scale for v in num[len(ys):]], d * scale
@@ -571,7 +565,7 @@ def check_unbounded(lp: LinearProgram, sol: LpSolution) -> None:
     _require(len(sol.primal) == n, "ray has the wrong length")
     _require(len(sol.point) == n, "feasible point has the wrong length")
     _require_feasible(lp, sol.point)
-    d, _ = _scaled(sol.primal)
+    d, _ = scaled(sol.primal)
     for a, rel, _, _ in lp._rows:
         _require(_holds(_idot(a, d), rel, 0), f"ray leaves a {rel} row")
     for dj, lo in zip(d, lp.lower):
@@ -627,20 +621,22 @@ def enumerate_basic_feasible(
     A_ind = [row[:nvars] for row in work[:rank]]
     b_ind = [row[nvars] for row in work[:rank]]
 
-    seen: set[tuple[Fraction, ...]] = set()
+    # a vertex is keyed by the integers (j, numerator, denominator) of its
+    # nonzero entries: hashing a Fraction costs a modular inverse
+    seen: set[tuple[tuple[int, int, int], ...]] = set()
     out: list[tuple[Fraction, ...]] = []
     for basis in combinations(range(nvars), rank):
         square = [[row[j] for j in basis] for row in A_ind]
         sol = solve_square(square, b_ind)
         if sol is None:
             continue
-        q = [ZERO] * nvars
-        for j, v in zip(basis, sol):
-            q[j] = v
-        key = tuple(q)
+        key = tuple((j, v.numerator, v.denominator) for j, v in zip(basis, sol) if v)
         if key not in seen:
             seen.add(key)
-            out.append(key)
+            q = [ZERO] * nvars
+            for j, v in zip(basis, sol):
+                q[j] = v
+            out.append(tuple(q))
     return out
 
 
@@ -654,7 +650,7 @@ class VertexPolytope:
     vertices: tuple[tuple[Fraction, ...], ...]
 
     def __init__(self, vertices: Iterable[Iterable]):
-        vs = tuple(tuple(Fraction(v) for v in vert) for vert in vertices)
+        vs = tuple(tuple(map(rational, vert)) for vert in vertices)
         object.__setattr__(self, "vertices", vs)
 
     @property
@@ -687,7 +683,7 @@ class MinimaxInstance:
     Y: object  # VertexPolytope | HPolytope
 
     def __init__(self, payoff: Iterable[Iterable], X: VertexPolytope, Y):
-        B = tuple(tuple(Fraction(v) for v in row) for row in payoff)
+        B = tuple(tuple(map(rational, row)) for row in payoff)
         object.__setattr__(self, "payoff", B)
         object.__setattr__(self, "X", X)
         object.__setattr__(self, "Y", Y)

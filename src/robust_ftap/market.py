@@ -28,6 +28,8 @@ from .errors import (
 from .lp_core import (
     Constraint,
     EQ,
+    ONE,
+    ZERO,
     LinearProgram,
     LpSolution,
     enumerate_basic_feasible,
@@ -41,10 +43,9 @@ from .measures import (
     ProbabilityMeasure,
     SampleSpace,
     ordered_support,
+    rational,
+    scaled,
 )
-
-ZERO = Fraction(0)
-ONE = Fraction(1)
 
 
 @dataclass(frozen=True)
@@ -52,8 +53,10 @@ class Market:
     """One-period market: d assets, outcome-indexed payoffs, ambiguity set.
 
     The quasi-sure support, in sample-space order, and the price increment
-    at every outcome are computed once, at construction; the no-arbitrage
-    decision once, when it is first asked for (`check_na`).
+    at every outcome are computed once, at construction, the increments
+    also as integer rows over one common denominator, which the gains and
+    the expected increments sum; the no-arbitrage decision once, when it
+    is first asked for (`check_na`).
     """
 
     space: SampleSpace
@@ -63,6 +66,8 @@ class Market:
     P: AmbiguitySet
     support: tuple[str, ...] = field(init=False, repr=False, compare=False)
     _increments: dict = field(init=False, repr=False, compare=False)
+    _int_increments: dict = field(init=False, repr=False, compare=False)
+    _increment_scale: int = field(init=False, repr=False, compare=False)
 
     def __init__(
         self,
@@ -71,8 +76,8 @@ class Market:
         s1: Iterable[Iterable],
         P: AmbiguitySet,
     ):
-        s0 = tuple(Fraction(v) for v in s0)
-        s1 = tuple(tuple(Fraction(v) for v in row) for row in s1)
+        s0 = tuple(map(rational, s0))
+        s1 = tuple(tuple(map(rational, row)) for row in s1)
         d = len(s0)
         if len(s1) != space.size or any(len(row) != d for row in s1):
             raise DimensionMismatch("payoff matrix must be |outcomes| x d")
@@ -88,15 +93,19 @@ class Market:
             o: tuple(x - y for x, y in zip(row, s0))
             for o, row in zip(space.outcomes, s1)
         }
+        nums, scale = scaled([x for row in increments.values() for x in row])
+        ints = {o: tuple(nums[k * d : (k + 1) * d]) for k, o in enumerate(increments)}
         object.__setattr__(self, "_increments", increments)
+        object.__setattr__(self, "_int_increments", ints)
+        object.__setattr__(self, "_increment_scale", scale)
 
     def delta_s(self, outcome: str) -> tuple[Fraction, ...]:
         return self._increments[outcome]
 
     def gain(self, H: Sequence[Fraction], outcome: str) -> Fraction:
-        return sum(
-            (h * d for h, d in zip(H, self.delta_s(outcome))), ZERO
-        )
+        h, scale = scaled(H)
+        g = sum(a * b for a, b in zip(h, self._int_increments[outcome]))
+        return Fraction(g, scale * self._increment_scale)
 
     def measure(self, values: Iterable) -> ProbabilityMeasure:
         """The probability measure with the given masses on the support."""
@@ -116,10 +125,13 @@ class Market:
     ) -> tuple[Claim, ...]:
         """E_q[increment of asset i] = 0 over the support, for each asset i;
         raises CertificateError when q is not a martingale measure."""
+        mass, scale = scaled([q.mass_of(o) for o in self.support])
+        rows = [self._int_increments[o] for o in self.support]
+        scale *= self._increment_scale
         return tuple(
             claim(
                 f"{name}: expected increment of asset {i}",
-                sum((q.mass_of(o) * self.delta_s(o)[i] for o in self.support), ZERO),
+                Fraction(sum(a * row[i] for a, row in zip(mass, rows)), scale),
                 "=",
                 ZERO,
             )
@@ -256,7 +268,7 @@ def _max_charge(
     martingale measure charging every outcome in `charged`.  The column of
     t is the sum of (1, dS_o) over `charged`, so t <= 1 / |charged| holds
     without a bound."""
-    t_col = [sum(c, ZERO) for c in zip(*((ONE,) + m.delta_s(o) for o in charged))]
+    t_col = _charge_column(m, charged)
     n = len(m.support)
     lp = LinearProgram(
         [ZERO] * n + [ONE], "max", _martingale_rows(m, t_col), lower=[ZERO] * (n + 1)
@@ -266,6 +278,15 @@ def _max_charge(
         return sol, None
     *s, t = sol.primal
     return sol, m.measure(v + t if o in charged else v for o, v in zip(m.support, s))
+
+
+def _charge_column(m: Market, charged: Sequence[str]) -> list[Fraction]:
+    """The sum of (1, dS_o) over the outcomes in `charged`, summed in the
+    market's integer increments."""
+    rows = [m._int_increments[o] for o in charged]
+    return [Fraction(len(rows))] + [
+        Fraction(sum(row[i] for row in rows), m._increment_scale) for i in range(m.d)
+    ]
 
 
 def find_dominating_martingale(

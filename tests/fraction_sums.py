@@ -1,0 +1,113 @@
+"""Reference Fraction expressions for the integer sums that replaced them.
+
+``robust_ftap`` makes values exact once (``measures.rational``) and then
+sums integers over a common denominator: the mass checks and the
+expectations of a ``ProbabilityMeasure``, a market's gains, its expected
+increments and the charging column of its LPs, the reading of a rational
+string, and the duplicate test of the vertex enumeration.  These are the
+expressions they replaced, over ``fractions.Fraction``, kept only as the
+slow reference path of ``test_rational_differential.py``.
+"""
+
+from __future__ import annotations
+
+import re
+from fractions import Fraction
+from itertools import combinations
+from typing import Optional
+
+from robust_ftap.errors import InputError
+from robust_ftap.lp_core import _int_row, _row_reduce, solve_square
+
+ZERO = Fraction(0)
+ONE = Fraction(1)
+
+
+def probability_defect(mass) -> Optional[str]:
+    """The ValueError message a ProbabilityMeasure with these masses
+    raises, or None when they are a probability vector."""
+    mass = tuple(Fraction(v) for v in mass)
+    if any(m < 0 for m in mass):
+        return "probability masses must be nonnegative"
+    if sum(mass) != 1:
+        return "probability masses must sum to exactly 1"
+    return None
+
+
+def expectation(q, f) -> Fraction:
+    return sum((m * v for m, v in zip(q.mass, f.values)), ZERO)
+
+
+def gain(m, H, outcome) -> Fraction:
+    return sum((h * d for h, d in zip(H, m.delta_s(outcome))), ZERO)
+
+
+def expected_increments(m, q) -> tuple[Fraction, ...]:
+    """E_q[increment of asset i] over the support, for each asset i."""
+    return tuple(
+        sum((q.mass_of(o) * m.delta_s(o)[i] for o in m.support), ZERO)
+        for i in range(m.d)
+    )
+
+
+def charge_column(m, charged) -> list[Fraction]:
+    """The sum of (1, dS_o) over the outcomes in ``charged``."""
+    return [sum(c, ZERO) for c in zip(*((ONE,) + m.delta_s(o) for o in charged))]
+
+
+_RATIONAL_RE = re.compile(r"-?[0-9]+(/[1-9][0-9]*)?\Z")
+_DECIMAL_RE = re.compile(r"-?[0-9]+\.[0-9]{1,12}\Z")
+
+
+def parse_rational(value, field: str = "value") -> Fraction:
+    """The former ``cli.parse_rational``: a regex test, then ``Fraction(text)``."""
+    if isinstance(value, bool):
+        raise InputError(f"{field}: expected a rational string, got a boolean")
+    if isinstance(value, int):
+        return Fraction(value)
+    if isinstance(value, float):
+        raise InputError(
+            f"{field}: floats are not accepted; use a rational string"
+        )
+    if isinstance(value, str):
+        text = value.strip()
+        try:
+            if _RATIONAL_RE.match(text):
+                return Fraction(text)
+            if _DECIMAL_RE.match(text):
+                whole, frac = text.split(".")
+                sign = -1 if whole.startswith("-") else 1
+                num = abs(int(whole)) * 10 ** len(frac) + int(frac)
+                return Fraction(sign * num, 10 ** len(frac))
+        except ValueError as exc:  # more digits than int() converts
+            raise InputError(f"{field}: {exc}") from exc
+        raise InputError(f"{field}: {value!r} is not a valid rational string")
+    raise InputError(f"{field}: expected a rational string, got {type(value).__name__}")
+
+
+def enumerate_basic_feasible(eq_rows, eq_rhs) -> list[tuple[Fraction, ...]]:
+    """The former vertex enumeration, which removed duplicates by hashing
+    each vertex as a tuple of Fractions."""
+    nvars = len(eq_rows[0])
+    work = [_int_row(list(row) + [b]) for row, b in zip(eq_rows, eq_rhs)]
+    rank = _row_reduce(work, nvars)
+    if any(row[nvars] for row in work[rank:]):
+        return []
+    if rank == 0:
+        return [tuple([ZERO] * nvars)]
+    A_ind = [row[:nvars] for row in work[:rank]]
+    b_ind = [row[nvars] for row in work[:rank]]
+    seen: set[tuple[Fraction, ...]] = set()
+    out: list[tuple[Fraction, ...]] = []
+    for basis in combinations(range(nvars), rank):
+        sol = solve_square([[row[j] for j in basis] for row in A_ind], b_ind)
+        if sol is None:
+            continue
+        q = [ZERO] * nvars
+        for j, v in zip(basis, sol):
+            q[j] = v
+        key = tuple(q)
+        if key not in seen:
+            seen.add(key)
+            out.append(key)
+    return out
