@@ -540,17 +540,17 @@ def _cmd_hs_modulus(args, max_enum):
 def _cmd_scan(args, max_enum, kind):
     seq = load_sequence(_load_json(args.input))
     if kind == "first":
-        scan, levels = scan_aa1, _parse_grid(args.c_schedule, "--c-schedule")
+        scan, flag, text = scan_aa1, "--c-schedule", args.c_schedule
     else:
-        scan = scan_aa2
-        levels = _parse_grid(args.target_levels, "--target-levels", parse=_parse_level)
+        scan, flag, text = scan_aa2, "--target-levels", args.target_levels
+    levels = _parse_grid(text, flag, parse=_parse_level)
     alphas = _parse_grid(
         args.alpha_grid, "--alpha-grid", list(DEFAULT_ALPHA_GRID), _parse_level
     )
     try:
         w = scan(seq, alphas, levels, max_enum)
-    except ValueError as exc:
-        raise InputError(str(exc)) from exc
+    except ValueError as exc:  # the levels are positive but out of order
+        raise InputError(f"{flag}: {exc}") from exc
     input_obj = sequence_to_obj(seq)
     if w is None:
         return f"no {kind}-kind witness on this family", None, [], input_obj

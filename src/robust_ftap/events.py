@@ -33,9 +33,8 @@ finds the best value and its first event together.
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import reduce
 from itertools import combinations, compress
-from math import ceil, lcm
+from math import ceil
 from typing import Callable, Iterable, Iterator, NamedTuple, Optional, Sequence
 
 from .errors import EnumerationCapExceeded
@@ -46,6 +45,7 @@ from .measures import (
     SampleSpace,
     ordered_support,
     rational,
+    scaled,
 )
 
 #: Width of the low-bit block: at most 2**LOW_BITS table entries per measure.
@@ -200,11 +200,11 @@ class Envelope:
     over one common denominator."""
 
     def __init__(self, events: EventSpace, measures: Sequence[ProbabilityMeasure], agg):
-        rows = [[mu.mass[p] for p in events._pos] for mu in measures]
-        d = reduce(lcm, (x.denominator for row in rows for x in row), 1)
+        width = len(events._pos)
+        flat, d = scaled([mu.mass[p] for mu in measures for p in events._pos])
         self.agg = agg
         self.denominator = d
-        self.rows = [[x.numerator * (d // x.denominator) for x in row] for row in rows]
+        self.rows = [flat[i * width:(i + 1) * width] for i in range(len(measures))]
 
     def threshold(self, t) -> int:
         """The least numerator N with N / denominator >= t."""

@@ -24,12 +24,9 @@ from .halmos_savage import (
     construct_hs_witness,
     hs_modulus,
 )
-from .lp_core import Constraint, GE, LinearProgram, solve_lp
-from .market import Market, MartingalePolytope, check_na, martingale_polytope
+from .lp_core import GE, LE, ONE, ZERO, Constraint, LinearProgram, solve_lp
+from .market import Market, check_na, martingale_polytope
 from .measures import DEFAULT_MAX_ENUM, AmbiguitySet, ProbabilityMeasure, mix, rational
-
-ZERO = Fraction(0)
-ONE = Fraction(1)
 
 DEFAULT_ALPHA_GRID = (
     Fraction(1, 10),
@@ -135,16 +132,17 @@ def _feasible_strategy(
     floor: Fraction,
 ) -> Optional[tuple[Fraction, ...]]:
     """H in [-1,1]^d with gain >= alpha on the event and >= -floor elsewhere
-    on the support, or None."""
+    on the support, or None.  The box is the lower bounds -1 and one row
+    H_j <= 1 per asset after the support rows."""
     if m.d == 0:
         return None
     cons = []
     for o in m.support:
         target = alpha if o in event else -floor
         cons.append(Constraint(m.delta_s(o), GE, target))
-    lp = LinearProgram(
-        [ZERO] * m.d, "max", cons, lower=[-ONE] * m.d, upper=[ONE] * m.d
-    )
+    for j in range(m.d):
+        cons.append(Constraint([ONE if k == j else ZERO for k in range(m.d)], LE, ONE))
+    lp = LinearProgram([ZERO] * m.d, "max", cons, lower=[-ONE] * m.d)
     sol = solve_lp(lp)
     return sol.primal if sol.status == "Optimal" else None
 

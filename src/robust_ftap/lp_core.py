@@ -15,7 +15,9 @@ unbounded ones with a feasible point and an improving ray.  Each outcome
 is checked exactly before it is returned (`check_optimal`,
 `check_infeasible`, `check_unbounded`; a failed check raises
 CertificateError), in integers on the LP's scaled rows and never on the
-tableau, each solution vector over its common denominator.
+tableau, each solution vector over its common denominator.  Variables
+are free or bounded below; an upper bound is an ordinary `<=` row, so
+every multiplier is a row's.
 
 On top of the solver sits a bilinear minimax over a vertex-polytope /
 polytope pair, solved as one LP: its primal is the sup-inf order and its
@@ -58,22 +60,22 @@ class Constraint:
 
 @dataclass(frozen=True)
 class LinearProgram:
-    """General-form LP: optimize c.x subject to rows and per-variable bounds.
+    """General-form LP: optimize c.x subject to rows and per-variable lower
+    bounds.  A variable with no lower bound is free; an upper bound is a
+    `<=` row like any other.
 
     Its scaled rows, which the solver and the checks read, are built with
-    it: `_rows` holds (a, relation, b, s) per row, its coefficients and rhs
-    times s > 0, the lcm of their denominators; the constraints come first,
-    then one row x_j <= u_j per upper bound.  A positive scale keeps the
-    relation, and a row's multiplier is s times that of its scaled row.
-    `_cost` and `_lower` are the objective and the lower bounds (0 for a
-    free variable) in the same form, as (integers, scale).
+    it: `_rows` holds (a, relation, b, s) per constraint, its coefficients
+    and rhs times s > 0, the lcm of their denominators.  A positive scale
+    keeps the relation, and a row's multiplier is s times that of its
+    scaled row.  `_cost` and `_lower` are the objective and the lower
+    bounds (0 for a free variable) in the same form, as (integers, scale).
     """
 
     objective: tuple[Fraction, ...]
     sense: str  # "max" | "min"
     constraints: tuple[Constraint, ...]
     lower: tuple[Optional[Fraction], ...]
-    upper: tuple[Optional[Fraction], ...]
     _rows: tuple = field(init=False, repr=False, compare=False)
     _cost: tuple[list[int], int] = field(init=False, repr=False, compare=False)
     _lower: tuple[list[int], int] = field(init=False, repr=False, compare=False)
@@ -84,7 +86,6 @@ class LinearProgram:
         sense: str,
         constraints: Sequence[Constraint],
         lower: Optional[Sequence] = None,
-        upper: Optional[Sequence] = None,
     ):
         objective = tuple(map(rational, objective))
         n = len(objective)
@@ -100,23 +101,15 @@ class LinearProgram:
             None if b is None else rational(b)
             for b in (lower if lower is not None else [None] * n)
         )
-        up = tuple(
-            None if b is None else rational(b)
-            for b in (upper if upper is not None else [None] * n)
-        )
-        if len(lo) != n or len(up) != n:
+        if len(lo) != n:
             raise DimensionMismatch("one bound entry per variable required")
         rows = []
         for row in constraints:
             a, s = scaled(row.coeffs + (row.rhs,))
             rows.append((a[:n], row.relation, a[n], s))
-        for j, u in enumerate(up):
-            if u is not None:
-                unit = [u.denominator if k == j else 0 for k in range(n)]
-                rows.append((unit, LE, u.numerator, u.denominator))
         for name, value in (
             ("objective", objective), ("sense", sense), ("constraints", constraints),
-            ("lower", lo), ("upper", up), ("_rows", tuple(rows)),
+            ("lower", lo), ("_rows", tuple(rows)),
             ("_cost", scaled(objective)), ("_lower", scaled([b or ZERO for b in lo])),
         ):
             object.__setattr__(self, name, value)
@@ -124,6 +117,11 @@ class LinearProgram:
     @property
     def num_vars(self) -> int:
         return len(self.objective)
+
+    @property
+    def upper(self) -> tuple[None, ...]:
+        # no variable has an upper bound; kept for bench/tracing.py's bounded_vars
+        return (None,) * len(self.objective)
 
 
 @dataclass(frozen=True)
@@ -133,10 +131,9 @@ class LpSolution:
     For Optimal: `primal` is a feasible point, `dual` holds one multiplier
     per constraint row, `reduced_costs` one per variable (zero for free
     variables), and primal and dual objectives agree exactly in `value`.
-    For Infeasible, `dual` and `upper_dual` carry the Farkas multipliers of
-    the rows and of the upper bounds (see `check_infeasible`); for
-    Unbounded, `point` is a feasible point and `primal` an improving ray
-    (see `check_unbounded`).
+    For Infeasible, `dual` carries the Farkas multipliers of the rows (see
+    `check_infeasible`); for Unbounded, `point` is a feasible point and
+    `primal` an improving ray (see `check_unbounded`).
     """
 
     status: str  # "Optimal" | "Infeasible" | "Unbounded"
@@ -144,7 +141,6 @@ class LpSolution:
     dual: tuple[Fraction, ...] = ()
     value: Optional[Fraction] = None
     reduced_costs: tuple[Fraction, ...] = ()
-    upper_dual: tuple[Fraction, ...] = ()
     point: tuple[Fraction, ...] = ()
 
 
@@ -278,14 +274,13 @@ def solve_lp(lp: LinearProgram) -> LpSolution:
     `check_infeasible` or `check_unbounded` raises CertificateError if the
     solution does not prove its status.
     """
-    n, ncons = lp.num_vars, len(lp.constraints)
+    n = lp.num_vars
     sign = 1 if lp.sense == "min" else -1  # the solver minimizes sign * c.x
     (low, lden), (cost, cscale) = lp._lower, lp._cost
 
     # Variable handling: a lower bound is shifted away (x = lo + u, u >= 0);
-    # an unbounded-below variable is split into u+ - u-; an upper bound is
-    # one of the LP's scaled rows.  Column map entries are (var, sign)
-    # pairs contributing sign * z_col to x_var.
+    # an unbounded-below variable is split into u+ - u-.  Column map entries
+    # are (var, sign) pairs contributing sign * z_col to x_var.
     cols: list[tuple[int, int]] = []
     for j in range(n):
         cols.append((j, 1))
@@ -323,11 +318,6 @@ def solve_lp(lp: LinearProgram) -> LpSolution:
     tab = _Tableau(tab_rows, ncols)
     total = tab.total
 
-    def split(lam: list[Fraction]) -> tuple[tuple, tuple]:
-        # the constraints' multipliers; per variable, its upper-bound row's
-        mu = iter(lam[ncons:])
-        return tuple(lam[:ncons]), tuple(ZERO if u is None else next(mu) for u in lp.upper)
-
     # phase 1
     tab.price([0] * ncols + [1] * m)
     if tab.run([True] * total) is not None:
@@ -338,10 +328,8 @@ def solve_lp(lp: LinearProgram) -> LpSolution:
         # Farkas certificate: multipliers from phase-1 reduced costs of the
         # artificial columns, mapped back through the row flips.
         obj, z = tab.rows[m], tab.rows[m][-1]
-        dual, upper_dual = split(
-            [Fraction(flip[i] * (z - obj[ncols + i]), z) for i in range(m)]
-        )
-        sol = LpSolution(status="Infeasible", dual=dual, upper_dual=upper_dual)
+        dual = tuple(Fraction(flip[i] * (z - obj[ncols + i]), z) for i in range(m))
+        sol = LpSolution(status="Infeasible", dual=dual)
         check_infeasible(lp, sol)
         return sol
 
@@ -385,9 +373,7 @@ def solve_lp(lp: LinearProgram) -> LpSolution:
     # through the flip, and a variable's reduced cost is that of its first
     # column; both are negated for max.
     obj, z = tab.rows[m], tab.rows[m][-1]
-    dual, upper_dual = split(
-        [Fraction(-sign * flip[i] * obj[ncols + i], z) for i in range(m)]
-    )
+    dual = tuple(Fraction(-sign * flip[i] * obj[ncols + i], z) for i in range(m))
     value = z * _idot(cost, low) - sign * obj[total] * cscale * lden
     sol = LpSolution(
         status="Optimal",
@@ -397,7 +383,6 @@ def solve_lp(lp: LinearProgram) -> LpSolution:
         reduced_costs=tuple(
             Fraction(sign * obj[col], z) for col, (_, cs) in enumerate(cols) if cs > 0
         ),
-        upper_dual=upper_dual,
     )
     check_optimal(lp, sol)
     return sol
@@ -429,12 +414,8 @@ def _holds(lhs: int, relation: str, rhs: int) -> bool:
 def _require_feasible(lp: LinearProgram, x: Sequence) -> tuple[list[int], int]:
     """x = X / D satisfies every row and bound of the LP; returns X and D."""
     X, D = scaled(x)
-    ncons = len(lp.constraints)
-    for k, (a, rel, b, _) in enumerate(lp._rows):
-        _require(
-            _holds(_idot(a, X), rel, b * D),
-            "primal above upper bound" if k >= ncons else f"primal infeasible ({rel} row)",
-        )
+    for a, rel, b, _ in lp._rows:
+        _require(_holds(_idot(a, X), rel, b * D), f"primal infeasible ({rel} row)")
     low, lden = lp._lower
     for xj, lo, bound in zip(X, low, lp.lower):
         if bound is not None:
@@ -443,24 +424,18 @@ def _require_feasible(lp: LinearProgram, x: Sequence) -> tuple[list[int], int]:
 
 
 def _multipliers(
-    lp: LinearProgram, y: Sequence, mu: Sequence, *extra: Sequence
+    lp: LinearProgram, y: Sequence, *extra: Sequence
 ) -> tuple[list[int], list[int], int]:
-    """The multipliers y of the constraints and mu of the upper bounds, and
-    the vectors `extra`, over one denominator E > 0.
+    """The multipliers y of the rows and the vectors `extra` over one
+    denominator E > 0.
 
     Returns W with W_i = E y_i / s_i for the LP's scaled rows (so W.a = E
-    times the rational combination), E times the `extra` entries, and E;
-    mu must vanish where a variable has no upper bound.
+    times the rational combination), E times the `extra` entries, and E.
     """
-    _require(
-        all(not v for v, u in zip(mu, lp.upper) if u is None),
-        "multiplier on a missing upper bound",
-    )
-    ys = list(y) + [v for v, u in zip(mu, lp.upper) if u is not None]
-    num, d = scaled(ys + [v for vec in extra for v in vec])
+    num, d = scaled(list(y) + [v for vec in extra for v in vec])
     scale = reduce(lcm, [s for *_, s in lp._rows], 1)
     W = [w * (scale // s) for w, (*_, s) in zip(num, lp._rows)]
-    return W, [v * scale for v in num[len(ys):]], d * scale
+    return W, [v * scale for v in num[len(y):]], d * scale
 
 
 def _combination(lp: LinearProgram, W: Sequence[int]) -> list[int]:
@@ -479,7 +454,7 @@ def check_optimal(lp: LinearProgram, sol: LpSolution) -> None:
     reduced costs, and equality of primal and dual objectives; raises
     CertificateError on any exact violation.  With the multipliers and
     reduced costs over one denominator E (see `_multipliers`) and the
-    objective c = `_cost` / s_c, stationarity c - y.A - mu = r reads
+    objective c = `_cost` / s_c, stationarity c - y.A = r reads
     c_j E = s_c (G_j + R_j) in integers, with G = W.a.
     """
     _require(sol.status == "Optimal", f"status {sol.status!r} is not Optimal")
@@ -487,7 +462,6 @@ def check_optimal(lp: LinearProgram, sol: LpSolution) -> None:
     _require(
         len(sol.primal) == n
         and len(sol.dual) == len(lp.constraints)
-        and len(sol.upper_dual) == n
         and len(sol.reduced_costs) == n
         and sol.value is not None,
         "solution vectors have the wrong length",
@@ -495,8 +469,8 @@ def check_optimal(lp: LinearProgram, sol: LpSolution) -> None:
     X, D = _require_feasible(lp, sol.primal)
 
     maximize = lp.sense == "max"
-    # for max, y >= 0 on <= rows (upper bounds included), y <= 0 on >= rows
-    W, R, E = _multipliers(lp, sol.dual, sol.upper_dual, sol.reduced_costs)
+    # for max, y >= 0 on <= rows, y <= 0 on >= rows
+    W, R, E = _multipliers(lp, sol.dual, sol.reduced_costs)
     for w, (_, rel, _, _) in zip(W, lp._rows):
         if rel != EQ:
             nonneg = maximize == (rel == LE)
@@ -521,24 +495,20 @@ def check_optimal(lp: LinearProgram, sol: LpSolution) -> None:
 def check_infeasible(lp: LinearProgram, sol: LpSolution) -> None:
     """Exact verification of a Farkas certificate of infeasibility.
 
-    The multipliers are y = `sol.dual` on the rows and mu = `sol.upper_dual`
-    on the upper bounds, with y <= 0 on <= rows, y >= 0 on >= rows and
-    mu <= 0.  With g_j = sum_i y_i a_ij + mu_j, every feasible x would have
-    g.x >= y.b + mu.u; the certificate requires g_j = 0 for free variables
-    and g_j <= 0 for variables with a lower bound l_j, so g.x <= sum g_j l_j,
-    and y.b + mu.u - sum g_j l_j > 0 makes the two bounds contradict.
-    Raises CertificateError on any exact violation.
+    The multipliers are y = `sol.dual` on the rows, with y <= 0 on <= rows
+    and y >= 0 on >= rows.  With g_j = sum_i y_i a_ij, every feasible x
+    would have g.x >= y.b; the certificate requires g_j = 0 for free
+    variables and g_j <= 0 for variables with a lower bound l_j, so
+    g.x <= sum g_j l_j, and y.b - sum g_j l_j > 0 makes the two bounds
+    contradict.  Raises CertificateError on any exact violation.
     """
     _require(sol.status == "Infeasible", f"status {sol.status!r} is not Infeasible")
-    _require(
-        len(sol.dual) == len(lp.constraints) and len(sol.upper_dual) == lp.num_vars,
-        "Farkas vector has the wrong length",
-    )
-    W, _, _ = _multipliers(lp, sol.dual, sol.upper_dual)
+    _require(len(sol.dual) == len(lp.constraints), "Farkas vector has the wrong length")
+    W, _, _ = _multipliers(lp, sol.dual)
     for w, (_, rel, _, _) in zip(W, lp._rows):
         if rel != EQ:
             _require((w <= 0) if rel == LE else (w >= 0), f"Farkas sign ({rel} row)")
-    # y.b + mu.u - g.l, over E * lden
+    # y.b - g.l, over E * lden
     low, lden = lp._lower
     bound = lden * _idot(W, [b for _, _, b, _ in lp._rows])
     for gj, lo, bound_j in zip(_combination(lp, W), low, lp.lower):
@@ -556,9 +526,9 @@ def check_unbounded(lp: LinearProgram, sol: LpSolution) -> None:
 
     x must satisfy every row and bound of the LP, and d the homogeneous
     system (a.d <= 0, >= 0 or = 0 with the row's relation; d_j >= 0 under
-    a lower bound, d_j <= 0 under an upper bound) and strictly improve the
-    objective; x + s d is then feasible for every s >= 0, and the LP value
-    is unbounded.  Raises CertificateError on any exact violation.
+    a lower bound) and strictly improve the objective; x + s d is then
+    feasible for every s >= 0, and the LP value is unbounded.  Raises
+    CertificateError on any exact violation.
     """
     _require(sol.status == "Unbounded", f"status {sol.status!r} is not Unbounded")
     n = lp.num_vars

@@ -4,9 +4,7 @@ This is the dense two-phase Bland-rule tableau that ``robust_ftap.lp_core``
 used before its integer (fraction-free) tableau.  It is kept only as the
 slow reference path of the differential test: both engines start from the
 same columns, artificials and row flips and choose the same pivots, so
-every field of their solutions must agree exactly.  The one addition is
-that an Infeasible result also reports the Farkas multipliers of the
-appended upper-bound rows, in ``upper_dual``, as the engine does.
+every field of their solutions must agree exactly.
 
 It also keeps the engine's former certificate checks, which work in
 Fractions on the LP's constraints as given (``check_optimal``,
@@ -119,9 +117,8 @@ def reference_solve_lp(lp: LinearProgram) -> LpSolution:
     c = [f if minimize else -f for f in lp.objective]
 
     # Variable handling: a lower bound is shifted away (x = lo + u, u >= 0);
-    # an unbounded-below variable is split into u+ - u-; an upper bound
-    # becomes an appended constraint row.  Column map entries are
-    # (var, sign) pairs contributing sign * z_col to x_var.
+    # an unbounded-below variable is split into u+ - u-.  Column map entries
+    # are (var, sign) pairs contributing sign * z_col to x_var.
     col_of_var: list[list[tuple[int, int]]] = []
     shift = [ZERO] * n
     cols: list[tuple[int, int]] = []
@@ -135,15 +132,7 @@ def reference_solve_lp(lp: LinearProgram) -> LpSolution:
             cols.append((j, 1))
             cols.append((j, -1))
 
-    rows: list[tuple[tuple[Fraction, ...], str, Fraction]] = [
-        (row.coeffs, row.relation, row.rhs) for row in lp.constraints
-    ]
-    upper_rows: list[int] = []  # variable index per appended upper row
-    for j in range(n):
-        if lp.upper[j] is not None:
-            unit = tuple(ONE if k == j else ZERO for k in range(n))
-            rows.append((unit, LE, lp.upper[j]))
-            upper_rows.append(j)
+    rows = [(row.coeffs, row.relation, row.rhs) for row in lp.constraints]
     m = len(rows)
 
     nz = len(cols)
@@ -194,14 +183,7 @@ def reference_solve_lp(lp: LinearProgram) -> LpSolution:
         # Farkas certificate: multipliers from phase-1 reduced costs of the
         # artificial columns, mapped back through the row flips.
         lam = [flip[i] * (ONE - red1[ncols + i]) for i in range(m)]
-        upper_farkas = [ZERO] * n
-        for k, j in enumerate(upper_rows):
-            upper_farkas[j] = lam[len(lp.constraints) + k]
-        return LpSolution(
-            status="Infeasible",
-            dual=tuple(lam[: len(lp.constraints)]),
-            upper_dual=tuple(upper_farkas),
-        )
+        return LpSolution(status="Infeasible", dual=tuple(lam))
 
     # drive artificials out of the basis where possible (zero-level pivots)
     red_dummy = [ZERO] * total
@@ -252,11 +234,6 @@ def reference_solve_lp(lp: LinearProgram) -> LpSolution:
     lam = [flip[i] * lam[i] for i in range(m)]
     if not minimize:
         lam = [-v for v in lam]
-    dual = tuple(lam[: len(lp.constraints)])
-    upper_dual_full = [ZERO] * n
-    for k, j in enumerate(upper_rows):
-        upper_dual_full[j] = lam[len(lp.constraints) + k]
-
     reduced = [ZERO] * n
     for j in range(n):
         r = lp.objective[j] - sum(
@@ -267,10 +244,9 @@ def reference_solve_lp(lp: LinearProgram) -> LpSolution:
     return LpSolution(
         status="Optimal",
         primal=tuple(x),
-        dual=dual,
+        dual=tuple(lam),
         value=value,
         reduced_costs=tuple(reduced),
-        upper_dual=tuple(upper_dual_full),
     )
 
 
@@ -313,8 +289,6 @@ def _require_feasible(lp: LinearProgram, x: Sequence[Fraction]) -> None:
     for j, xj in enumerate(x):
         if lp.lower[j] is not None:
             _require(xj >= lp.lower[j], "primal below lower bound")
-        if lp.upper[j] is not None:
-            _require(xj <= lp.upper[j], "primal above upper bound")
 
 
 def check_optimal(lp: LinearProgram, sol: LpSolution) -> None:
@@ -330,7 +304,6 @@ def check_optimal(lp: LinearProgram, sol: LpSolution) -> None:
     _require(
         len(x) == n
         and len(sol.dual) == len(lp.constraints)
-        and len(sol.upper_dual) == n
         and len(sol.reduced_costs) == n,
         "solution vectors have the wrong length",
     )
@@ -343,16 +316,8 @@ def check_optimal(lp: LinearProgram, sol: LpSolution) -> None:
             _require((y >= 0) if maximize else (y <= 0), "dual sign (<= row)")
         elif row.relation == GE:
             _require((y <= 0) if maximize else (y >= 0), "dual sign (>= row)")
-    reduced = [
-        cj - s - mu
-        for cj, s, mu in zip(lp.objective, _row_sums(lp, sol.dual), sol.upper_dual)
-    ]
+    reduced = [cj - s for cj, s in zip(lp.objective, _row_sums(lp, sol.dual))]
     for j in range(n):
-        mu_up = sol.upper_dual[j]
-        if lp.upper[j] is None:
-            _require(mu_up == 0, "multiplier on a missing upper bound")
-        else:
-            _require((mu_up >= 0) if maximize else (mu_up <= 0), "dual sign (upper)")
         r = reduced[j]
         _require(r == sol.reduced_costs[j], "stored reduced cost mismatch")
         if lp.lower[j] is None:
@@ -361,9 +326,6 @@ def check_optimal(lp: LinearProgram, sol: LpSolution) -> None:
             _require((r <= 0) if maximize else (r >= 0), "reduced cost sign")
 
     dual_obj = _dot(sol.dual, [row.rhs for row in lp.constraints])
-    dual_obj += sum(
-        mu * up for mu, up in zip(sol.upper_dual, lp.upper) if up is not None
-    )
     dual_obj += sum(
         r * lo for r, lo in zip(reduced, lp.lower) if lo is not None
     )
@@ -375,35 +337,22 @@ def check_optimal(lp: LinearProgram, sol: LpSolution) -> None:
 def check_infeasible(lp: LinearProgram, sol: LpSolution) -> None:
     """Exact verification of a Farkas certificate of infeasibility.
 
-    The multipliers are y = `sol.dual` on the rows and mu = `sol.upper_dual`
-    on the upper bounds, with y <= 0 on <= rows, y >= 0 on >= rows and
-    mu <= 0.  With g_j = sum_i y_i a_ij + mu_j, every feasible x would have
-    g.x >= y.b + mu.u; the certificate requires g_j = 0 for free variables
-    and g_j <= 0 for variables with a lower bound l_j, so g.x <= sum g_j l_j,
-    and y.b + mu.u - sum g_j l_j > 0 makes the two bounds contradict.
-    Raises CertificateError on any exact violation.
+    The multipliers are y = `sol.dual` on the rows, with y <= 0 on <= rows
+    and y >= 0 on >= rows.  With g_j = sum_i y_i a_ij, every feasible x
+    would have g.x >= y.b; the certificate requires g_j = 0 for free
+    variables and g_j <= 0 for variables with a lower bound l_j, so
+    g.x <= sum g_j l_j, and y.b - sum g_j l_j > 0 makes the two bounds
+    contradict.  Raises CertificateError on any exact violation.
     """
     _require(sol.status == "Infeasible", f"status {sol.status!r} is not Infeasible")
-    n = lp.num_vars
-    _require(
-        len(sol.dual) == len(lp.constraints) and len(sol.upper_dual) == n,
-        "Farkas vector has the wrong length",
-    )
+    _require(len(sol.dual) == len(lp.constraints), "Farkas vector has the wrong length")
     for y, row in zip(sol.dual, lp.constraints):
         if row.relation == LE:
             _require(y <= 0, "Farkas sign (<= row)")
         elif row.relation == GE:
             _require(y >= 0, "Farkas sign (>= row)")
     bound = _dot(sol.dual, [row.rhs for row in lp.constraints])
-    g = _row_sums(lp, sol.dual)
-    for j in range(n):
-        mu = sol.upper_dual[j]
-        if lp.upper[j] is None:
-            _require(mu == 0, "Farkas multiplier on a missing upper bound")
-        else:
-            _require(mu <= 0, "Farkas sign (upper)")
-            bound += mu * lp.upper[j]
-        gj = g[j] + mu
+    for j, gj in enumerate(_row_sums(lp, sol.dual)):
         if lp.lower[j] is None:
             _require(gj == 0, "Farkas combination nonzero on a free variable")
         else:
@@ -418,9 +367,9 @@ def check_unbounded(lp: LinearProgram, sol: LpSolution) -> None:
 
     x must satisfy every row and bound of the LP, and d the homogeneous
     system (a.d <= 0, >= 0 or = 0 with the row's relation; d_j >= 0 under
-    a lower bound, d_j <= 0 under an upper bound) and strictly improve the
-    objective; x + s d is then feasible for every s >= 0, and the LP value
-    is unbounded.  Raises CertificateError on any exact violation.
+    a lower bound) and strictly improve the objective; x + s d is then
+    feasible for every s >= 0, and the LP value is unbounded.  Raises
+    CertificateError on any exact violation.
     """
     _require(sol.status == "Unbounded", f"status {sol.status!r} is not Unbounded")
     n = lp.num_vars
@@ -439,7 +388,5 @@ def check_unbounded(lp: LinearProgram, sol: LpSolution) -> None:
     for j in range(n):
         if lp.lower[j] is not None:
             _require(d[j] >= 0, "ray leaves a lower bound")
-        if lp.upper[j] is not None:
-            _require(d[j] <= 0, "ray leaves an upper bound")
     gain = _dot(lp.objective, d)
     _require(gain > 0 if lp.sense == "max" else gain < 0, "ray does not improve")

@@ -11,7 +11,7 @@ differential test in `test_na_differential.py`.
 
 from fractions import Fraction
 
-from robust_ftap.lp_core import EQ, GE, Constraint, LinearProgram
+from robust_ftap.lp_core import EQ, GE, LE, Constraint, LinearProgram
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
@@ -32,13 +32,8 @@ def reference_charging_lp(m, charged):
     for o in charged:
         row = [ONE if s == o else ZERO for s in support] + [-ONE]
         cons.append(Constraint(row, GE, 0))
-    return LinearProgram(
-        [ZERO] * n + [ONE],
-        "max",
-        cons,
-        lower=[ZERO] * n + [None],
-        upper=[None] * n + [ONE],
-    )
+    cons.append(Constraint([ZERO] * n + [ONE], LE, 1))
+    return LinearProgram([ZERO] * n + [ONE], "max", cons, lower=[ZERO] * n + [None])
 
 
 def reference_superhedge_lp(m, f):

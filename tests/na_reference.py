@@ -10,7 +10,7 @@ verdict in the differential test in `test_na_differential.py`.
 
 from fractions import Fraction
 
-from robust_ftap.lp_core import GE, Constraint, LinearProgram, solve_lp
+from robust_ftap.lp_core import GE, LE, Constraint, LinearProgram, solve_lp
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
@@ -21,11 +21,12 @@ def reference_check_na(m):
     if m.d == 0:
         return True, None
     base = [Constraint(m.delta_s(o), GE, 0) for o in m.support]
+    base += [
+        Constraint([ONE if k == j else ZERO for k in range(m.d)], LE, 1)
+        for j in range(m.d)
+    ]
     for o in m.support:
-        lp = LinearProgram(
-            m.delta_s(o), "max", base, lower=[-ONE] * m.d, upper=[ONE] * m.d
-        )
-        sol = solve_lp(lp)
+        sol = solve_lp(LinearProgram(m.delta_s(o), "max", base, lower=[-ONE] * m.d))
         assert sol.status == "Optimal", sol.status
         if sol.value > 0:
             return False, (sol.primal, o)

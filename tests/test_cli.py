@@ -251,6 +251,7 @@ class TestSubcommands:
             (["scan-aa2", "--alpha-grid", "1/2,0"], "--alpha-grid"),
             (["scan-aa2", "--target-levels", "0"], "--target-levels"),
             (["scan-aa2", "--target-levels", "-1"], "--target-levels"),
+            (["scan-aa1", "--c-schedule", "0"], "--c-schedule"),
         ],
     )
     def test_levels_share_one_rule(self, tmp_path, capsys, argv, flag):
@@ -258,6 +259,20 @@ class TestSubcommands:
         assert main(argv + ["--input", inp]) == 1
         err = capsys.readouterr().err
         assert err.startswith(f"input error: {flag}: ") and "is not in (0, " in err
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize(
+        "argv,flag,rule",
+        [
+            (["scan-aa1", "--c-schedule", "1,1"], "--c-schedule", "decreasing"),
+            (["scan-aa2", "--target-levels", "1/2,1/4"], "--target-levels",
+             "nondecreasing"),
+        ],
+    )
+    def test_scan_schedule_order_names_the_option(self, capsys, argv, flag, rule):
+        assert main(argv + ["--input", SEQUENCE]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"input error: {flag}: ") and err.rstrip().endswith(rule)
         assert "Traceback" not in err
 
     @pytest.mark.parametrize("command", ["check-na", "ftap", "superhedge"])

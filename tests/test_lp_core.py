@@ -54,15 +54,17 @@ class TestSolveLp:
         assert sol.dual[0] > 0 and sol.dual[1] < 0
 
     def test_infeasible_through_upper_bound(self):
-        # x >= 2 against the bound x <= 1: the Farkas vector needs the
-        # multiplier of the upper-bound row, reported in upper_dual
-        lp = LinearProgram([1], "min", [Constraint([1], GE, 2)], upper=[1])
+        # x >= 2 against the bound row x <= 1 of a variable bounded below:
+        # the Farkas vector needs the multiplier of the bound row
+        lp = LinearProgram(
+            [1], "min", [Constraint([1], GE, 2), Constraint([1], LE, 1)], lower=[0]
+        )
         sol = solve_lp(lp)
         assert sol.status == "Infeasible"
-        assert sol.upper_dual[0] < 0
+        assert sol.dual[1] < 0
         check_infeasible(lp, sol)
         with pytest.raises(CertificateError):
-            check_infeasible(lp, replace(sol, upper_dual=(F(0),)))
+            check_infeasible(lp, replace(sol, dual=(sol.dual[0], F(0))))
 
     def test_martingale_mass(self):
         # min q_u subject to q_u + q_d = 1, q_u - q_d/2 = 0, q >= 0
@@ -145,19 +147,13 @@ def _random_lp(rng):
         rel = rng.choice([LE, GE, EQ])
         rhs = F(rng.randint(-10, 10), rng.randint(1, 10))
         cons.append(Constraint(coeffs, rel, rhs))
-    lower, upper = [], []
-    for _ in range(n):
+    lower, box = [], []
+    for j in range(n):
         kind = rng.randrange(3)
-        if kind == 0:
-            lower.append(F(0))
-            upper.append(None)
-        elif kind == 1:
-            lower.append(F(-1))
-            upper.append(F(1))
-        else:
-            lower.append(None)
-            upper.append(None)
-    return LinearProgram(obj, sense, cons, lower=lower, upper=upper)
+        lower.append([F(0), F(-1), None][kind])
+        if kind == 1:  # -1 <= x_j <= 1, the upper bound as a <= row
+            box.append(Constraint([int(k == j) for k in range(n)], LE, 1))
+    return LinearProgram(obj, sense, cons + box, lower=lower)
 
 
 class TestStrongDuality:
@@ -192,13 +188,9 @@ class TestStrongDuality:
             c = [F(rng.randint(-5, 5), rng.randint(1, 5)) for _ in range(n)]
             row = [F(rng.randint(-5, 5), rng.randint(1, 5)) for _ in range(n)]
             rhs = F(rng.randint(0, 5), 1)
-            lp = LinearProgram(
-                c,
-                "max",
-                [Constraint(row, LE, rhs)],
-                lower=[-1] * n,
-                upper=[1] * n,
-            )
+            box = [Constraint([int(k == j) for k in range(n)], LE, 1) for j in range(n)]
+            cons = [Constraint(row, LE, rhs)] + box
+            lp = LinearProgram(c, "max", cons, lower=[-1] * n)
             sol = solve_lp(lp)
             assert sol.status == "Optimal"  # 0 is feasible, box is compact
             check_optimal(lp, sol)
@@ -234,11 +226,7 @@ class TestCertificateChecks:
             if sol.status != "Infeasible":
                 continue
             checked += 1
-            negated = replace(
-                sol,
-                dual=tuple(-y for y in sol.dual),
-                upper_dual=tuple(-u for u in sol.upper_dual),
-            )
+            negated = replace(sol, dual=tuple(-y for y in sol.dual))
             with pytest.raises(CertificateError):
                 check_infeasible(lp, negated)
 

@@ -240,8 +240,8 @@ def _golden(name):
 def test_market_lps_are_the_martingale_system(monkeypatch):
     """check_na, the two P-vertices of find_dominating_martingale and
     superhedge on market_two_assets.json: each LP has exactly the d+1
-    martingale rows, all equalities, and no upper bound; the simplex
-    pivots of each are pinned."""
+    martingale rows, all equalities; the simplex pivots of each are
+    pinned."""
     m = load_market(_golden("market_two_assets.json"))
     f = load_payoff(_golden("payoff_two_assets.json"), m.space)
     solved, pivots = [], [0]
@@ -265,6 +265,5 @@ def test_market_lps_are_the_martingale_system(monkeypatch):
     for lp, _ in solved:
         assert [row.relation for row in lp.constraints] == ["="] * (m.d + 1)
         assert [row.rhs for row in lp.constraints] == [1] + [0] * m.d
-        assert all(up is None for up in lp.upper)
         assert all(lo == 0 for lo in lp.lower)
     assert [n for _, n in solved] == [4, 4, 4, 4]
