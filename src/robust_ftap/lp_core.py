@@ -19,6 +19,11 @@ tableau, each solution vector over its common denominator.  Variables
 are free or bounded below; an upper bound is an ordinary `<=` row, so
 every multiplier is a row's.
 
+Beside the solver, `enumerate_basic_feasible` lists the vertices of
+{q >= 0 : A q = b} on the same integer pivots: a depth-first walk over
+the column subsets, each prefix of a basis pivoted once and shared by
+every basis that extends it, the last column solved in closed form.
+
 On top of the solver sits a bilinear minimax over a vertex-polytope /
 polytope pair, solved as one LP: its primal is the sup-inf order and its
 exactly checked dual the inf-sup order, so the finite-dimensional sup-inf
@@ -30,7 +35,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import reduce
-from itertools import combinations
 from math import gcd, lcm
 from typing import Iterable, Optional, Sequence
 
@@ -550,15 +554,33 @@ def check_unbounded(lp: LinearProgram, sol: LpSolution) -> None:
 # ---------------------------------------------------------------------------
 
 
+def _shape(matrix: Sequence[Sequence], rhs: Optional[Sequence] = None) -> int:
+    """The common length of the rows of `matrix`; raises DimensionMismatch
+    when there is no row, when the rows differ in length, or when `rhs`
+    does not hold one entry per row."""
+    if not matrix:
+        raise DimensionMismatch("the matrix has no rows")
+    n = len(matrix[0])
+    if any(len(row) != n for row in matrix):
+        raise DimensionMismatch("the rows of the matrix differ in length")
+    if rhs is not None and len(rhs) != len(matrix):
+        raise DimensionMismatch(f"{len(rhs)} right-hand sides for {len(matrix)} rows")
+    return n
+
+
+# no library caller; read by tests/fraction_sums.py and wrapped by bench/tracing.py
 def solve_square(matrix: Sequence[Sequence[Fraction]], rhs: Sequence[Fraction]):
     """The nonnegative solution of a square rational system, by
     fraction-free elimination.
 
     Returns None when the matrix is singular or the solution has a negative
     entry; the sign test runs on the reduced integer rows, before any
-    Fraction is built.
+    Fraction is built.  A matrix that is empty, ragged or not square, or a
+    rhs of another length, raises DimensionMismatch.
     """
-    n = len(rhs)
+    n = _shape(matrix, rhs)
+    if n != len(matrix):
+        raise DimensionMismatch(f"the matrix is {len(matrix)} x {n}, not square")
     rows = [_int_row(list(row) + [b]) for row, b in zip(matrix, rhs)]
     if _row_reduce(rows, n) < n:
         return None
@@ -568,19 +590,32 @@ def solve_square(matrix: Sequence[Sequence[Fraction]], rhs: Sequence[Fraction]):
 
 
 def matrix_rank(matrix: Sequence[Sequence[Fraction]]) -> int:
-    rows = [_int_row(r) for r in matrix]
-    return _row_reduce(rows, len(rows[0]) if rows else 0)
+    """The rank of a rational matrix (0 for no rows); ragged rows raise
+    DimensionMismatch."""
+    if not matrix:
+        return 0
+    n = _shape(matrix)
+    return _row_reduce([_int_row(r) for r in matrix], n)
 
 
 def enumerate_basic_feasible(
     eq_rows: Sequence[Sequence[Fraction]], eq_rhs: Sequence[Fraction]
 ) -> list[tuple[Fraction, ...]]:
-    """Vertices of {q >= 0 : A q = b} via basis enumeration.
+    """Vertices of {q >= 0 : A q = b}, one per feasible basis.
 
-    Desk-scale method: every column subset of size rank(A) is tried as a
-    basis; duplicate vertices are removed.
+    Desk-scale method.  The rows are made integers and reduced to `rank`
+    independent ones; then the column subsets of size rank are walked depth
+    first, in `itertools.combinations` order.  Each prefix of a basis is
+    pivoted once, on a copy of the rows, and every basis that extends it
+    shares that work.  A column with no nonzero entry in the rows the prefix
+    left is a combination of the prefix columns, so no basis through prefix
+    and column is tried.  The last column is solved in closed form and its
+    signs are tested in integers; a feasible basis is keyed by the reduced
+    integers of its entries, and only a new vertex builds Fractions.  A
+    vertex is listed at the first basis that yields it.  No rows, ragged
+    rows or a rhs of another length raise DimensionMismatch.
     """
-    nvars = len(eq_rows[0])
+    nvars = _shape(eq_rows, eq_rhs)
     # reduce to an independent subset of rows; bail out if inconsistent
     work = [_int_row(list(row) + [b]) for row, b in zip(eq_rows, eq_rhs)]
     rank = _row_reduce(work, nvars)
@@ -588,25 +623,64 @@ def enumerate_basic_feasible(
         return []
     if rank == 0:
         return [tuple([ZERO] * nvars)]
-    A_ind = [row[:nvars] for row in work[:rank]]
-    b_ind = [row[nvars] for row in work[:rank]]
+    last = rank - 1
 
     # a vertex is keyed by the integers (j, numerator, denominator) of its
     # nonzero entries: hashing a Fraction costs a modular inverse
     seen: set[tuple[tuple[int, int, int], ...]] = set()
     out: list[tuple[Fraction, ...]] = []
-    for basis in combinations(range(nvars), rank):
-        square = [[row[j] for j in basis] for row in A_ind]
-        sol = solve_square(square, b_ind)
-        if sol is None:
-            continue
-        key = tuple((j, v.numerator, v.denominator) for j, v in zip(basis, sol) if v)
-        if key not in seen:
-            seen.add(key)
-            q = [ZERO] * nvars
-            for j, v in zip(basis, sol):
-                q[j] = v
-            out.append(tuple(q))
+
+    def leaves(rows: list[list[int]], basis: list[int], start: int) -> None:
+        # the prefix `basis` sits in rows 0..last-1, each with a positive
+        # entry at its column and zeros at the others; row `last` is left.
+        # With a = row_last[j] > 0 and b its rhs, x_j = b / a and
+        # x_{b_i} = (b_i a - row_i[j] b) / (row_i[b_i] a).
+        final = rows[last]
+        prefix = rows[:last]
+        for j in range(start, nvars):
+            a, b = final[j], final[nvars]
+            if not a:
+                continue
+            if a < 0:
+                a, b = -a, -b
+            if b < 0:
+                continue
+            nums = [row[nvars] * a - row[j] * b for row in prefix]
+            if any(v < 0 for v in nums):
+                continue
+            key = []
+            for col, v, row in zip(basis, nums, prefix):
+                if v:
+                    d = row[col] * a
+                    g = gcd(v, d)
+                    key.append((col, v // g, d // g))
+            if b:
+                g = gcd(b, a)
+                key.append((j, b // g, a // g))
+            key = tuple(key)
+            if key not in seen:
+                seen.add(key)
+                q = [ZERO] * nvars
+                for col, num, den in key:
+                    q[col] = Fraction(num, den)
+                out.append(tuple(q))
+
+    def walk(rows: list[list[int]], basis: list[int], start: int) -> None:
+        k = len(basis)
+        if k == last:
+            leaves(rows, basis, start)
+            return
+        for j in range(start, nvars - last + k):
+            r = next((r for r in range(k, rank) if rows[r][j]), None)
+            if r is None:
+                continue
+            # _pivot rebinds the rows it changes, so a shallow copy is enough
+            pivoted = rows[:]
+            pivoted[k], pivoted[r] = pivoted[r], pivoted[k]
+            _pivot(pivoted, k, j)
+            walk(pivoted, basis + [j], j + 1)
+
+    walk(work[:rank], [], 0)
     return out
 
 
@@ -621,6 +695,8 @@ class VertexPolytope:
 
     def __init__(self, vertices: Iterable[Iterable]):
         vs = tuple(tuple(map(rational, vert)) for vert in vertices)
+        if any(len(v) != len(vs[0]) for v in vs):
+            raise DimensionMismatch("the vertices differ in dimension")
         object.__setattr__(self, "vertices", vs)
 
     @property

@@ -236,9 +236,10 @@ def martingale_polytope(
 ) -> MartingalePolytope:
     """Vertex list of {q >= 0 on the support, sum q = 1, E_q[increments] = 0}.
 
-    Basis enumeration over all candidate active sets; adequate and exact at
-    desk scale.  A support larger than `max_enum` is refused with the
-    number of bases C(n, rank) the enumeration would have tried.
+    The feasible bases of the d+1 rows are walked depth first
+    (`enumerate_basic_feasible`), each shared prefix pivoted once; adequate
+    and exact at desk scale.  A support larger than `max_enum` is refused
+    with the number of bases C(n, rank) the enumeration covers.
     """
     n = len(m.support)
     rows = [row.coeffs for row in _martingale_rows(m)]

@@ -327,6 +327,7 @@ class TestLinearAlgebra:
     def test_matrix_rank(self):
         assert matrix_rank([[F(1), F(2)], [F(2), F(4)]]) == 1
         assert matrix_rank([[F(1), F(0)], [F(0), F(1)]]) == 2
+        assert matrix_rank([]) == 0
 
     def test_simplex_vertices(self):
         verts = enumerate_basic_feasible([[F(1), F(1), F(1)]], [F(1)])
@@ -346,6 +347,66 @@ class TestLinearAlgebra:
         assert enumerate_basic_feasible(
             [[F(1), F(1)], [F(2), F(2)]], [F(1), F(3)]
         ) == []
+        # the third row is the sum of the first two, its rhs is not
+        rows = [[F(1), F(0), F(1)], [F(0), F(1), F(1)], [F(1), F(1), F(2)]]
+        assert enumerate_basic_feasible(rows, [F(1), F(1), F(3)]) == []
+
+    def test_rank_one_is_solved_in_closed_form(self):
+        # one row: every vertex is b / a_j at a column with b / a_j >= 0
+        verts = enumerate_basic_feasible([[F(2), F(0), F(-1), F(1, 3)]], [F(1)])
+        assert verts == [(F(1, 2), 0, 0, 0), (0, 0, 0, F(3))]
+        # b = 0: every column with a nonzero entry gives the origin
+        assert enumerate_basic_feasible([[F(1), F(-1)]], [F(0)]) == [(0, 0)]
+
+    def test_dependent_column_pair(self):
+        # column 1 is twice column 0, so the prefix (0, 1) is skipped
+        # before the last level and {0, 1, 2}, {0, 1, 3} are never solved;
+        # {0, 2, 3} and {1, 2, 3} give one vertex each
+        rows = [[F(1), F(2), F(1), F(0)], [F(-1), F(-2), F(1), F(1)],
+                [F(-1), F(-2), F(0), F(1)]]
+        verts = enumerate_basic_feasible(rows, [F(1), F(2), F(2)])
+        assert verts == [(F(1), 0, 0, F(3)), (0, F(1, 2), 0, F(3))]
+
+    def test_negative_prefix_entry_is_infeasible(self):
+        # the bases {0, 2} and {1, 2} give q_2 = 3 >= 0 at the last column
+        # but a negative entry at the first: there is no vertex
+        rows = [[F(-1), F(-2), F(0)], [F(1), F(2), F(1)]]
+        assert enumerate_basic_feasible(rows, [F(1), F(2)]) == []
+
+    def test_degenerate_vertex_listed_at_its_first_basis(self):
+        # q = (1, 0, 0) solves the bases {0, 1} and {0, 2} (and the vertex
+        # (0, 1/2, 1/2) only {1, 2}): the degenerate vertex comes first,
+        # once
+        verts = enumerate_basic_feasible(
+            [[F(1), F(1), F(1)], [F(0), F(1), F(-1)]], [F(1), F(0)]
+        )
+        assert verts == [(F(1), 0, 0), (0, F(1, 2), F(1, 2))]
+
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda: enumerate_basic_feasible([[1, 1], [1, -1]], [1]),
+            lambda: enumerate_basic_feasible([[1, 1]], [1, 0]),
+            lambda: enumerate_basic_feasible([[1, 1], [1, 1, 1]], [1, 1]),
+            lambda: enumerate_basic_feasible([[1, 1], [1]], [1, 1]),
+            lambda: enumerate_basic_feasible([], []),
+            lambda: solve_square([[1, 0], [0, 1]], [1]),
+            lambda: solve_square([[1, 0], [0]], [1, 1]),
+            lambda: solve_square([[1, 0]], [1]),
+            lambda: solve_square([], []),
+            lambda: matrix_rank([[1, 0], [0]]),
+            lambda: matrix_rank([[1], [0, 1]]),
+        ],
+        ids=[
+            "enumerate-missing-rhs", "enumerate-extra-rhs", "enumerate-longer-row",
+            "enumerate-shorter-row", "enumerate-no-rows", "solve-missing-rhs",
+            "solve-ragged", "solve-not-square", "solve-no-rows", "rank-shorter-row",
+            "rank-longer-row",
+        ],
+    )
+    def test_malformed_shapes_raise(self, call):
+        with pytest.raises(DimensionMismatch):
+            call()
 
 
 def _simplex_h(dim):
@@ -403,6 +464,12 @@ class TestMinimax:
         assert res.value == F(1, 2)
         assert res.y_star == (F(1, 2), F(1, 2))
         check_against_reference(inst, res)
+
+    def test_ragged_vertices_raise(self):
+        # the game's dot products would zip a missing coordinate away and
+        # give x* of the wrong dimension
+        with pytest.raises(DimensionMismatch):
+            VertexPolytope([[1, 0], [0]])
 
     def test_empty_y_raises(self):
         X = VertexPolytope([[1]])

@@ -152,13 +152,35 @@ def test_charge_column_matches(m, data):
     assert all(type(x) is Fraction for x in got)
 
 
-@settings(max_examples=200, deadline=None)
-@given(st.integers(1, 3), st.integers(2, 6), st.data())
-def test_vertex_order_matches(rows, cols, data):
-    # small entries make degenerate systems, where bases share a vertex
-    entries = st.builds(F, st.integers(-2, 2), st.sampled_from([1, 2]))
-    A = [data.draw(st.lists(entries, min_size=cols, max_size=cols)) for _ in range(rows)]
-    b = data.draw(st.lists(entries, min_size=rows, max_size=rows))
+# small entries make degenerate systems, where bases share a vertex
+small = st.builds(F, st.integers(-2, 2), st.sampled_from([1, 2]))
+
+
+@st.composite
+def systems(draw):
+    """A q = b with 1 to 4 rows and 2 to 9 columns.  A column is drawn
+    afresh, all zero, or a multiple of an earlier one: the last two make
+    prefixes that depend on a column, which the enumeration must skip."""
+    rows, cols = draw(st.integers(1, 4)), draw(st.integers(2, 9))
+    by_column: list[list[Fraction]] = []
+    for _ in range(cols):
+        kind = draw(st.sampled_from(["fresh", "fresh", "zero", "repeat"]))
+        if kind == "zero":
+            by_column.append([F(0)] * rows)
+        elif kind == "repeat" and by_column:
+            earlier = draw(st.sampled_from(by_column))
+            factor = draw(st.sampled_from([F(1), F(2), F(-1), F(1, 2)]))
+            by_column.append([factor * a for a in earlier])
+        else:
+            by_column.append(draw(st.lists(small, min_size=rows, max_size=rows)))
+    A = [list(row) for row in zip(*by_column)]
+    return A, draw(st.lists(small, min_size=rows, max_size=rows))
+
+
+@settings(max_examples=300, deadline=None)
+@given(systems())
+def test_vertex_order_matches(system):
+    A, b = system
     got = enumerate_basic_feasible(A, b)
     want = ref.enumerate_basic_feasible(A, b)
     event("degenerate" if len(want) > 1 else f"{len(want)} vertices")
