@@ -6,6 +6,8 @@ is nonnegative, a martingale measure has zero expected increments, a
 mixture carries enough mass on every qualifying event.  :func:`claim` is
 the one place such a claim is checked, and :data:`RELATIONS` the one
 table of relations, which ``verify`` also reads to re-check a transcript.
+Their names (:data:`LT` ... :data:`GT`) are the ones the LP rows and the
+event scans use too.
 """
 
 from __future__ import annotations
@@ -17,12 +19,14 @@ from fractions import Fraction
 from .errors import CertificateError
 from .measures import rational
 
+LT, LE, EQ, GE, GT = "<", "<=", "=", ">=", ">"
+
 RELATIONS = {
-    "<": operator.lt,
-    "<=": operator.le,
-    "=": operator.eq,
-    ">=": operator.ge,
-    ">": operator.gt,
+    LT: operator.lt,
+    LE: operator.le,
+    EQ: operator.eq,
+    GE: operator.ge,
+    GT: operator.gt,
 }
 
 

@@ -70,8 +70,6 @@ from .measures import (
     rational,
 )
 
-ENV_MAX_ENUM = "ROBUST_FTAP_MAX_ENUM"
-
 # p, p/q or p.f: the integer part with its sign, then the denominator or
 # the fractional digits
 _NUMBER_RE = re.compile(r"(-?[0-9]+)(?:/([1-9][0-9]*)|\.([0-9]{1,12}))?\Z")
@@ -142,16 +140,16 @@ def _parse_level(value, field: str, below_one: bool = False) -> Fraction:
 
 
 def _parse_grid(
-    text: Optional[str], field: str, default=None, parse=parse_rational
+    text: Optional[str], field: str, default=None
 ) -> Optional[list[Fraction]]:
-    """The comma-separated grid of an option, each item read by ``parse``;
-    ``default`` when it is not given."""
-    if not text:
+    """The comma-separated levels of an option; ``default`` when the option
+    is not given.  An empty entry is refused."""
+    if text is None:
         return default
-    items = [t for t in text.split(",") if t.strip()]
-    if not items:
-        raise InputError(f"{field}: empty grid")
-    return [parse(t.strip(), field) for t in items]
+    items = [t.strip() for t in text.split(",")]
+    if "" in items:
+        raise InputError(f"{field}: empty entry in {text!r}")
+    return [_parse_level(t, field) for t in items]
 
 
 # ---------------------------------------------------------------------------
@@ -543,10 +541,8 @@ def _cmd_scan(args, max_enum, kind):
         scan, flag, text = scan_aa1, "--c-schedule", args.c_schedule
     else:
         scan, flag, text = scan_aa2, "--target-levels", args.target_levels
-    levels = _parse_grid(text, flag, parse=_parse_level)
-    alphas = _parse_grid(
-        args.alpha_grid, "--alpha-grid", list(DEFAULT_ALPHA_GRID), _parse_level
-    )
+    levels = _parse_grid(text, flag)
+    alphas = _parse_grid(args.alpha_grid, "--alpha-grid", list(DEFAULT_ALPHA_GRID))
     try:
         w = scan(seq, alphas, levels, max_enum)
     except ValueError as exc:  # the levels are positive but out of order
@@ -570,9 +566,7 @@ def _cmd_scan(args, max_enum, kind):
 
 def _cmd_certify(args, max_enum, kind):
     seq = load_sequence(_load_json(args.input))
-    grid = _parse_grid(
-        args.epsilon_grid, "--epsilon-grid", list(DEFAULT_ALPHA_GRID), _parse_level
-    )
+    grid = _parse_grid(args.epsilon_grid, "--epsilon-grid", list(DEFAULT_ALPHA_GRID))
     table = certify_moduli(seq, grid, kind, max_enum)
     input_obj = dict(sequence_to_obj(seq), epsilon_grid=_rs(grid), kind=kind)
     witness = {
@@ -684,7 +678,11 @@ def _emit(cert: dict, args) -> None:
         lines.append(f"payload_sha256: {cert['payload_sha256']}")
         text = "\n".join(lines) + "\n"
     if args.output:
-        _atomic_write(args.output, text)
+        try:
+            _atomic_write(args.output, text)
+        except OSError as exc:  # a missing directory, or a directory as the file
+            reason = exc.strerror or exc
+            raise InputError(f"--output: cannot write {args.output}: {reason}") from exc
     else:
         sys.stdout.write(text)
 
@@ -710,9 +708,8 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--output", help="write the certificate here (atomic)")
         p.add_argument("--format", choices=("json", "text"), default="json")
         if enumerates:
-            p.add_argument("--max-enum", type=int, default=None,
-                           help="enumeration cap (default 20; env "
-                                f"{ENV_MAX_ENUM} overrides)")
+            p.add_argument("--max-enum", type=int, default=DEFAULT_MAX_ENUM,
+                           help=f"enumeration cap (default {DEFAULT_MAX_ENUM})")
         return p
 
     # check-na, ftap and superhedge solve LPs only: no cap to set
@@ -758,19 +755,9 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _resolve_max_enum(args) -> int:
-    if args.max_enum is not None:
-        cap, source = args.max_enum, "--max-enum"
-    else:
-        env = os.environ.get(ENV_MAX_ENUM)
-        if not env:
-            return DEFAULT_MAX_ENUM
-        try:
-            cap, source = int(env), ENV_MAX_ENUM
-        except ValueError:
-            raise InputError(f"{ENV_MAX_ENUM} must be an integer, got {env!r}")
-    if cap < 0:
-        raise InputError(f"{source} must be a nonnegative integer, got {cap}")
-    return cap
+    if args.max_enum < 0:
+        raise InputError(f"--max-enum must be a nonnegative integer, got {args.max_enum}")
+    return args.max_enum
 
 
 def _run_verify(args) -> int:
@@ -806,7 +793,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except EnumerationCapExceeded as exc:
         sys.stderr.write(f"enumeration cap exceeded: {exc}\n")
         return 2
-    except (AssertionError, RobustFtapError) as exc:
+    except RobustFtapError as exc:
         sys.stderr.write(f"internal assertion failed: {exc}\n")
         return 3
 

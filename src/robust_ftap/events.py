@@ -37,8 +37,8 @@ from itertools import combinations, compress
 from math import ceil
 from typing import Callable, Iterable, Iterator, NamedTuple, Optional, Sequence
 
+from .claims import GE, LT
 from .errors import EnumerationCapExceeded
-from .lp_core import GE
 from .measures import (
     AmbiguitySet,
     ProbabilityMeasure,
@@ -50,9 +50,6 @@ from .measures import (
 
 #: Width of the low-bit block: at most 2**LOW_BITS table entries per measure.
 LOW_BITS = 6
-
-#: The relations of a scan's condition: lp_core's ">=" and a strict "<".
-LT = "<"
 
 
 class Best(NamedTuple):

@@ -13,16 +13,12 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
-from .claims import Claim, claim
+from .claims import GE, LE, LT, Claim, claim
 from .errors import CertificateError, DimensionMismatch, HypothesisViolated
-from .events import LT, support_events
+from .events import Best, support_events
 from .lp_core import (
     Constraint,
-    GE,
     HPolytope,
-    LE,
-    ONE,
-    ZERO,
     MinimaxInstance,
     MinimaxResult,
     VertexPolytope,
@@ -30,6 +26,8 @@ from .lp_core import (
 )
 from .measures import (
     DEFAULT_MAX_ENUM,
+    ONE,
+    ZERO,
     AmbiguitySet,
     ProbabilityMeasure,
     dominated_by,
@@ -48,7 +46,6 @@ PRIMAL, DUAL = "primal", "dual"
 class HsInstance:
     """A pair of ambiguity sets with quantitative levels epsilon, delta."""
 
-    space: object
     P: AmbiguitySet
     Q: AmbiguitySet
     epsilon: Fraction
@@ -65,7 +62,6 @@ class HsInstance:
                 raise ValueError(
                     "every Q-vertex must be dominated by the P ambiguity set"
                 )
-        object.__setattr__(self, "space", P.space)
         object.__setattr__(self, "P", P)
         object.__setattr__(self, "Q", Q)
         object.__setattr__(self, "epsilon", epsilon)
@@ -97,12 +93,7 @@ def check_hypothesis_primal(
     "exists P in the set" is a max over P-vertices, same for Q.  Returns the
     verdict and the qualifying event whose best Q-mass is smallest.
     """
-    events = support_events(inst.P, max_enum)
-    worst = events.best(
-        min,
-        events.upper(inst.Q.vertices),
-        (events.upper(inst.P.vertices), GE, inst.epsilon),
-    )
+    worst = _primal_scan(inst.P, inst.Q, inst.epsilon, max_enum)
     if worst is None:
         return True, frozenset()
     return worst.value >= inst.delta, worst.event
@@ -271,15 +262,15 @@ def witness_claims(
         if w.guaranteed_bound == NO_QUALIFYING_SET:
             return ()
         claims.append(_bound_claim(inst, w.guaranteed_bound))
-        op, t, relation = GE, 2 * inst.epsilon, ">="
+        op, t = GE, 2 * inst.epsilon
     else:
-        op, t, relation = LT, inst.epsilon * inst.delta, "<"
+        op, t = LT, inst.epsilon * inst.delta
     events = support_events(inst.P, max_enum)
     q_star = events.mass(w.q_star)
     for A in events.where(events.mass(w.for_vertex_p), op, t):
         claims.append(
             claim(f"Qstar mass of {_event_name(events.event(A))}",
-                  q_star.at(A), relation, w.guaranteed_bound)
+                  q_star.at(A), op, w.guaranteed_bound)
         )
     return tuple(claims)
 
@@ -308,11 +299,21 @@ def hs_modulus(
     epsilon = rational(epsilon)
     if P.space != Q.space:
         raise DimensionMismatch("P and Q live on different spaces")
+    best = _primal_scan(P, Q, epsilon, max_enum)
+    return NO_QUALIFYING_SET if best is None else best.value
+
+
+def _primal_scan(
+    P: AmbiguitySet, Q: AmbiguitySet, epsilon: Fraction, max_enum: int
+) -> Optional[Best]:
+    """The least best Q-mass over the events of best P-mass at least
+    epsilon, and the first event attaining it; None when no event
+    qualifies.  The one scan of the primal hypothesis and of the modulus,
+    which each call it rather than one another."""
     events = support_events(P, max_enum)
-    best = events.best(
+    return events.best(
         min, events.upper(Q.vertices), (events.upper(P.vertices), GE, epsilon)
     )
-    return NO_QUALIFYING_SET if best is None else best.value
 
 
 def indicator_restricted_value(

@@ -14,9 +14,9 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Iterator, Optional, Sequence
 
-from .claims import Claim, claim
+from .claims import GE, LE, LT, Claim, claim
 from .errors import EmptyMartingalePolytope, HypothesisViolated
-from .events import LT, Envelope, EventSpace, support_events
+from .events import Envelope, EventSpace, support_events
 from .halmos_savage import (
     NO_QUALIFYING_SET,
     HsInstance,
@@ -24,9 +24,17 @@ from .halmos_savage import (
     construct_hs_witness,
     hs_modulus,
 )
-from .lp_core import GE, LE, ONE, ZERO, Constraint, LinearProgram, solve_lp
+from .lp_core import Constraint, LinearProgram, solve_lp
 from .market import Market, check_na, martingale_polytope
-from .measures import DEFAULT_MAX_ENUM, AmbiguitySet, ProbabilityMeasure, mix, rational
+from .measures import (
+    DEFAULT_MAX_ENUM,
+    ONE,
+    ZERO,
+    AmbiguitySet,
+    ProbabilityMeasure,
+    mix,
+    rational,
+)
 
 DEFAULT_ALPHA_GRID = (
     Fraction(1, 10),
@@ -357,35 +365,20 @@ def _dual_modulus(
     return NO_QUALIFYING_SET if best is None else best.value
 
 
-def _base_measures(
-    seq: MarketSequence, p_sequence: Optional[Sequence[ProbabilityMeasure]]
-) -> list[ProbabilityMeasure]:
-    """One base measure per market; by default each market's first P-vertex."""
-    if p_sequence is None:
-        return [m.P.vertices[0] for m in seq.markets]
-    p_sequence = list(p_sequence)
-    if len(p_sequence) != len(seq):
-        raise ValueError("one base measure per market required")
-    return p_sequence
-
-
 def build_contiguous_sequence(
-    seq: MarketSequence,
-    p_sequence: Optional[Sequence[ProbabilityMeasure]] = None,
-    max_enum: int = DEFAULT_MAX_ENUM,
+    seq: MarketSequence, max_enum: int = DEFAULT_MAX_ENUM
 ) -> ContiguousSequence:
     """Dominating martingale mixtures on the geometric-weight schedule.
 
     Level schedule eps_m = 1/m with delta_m the uniform primal modulus at
-    eps_m; market n mixes the per-level witnesses with weights
-    2^-m / (1 - 2^-n).  The resulting bound, with the normalizing factor
-    dropped (which only strengthens it), is verified by enumeration:
-    P_n(A) >= 2 eps_m implies Q_n(A) >= 2^-m * eps_m * delta_m / 2.
+    eps_m; market n mixes the per-level witnesses for its first P-vertex
+    P_n with weights 2^-m / (1 - 2^-n).  The resulting bound, with the
+    normalizing factor dropped (which only strengthens it), is verified by
+    enumeration: P_n(A) >= 2 eps_m implies Q_n(A) >= 2^-m * eps_m * delta_m / 2.
     """
     N = len(seq)
     if N == 0:
         raise ValueError("sequence must be nonempty")
-    p_sequence = _base_measures(seq, p_sequence)
     eps = [Fraction(1, mm) for mm in range(1, N + 1)]
     q_sets = martingale_sets(seq, max_enum)
     table = _moduli(seq, q_sets, eps, "primal", max_enum)
@@ -411,7 +404,7 @@ def build_contiguous_sequence(
                 components.append(q_sets[n - 1].vertices[0])
                 continue
             inst = HsInstance(market.P, q_sets[n - 1], e, d)
-            w = construct_hs_witness(inst, p_sequence[n - 1], max_enum)
+            w = construct_hs_witness(inst, market.P.vertices[0], max_enum)
             components.append(w.q_star)
         norm = 1 - Fraction(1, 2**n)
         weights = tuple(
@@ -423,7 +416,7 @@ def build_contiguous_sequence(
         )
         # bound verification over every event, per level
         events = support_events(market.P, max_enum)
-        p, q = events.mass(p_sequence[n - 1]), events.mass(q_n)
+        p, q = events.mass(market.P.vertices[0]), events.mass(q_n)
         for m_level in range(1, n + 1):
             e, d = eps[m_level - 1], delta[m_level - 1]
             if 2 * e > 1:
@@ -451,7 +444,6 @@ def build_contiguous_sequence(
 
 def weak_contiguity_witness(
     seq: MarketSequence,
-    p_sequence: Optional[Sequence[ProbabilityMeasure]] = None,
     epsilon=Fraction(1, 4),
     max_enum: int = DEFAULT_MAX_ENUM,
 ) -> tuple[Fraction, tuple[ProbabilityMeasure, ...]]:
@@ -459,15 +451,15 @@ def weak_contiguity_witness(
 
     Works at the half level e' = epsilon / 2: with delta = e' * d(e') where
     d is the uniform dual modulus at e', each per-market witness measure
-    satisfies P_n(A) < delta implies Q_n(A) < 2 e' = epsilon, verified by
-    full enumeration (:func:`weak_contiguity_claims`).
+    satisfies P_n(A) < delta implies Q_n(A) < 2 e' = epsilon, for P_n the
+    market's first P-vertex, verified by full enumeration
+    (:func:`weak_contiguity_claims`).
     """
-    return _weak_contiguity_certificate(seq, p_sequence, epsilon, max_enum)[:2]
+    return _weak_contiguity_certificate(seq, epsilon, max_enum)[:2]
 
 
 def _weak_contiguity_certificate(
     seq: MarketSequence,
-    p_sequence: Optional[Sequence[ProbabilityMeasure]] = None,
     epsilon=Fraction(1, 4),
     max_enum: int = DEFAULT_MAX_ENUM,
 ) -> tuple[Fraction, tuple[ProbabilityMeasure, ...], tuple[Claim, ...]]:
@@ -477,7 +469,6 @@ def _weak_contiguity_certificate(
     N = len(seq)
     if N == 0:
         raise ValueError("sequence must be nonempty")
-    p_sequence = _base_measures(seq, p_sequence)
     q_sets = martingale_sets(seq, max_enum)
     if epsilon > 1:
         # vacuous: every probability is < epsilon
@@ -496,9 +487,9 @@ def _weak_contiguity_certificate(
     for n in range(1, N + 1):
         market = seq.markets[n - 1]
         inst = HsInstance(market.P, q_sets[n - 1], half, d_eff)
-        w = construct_dual_hs_witness(inst, p_sequence[n - 1], max_enum)
+        w = construct_dual_hs_witness(inst, market.P.vertices[0], max_enum)
         picks.append(w.q_star)
-    claims = weak_contiguity_claims(seq, delta, picks, epsilon, p_sequence, max_enum)
+    claims = weak_contiguity_claims(seq, delta, picks, epsilon, max_enum)
     return delta, tuple(picks), claims
 
 
@@ -507,20 +498,20 @@ def weak_contiguity_claims(
     delta,
     picks: Sequence[ProbabilityMeasure],
     epsilon,
-    p_sequence: Optional[Sequence[ProbabilityMeasure]] = None,
     max_enum: int = DEFAULT_MAX_ENUM,
 ) -> tuple[Claim, ...]:
-    """The weak-contiguity bound P_n(A) < delta => picks[n](A) < epsilon: per
-    market with such events A, a claim on their largest pick mass; none for
-    epsilon > 1.  Raises CertificateError when a claim fails."""
+    """The weak-contiguity bound P_n(A) < delta => picks[n](A) < epsilon, for
+    P_n the market's first P-vertex: per market with such events A, a claim
+    on their largest pick mass; none for epsilon > 1.  Raises
+    CertificateError when a claim fails."""
     epsilon = rational(epsilon)
     if epsilon > 1:
         return ()
     claims = []
-    bases = _base_measures(seq, p_sequence)
-    for n, (market, p, q) in enumerate(zip(seq.markets, bases, picks), start=1):
+    for n, (market, q) in enumerate(zip(seq.markets, picks), start=1):
         events = support_events(market.P, max_enum)
-        worst = events.best(max, events.mass(q), (events.mass(p), LT, delta))
+        p = events.mass(market.P.vertices[0])
+        worst = events.best(max, events.mass(q), (p, LT, delta))
         if worst is not None:
             claims.append(claim(
                 f"market {n}: largest witness mass on small events",

@@ -38,13 +38,10 @@ from functools import reduce
 from math import gcd, lcm
 from typing import Iterable, Optional, Sequence
 
+from .claims import EQ, GE, LE, RELATIONS
 from .errors import CertificateError, DimensionMismatch, EmptyPolytope
-from .measures import rational, scaled
+from .measures import ONE, ZERO, rational, scaled
 
-ZERO = Fraction(0)
-ONE = Fraction(1)
-
-LE, EQ, GE = "<=", "=", ">="
 _RELATIONS = (LE, EQ, GE)
 
 
@@ -411,15 +408,11 @@ def _idot(u: Sequence[int], v: Sequence[int]) -> int:
     return sum(a * b for a, b in zip(u, v) if a)
 
 
-def _holds(lhs: int, relation: str, rhs: int) -> bool:
-    return lhs <= rhs if relation == LE else lhs >= rhs if relation == GE else lhs == rhs
-
-
 def _require_feasible(lp: LinearProgram, x: Sequence) -> tuple[list[int], int]:
     """x = X / D satisfies every row and bound of the LP; returns X and D."""
     X, D = scaled(x)
     for a, rel, b, _ in lp._rows:
-        _require(_holds(_idot(a, X), rel, b * D), f"primal infeasible ({rel} row)")
+        _require(RELATIONS[rel](_idot(a, X), b * D), f"primal infeasible ({rel} row)")
     low, lden = lp._lower
     for xj, lo, bound in zip(X, low, lp.lower):
         if bound is not None:
@@ -541,7 +534,7 @@ def check_unbounded(lp: LinearProgram, sol: LpSolution) -> None:
     _require_feasible(lp, sol.point)
     d, _ = scaled(sol.primal)
     for a, rel, _, _ in lp._rows:
-        _require(_holds(_idot(a, d), rel, 0), f"ray leaves a {rel} row")
+        _require(RELATIONS[rel](_idot(a, d), 0), f"ray leaves a {rel} row")
     for dj, lo in zip(d, lp.lower):
         if lo is not None:
             _require(dj >= 0, "ray leaves a lower bound")

@@ -18,7 +18,7 @@ from functools import cached_property
 from math import comb
 from typing import Iterable, Optional, Sequence
 
-from .claims import Claim, claim
+from .claims import EQ, Claim, claim
 from .errors import (
     CertificateError,
     DimensionMismatch,
@@ -27,9 +27,6 @@ from .errors import (
 )
 from .lp_core import (
     Constraint,
-    EQ,
-    ONE,
-    ZERO,
     LinearProgram,
     LpSolution,
     enumerate_basic_feasible,
@@ -38,6 +35,8 @@ from .lp_core import (
 )
 from .measures import (
     DEFAULT_MAX_ENUM,
+    ONE,
+    ZERO,
     AmbiguitySet,
     BoundedFunction,
     ProbabilityMeasure,

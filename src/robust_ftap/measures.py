@@ -22,6 +22,9 @@ from .errors import DimensionMismatch
 #: scan, or the bases of a vertex enumeration over n outcomes.
 DEFAULT_MAX_ENUM = 20
 
+ZERO = Fraction(0)
+ONE = Fraction(1)
+
 
 def rational(v) -> Fraction:
     """``v`` as a Fraction: ``v`` itself when it is one, else ``Fraction(v)``.
@@ -102,7 +105,7 @@ class ProbabilityMeasure:
 
     def __call__(self, event: Iterable[str]) -> Fraction:
         idx = {self.space.index(o) for o in event}
-        return sum((self.mass[i] for i in idx), Fraction(0))
+        return sum((self.mass[i] for i in idx), ZERO)
 
     def mass_of(self, label: str) -> Fraction:
         return self.mass[self.space.index(label)]
@@ -194,7 +197,7 @@ def mix(
     if any(w < 0 for w in weights) or sum(weights) != 1:
         raise ValueError("weights must be nonnegative and sum to 1")
     space = measures[0].space
-    mass = [Fraction(0)] * space.size
+    mass = [ZERO] * space.size
     for m, w in zip(measures, weights):
         if m.space != space:
             raise DimensionMismatch("measures on different spaces")

@@ -167,11 +167,11 @@ class TestSubcommands:
         assert err.startswith("input error: pair.outcomes: ")
         assert "Traceback" not in err
 
-    def test_env_cap_override(self, tmp_path, capsys, monkeypatch):
+    def test_cap_has_one_setting(self, tmp_path, monkeypatch):
+        # --max-enum is the only setting of the cap: no environment variable
+        # lowers its default of 20 below the 2 outcomes of M1
         path = write(tmp_path, "m1.json", M1)
         monkeypatch.setenv("ROBUST_FTAP_MAX_ENUM", "1")
-        assert main(["martingale-polytope", "--input", path]) == 2
-        monkeypatch.setenv("ROBUST_FTAP_MAX_ENUM", "20")
         assert main(["martingale-polytope", "--input", path]) == 0
 
     @pytest.mark.parametrize("command", ["hs-witness", "hs-dual-witness"])
@@ -195,12 +195,6 @@ class TestSubcommands:
             ["martingale-polytope", "--input", path, "--max-enum", "-1"]
         ) == 1
         assert "--max-enum" in capsys.readouterr().err
-
-    def test_negative_env_cap(self, tmp_path, capsys, monkeypatch):
-        path = write(tmp_path, "m1.json", M1)
-        monkeypatch.setenv("ROBUST_FTAP_MAX_ENUM", "-1")
-        assert main(["martingale-polytope", "--input", path]) == 1
-        assert "ROBUST_FTAP_MAX_ENUM" in capsys.readouterr().err
 
     def test_cap_message_reports_refused_bases(self, tmp_path, capsys):
         m3 = dict(M1, outcomes=["u", "m", "d"], S1=[["2"], ["1"], ["0"]],
@@ -252,13 +246,21 @@ class TestSubcommands:
             (["scan-aa2", "--target-levels", "0"], "--target-levels"),
             (["scan-aa2", "--target-levels", "-1"], "--target-levels"),
             (["scan-aa1", "--c-schedule", "0"], "--c-schedule"),
+            # an empty entry is refused, not dropped
+            (["certify-naa1", "--epsilon-grid", "1/4,,1/2"], "--epsilon-grid"),
+            (["scan-aa1", "--alpha-grid", "1/2,"], "--alpha-grid"),
+            (["scan-aa1", "--alpha-grid", ""], "--alpha-grid"),
+            (["scan-aa1", "--alpha-grid", ","], "--alpha-grid"),
+            (["scan-aa1", "--c-schedule", ",1/2"], "--c-schedule"),
+            (["scan-aa2", "--target-levels", " "], "--target-levels"),
         ],
     )
     def test_levels_share_one_rule(self, tmp_path, capsys, argv, flag):
         inp = write(tmp_path, "p.json", PAIR) if argv[0].startswith("hs-") else SEQUENCE
         assert main(argv + ["--input", inp]) == 1
         err = capsys.readouterr().err
-        assert err.startswith(f"input error: {flag}: ") and "is not in (0, " in err
+        assert err.startswith(f"input error: {flag}: ")
+        assert "is not in (0, " in err or "empty entry in " in err
         assert "Traceback" not in err
 
     @pytest.mark.parametrize(
@@ -283,12 +285,6 @@ class TestSubcommands:
             main([command, "--input", path, "--max-enum", "1"])
         assert exc.value.code == 2
         assert "unrecognized arguments: --max-enum 1" in capsys.readouterr().err
-
-    def test_env_cap_ignored_where_nothing_enumerates(self, tmp_path, monkeypatch):
-        path = write(tmp_path, "m1.json", M1)
-        monkeypatch.setenv("ROBUST_FTAP_MAX_ENUM", "-1")
-        code, cert = run_json(tmp_path, ["check-na", "--input", path])
-        assert code == 0 and cert["verdict"] == "NA holds"
 
     def test_negative_verdict_is_exit_zero(self, tmp_path):
         arb = dict(M1, S1=[["2"], ["1"]])  # increments (1, 0): arbitrage
@@ -317,6 +313,18 @@ class TestSubcommands:
         )
         assert code == 0 and cert["transcript"]
         assert len(calls) == 1
+
+    @pytest.mark.parametrize("target", ["missing/c.json", "taken"])
+    def test_unwritable_output(self, tmp_path, capsys, target):
+        # a directory that does not exist, and an existing directory as the file
+        path = write(tmp_path, "m1.json", M1)
+        (tmp_path / "taken").mkdir()
+        out = tmp_path / target
+        assert main(["check-na", "--input", path, "--output", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"input error: --output: cannot write {out}: ")
+        assert "Traceback" not in err
+        assert not list(tmp_path.rglob(".robust-ftap-*"))
 
     def test_text_format(self, tmp_path, capsys):
         path = write(tmp_path, "m1.json", M1)

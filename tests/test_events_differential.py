@@ -12,6 +12,9 @@ benchmark's ambiguity pairs, are scanned in many blocks at every width,
 most of which the kernel skips by their bounds.
 """
 
+import os
+import subprocess
+import sys
 from contextlib import contextmanager
 from fractions import Fraction
 from itertools import combinations
@@ -334,3 +337,23 @@ def test_pruning_saves_lps(monkeypatch):
     counter["lps"] = 0
     assert ref.scan_aa1(seq, alphas, schedule) is None
     assert counter["lps"] == 3 * 3 * 5
+
+
+def test_kernel_imports_no_lp_engine():
+    # the event kernel, the claims and the measures form an LP-free core: a
+    # checker built on them loads no simplex
+    code = (
+        "import sys, robust_ftap.events, robust_ftap.claims, robust_ftap.measures; "
+        "print('robust_ftap.lp_core' in sys.modules)"
+    )
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    src = os.path.join(root, "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    out = subprocess.run(
+        [sys.executable, "-c", code],
+        env=dict(os.environ, PYTHONPATH=path),
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    assert out.stdout == "False\n"
