@@ -1,29 +1,33 @@
 """Quantitative Halmos-Savage machinery with constructive witnesses.
 
 Hypothesis checking over all events of the quasi-sure support (by the
-integer event kernel of :mod:`robust_ftap.events`), the primal/dual
-test-function polytopes, the inf-sup / sup-inf values of the expectation
-game, and witness measures that are verified exhaustively before being
-returned.
+integer event kernel of :mod:`robust_ftap.events`), the inf-sup /
+sup-inf values of the expectation game between Q-mixtures and the
+primal/dual test-function sets, solved by cutting planes whose oracle is
+an exact fractional knapsack (or as one LP over the knapsack's dual when
+the Q-vertices outnumber half the support), and witness measures that
+are verified before being returned by one Lagrangian bound of that
+knapsack, which implies every per-event claim without enumerating the
+events.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional
+from functools import reduce
+from math import lcm
+from typing import NamedTuple, Optional
 
-from .claims import GE, LE, LT, Claim, claim
-from .errors import CertificateError, DimensionMismatch, HypothesisViolated
-from .events import Best, support_events
-from .lp_core import (
-    Constraint,
-    HPolytope,
-    MinimaxInstance,
-    MinimaxResult,
-    VertexPolytope,
-    minimax_value,
+from .claims import EQ, GE, LE, LT, Claim, claim
+from .errors import (
+    CertificateError,
+    DimensionMismatch,
+    EmptyPolytope,
+    HypothesisViolated,
 )
+from .events import Best, support_events
+from .lp_core import Constraint, LinearProgram, solve_lp
 from .measures import (
     DEFAULT_MAX_ENUM,
     ONE,
@@ -34,6 +38,7 @@ from .measures import (
     mix,
     ordered_support,
     rational,
+    scaled,
 )
 
 #: Sentinel for "no event qualifies": a value no probability can reach.
@@ -75,6 +80,8 @@ class HsWitness:
     Primal kind: every event A with forVertexP(A) >= 2*epsilon carries
     q_star mass >= guaranteed_bound.  Dual kind: every event with
     forVertexP(A) < epsilon*delta carries q_star mass < guaranteed_bound.
+    The constructors prove this for all events at once, by the scalar
+    bound of `knapsack_bound`; `witness_claims` lists it event by event.
     """
 
     kind: str
@@ -118,52 +125,162 @@ def check_hypothesis_dual(
     return worst.value < inst.epsilon, worst.event
 
 
-def _d_set_polytope(
-    inst: HsInstance, vertex_p: ProbabilityMeasure, kind: str
-) -> tuple[tuple[str, ...], HPolytope]:
-    """The primal/dual test-function polytope restricted to the support.
+class _Game(NamedTuple):
+    """The expectation game's value, the Q-vertex weights w* that attain
+    it, and a multiplier lambda >= 0 of the p-row of the knapsack at the
+    mixture of w*, at which `knapsack_bound` equals the value."""
 
-    Off-support coordinates are fixed to 0, so each h is a deterministic
-    representative of its equivalence class modulo the polar set.
+    value: Fraction
+    weights: tuple[Fraction, ...]
+    multiplier: Fraction
+
+
+class _TestFunction(NamedTuple):
+    """h over the support: 1 where `full`, `fill` at `last`, 0 elsewhere."""
+
+    full: list[bool]
+    last: Optional[int]
+    fill: Fraction
+
+    def dot(self, a: list[int]):
+        total = sum(x for x, f in zip(a, self.full) if f)
+        return total if self.last is None else total + self.fill * a[self.last]
+
+
+def _knapsack(
+    qn: list[int], pn: list[int], keys: list[int], level: int, kind: str
+) -> _TestFunction:
+    """The inner problem of the game at a mixture q, solved greedily.
+
+    q and p are integer numerators over the support, and `level` is
+    2*epsilon (primal) or epsilon*delta (dual) over p's denominator, an
+    integer; a primal level is at most p's mass.  Primal: min q.h over h
+    in [0, 1]^n with p.h >= level, filling the outcomes by increasing
+    q_o / p_o.  Dual: max q.h with p.h <= level, where the outcomes with
+    p_o = 0 take h_o = 1 and the others fill by decreasing ratio.
+    `keys[o]` is lcm(p) / p_o, so that q_o * keys[o] orders the ratios in
+    integers; ties keep support order.  The ratio at `last`, the outcome
+    filled last, is the multiplier of the p-row (0 when the dual greedy
+    fills everything).
     """
-    support = ordered_support(inst.P)
-    n = len(support)
-    cons: list[Constraint] = []
-    for i in range(n):
-        unit = [ONE if j == i else ZERO for j in range(n)]
-        cons.append(Constraint(unit, GE, ZERO))
-        cons.append(Constraint(unit, LE, ONE))
-    weights = [vertex_p.mass_of(o) for o in support]
-    if kind == PRIMAL:
-        cons.append(Constraint(weights, GE, 2 * inst.epsilon))
-    elif kind == DUAL:
-        cons.append(Constraint(weights, LE, inst.epsilon * inst.delta))
-    else:
-        raise ValueError("kind must be 'primal' or 'dual'")
-    return support, HPolytope(n, cons)
-
-
-def _q_vertex_polytope(inst: HsInstance, support: tuple[str, ...]) -> VertexPolytope:
-    return VertexPolytope(
-        [[v.mass_of(o) for o in support] for v in inst.Q.vertices]
+    n = len(pn)
+    order = sorted(
+        (o for o in range(n) if pn[o]),
+        key=lambda o: qn[o] * keys[o],
+        reverse=kind == DUAL,
     )
+    full = [kind == DUAL and not pn[o] for o in range(n)]
+    left = level
+    for o in order:
+        if pn[o] >= left:
+            return _TestFunction(full, o, Fraction(left, pn[o]))
+        full[o] = True
+        left -= pn[o]
+    return _TestFunction(full, None, ZERO)
 
 
 def _expectation_game(
     inst: HsInstance, vertex_p: ProbabilityMeasure, kind: str
-) -> MinimaxResult:
+) -> _Game:
     """Solve the expectation game between Q-mixtures and D-set functions.
 
-    Primal kind returns the game for E_Q[h]; the dual kind is realized by
-    negating the payoff, so the caller negates the value back.
+    Primal kind: sup over the weights w of the Q-vertices of min over the
+    D-set {h in [0, 1]^n : p.h >= 2*epsilon} of E_q[h], q the mixture of
+    w; dual kind: inf over w of max over {h : p.h <= epsilon*delta}.  At
+    a fixed w the inner problem is a fractional knapsack.  With K
+    Q-vertices on n support outcomes, the game is solved by cutting
+    planes over that knapsack when 2K <= n (`_cutting_planes`), and
+    otherwise as one LP over the knapsack's dual (`_knapsack_dual_lp`):
+    the cutting planes add one dense row per master LP and need at least
+    one per positive weight of w*, the dual LP is one LP of n + 1 sparse
+    rows.  Raises EmptyPolytope when no h reaches a primal level.
     """
-    support, dset = _d_set_polytope(inst, vertex_p, kind)
-    n = len(support)
-    sign = ONE if kind == PRIMAL else -ONE
-    payoff = [[sign if i == j else ZERO for j in range(n)] for i in range(n)]
-    return minimax_value(
-        MinimaxInstance(payoff, _q_vertex_polytope(inst, support), dset)
-    )
+    if kind not in (PRIMAL, DUAL):
+        raise ValueError("kind must be 'primal' or 'dual'")
+    support = ordered_support(inst.P)
+    level = 2 * inst.epsilon if kind == PRIMAL else inst.epsilon * inst.delta
+    p = [vertex_p.mass_of(o) for o in support]
+    if kind == PRIMAL and sum(p) < level:
+        raise EmptyPolytope("no test function reaches mass 2*epsilon")
+    Q = [[v.mass_of(o) for o in support] for v in inst.Q.vertices]
+    if 2 * len(Q) <= len(support):
+        return _cutting_planes(p, Q, level, kind)
+    return _knapsack_dual_lp(p, Q, level, kind)
+
+
+def _cutting_planes(p: list, Q: list, level: Fraction, kind: str) -> _Game:
+    """Kelley's cutting planes, from the uniform mixture, with the exact
+    knapsack (`_knapsack`) as oracle.  The master LP maximizes (dual:
+    minimizes) t over the simplex of weights with one row t <= w.(Q h_j)
+    (dual: >=) per cut h_j, and the knapsack at its w either attains its
+    t or returns the next cut, a vertex of the D-set that w violates.
+    Every cut lies in the D-set, so the master's checked optimum bounds
+    the value from above (dual: below), and the knapsack's value at w is
+    exact; the loop stops when the two are equal.  The knapsack sums in
+    integers: p and the level over one denominator, the Q-vertices over
+    another."""
+    n, K = len(p), len(Q)
+    pn, pd = scaled(p + [level])
+    pn, level = pn[:-1], pn[-1]
+    span = reduce(lcm, [x for x in pn if x], 1)
+    keys = [span // x if x else 0 for x in pn]
+    flat, qd = scaled([x for row in Q for x in row])
+    Qn = [flat[k * n:(k + 1) * n] for k in range(K)]
+    sense, rel = ("max", LE) if kind == PRIMAL else ("min", GE)
+    # variables (t, w_1..w_K): t free, each weight >= 0
+    simplex = Constraint([ZERO] + [ONE] * K, EQ, ONE)
+    cuts: list[Constraint] = []
+    weights, t = (Fraction(1, K),) * K, None
+    while True:
+        wn, wd = scaled(weights)
+        qn = [sum(w * col[o] for w, col in zip(wn, Qn)) for o in range(n)]
+        h = _knapsack(qn, pn, keys, level, kind)
+        value = Fraction(h.dot(qn), wd * qd)
+        if value == t:
+            if h.last is None:
+                return _Game(value, weights, ZERO)
+            s = h.last
+            return _Game(value, weights, Fraction(qn[s] * pd, pn[s] * wd * qd))
+        cut = [-Fraction(h.dot(col), qd) for col in Qn]
+        cuts.append(Constraint([ONE] + cut, rel, ZERO))
+        sol = solve_lp(LinearProgram(
+            [ONE] + [ZERO] * K, sense, cuts + [simplex], [None] + [ZERO] * K
+        ))
+        if sol.status != "Optimal":
+            raise CertificateError(f"the game's master LP is {sol.status}")
+        t, weights = sol.value, sol.primal[1:]
+
+
+def _knapsack_dual_lp(p: list, Q: list, level: Fraction, kind: str) -> _Game:
+    """The game as one LP over the knapsack's LP dual, all variables >= 0.
+
+    Primal: max level*lambda - sum_o mu_o subject to
+    mu_o - lambda p_o + sum_k w_k Q_k,o >= 0 and sum_k w_k = 1, whose
+    value at fixed w is the knapsack minimum.  Dual: min level*lambda +
+    sum_o mu_o subject to mu_o + lambda p_o - sum_k w_k Q_k,o >= 0 and
+    sum_k w_k = 1.  At the optimum mu_o is the positive part in
+    `knapsack_bound`, so lambda is a multiplier at which it is exact.
+    Variables (lambda, mu_1..mu_n, w_1..w_K)."""
+    n, K = len(p), len(Q)
+    s = ONE if kind == PRIMAL else -ONE
+    rows = [
+        Constraint(
+            [-s * p[o]] + [ONE if j == o else ZERO for j in range(n)]
+            + [s * Q[k][o] for k in range(K)],
+            GE, ZERO,
+        )
+        for o in range(n)
+    ]
+    rows.append(Constraint([ZERO] * (n + 1) + [ONE] * K, EQ, ONE))
+    sol = solve_lp(LinearProgram(
+        [level] + [-s] * n + [ZERO] * K,
+        "max" if kind == PRIMAL else "min",
+        rows,
+        [ZERO] * (1 + n + K),
+    ))
+    if sol.status != "Optimal":
+        raise CertificateError(f"the game's knapsack dual LP is {sol.status}")
+    return _Game(sol.value, sol.primal[1 + n:], sol.primal[0])
 
 
 def basic_lemma_value(
@@ -171,8 +288,7 @@ def basic_lemma_value(
 ) -> Fraction:
     """Primal: inf over D-set h of sup over Q of E_Q[h].
     Dual: sup over the dual D-set of inf over Q of E_Q[h]."""
-    res = _expectation_game(inst, vertex_p, kind)
-    return res.value if kind == PRIMAL else -res.value
+    return _expectation_game(inst, vertex_p, kind).value
 
 
 def construct_hs_witness(
@@ -185,33 +301,27 @@ def construct_hs_witness(
     Solves sup over Q-mixtures of inf over the primal D-set of E_Q[h]; the
     attaining mixture guarantees Q(A) >= value for every event A with
     vertex_p(A) >= 2*epsilon, and the value is at least epsilon*delta/2.
-    Both facts are verified before returning.
+    Both facts are verified before returning, the first by the knapsack
+    bound L(lambda) >= value (`knapsack_bound`), with no event scan.
     """
     holds, _ = check_hypothesis_primal(inst, max_enum)
     if not holds:
         raise HypothesisViolated(
             "the primal epsilon-delta hypothesis fails on this instance"
         )
-    threshold = 2 * inst.epsilon
-    if threshold > 1:
+    if 2 * inst.epsilon > 1:
         # no event can reach mass 2*epsilon; any mixture works vacuously
         k = len(inst.Q.vertices)
         weights = tuple(Fraction(1, k) for _ in range(k))
         q_star = mix(inst.Q.vertices, weights)
         return HsWitness(PRIMAL, vertex_p, q_star, weights, NO_QUALIFYING_SET)
-    res = _expectation_game(inst, vertex_p, PRIMAL)
-    bound = res.value
-    _bound_claim(inst, bound)
-    q_star = mix(inst.Q.vertices, res.x_weights)
-    w = HsWitness(PRIMAL, vertex_p, q_star, res.x_weights, bound)
-    events = support_events(inst.P, max_enum)
-    worst = events.best(
-        min, events.mass(q_star), (events.mass(vertex_p), GE, threshold)
-    )
-    if worst is not None and worst.value < bound:
-        witness_claims(inst, w, max_enum)  # raises at the first failing event
-        raise CertificateError(f"witness fails on event {sorted(worst.event)}")
-    return w
+    game = _expectation_game(inst, vertex_p, PRIMAL)
+    _bound_claim(inst, game.value)
+    q_star = mix(inst.Q.vertices, game.weights)
+    claim("knapsack bound L(lambda) of Qstar at least the guaranteed bound",
+          knapsack_bound(inst, PRIMAL, q_star, vertex_p, game.multiplier),
+          GE, game.value)
+    return HsWitness(PRIMAL, vertex_p, q_star, game.weights, game.value)
 
 
 def construct_dual_hs_witness(
@@ -224,25 +334,59 @@ def construct_dual_hs_witness(
     Solves inf over Q-mixtures of sup over the dual D-set of E_Q[h]; the
     value is at most (2 - epsilon) * epsilon, and the attaining mixture
     satisfies Q(A) < 2*epsilon whenever vertex_p(A) < epsilon*delta.
+    Both facts are verified before returning, the second by the knapsack
+    bound U(lambda) < 2*epsilon (`knapsack_bound`), with no event scan.
     """
     holds, _ = check_hypothesis_dual(inst, max_enum)
     if not holds:
         raise HypothesisViolated(
             "the dual epsilon-delta hypothesis fails on this instance"
         )
-    res = _expectation_game(inst, vertex_p, DUAL)
-    value = -res.value  # inf over Q of sup over the dual D-set
+    game = _expectation_game(inst, vertex_p, DUAL)
     claim("inf-sup value at most (2-epsilon)*epsilon",
-          value, "<=", (2 - inst.epsilon) * inst.epsilon)
-    q_star = mix(inst.Q.vertices, res.x_weights)
-    w = HsWitness(DUAL, vertex_p, q_star, res.x_weights, 2 * inst.epsilon)
-    events = support_events(inst.P, max_enum)
-    strict = inst.epsilon * inst.delta
-    worst = events.best(max, events.mass(q_star), (events.mass(vertex_p), LT, strict))
-    if worst is not None and not worst.value < w.guaranteed_bound:
-        witness_claims(inst, w, max_enum)  # raises at the first failing event
-        raise CertificateError(f"dual witness fails on event {sorted(worst.event)}")
-    return w
+          game.value, "<=", (2 - inst.epsilon) * inst.epsilon)
+    q_star = mix(inst.Q.vertices, game.weights)
+    bound = 2 * inst.epsilon
+    claim("knapsack bound U(lambda) of Qstar below 2*epsilon",
+          knapsack_bound(inst, DUAL, q_star, vertex_p, game.multiplier), LT, bound)
+    return HsWitness(DUAL, vertex_p, q_star, game.weights, bound)
+
+
+def knapsack_bound(
+    inst: HsInstance,
+    kind: str,
+    q: ProbabilityMeasure,
+    p: ProbabilityMeasure,
+    multiplier: Fraction,
+) -> Fraction:
+    """The Lagrangian bound on q.h over a D-set at a multiplier lambda.
+
+    Primal: L(lambda) = 2*epsilon*lambda - sum_o (lambda p_o - q_o)+, at
+    most q.h for every h in [0, 1]^n with p.h >= 2*epsilon, and so at
+    most q(A) for every event A with p(A) >= 2*epsilon.  Dual:
+    U(lambda) = epsilon*delta*lambda + sum_o (q_o - lambda p_o)+, at least
+    q.h for every h with p.h <= epsilon*delta, and so at least q(A) for
+    every event A with p(A) <= epsilon*delta.  Sums run over the support
+    of P, in integers over one denominator.  Both bounds hold for every
+    lambda >= 0 and are exact at the game's own multiplier, so one scalar
+    checks every event claim of a witness.  Raises CertificateError on a
+    negative multiplier.
+    """
+    claim("knapsack multiplier lambda nonnegative", multiplier, GE, ZERO)
+    support = ordered_support(inst.P)
+    qn, qd = scaled([q.mass_of(o) for o in support])
+    pn, pd = scaled([p.mass_of(o) for o in support])
+    a, b = multiplier.numerator, multiplier.denominator
+    sign = 1 if kind == PRIMAL else -1
+    excess = 0
+    for x, y in zip(pn, qn):
+        d = sign * (a * x * qd - b * y * pd)
+        if d > 0:
+            excess += d
+    excess = Fraction(excess, b * pd * qd)
+    if kind == PRIMAL:
+        return 2 * inst.epsilon * multiplier - excess
+    return inst.epsilon * inst.delta * multiplier + excess
 
 
 def witness_claims(

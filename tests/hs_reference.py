@@ -1,5 +1,6 @@
 """LP-free reference for the inner game of the quantitative Halmos-Savage
-witnesses, and criterion 4/5's seeded instances.
+witnesses, criterion 4/5's seeded instances and 12-outcome pairs built
+like the benchmark's.
 
 For a fixed mixture q, the inner problem of the expectation game is a
 fractional knapsack over the quasi-sure support of P, with h in [0, 1]^n:
@@ -7,10 +8,14 @@ fractional knapsack over the quasi-sure support of P, with h in [0, 1]^n:
 - primal: min q.h subject to p.h >= 2*epsilon;
 - dual: max q.h subject to p.h <= epsilon*delta.
 
-Both are solved greedily by the ratio q_o / p_o, with no LP.  At the
-witness mixture q* the primal minimum is the guaranteed bound and the
-dual maximum the dual game value, so `test_hs_knapsack_differential.py`
-checks `halmos_savage`'s LPs against this module exactly.
+Both are solved greedily by the ratio q_o / p_o, with no LP, in
+Fractions.  `halmos_savage` solves the same knapsack in integers as the
+oracle of its cutting planes; at the witness mixture q* the primal
+minimum is the guaranteed bound and the dual maximum the dual game
+value, so `test_hs_knapsack_differential.py` checks the game and its
+one-scalar witness check against this module exactly, and
+`test_hs_game_differential.py` uses it to tell optimal weights apart
+when the game's optimum is not unique.
 """
 
 from __future__ import annotations
@@ -107,6 +112,36 @@ def _random_hs_instance(rng):
     eps = F(rng.randint(1, 5), 10)
     delta = F(rng.randint(1, 5), 10)
     return HsInstance(P, AmbiguitySet(space, q_verts), eps, delta)
+
+
+def mixture_pair_instance(rng, n=12, eps_choices=(F(1, 8), F(1, 6), F(1, 5), F(1, 4))):
+    """A pair built like the benchmark's hs-events pairs: 2 or 3 P-vertices
+    of counts 0..4 (about one in ten 0) that cover the n outcomes, 2 or 3
+    Q-vertices each a mixture of the P-vertices with weights 1..5, and
+    epsilon from `eps_choices`; delta is drawn from (0, 1) with no
+    hypothesis designed in, since the game does not need one."""
+    space = SampleSpace([f"w{i}" for i in range(n)])
+    counts = []
+    for _ in range(rng.randint(2, 3)):
+        row = [0 if rng.random() < 0.1 else rng.randint(1, 4) for _ in range(n)]
+        if not any(row):
+            row[rng.randrange(n)] = 1
+        counts.append(row)
+    for i in range(n):
+        if not any(row[i] for row in counts):
+            counts[rng.randrange(len(counts))][i] = 1
+    P = [[F(c, sum(row)) for c in row] for row in counts]
+    Q = []
+    for _ in range(rng.randint(2, 3)):
+        w = [F(rng.randint(1, 5)) for _ in P]
+        total = sum(w)
+        Q.append([sum(wi / total * p[i] for wi, p in zip(w, P)) for i in range(n)])
+    return HsInstance(
+        AmbiguitySet(space, [ProbabilityMeasure(space, v) for v in P]),
+        AmbiguitySet(space, [ProbabilityMeasure(space, v) for v in Q]),
+        rng.choice(eps_choices),
+        F(rng.randint(1, 9), 10),
+    )
 
 
 def criterion_4_5_instances() -> Iterator[tuple[str, HsInstance]]:

@@ -9,10 +9,12 @@ from itertools import combinations
 
 import pytest
 
+import hs_game_lp
+from hs_game_lp import lp_game
 from minimax_reference import check_against_reference
 from robust_ftap import halmos_savage, lp_core
 from robust_ftap.cli import load_hs_pair
-from robust_ftap.errors import HypothesisViolated
+from robust_ftap.errors import EmptyPolytope, HypothesisViolated
 from robust_ftap.halmos_savage import (
     NO_QUALIFYING_SET,
     HsInstance,
@@ -23,7 +25,9 @@ from robust_ftap.halmos_savage import (
     construct_hs_witness,
     hs_modulus,
     indicator_restricted_value,
+    witness_claims,
 )
+from robust_ftap.events import EventSpace
 from robust_ftap.measures import (
     AmbiguitySet,
     ProbabilityMeasure,
@@ -203,6 +207,28 @@ class TestBasicLemmaValue:
                     value = basic_lemma_value(inst, vp, "dual")
                     assert value <= 2 * inst.epsilon
 
+    def test_errors(self):
+        # 2*epsilon = 6/5 is above p's mass 1 on the support: no test
+        # function meets the primal D-set, in the game and its LP reference
+        half = amb(W2, (F(1, 2), F(1, 2)))
+        inst = HsInstance(half, half, F(3, 5), F(1, 2))
+        vp = half.vertices[0]
+        with pytest.raises(EmptyPolytope):
+            basic_lemma_value(inst, vp, "primal")
+        with pytest.raises(EmptyPolytope):
+            lp_game(inst, vp, "primal")
+        assert basic_lemma_value(inst, vp, "dual") == F(3, 10)
+        # one outcome and one Q-vertex: the knapsack dual LP's side
+        W1 = SampleSpace(["w"])
+        one = amb(W1, (1,))
+        with pytest.raises(EmptyPolytope):
+            basic_lemma_value(HsInstance(one, one, F(3, 5), F(1, 2)),
+                              one.vertices[0], "primal")
+        for kind in ("both", "Primal", None):
+            with pytest.raises(ValueError) as info:
+                basic_lemma_value(inst, vp, kind)
+            assert str(info.value) == "kind must be 'primal' or 'dual'"
+
     def test_indicator_relaxation_consistency(self):
         rng = random.Random(17)
         for _ in range(60):
@@ -215,7 +241,35 @@ class TestBasicLemmaValue:
             assert indicator >= continuous
 
 
+def _no_scan(*args, **kwargs):
+    raise AssertionError("an event scan ran")
+
+
 class TestConstructWitness:
+    def test_witnesses_scan_no_events(self, monkeypatch):
+        # past the hypothesis check, a witness is proved by one scalar
+        # bound: no event scan runs, yet every event claim holds
+        rng = random.Random(5)
+        seen = 0
+        for _ in range(40):
+            inst = _random_instance(rng, max_outcomes=6)
+            vp = inst.P.vertices[0]
+            for construct, check in (
+                (construct_hs_witness, check_hypothesis_primal),
+                (construct_dual_hs_witness, check_hypothesis_dual),
+            ):
+                if not check(inst)[0]:
+                    continue
+                with monkeypatch.context() as m:
+                    m.setattr(EventSpace, "best", _no_scan)
+                    m.setattr(EventSpace, "where", _no_scan)
+                    m.setattr(halmos_savage, check.__name__,
+                              lambda *args: (True, frozenset()))
+                    w = construct(inst, vp)
+                witness_claims(inst, w)
+                seen += 1
+        assert seen > 20
+
     def test_dirac_pair_witness(self):
         inst = HsInstance(
             amb(W2, (1, 0), (0, 1)), amb(W2, (F(1, 3), F(2, 3))), F(1, 2), F(1, 3)
@@ -339,18 +393,68 @@ class TestHsModulus:
 
 
 class TestGameLp:
-    """The expectation game is one LP, and every variable of it is free or
-    bounded below by 0: the multipliers of the D-set's <= rows enter as
-    nu = -mu >= 0."""
+    """With K Q-vertices on n outcomes and 2K <= n, the expectation game
+    is a cutting-plane loop over one small master LP: t and the K weights,
+    t free and every weight bounded below by 0, with one row per cut and
+    the simplex row.  Otherwise it is one LP over the knapsack's dual.
+    The one-LP game both replaced lives on in `hs_game_lp` as the
+    reference, with its shape."""
 
     PAIR = os.path.join(os.path.dirname(os.path.abspath(__file__)),
                         "golden", "inputs", "pair.json")
 
-    @pytest.mark.parametrize("kind", ["primal", "dual"])
-    def test_golden_pair_game_shape(self, monkeypatch, kind):
+    def _golden_instance(self):
         with open(self.PAIR) as fh:
             _, P, Q = load_hs_pair(json.load(fh))
-        inst = HsInstance(P, Q, F(1, 4), F(1, 8))
+        return HsInstance(P, Q, F(1, 4), F(1, 8))
+
+    @staticmethod
+    def _game_lps(monkeypatch, inst, kind):
+        """basic_lemma_value at the first P-vertex, and the LPs it solved."""
+        lps = []
+        solve = halmos_savage.solve_lp
+
+        def capture_lp(lp):
+            lps.append(lp)
+            return solve(lp)
+
+        monkeypatch.setattr(halmos_savage, "solve_lp", capture_lp)
+        value = basic_lemma_value(inst, inst.P.vertices[0], kind)
+        monkeypatch.undo()
+        return value, lps
+
+    @pytest.mark.parametrize("kind", ["primal", "dual"])
+    def test_golden_pair_game_shape(self, monkeypatch, kind):
+        inst = self._golden_instance()
+        value, lps = self._game_lps(monkeypatch, inst, kind)
+        K = len(inst.Q.vertices)
+        assert lps
+        for cuts, lp in enumerate(lps, start=1):
+            assert lp.num_vars == K + 1
+            assert lp.lower == (None,) + (0,) * K
+            assert len(lp.constraints) == cuts + 1
+            assert lp.sense == ("max" if kind == "primal" else "min")
+        assert value == lp_game(inst, inst.P.vertices[0], kind).value
+
+    @pytest.mark.parametrize("kind", ["primal", "dual"])
+    def test_knapsack_dual_lp_shape(self, monkeypatch, kind):
+        # K = 2 Q-vertices on n = 2 outcomes, K > n/2: one LP over
+        # (lambda, mu_1..mu_n, w_1..w_K), all >= 0, with n + 1 rows
+        P = amb(W2, (F(1, 2), F(1, 2)))
+        inst = HsInstance(P, amb(W2, (F(1, 3), F(2, 3)), (F(3, 4), F(1, 4))),
+                          F(1, 4), F(1, 2))
+        value, [lp] = self._game_lps(monkeypatch, inst, kind)
+        assert lp.num_vars == 1 + 2 + 2
+        assert lp.lower == (0,) * 5
+        assert len(lp.constraints) == 2 + 1
+        assert value == lp_game(inst, P.vertices[0], kind).value
+
+    @pytest.mark.parametrize("kind", ["primal", "dual"])
+    def test_golden_pair_reference_game_shape(self, monkeypatch, kind):
+        # the reference is one LP, and every variable of it is free or
+        # bounded below by 0: the multipliers of the D-set's <= rows enter
+        # as nu = -mu >= 0
+        inst = self._golden_instance()
         games, lps = [], []
         minimax, solve = lp_core.minimax_value, lp_core.solve_lp
 
@@ -362,9 +466,9 @@ class TestGameLp:
             lps.append(lp)
             return solve(lp)
 
-        monkeypatch.setattr(halmos_savage, "minimax_value", capture_game)
+        monkeypatch.setattr(hs_game_lp, "minimax_value", capture_game)
         monkeypatch.setattr(lp_core, "solve_lp", capture_lp)
-        basic_lemma_value(inst, P.vertices[0], kind)
+        lp_game(inst, inst.P.vertices[0], kind)
         [game], [lp] = games, lps
         assert all(lo == 0 for lo in lp.lower)
         assert len(lp.constraints) == game.Y.dim + 1

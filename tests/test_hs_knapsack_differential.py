@@ -1,19 +1,49 @@
-"""Differential test of the Halmos-Savage game LPs against the knapsack.
+"""Differential tests of the Halmos-Savage game and its witness check
+against the knapsack and the event scans.
 
-`halmos_savage` solves the expectation game as one LP and returns the
-mixture q* that attains it.  At q* the inner problem is a fractional
-knapsack, which `hs_reference` solves greedily without an LP.  On
+`halmos_savage` solves the expectation game by cutting planes and returns
+the mixture q* that attains it.  At q* the inner problem is a fractional
+knapsack, which `hs_reference` solves greedily in Fractions.  On
 criterion 4/5's 300 primal and 300 dual instances, the greedy minimum at
 the primal witness's q* must equal its guaranteed bound, and the greedy
 maximum at the dual witness's q* must equal the dual game value, exactly.
+
+The witnesses are verified by one scalar each, the Lagrangian bound
+L(lambda) or U(lambda) of `knapsack_bound`, instead of a scan of every
+event.  Whenever that bound holds, every per-event claim must hold, which
+the frozenset event scans of `frozenset_events` check; and a forged
+mixture must make both constructors raise CertificateError.
 """
 
-from hs_reference import criterion_4_5_instances, knapsack_max, knapsack_min
+import random
+from fractions import Fraction
+
+import pytest
+
+import frozenset_events
+from hs_reference import (
+    _random_hs_instance,
+    criterion_4_5_instances,
+    knapsack_max,
+    knapsack_min,
+)
+from robust_ftap import halmos_savage
+from robust_ftap.errors import CertificateError
 from robust_ftap.halmos_savage import (
+    DUAL,
+    PRIMAL,
+    HsInstance,
+    HsWitness,
+    _expectation_game,
     basic_lemma_value,
     construct_dual_hs_witness,
     construct_hs_witness,
+    knapsack_bound,
+    witness_claims,
 )
+from robust_ftap.measures import AmbiguitySet, ProbabilityMeasure, SampleSpace, mix
+
+F = Fraction
 
 
 def test_criterion_4_5_instances_match_knapsack():
@@ -29,3 +59,96 @@ def test_criterion_4_5_instances_match_knapsack():
             value = basic_lemma_value(inst, vp, "dual")
             assert knapsack_max(inst, w.q_star, vp) == value
     assert kinds == {"primal": 300, "dual": 300}
+
+
+def test_knapsack_bound_is_exact_at_the_game_multiplier():
+    # at the game's own multiplier the Lagrangian bound is the game value,
+    # so a genuine witness always passes its check
+    for kind, inst in criterion_4_5_instances():
+        vp = inst.P.vertices[0]
+        game = _expectation_game(inst, vp, kind)
+        q_star = mix(inst.Q.vertices, game.weights)
+        assert knapsack_bound(inst, kind, q_star, vp, game.multiplier) == game.value
+
+
+def _multipliers(inst, q, p, rng):
+    """Multipliers to try: 0, every ratio q_o / p_o (the greedy's is one
+    of them), and a few random ones."""
+    out = {F(0)} | {F(rng.randint(0, 40), rng.randint(1, 12)) for _ in range(4)}
+    out |= {q.mass_of(o) / p.mass_of(o) for o in inst.P.space.outcomes
+            if p.mass_of(o) > 0}
+    return sorted(out)
+
+
+def test_bound_implies_every_event_claim():
+    rng = random.Random(99)
+    checked = 0
+    for _ in range(150):
+        inst = _random_hs_instance(rng)
+        weights = [F(rng.randint(0, 4)) for _ in inst.Q.vertices]
+        if not any(weights):
+            weights[0] = F(1)
+        q = mix(inst.Q.vertices, [w / sum(weights) for w in weights])
+        support = frozenset_events.sorted_support(inst.P)
+        for p in inst.P.vertices:
+            worst_primal = frozenset_events.best(
+                min, q, lambda A: p(A) >= 2 * inst.epsilon, support)
+            worst_dual = frozenset_events.best(
+                max, q, lambda A: p(A) < inst.epsilon * inst.delta, support)
+            for lam in _multipliers(inst, q, p, rng):
+                lower = knapsack_bound(inst, PRIMAL, q, p, lam)
+                upper = knapsack_bound(inst, DUAL, q, p, lam)
+                # every bound L(lambda) >= b certifies q(A) >= b on every
+                # event of p-mass >= 2*epsilon; U(lambda) < b certifies
+                # q(A) < b on every event of p-mass < epsilon*delta
+                if worst_primal is not None:
+                    assert worst_primal[0] >= lower
+                assert worst_dual[0] <= upper
+                checked += 1
+    assert checked > 1000
+
+
+def test_negative_multiplier_refused():
+    inst = _forgeable(3)
+    vp = inst.P.vertices[0]
+    with pytest.raises(CertificateError):
+        knapsack_bound(inst, PRIMAL, vp, vp, F(-1))
+
+
+def _forgeable(n):
+    """Q-vertex 0 is the unique optimum of both games; a q* of Q-vertex 1
+    puts mass 2/5 < 1/2 on the p-mass 19/20 >= 2*epsilon of all outcomes
+    but a, and 3/5 >= 2*epsilon on {a}, of p-mass 1/20 < epsilon*delta.
+    On 3 outcomes (K = 2 > n/2) the game is the knapsack dual LP; on 4,
+    the last outcome split in two halves, the cutting planes."""
+    space = SampleSpace(["a", "b", "c", "d"][:n])
+    rest = [F(19, 40)] if n == 3 else [F(19, 80), F(19, 80)]
+    p = ProbabilityMeasure(space, [F(1, 20), F(19, 40)] + rest)
+    q = ProbabilityMeasure(space, [F(3, 5), F(2, 5)] + [F(0)] * (n - 2))
+    return HsInstance(AmbiguitySet(space, [p]), AmbiguitySet(space, [p, q]),
+                      F(1, 4), F(1, 4))
+
+
+@pytest.mark.parametrize("n", [3, 4])
+@pytest.mark.parametrize("kind", [PRIMAL, DUAL])
+def test_forged_mixture_raises(monkeypatch, kind, n):
+    inst = _forgeable(n)
+    vp = inst.P.vertices[0]
+    construct = construct_hs_witness if kind == PRIMAL else construct_dual_hs_witness
+    genuine = construct(inst, vp)
+    assert genuine.weights == (1, 0)
+    forged = (F(0), F(1))
+    # the forged mixture really breaks an event claim
+    fake = HsWitness(kind, vp, mix(inst.Q.vertices, forged), forged,
+                     genuine.guaranteed_bound)
+    with pytest.raises(CertificateError):
+        witness_claims(inst, fake)
+
+    game = halmos_savage._expectation_game
+
+    def forged_game(*args):
+        return game(*args)._replace(weights=forged)
+
+    monkeypatch.setattr(halmos_savage, "_expectation_game", forged_game)
+    with pytest.raises(CertificateError):
+        construct(inst, vp)
