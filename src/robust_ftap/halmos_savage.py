@@ -190,10 +190,14 @@ def _expectation_game(
     a fixed w the inner problem is a fractional knapsack.  With K
     Q-vertices on n support outcomes, the game is solved by cutting
     planes over that knapsack when 2K <= n (`_cutting_planes`), and
-    otherwise as one LP over the knapsack's dual (`_knapsack_dual_lp`):
-    the cutting planes add one dense row per master LP and need at least
-    one per positive weight of w*, the dual LP is one LP of n + 1 sparse
-    rows.  Raises EmptyPolytope when no h reaches a primal level.
+    otherwise as one LP over the knapsack's dual (`_knapsack_dual_lp`).
+    The cutting planes need about one master LP per Q-vertex that w*
+    mixes, which is known only once solved; 2K > n stands in for "w*
+    mixes many".  Mean per game on a 2-vCPU VM, Python 3.11: on
+    12-outcome pairs with K = 2 or 3, 0.36 ms against 3.16 ms for the
+    dual LP; on the large-market witnesses (K = 5 on 6 outcomes, w*
+    mixing up to all five), 2.35 ms against 1.06 ms.  Raises
+    EmptyPolytope when no h reaches a primal level.
     """
     if kind not in (PRIMAL, DUAL):
         raise ValueError("kind must be 'primal' or 'dual'")
