@@ -51,7 +51,7 @@ from .large_market import (
     certify_moduli,
     scan_aa1,
     scan_aa2,
-    _weak_contiguity_certificate,
+    weak_contiguity_certificate,
 )
 from .market import (
     Market,
@@ -363,6 +363,28 @@ def verify_certificate(cert) -> list[str]:
                     f"witness.{field}[{j}] {defect}"
                     for defect in probability_defects(values)
                 )
+        problems += _multiplier_defects(witness)
+    return problems
+
+
+def _multiplier_defects(witness: dict) -> list[str]:
+    """Why ``multiplier``, or an entry of ``multipliers`` (a list, of
+    lists for build-contiguous), is not a rational string >= 0."""
+    rows = witness.get("multipliers", [])
+    if not isinstance(rows, list):
+        return ["witness.multipliers: expected a list"]
+    entries = [("witness.multiplier", witness[k]) for k in ("multiplier",) if k in witness]
+    for i, row in enumerate(rows):
+        field = f"witness.multipliers[{i}]"
+        entries += ([(f"{field}[{j}]", x) for j, x in enumerate(row)]
+                    if isinstance(row, list) else [(field, row)])
+    problems = []
+    for field, value in entries:
+        try:
+            if parse_rational(value, field) < 0:
+                problems.append(f"{field}: {value} is negative")
+        except InputError as exc:
+            problems.append(str(exc))
     return problems
 
 
@@ -516,9 +538,10 @@ def _cmd_hs_witness(args, max_enum, kind):
         "weight_vectors": [_rs(w.weights)],
         "guaranteed_bound": bound,
         "for_vertex_p": _rs(vertex_p.mass),
+        "multiplier": format_rational(w.multiplier),
     }
     input_obj = dict(input_obj, vertex_index=args.vertex_index)
-    return verdict, witness, witness_claims(inst, w, max_enum), input_obj
+    return verdict, witness, witness_claims(inst, w), input_obj
 
 
 def _cmd_hs_modulus(args, max_enum):
@@ -598,6 +621,7 @@ def _cmd_build_contiguous(args, max_enum):
         "schedule": [
             [format_rational(e), format_rational(d)] for e, d in cs.schedule
         ],
+        "multipliers": [_rs(row) for row in cs.multipliers],
     }
     verdict = f"contiguous dominating mixtures built for {len(seq)} markets"
     return verdict, witness, cs.claims, sequence_to_obj(seq)
@@ -610,7 +634,7 @@ def _cmd_weak_contiguity(args, max_enum):
     eps = _parse_level(args.epsilon, "--epsilon")
     input_obj = dict(sequence_to_obj(seq), epsilon=format_rational(eps))
     try:
-        delta, picks, claims = _weak_contiguity_certificate(
+        delta, picks, multipliers, claims = weak_contiguity_certificate(
             seq, epsilon=eps, max_enum=max_enum
         )
     except HypothesisViolated as exc:
@@ -618,6 +642,7 @@ def _cmd_weak_contiguity(args, max_enum):
     witness = {
         "delta": format_rational(delta),
         "probability_vectors": [_rs(q.mass) for q in picks],
+        "multipliers": _rs(multipliers),
     }
     verdict = (
         f"finite-horizon weak-contiguity certificate: delta "

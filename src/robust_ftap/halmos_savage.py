@@ -80,8 +80,9 @@ class HsWitness:
     Primal kind: every event A with forVertexP(A) >= 2*epsilon carries
     q_star mass >= guaranteed_bound.  Dual kind: every event with
     forVertexP(A) < epsilon*delta carries q_star mass < guaranteed_bound.
-    The constructors prove this for all events at once, by the scalar
-    bound of `knapsack_bound`; `witness_claims` lists it event by event.
+    `multiplier` is the knapsack multiplier lambda >= 0 at which the
+    scalar bound of `knapsack_bound` proves this for all events at once
+    (0 for the vacuous witness); `witness_claims` states that bound.
     """
 
     kind: str
@@ -89,6 +90,7 @@ class HsWitness:
     q_star: ProbabilityMeasure
     weights: tuple[Fraction, ...]
     guaranteed_bound: Fraction
+    multiplier: Fraction
 
 
 def check_hypothesis_primal(
@@ -305,8 +307,8 @@ def construct_hs_witness(
     Solves sup over Q-mixtures of inf over the primal D-set of E_Q[h]; the
     attaining mixture guarantees Q(A) >= value for every event A with
     vertex_p(A) >= 2*epsilon, and the value is at least epsilon*delta/2.
-    Both facts are verified before returning, the first by the knapsack
-    bound L(lambda) >= value (`knapsack_bound`), with no event scan.
+    Both facts are verified before returning by `witness_claims`, the
+    first by the knapsack bound L(lambda) >= value, with no event scan.
     """
     holds, _ = check_hypothesis_primal(inst, max_enum)
     if not holds:
@@ -318,14 +320,12 @@ def construct_hs_witness(
         k = len(inst.Q.vertices)
         weights = tuple(Fraction(1, k) for _ in range(k))
         q_star = mix(inst.Q.vertices, weights)
-        return HsWitness(PRIMAL, vertex_p, q_star, weights, NO_QUALIFYING_SET)
+        return HsWitness(PRIMAL, vertex_p, q_star, weights, NO_QUALIFYING_SET, ZERO)
     game = _expectation_game(inst, vertex_p, PRIMAL)
-    _bound_claim(inst, game.value)
-    q_star = mix(inst.Q.vertices, game.weights)
-    claim("knapsack bound L(lambda) of Qstar at least the guaranteed bound",
-          knapsack_bound(inst, PRIMAL, q_star, vertex_p, game.multiplier),
-          GE, game.value)
-    return HsWitness(PRIMAL, vertex_p, q_star, game.weights, game.value)
+    w = HsWitness(PRIMAL, vertex_p, mix(inst.Q.vertices, game.weights),
+                  game.weights, game.value, game.multiplier)
+    witness_claims(inst, w)
+    return w
 
 
 def construct_dual_hs_witness(
@@ -339,7 +339,7 @@ def construct_dual_hs_witness(
     value is at most (2 - epsilon) * epsilon, and the attaining mixture
     satisfies Q(A) < 2*epsilon whenever vertex_p(A) < epsilon*delta.
     Both facts are verified before returning, the second by the knapsack
-    bound U(lambda) < 2*epsilon (`knapsack_bound`), with no event scan.
+    bound U(lambda) < 2*epsilon (`witness_claims`), with no event scan.
     """
     holds, _ = check_hypothesis_dual(inst, max_enum)
     if not holds:
@@ -348,12 +348,11 @@ def construct_dual_hs_witness(
         )
     game = _expectation_game(inst, vertex_p, DUAL)
     claim("inf-sup value at most (2-epsilon)*epsilon",
-          game.value, "<=", (2 - inst.epsilon) * inst.epsilon)
-    q_star = mix(inst.Q.vertices, game.weights)
-    bound = 2 * inst.epsilon
-    claim("knapsack bound U(lambda) of Qstar below 2*epsilon",
-          knapsack_bound(inst, DUAL, q_star, vertex_p, game.multiplier), LT, bound)
-    return HsWitness(DUAL, vertex_p, q_star, game.weights, bound)
+          game.value, LE, (2 - inst.epsilon) * inst.epsilon)
+    w = HsWitness(DUAL, vertex_p, mix(inst.Q.vertices, game.weights),
+                  game.weights, 2 * inst.epsilon, game.multiplier)
+    witness_claims(inst, w)
+    return w
 
 
 def knapsack_bound(
@@ -393,43 +392,31 @@ def knapsack_bound(
     return inst.epsilon * inst.delta * multiplier + excess
 
 
-def witness_claims(
-    inst: HsInstance, w: HsWitness, max_enum: int = DEFAULT_MAX_ENUM
-) -> tuple[Claim, ...]:
-    """What the witness guarantees, one claim per qualifying event, with
-    the events by size and then in support order.
+def witness_claims(inst: HsInstance, w: HsWitness) -> tuple[Claim, ...]:
+    """What the witness guarantees, checked in O(n) by its multiplier
+    lambda, with no event scan.
 
-    Primal kind: the bound is at least epsilon*delta/2, and every event A
-    with for_vertex_p(A) >= 2*epsilon has q_star(A) >= the bound; nothing
-    when no event can reach 2*epsilon.  Dual kind: every event A with
-    for_vertex_p(A) < epsilon*delta has q_star(A) < the bound.  Raises
-    CertificateError at the first false claim.
+    Primal kind: the bound is at least epsilon*delta/2, and L(lambda) of
+    q_star is at least the bound, so every event A with
+    for_vertex_p(A) >= 2*epsilon has q_star(A) >= the bound; nothing when
+    no event can reach 2*epsilon.  Dual kind: U(lambda) is below the
+    bound, so every event A with for_vertex_p(A) < epsilon*delta has
+    q_star(A) < the bound.  Raises CertificateError at the first false
+    claim.
     """
-    claims = []
-    if w.kind == PRIMAL:
-        if w.guaranteed_bound == NO_QUALIFYING_SET:
-            return ()
-        claims.append(_bound_claim(inst, w.guaranteed_bound))
-        op, t = GE, 2 * inst.epsilon
-    else:
-        op, t = LT, inst.epsilon * inst.delta
-    events = support_events(inst.P, max_enum)
-    q_star = events.mass(w.q_star)
-    for A in events.where(events.mass(w.for_vertex_p), op, t):
-        claims.append(
-            claim(f"Qstar mass of {_event_name(events.event(A))}",
-                  q_star.at(A), op, w.guaranteed_bound)
-        )
-    return tuple(claims)
-
-
-def _bound_claim(inst: HsInstance, bound: Fraction) -> Claim:
-    return claim("guaranteed bound at least epsilon*delta/2",
-                 bound, ">=", inst.epsilon * inst.delta / 2)
-
-
-def _event_name(event: frozenset[str]) -> str:
-    return "{" + ",".join(sorted(event)) + "}"
+    if w.kind == DUAL:
+        return (claim("knapsack bound U(lambda) of Qstar below 2*epsilon",
+                      knapsack_bound(inst, DUAL, w.q_star, w.for_vertex_p, w.multiplier),
+                      LT, w.guaranteed_bound),)
+    if w.guaranteed_bound == NO_QUALIFYING_SET:
+        return ()
+    return (
+        claim("guaranteed bound at least epsilon*delta/2",
+              w.guaranteed_bound, GE, inst.epsilon * inst.delta / 2),
+        claim("knapsack bound L(lambda) of Qstar at least the guaranteed bound",
+              knapsack_bound(inst, PRIMAL, w.q_star, w.for_vertex_p, w.multiplier),
+              GE, w.guaranteed_bound),
+    )
 
 
 def hs_modulus(

@@ -10,19 +10,22 @@ the family, while the scanners search for explicit witness strategies.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from typing import Callable, Iterator, Optional, Sequence
 
-from .claims import GE, LE, LT, Claim, claim
+from .claims import GE, LE, Claim, claim
 from .errors import EmptyMartingalePolytope, HypothesisViolated
 from .events import Envelope, EventSpace, support_events
 from .halmos_savage import (
     NO_QUALIFYING_SET,
+    PRIMAL,
     HsInstance,
     construct_dual_hs_witness,
     construct_hs_witness,
     hs_modulus,
+    knapsack_bound,
+    witness_claims,
 )
 from .lp_core import Constraint, LinearProgram, solve_lp
 from .market import Market, check_na, martingale_polytope
@@ -120,12 +123,15 @@ class ModulusTable:
 @dataclass(frozen=True)
 class ContiguousSequence:
     """Per-market dominating martingale mixtures built on a level schedule;
-    ``claims`` lists the checks of each market's mixture."""
+    ``claims`` lists the checks of each market's mixture, and
+    ``multipliers`` the knapsack multiplier of each level's bound claim
+    (0 at a vacuous level)."""
 
     per_market: tuple[ProbabilityMeasure, ...]
     mixture_weights: tuple[tuple[Fraction, ...], ...]
     components: tuple[tuple[ProbabilityMeasure, ...], ...]
     schedule: tuple[tuple[Fraction, Fraction], ...]  # (epsilon_m, delta_m)
+    multipliers: tuple[tuple[Fraction, ...], ...]  # [market][level]
     claims: tuple[Claim, ...] = field(default=(), repr=False, compare=False)
 
 
@@ -372,9 +378,12 @@ def build_contiguous_sequence(
 
     Level schedule eps_m = 1/m with delta_m the uniform primal modulus at
     eps_m; market n mixes the per-level witnesses for its first P-vertex
-    P_n with weights 2^-m / (1 - 2^-n).  The resulting bound, with the
-    normalizing factor dropped (which only strengthens it), is verified by
-    enumeration: P_n(A) >= 2 eps_m implies Q_n(A) >= 2^-m * eps_m * delta_m / 2.
+    P_n with weights w_m = 2^-m / (1 - 2^-n).  The resulting bound, with
+    the normalizing factor dropped (which only strengthens it), is
+    P_n(A) >= 2 eps_m implies Q_n(A) >= 2^-m * eps_m * delta_m / 2.  It is
+    verified per level by one knapsack bound at w_m * lambda_m, lambda_m
+    the level witness's multiplier: L is nondecreasing in q, Q_n >= w_m q*_m,
+    and L(w q, w lambda) = w L(q, lambda) >= w_m * eps_m * delta_m / 2.
     """
     N = len(seq)
     if N == 0:
@@ -392,52 +401,50 @@ def build_contiguous_sequence(
         # the modulus can reach 1 (or the no-qualifying-event sentinel);
         # shrink into (0,1) since only a lower bound is needed
         delta.append(u if u < 1 else Fraction(1, 2))
-    per_market, all_weights, all_components, claims = [], [], [], []
+    per_market, all_weights, all_components, all_multipliers, claims = [], [], [], [], []
     for n in range(1, N + 1):
         market = seq.markets[n - 1]
-        components = []
+        vertex_p = market.P.vertices[0]
+        norm = 1 - Fraction(1, 2**n)
+        weights = tuple(
+            Fraction(1, 2**m_level) / norm for m_level in range(1, n + 1)
+        )
+        components, levels = [], []
         for m_level in range(1, n + 1):
             e, d = eps[m_level - 1], delta[m_level - 1]
-            if 2 * e > 1 or e >= 1:
+            if 2 * e > 1:
                 # no event can satisfy the conclusion's threshold; any
                 # martingale measure is a valid component
                 components.append(q_sets[n - 1].vertices[0])
                 continue
             inst = HsInstance(market.P, q_sets[n - 1], e, d)
-            w = construct_hs_witness(inst, market.P.vertices[0], max_enum)
+            w = construct_hs_witness(inst, vertex_p, max_enum)
             components.append(w.q_star)
-        norm = 1 - Fraction(1, 2**n)
-        weights = tuple(
-            Fraction(1, 2**m_level) / norm for m_level in range(1, n + 1)
-        )
+            levels.append((m_level, inst, w.multiplier))
         q_n = mix(components, weights)
         claims.append(
             claim(f"market {n}: mixture weights sum", sum(weights, ZERO), "=", ONE)
         )
-        # bound verification over every event, per level
-        events = support_events(market.P, max_enum)
-        p, q = events.mass(market.P.vertices[0]), events.mass(q_n)
-        for m_level in range(1, n + 1):
-            e, d = eps[m_level - 1], delta[m_level - 1]
-            if 2 * e > 1:
-                continue
-            beta = Fraction(1, 2**m_level) * (e * d / 2)
-            worst = events.best(min, q, (p, GE, 2 * e))
-            if worst is not None:
-                claims.append(claim(
-                    f"market {n}, level {m_level}: least mixture mass on "
-                    f"qualifying events",
-                    worst.value, ">=", beta,
-                ))
+        multipliers = [ZERO] * n
+        for m_level, inst, lam in levels:
+            multipliers[m_level - 1] = weights[m_level - 1] * lam
+            beta = Fraction(1, 2**m_level) * (inst.epsilon * inst.delta / 2)
+            claims.append(claim(
+                f"market {n}, level {m_level}: knapsack bound L(lambda) of the mixture",
+                knapsack_bound(inst, PRIMAL, q_n, vertex_p, multipliers[m_level - 1]),
+                GE, beta,
+            ))
         per_market.append(q_n)
         all_weights.append(weights)
         all_components.append(tuple(components))
+        all_multipliers.append(tuple(multipliers))
     schedule = tuple((eps[i], delta[i]) for i in range(N))
     return ContiguousSequence(
         per_market=tuple(per_market),
         mixture_weights=tuple(all_weights),
         components=tuple(all_components),
         schedule=schedule,
+        multipliers=tuple(all_multipliers),
         claims=tuple(claims),
     )
 
@@ -452,19 +459,22 @@ def weak_contiguity_witness(
     Works at the half level e' = epsilon / 2: with delta = e' * d(e') where
     d is the uniform dual modulus at e', each per-market witness measure
     satisfies P_n(A) < delta implies Q_n(A) < 2 e' = epsilon, for P_n the
-    market's first P-vertex, verified by full enumeration
-    (:func:`weak_contiguity_claims`).
+    market's first P-vertex, verified by the dual witness's knapsack
+    multiplier (:func:`weak_contiguity_certificate`).
     """
-    return _weak_contiguity_certificate(seq, epsilon, max_enum)[:2]
+    return weak_contiguity_certificate(seq, epsilon, max_enum)[:2]
 
 
-def _weak_contiguity_certificate(
+def weak_contiguity_certificate(
     seq: MarketSequence,
     epsilon=Fraction(1, 4),
     max_enum: int = DEFAULT_MAX_ENUM,
-) -> tuple[Fraction, tuple[ProbabilityMeasure, ...], tuple[Claim, ...]]:
-    """:func:`weak_contiguity_witness` as (delta, picks, claims), with the
-    checked claims of its bound, so the CLI need not scan again."""
+) -> tuple[Fraction, tuple[ProbabilityMeasure, ...], tuple[Fraction, ...], tuple[Claim, ...]]:
+    """:func:`weak_contiguity_witness` as (delta, picks, multipliers,
+    claims).  Each pick is the dual witness at level epsilon/2 and
+    epsilon*d/2 = delta, so its own claims (`witness_claims`, prefixed
+    with the market) state the bound, at its multiplier; none and
+    multipliers 0 for epsilon > 1."""
     epsilon = rational(epsilon)
     N = len(seq)
     if N == 0:
@@ -473,7 +483,7 @@ def _weak_contiguity_certificate(
     if epsilon > 1:
         # vacuous: every probability is < epsilon
         picks = tuple(qs.vertices[0] for qs in q_sets)
-        return ONE, picks, ()
+        return ONE, picks, (ZERO,) * N, ()
     half = epsilon / 2
     table = _moduli(seq, q_sets, [half], "dual", max_enum)
     d = table.uniform_delta[0]
@@ -482,42 +492,15 @@ def _weak_contiguity_certificate(
             f"uniform dual modulus at level {half} is not positive"
         )
     d_eff = d if d < 1 else Fraction(1, 2)
-    delta = half * d_eff
-    picks = []
-    for n in range(1, N + 1):
-        market = seq.markets[n - 1]
-        inst = HsInstance(market.P, q_sets[n - 1], half, d_eff)
+    picks, multipliers, claims = [], [], []
+    for n, (market, q_set) in enumerate(zip(seq.markets, q_sets), start=1):
+        inst = HsInstance(market.P, q_set, half, d_eff)
         w = construct_dual_hs_witness(inst, market.P.vertices[0], max_enum)
         picks.append(w.q_star)
-    claims = weak_contiguity_claims(seq, delta, picks, epsilon, max_enum)
-    return delta, tuple(picks), claims
-
-
-def weak_contiguity_claims(
-    seq: MarketSequence,
-    delta,
-    picks: Sequence[ProbabilityMeasure],
-    epsilon,
-    max_enum: int = DEFAULT_MAX_ENUM,
-) -> tuple[Claim, ...]:
-    """The weak-contiguity bound P_n(A) < delta => picks[n](A) < epsilon, for
-    P_n the market's first P-vertex: per market with such events A, a claim
-    on their largest pick mass; none for epsilon > 1.  Raises
-    CertificateError when a claim fails."""
-    epsilon = rational(epsilon)
-    if epsilon > 1:
-        return ()
-    claims = []
-    for n, (market, q) in enumerate(zip(seq.markets, picks), start=1):
-        events = support_events(market.P, max_enum)
-        p = events.mass(market.P.vertices[0])
-        worst = events.best(max, events.mass(q), (p, LT, delta))
-        if worst is not None:
-            claims.append(claim(
-                f"market {n}: largest witness mass on small events",
-                worst.value, "<", epsilon,
-            ))
-    return tuple(claims)
+        multipliers.append(w.multiplier)
+        claims += (replace(c, description=f"market {n}: {c.description}")
+                   for c in witness_claims(inst, w))
+    return half * d_eff, tuple(picks), tuple(multipliers), tuple(claims)
 
 
 def martingale_contradiction_margin(

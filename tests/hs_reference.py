@@ -1,6 +1,7 @@
 """LP-free reference for the inner game of the quantitative Halmos-Savage
-witnesses, criterion 4/5's seeded instances and 12-outcome pairs built
-like the benchmark's.
+witnesses, the per-event claims that their knapsack multipliers certify,
+criterion 4/5's seeded instances and 12-outcome pairs built like the
+benchmark's.
 
 For a fixed mixture q, the inner problem of the expectation game is a
 fractional knapsack over the quasi-sure support of P, with h in [0, 1]^n:
@@ -16,6 +17,13 @@ value, so `test_hs_knapsack_differential.py` checks the game and its
 one-scalar witness check against this module exactly, and
 `test_hs_game_differential.py` uses it to tell optimal weights apart
 when the game's optimum is not unique.
+
+The library checks a witness by one scalar per claim
+(`halmos_savage.witness_claims`, and the contiguity builders of
+`large_market`).  The per-event claims below are what those scalars
+imply, one claim per qualifying event: the scans the library ran before
+it carried the multiplier, kept as the reference of
+`test_hs_knapsack_differential.py`.
 """
 
 from __future__ import annotations
@@ -24,12 +32,20 @@ import random
 from fractions import Fraction
 from typing import Iterator, Optional
 
+from robust_ftap.claims import GE, LT, claim
+from robust_ftap.events import support_events
 from robust_ftap.halmos_savage import (
+    NO_QUALIFYING_SET,
+    PRIMAL,
     HsInstance,
+    HsWitness,
     check_hypothesis_dual,
     check_hypothesis_primal,
+    hs_modulus,
 )
+from robust_ftap.large_market import ContiguousSequence, MarketSequence
 from robust_ftap.measures import (
+    DEFAULT_MAX_ENUM,
     AmbiguitySet,
     ProbabilityMeasure,
     SampleSpace,
@@ -144,6 +160,13 @@ def mixture_pair_instance(rng, n=12, eps_choices=(F(1, 8), F(1, 6), F(1, 5), F(1
     )
 
 
+def with_primal_delta(inst: HsInstance) -> HsInstance:
+    """inst at delta = the primal modulus at epsilon (shrunk into (0, 1)),
+    the largest delta at which the primal hypothesis holds."""
+    modulus = hs_modulus(inst.P, inst.Q, inst.epsilon)
+    return HsInstance(inst.P, inst.Q, inst.epsilon, min(modulus, F(9, 10)))
+
+
 def criterion_4_5_instances() -> Iterator[tuple[str, HsInstance]]:
     """Criterion 4/5's seeded games: the first 300 drawn instances on which
     the primal hypothesis holds, as ("primal", inst), and the first 300 on
@@ -158,3 +181,73 @@ def criterion_4_5_instances() -> Iterator[tuple[str, HsInstance]]:
         if dual_done < 300 and check_hypothesis_dual(inst)[0]:
             dual_done += 1
             yield "dual", inst
+
+
+def event_name(event: frozenset[str]) -> str:
+    return "{" + ",".join(sorted(event)) + "}"
+
+
+def event_claims(inst: HsInstance, w: HsWitness) -> list:
+    """One claim per qualifying event, by size and then in support order.
+
+    Primal kind: every event A with for_vertex_p(A) >= 2*epsilon has
+    q_star(A) >= the bound; nothing when no event can reach 2*epsilon.
+    Dual kind: every event A with for_vertex_p(A) < epsilon*delta has
+    q_star(A) < the bound.  Raises CertificateError at the first false
+    claim, which names its event.
+    """
+    if w.kind == PRIMAL:
+        if w.guaranteed_bound == NO_QUALIFYING_SET:
+            return []
+        op, t = GE, 2 * inst.epsilon
+    else:
+        op, t = LT, inst.epsilon * inst.delta
+    events = support_events(inst.P, DEFAULT_MAX_ENUM)
+    q_star = events.mass(w.q_star)
+    return [
+        claim(f"Qstar mass of {event_name(events.event(A))}",
+              q_star.at(A), op, w.guaranteed_bound)
+        for A in events.where(events.mass(w.for_vertex_p), op, t)
+    ]
+
+
+def contiguity_event_claims(seq: MarketSequence, cs: ContiguousSequence) -> list:
+    """Per market n and level m with 2*eps_m <= 1, the least mixture mass
+    over the events A with P_n(A) >= 2*eps_m, claimed at least
+    2^-m * eps_m * delta_m / 2; P_n is the market's first P-vertex."""
+    claims = []
+    for n, (market, q_n) in enumerate(zip(seq.markets, cs.per_market), start=1):
+        events = support_events(market.P, DEFAULT_MAX_ENUM)
+        p, q = events.mass(market.P.vertices[0]), events.mass(q_n)
+        for m_level, (e, d) in enumerate(cs.schedule[:n], start=1):
+            if 2 * e > 1:
+                continue
+            worst = events.best(min, q, (p, GE, 2 * e))
+            if worst is not None:
+                claims.append(claim(
+                    f"market {n}, level {m_level}: least mixture mass on "
+                    f"qualifying events",
+                    worst.value, ">=", Fraction(1, 2**m_level) * (e * d / 2),
+                ))
+    return claims
+
+
+def weak_contiguity_event_claims(
+    seq: MarketSequence, delta, picks, epsilon
+) -> list:
+    """The weak-contiguity bound P_n(A) < delta => picks[n](A) < epsilon,
+    for P_n the market's first P-vertex: per market, a claim on the
+    largest pick mass of such events; none for epsilon > 1."""
+    if epsilon > 1:
+        return []
+    claims = []
+    for n, (market, q) in enumerate(zip(seq.markets, picks), start=1):
+        events = support_events(market.P, DEFAULT_MAX_ENUM)
+        p = events.mass(market.P.vertices[0])
+        worst = events.best(max, events.mass(q), (p, LT, delta))
+        if worst is not None:
+            claims.append(claim(
+                f"market {n}: largest witness mass on small events",
+                worst.value, "<", epsilon,
+            ))
+    return claims

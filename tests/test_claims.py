@@ -1,10 +1,11 @@
 """Checked claims: the one relation table, the claims each witness carries,
-and the per-event claims of the Halmos-Savage witnesses."""
+and the scalar claims of the Halmos-Savage witnesses."""
 
 from fractions import Fraction
 
 import pytest
 
+from hs_reference import event_claims
 from robust_ftap import cli
 from robust_ftap import large_market as lm
 from robust_ftap.claims import RELATIONS, Claim, claim, probability_defects
@@ -142,39 +143,53 @@ class TestMarketClaims:
 
 
 class TestWitnessClaims:
-    def test_primal_claims_list_every_qualifying_event(self):
+    def test_primal_claims_are_two_scalars(self):
         inst = pair_instance()
         vp = inst.P.vertices[0]
         w = construct_hs_witness(inst, vp)
-        claims = witness_claims(inst, w)
-        assert claims[0].description == "guaranteed bound at least epsilon*delta/2"
-        # events of vp-mass >= 1/2 on the support {a,...,e}, first by size
-        assert claims[1].description == "Qstar mass of {a}"
-        assert len(claims) == 1 + sum(
+        assert w.multiplier == F(2, 3)
+        assert witness_claims(inst, w) == (
+            Claim("guaranteed bound at least epsilon*delta/2", F(1, 3), ">=", F(1, 64)),
+            Claim("knapsack bound L(lambda) of Qstar at least the guaranteed bound",
+                  F(1, 3), ">=", F(1, 3)),
+        )
+        # what they imply: the reference's claims on the events of
+        # vp-mass >= 1/2 on the support {a,...,e}, first by size
+        claims = event_claims(inst, w)
+        assert claims[0].description == "Qstar mass of {a}"
+        assert len(claims) == sum(
             1 for mask in range(32)
             if sum(x for i, x in enumerate(vp.mass) if mask >> i & 1) >= F(1, 2)
         )
-        assert all(c.rhs == w.guaranteed_bound for c in claims[1:])
+        assert all(c.rhs == w.guaranteed_bound for c in claims)
 
     def test_dual_claims(self):
         inst = pair_instance()
         w = construct_dual_hs_witness(inst, inst.P.vertices[1])
         claims = witness_claims(inst, w)
-        assert claims[0].description == "Qstar mass of {}"
+        assert [c.description for c in claims] == [
+            "knapsack bound U(lambda) of Qstar below 2*epsilon"]
         assert {c.relation for c in claims} == {"<"}
+        assert event_claims(inst, w)[0].description == "Qstar mass of {}"
 
     def test_vacuous_witness_has_no_claims(self):
         inst = pair_instance(epsilon=F(3, 4))
         w = construct_hs_witness(inst, inst.P.vertices[0])
-        assert w.guaranteed_bound == NO_QUALIFYING_SET
+        assert w.guaranteed_bound == NO_QUALIFYING_SET and w.multiplier == 0
         assert witness_claims(inst, w) == ()
 
     def test_false_witness_names_its_first_failing_event(self):
         inst = pair_instance()
         w = construct_hs_witness(inst, inst.P.vertices[0])
-        forged = HsWitness(w.kind, w.for_vertex_p, w.q_star, w.weights, F(9, 10))
-        with pytest.raises(CertificateError, match=r"^Qstar mass of \{a\}: 1/3 >= 9/10 is false$"):
+        forged = HsWitness(w.kind, w.for_vertex_p, w.q_star, w.weights, F(9, 10),
+                           w.multiplier)
+        with pytest.raises(CertificateError,
+                           match=r"^knapsack bound L\(lambda\) of Qstar at least the "
+                                 r"guaranteed bound: 1/3 >= 9/10 is false$"):
             witness_claims(inst, forged)
+        # the reference confirms it: the first event the bound misses
+        with pytest.raises(CertificateError, match=r"^Qstar mass of \{a\}: 1/3 >= 9/10 is false$"):
+            event_claims(inst, forged)
 
 
 class TestLargeMarketClaims:
@@ -193,10 +208,20 @@ class TestLargeMarketClaims:
     def test_contiguity_claims(self):
         cs = lm.build_contiguous_sequence(shrinking_family())
         assert cs.claims[0] == Claim("market 1: mixture weights sum", F(1), "=", F(1))
-        delta, picks = lm.weak_contiguity_witness(shrinking_family(), epsilon=F(1, 2))
-        claims = lm.weak_contiguity_claims(shrinking_family(), delta, picks, F(1, 2))
-        assert [c.relation for c in claims] == ["<"] * len(claims)
-        assert lm.weak_contiguity_claims(shrinking_family(), delta, picks, 2) == ()
+        assert cs.claims[2] == Claim(
+            "market 2, level 2: knapsack bound L(lambda) of the mixture",
+            F(4, 9), ">=", F(1, 80))
+        assert cs.multipliers[1] == (0, F(4, 9))
+        _, picks, multipliers, claims = lm.weak_contiguity_certificate(
+            shrinking_family(), epsilon=F(1, 2))
+        assert [c.description for c in claims] == [
+            f"market {n}: knapsack bound U(lambda) of Qstar below 2*epsilon"
+            for n in range(1, 5)]
+        assert [c.relation for c in claims] == ["<"] * 4
+        assert len(multipliers) == len(picks) == 4
+        _, _, multipliers, claims = lm.weak_contiguity_certificate(
+            shrinking_family(), epsilon=2)
+        assert claims == () and multipliers == (0,) * 4
 
     @pytest.mark.parametrize("build", [
         lambda seq: lm.build_contiguous_sequence(seq),

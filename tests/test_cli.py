@@ -1,6 +1,8 @@
 """Command-line front-end: parsing, canonical round-trips, exit codes,
 and certificate self-verification."""
 
+import ast
+import hashlib
 import json
 import os
 import random
@@ -8,6 +10,7 @@ from fractions import Fraction
 
 import pytest
 
+from hs_reference import mixture_pair_instance, with_primal_delta
 from robust_ftap import cli, large_market
 from robust_ftap.cli import (
     build_certificate,
@@ -20,6 +23,7 @@ from robust_ftap.cli import (
     verify_certificate,
 )
 from robust_ftap.errors import InputError
+from robust_ftap.halmos_savage import HsInstance, construct_dual_hs_witness, witness_claims
 
 F = Fraction
 
@@ -294,25 +298,46 @@ class TestSubcommands:
         assert cert["verdict"] == "NA fails"
         assert cert["witness"]["strict_outcome"] == "u"
 
-    def test_weak_contiguity_scans_once(self, tmp_path, monkeypatch):
-        # the transcript is the library's own claims: the small-event scan
-        # behind them runs once, not again in the CLI
-        calls = []
-        claims = large_market.weak_contiguity_claims
-
-        def counted(*args, **kwargs):
-            calls.append(args)
-            return claims(*args, **kwargs)
-
-        monkeypatch.setattr(large_market, "weak_contiguity_claims", counted)
-        # a CLI that imports the claim builder itself is counted too
-        monkeypatch.setattr(cli, "weak_contiguity_claims", counted, raising=False)
+    def test_weak_contiguity_transcript_is_the_picks_claims(self, tmp_path):
+        # each market's claim is its pick's own dual-witness claim, at the
+        # multiplier the certificate carries: no event is scanned for it
         path = os.path.join(os.path.dirname(SEQUENCE), "sequence_shrinking.json")
         code, cert = run_json(
             tmp_path, ["weak-contiguity", "--input", path, "--epsilon", "1/2"]
         )
-        assert code == 0 and cert["transcript"]
-        assert len(calls) == 1
+        assert code == 0
+        with open(path, encoding="utf-8") as fh:
+            seq = cli.load_sequence(json.load(fh))
+        half = F(1, 4)
+        d_eff = F(cert["witness"]["delta"]) / half
+        q_sets = large_market.martingale_sets(seq)
+        expected = []
+        for n, (m, q_set) in enumerate(zip(seq.markets, q_sets), start=1):
+            inst = HsInstance(m.P, q_set, half, d_eff)
+            w = construct_dual_hs_witness(inst, m.P.vertices[0])
+            assert cert["witness"]["probability_vectors"][n - 1] == [
+                format_rational(x) for x in w.q_star.mass]
+            assert cert["witness"]["multipliers"][n - 1] == format_rational(w.multiplier)
+            expected += [
+                {"description": f"market {n}: {c.description}",
+                 "lhs": format_rational(c.lhs), "relation": c.relation,
+                 "rhs": format_rational(c.rhs)}
+                for c in witness_claims(inst, w)
+            ]
+        assert cert["transcript"] == expected and len(expected) == len(seq)
+
+    def test_hs_witness_transcript_lists_no_events(self, tmp_path):
+        # 12 outcomes, 4096 events: the witness states its guarantee in
+        # at most 3 claims, at its multiplier
+        inst = with_primal_delta(mixture_pair_instance(random.Random(12)))
+        path = write(tmp_path, "pair12.json", cli.hs_pair_to_obj(inst.P.space, inst.P, inst.Q))
+        levels = ["--epsilon", format_rational(inst.epsilon),
+                  "--delta", format_rational(inst.delta)]
+        code, cert = run_json(tmp_path, ["hs-witness", "--input", path, *levels])
+        assert code == 0 and cert["verdict"].startswith("witness with guaranteed bound")
+        assert 1 <= len(cert["transcript"]) <= 3
+        assert F(cert["witness"]["multiplier"]) >= 0
+        assert verify_certificate(cert) == []
 
     @pytest.mark.parametrize("target", ["missing/c.json", "taken"])
     def test_unwritable_output(self, tmp_path, capsys, target):
@@ -466,6 +491,27 @@ class TestVerify:
         out = capsys.readouterr().out
         assert "witness.probability_vectors: expected a list" in out
 
+    def test_rejects_negative_multiplier(self, tmp_path):
+        pair = os.path.join(os.path.dirname(SEQUENCE), "pair.json")
+        _, cert = run_json(tmp_path, ["hs-witness", "--input", pair,
+                                      "--epsilon", "1/4", "--delta", "1/8"])
+        assert cert["witness"]["multiplier"] == "2/3"
+        assert verify_certificate(cert) == []
+        cert["witness"]["multiplier"] = "-1/2"
+        payload = {k: cert[k] for k in
+                   ("command", "input_digest", "verdict", "witness", "transcript")}
+        cert["payload_sha256"] = hashlib.sha256(canonical_json(payload)).hexdigest()
+        assert verify_certificate(cert) == ["witness.multiplier: -1/2 is negative"]
+
+    @pytest.mark.parametrize("multipliers,problem", [
+        (["1", "x"], "witness.multipliers[1]: 'x' is not a valid rational string"),
+        ([["0"], ["0", "-1"]], "witness.multipliers[1][1]: -1 is negative"),
+        ("1", "witness.multipliers: expected a list"),
+    ])
+    def test_rejects_bad_multipliers(self, multipliers, problem):
+        cert = build_certificate("demo", {}, "ok", {"multipliers": multipliers}, [])
+        assert verify_certificate(cert) == [problem]
+
     def test_rejects_bad_weight_vector(self):
         cert = build_certificate(
             "demo", {}, "ok", {"weight_vectors": [["1/2", "1/3"]]}, []
@@ -482,3 +528,23 @@ class TestVerify:
             [{"description": "x", "lhs": "1/3", "relation": ">=", "rhs": "1/2"}],
         )
         assert any("fails" in p for p in verify_certificate(cert))
+
+
+def test_no_private_cross_module_imports():
+    # a module's underscore names are its own: no sibling imports them
+    package = os.path.dirname(os.path.abspath(cli.__file__))
+    private = []
+    for name in sorted(os.listdir(package)):
+        if not name.endswith(".py"):
+            continue
+        with open(os.path.join(package, name), encoding="utf-8") as fh:
+            tree = ast.parse(fh.read())
+        private += [
+            f"{name}: {alias.name}"
+            for node in ast.walk(tree)
+            if isinstance(node, ast.ImportFrom)
+            and (node.level or (node.module or "").startswith("robust_ftap"))
+            for alias in node.names
+            if alias.name.startswith("_")
+        ]
+    assert private == []

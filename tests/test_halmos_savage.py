@@ -247,8 +247,8 @@ def _no_scan(*args, **kwargs):
 
 class TestConstructWitness:
     def test_witnesses_scan_no_events(self, monkeypatch):
-        # past the hypothesis check, a witness is proved by one scalar
-        # bound: no event scan runs, yet every event claim holds
+        # past the hypothesis check, a witness is proved and its claims
+        # are stated by one scalar bound: no event scan runs in either
         rng = random.Random(5)
         seen = 0
         for _ in range(40):
@@ -266,7 +266,7 @@ class TestConstructWitness:
                     m.setattr(halmos_savage, check.__name__,
                               lambda *args: (True, frozenset()))
                     w = construct(inst, vp)
-                witness_claims(inst, w)
+                    witness_claims(inst, w)
                 seen += 1
         assert seen > 20
 

@@ -11,10 +11,16 @@ maximum at the dual witness's q* must equal the dual game value, exactly.
 The witnesses are verified by one scalar each, the Lagrangian bound
 L(lambda) or U(lambda) of `knapsack_bound`, instead of a scan of every
 event.  Whenever that bound holds, every per-event claim must hold, which
-the frozenset event scans of `frozenset_events` check; and a forged
-mixture must make both constructors raise CertificateError.
+the frozenset event scans of `frozenset_events` check at any multiplier,
+and the per-event claims of `hs_reference` check at the witnesses' own
+multipliers: on criterion 4/5's instances, the golden pair, seeded
+12-outcome pairs, and the contiguity certificates of the golden
+sequences and of seeded families.  A forged mixture must make both
+constructors raise CertificateError.
 """
 
+import json
+import os
 import random
 from fractions import Fraction
 
@@ -23,12 +29,18 @@ import pytest
 import frozenset_events
 from hs_reference import (
     _random_hs_instance,
+    contiguity_event_claims,
     criterion_4_5_instances,
+    event_claims,
     knapsack_max,
     knapsack_min,
+    mixture_pair_instance,
+    weak_contiguity_event_claims,
+    with_primal_delta,
 )
 from robust_ftap import halmos_savage
-from robust_ftap.errors import CertificateError
+from robust_ftap.cli import load_hs_pair, load_sequence
+from robust_ftap.errors import CertificateError, HypothesisViolated
 from robust_ftap.halmos_savage import (
     DUAL,
     PRIMAL,
@@ -41,9 +53,16 @@ from robust_ftap.halmos_savage import (
     knapsack_bound,
     witness_claims,
 )
+from robust_ftap.large_market import (
+    MarketSequence,
+    build_contiguous_sequence,
+    weak_contiguity_certificate,
+)
+from robust_ftap.market import Market
 from robust_ftap.measures import AmbiguitySet, ProbabilityMeasure, SampleSpace, mix
 
 F = Fraction
+INPUTS = os.path.join(os.path.dirname(os.path.abspath(__file__)), "golden", "inputs")
 
 
 def test_criterion_4_5_instances_match_knapsack():
@@ -138,10 +157,13 @@ def test_forged_mixture_raises(monkeypatch, kind, n):
     genuine = construct(inst, vp)
     assert genuine.weights == (1, 0)
     forged = (F(0), F(1))
-    # the forged mixture really breaks an event claim
+    # the forged mixture really breaks an event claim, so no multiplier
+    # can certify it
     fake = HsWitness(kind, vp, mix(inst.Q.vertices, forged), forged,
-                     genuine.guaranteed_bound)
-    with pytest.raises(CertificateError):
+                     genuine.guaranteed_bound, genuine.multiplier)
+    with pytest.raises(CertificateError, match="^Qstar mass of"):
+        event_claims(inst, fake)
+    with pytest.raises(CertificateError, match="^knapsack bound"):
         witness_claims(inst, fake)
 
     game = halmos_savage._expectation_game
@@ -152,3 +174,97 @@ def test_forged_mixture_raises(monkeypatch, kind, n):
     monkeypatch.setattr(halmos_savage, "_expectation_game", forged_game)
     with pytest.raises(CertificateError):
         construct(inst, vp)
+
+
+def _witness_claims_imply_event_claims(inst, vp):
+    """Build both witnesses of inst at vp whose hypotheses hold; their
+    scalar claims hold, so must every per-event claim of the reference,
+    and the scalar lhs bounds the reference's from the safe side.
+    Returns the number of witnesses built."""
+    built = 0
+    for construct in (construct_hs_witness, construct_dual_hs_witness):
+        try:
+            w = construct(inst, vp)
+        except HypothesisViolated:
+            continue
+        claims, events = witness_claims(inst, w), event_claims(inst, w)
+        if claims:
+            lhs = claims[-1].lhs  # L(lambda) or U(lambda)
+            assert all(lhs <= e.lhs if w.kind == PRIMAL else lhs >= e.lhs for e in events)
+        built += 1
+    return built
+
+
+def test_criterion_4_5_witness_claims_imply_event_claims():
+    assert sum(
+        _witness_claims_imply_event_claims(inst, inst.P.vertices[0])
+        for _, inst in criterion_4_5_instances()
+    ) >= 600
+
+
+def _golden(name):
+    with open(os.path.join(INPUTS, name), encoding="utf-8") as fh:
+        return json.load(fh)
+
+
+@pytest.mark.parametrize("epsilon", [F(1, 4), F(1, 8), F(3, 4)])
+def test_golden_pair_witness_claims_imply_event_claims(epsilon):
+    _, P, Q = load_hs_pair(_golden("pair.json"))
+    inst = HsInstance(P, Q, epsilon, F(1, 8))
+    assert sum(_witness_claims_imply_event_claims(inst, vp) for vp in P.vertices) >= 2
+
+
+def test_mixture_pair_witness_claims_imply_event_claims():
+    rng = random.Random(17)
+    built = sum(
+        _witness_claims_imply_event_claims(inst, inst.P.vertices[0])
+        for inst in (with_primal_delta(mixture_pair_instance(rng)) for _ in range(8))
+    )
+    assert built >= 8
+
+
+def _random_family(rng):
+    """3 or 4 one-asset markets on 3 or 4 outcomes: increments of both
+    signs and full-support P-vertices, so every market is free of
+    arbitrage."""
+    markets = []
+    for _ in range(rng.randint(3, 4)):
+        n = rng.randint(3, 4)
+        space = SampleSpace([f"o{i}" for i in range(n)])
+        deltas = [F(rng.randint(1, 4))] + [F(rng.randint(-4, 4)) for _ in range(n - 2)]
+        deltas.append(F(-rng.randint(1, 4)))
+        vertices = []
+        for _ in range(rng.randint(1, 3)):
+            counts = [rng.randint(1, 5) for _ in range(n)]
+            vertices.append(ProbabilityMeasure(space, [F(c, sum(counts)) for c in counts]))
+        markets.append(Market(space, [0], [[x] for x in deltas],
+                              AmbiguitySet(space, vertices)))
+    return MarketSequence(markets)
+
+
+def _families():
+    names = ["sequence_shrinking.json", "sequence_flat.json", "sequence_widening.json"]
+    rng = random.Random(23)
+    return [(name, load_sequence(_golden(name))) for name in names] + [
+        (f"seeded-{k}", _random_family(rng)) for k in range(6)
+    ]
+
+
+FAMILIES = _families()
+
+
+@pytest.mark.parametrize("seq", [seq for _, seq in FAMILIES],
+                         ids=[name for name, _ in FAMILIES])
+def test_contiguity_claims_imply_event_claims(seq):
+    # every family builds both certificates; their scalar claims hold, so
+    # must each per-level and per-market claim of the reference
+    cs = build_contiguous_sequence(seq)
+    scalar = [c for c in cs.claims if c.relation == ">="]
+    events = contiguity_event_claims(seq, cs)
+    assert [c.rhs for c in scalar] == [c.rhs for c in events]
+    assert all(c.lhs <= e.lhs for c, e in zip(scalar, events))
+    for epsilon in (F(1, 4), F(1, 2), F(1)):
+        delta, picks, _, claims = weak_contiguity_certificate(seq, epsilon)
+        events = weak_contiguity_event_claims(seq, delta, picks, epsilon)
+        assert [c.rhs for c in claims] == [c.rhs for c in events]
+        assert all(c.lhs >= e.lhs for c, e in zip(claims, events))
