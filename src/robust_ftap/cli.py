@@ -9,24 +9,41 @@ the original computation: it validates the payload digest, re-evaluates
 every transcript inequality, and checks the membership constraints of the
 witness vectors.
 
-All numbers are serialized as exact rational strings (``p/q`` in lowest
-terms, or a plain integer); floats are rejected on input.
+The wire format lives in :mod:`robust_ftap.codec`; this module keeps argv,
+file I/O and dispatch.  It reads the files, wraps the codec's validated
+fields in a ``Market`` or ``MarketSequence`` and writes the certificate.
 """
 
 from __future__ import annotations
 
 import argparse
 import functools
-import hashlib
 import json
 import os
-import re
 import sys
 import tempfile
 from fractions import Fraction
 from typing import Optional, Sequence
 
-from .claims import RELATIONS, Claim, probability_defects
+from .claims import RELATIONS, probability_defects
+from .codec import (
+    PAYLOAD_FIELDS,
+    build_certificate,
+    claims_to_obj,
+    digest,
+    format_list,
+    format_rational,
+    hs_pair_to_obj,
+    load_hs_pair,
+    load_payoff,
+    market_fields,
+    market_to_obj,
+    parse_list,
+    parse_rational,
+    payoff_to_obj,
+    sequence_fields,
+    sequence_to_obj,
+)
 from .errors import (
     EnumerationCapExceeded,
     HypothesisViolated,
@@ -61,71 +78,7 @@ from .market import (
     martingale_polytope,
     superhedge,
 )
-from .measures import (
-    DEFAULT_MAX_ENUM,
-    AmbiguitySet,
-    BoundedFunction,
-    ProbabilityMeasure,
-    SampleSpace,
-    rational,
-)
-
-# p, p/q or p.f: the integer part with its sign, then the denominator or
-# the fractional digits
-_NUMBER_RE = re.compile(r"(-?[0-9]+)(?:/([1-9][0-9]*)|\.([0-9]{1,12}))?\Z")
-
-
-# ---------------------------------------------------------------------------
-# rational (de)serialization
-
-
-def parse_rational(value, field: str = "value") -> Fraction:
-    """Exact rational from a string ``p``, ``p/q`` or a decimal with at most
-    12 fractional digits; JSON integers are accepted, floats are not."""
-    if isinstance(value, bool):
-        raise InputError(f"{field}: expected a rational string, got a boolean")
-    if isinstance(value, int):
-        return Fraction(value)
-    if isinstance(value, float):
-        raise InputError(
-            f"{field}: floats are not accepted; use a rational string"
-        )
-    if isinstance(value, str):
-        match = _NUMBER_RE.match(value.strip())
-        if match is None:
-            raise InputError(f"{field}: {value!r} is not a valid rational string")
-        whole, den, frac = match.groups()
-        try:
-            if den is not None:
-                return Fraction(int(whole), int(den))
-            if frac is not None:  # the sign of whole carries over: -0.5 is -05/10
-                return Fraction(int(whole + frac), 10 ** len(frac))
-            return Fraction(int(whole))
-        except ValueError as exc:  # more digits than int() converts
-            raise InputError(f"{field}: {exc}") from exc
-    raise InputError(f"{field}: expected a rational string, got {type(value).__name__}")
-
-
-def format_rational(x: Fraction) -> str:
-    """Canonical rational string: lowest terms, `p/q` or a bare integer.
-
-    Every input number is below the interpreter's int/str digit limit, but
-    an exact result computed from them can pass it; such a result cannot
-    be written, and the input is refused."""
-    try:
-        return str(rational(x))
-    except ValueError as exc:
-        raise InputError(f"a computed value cannot be written: {exc}") from exc
-
-
-def _rs(values) -> list[str]:
-    return [format_rational(v) for v in values]
-
-
-def _parse_list(values, field: str) -> list[Fraction]:
-    if not isinstance(values, list):
-        raise InputError(f"{field}: expected a list")
-    return [parse_rational(v, f"{field}[{i}]") for i, v in enumerate(values)]
+from .measures import DEFAULT_MAX_ENUM
 
 
 def _parse_level(value, field: str, below_one: bool = False) -> Fraction:
@@ -168,145 +121,20 @@ def _load_json(path: str):
         raise InputError(f"{path}: unreadable JSON: {exc}") from exc
 
 
-def _load_space(outcomes, field: str) -> SampleSpace:
-    """The sample space of a list of unique, nonempty string labels."""
-    if not isinstance(outcomes, list) or not all(
-        isinstance(o, str) for o in outcomes
-    ):
-        raise InputError(f"{field}: expected a list of strings")
-    try:
-        return SampleSpace(outcomes)
-    except ValueError as exc:
-        raise InputError(f"{field}: {exc}") from exc
-
-
-def _load_vertices(rows, space: SampleSpace, field: str) -> AmbiguitySet:
-    """The ambiguity set of a nonempty list of probability vectors."""
-    if not isinstance(rows, list) or not rows:
-        raise InputError(f"{field}: expected a nonempty list")
-    vertices = []
-    for i, row in enumerate(rows):
-        mass = _parse_list(row, f"{field}[{i}]")
-        try:
-            vertices.append(ProbabilityMeasure(space, mass))
-        except (ValueError, RobustFtapError) as exc:
-            raise InputError(f"{field}[{i}]: {exc}") from exc
-    return AmbiguitySet(space, vertices)
-
-
 def load_market(obj, where: str = "market") -> Market:
-    if not isinstance(obj, dict):
-        raise InputError(f"{where}: expected an object")
-    for key in ("outcomes", "d", "S0", "S1", "ambiguity_vertices"):
-        if key not in obj:
-            raise InputError(f"{where}: missing field {key!r}")
-    space = _load_space(obj["outcomes"], f"{where}.outcomes")
-    d = obj["d"]
-    if not isinstance(d, int) or isinstance(d, bool) or d < 0:
-        raise InputError(f"{where}.d: expected a nonnegative integer")
-    s0 = _parse_list(obj["S0"], f"{where}.S0")
-    if len(s0) != d:
-        raise InputError(f"{where}.S0: expected {d} entries, got {len(s0)}")
-    s1_rows = obj["S1"]
-    if not isinstance(s1_rows, list) or len(s1_rows) != space.size:
-        raise InputError(f"{where}.S1: expected {space.size} rows")
-    s1 = [_parse_list(row, f"{where}.S1[{i}]") for i, row in enumerate(s1_rows)]
-    for i, row in enumerate(s1):
-        if len(row) != d:
-            raise InputError(f"{where}.S1[{i}]: expected {d} entries")
-    P = _load_vertices(
-        obj["ambiguity_vertices"], space, f"{where}.ambiguity_vertices"
-    )
-    try:
-        return Market(space, s0, s1, P)
-    except (ValueError, RobustFtapError) as exc:
-        raise InputError(f"{where}: {exc}") from exc
-
-
-def market_to_obj(m: Market) -> dict:
-    return {
-        "outcomes": list(m.space.outcomes),
-        "d": m.d,
-        "S0": _rs(m.s0),
-        "S1": [_rs(row) for row in m.s1],
-        "ambiguity_vertices": [_rs(v.mass) for v in m.P.vertices],
-    }
+    return Market(*market_fields(obj, where))
 
 
 def load_sequence(obj) -> MarketSequence:
-    if not isinstance(obj, dict) or "markets" not in obj:
-        raise InputError('sequence file: expected {"markets": [...]}')
-    markets_obj = obj["markets"]
-    if not isinstance(markets_obj, list) or not markets_obj:
-        raise InputError("sequence file: markets must be a nonempty list")
-    markets = [
-        load_market(mo, f"markets[{i}]") for i, mo in enumerate(markets_obj)
-    ]
+    markets = [Market(*fields) for fields in sequence_fields(obj)]
     try:
         return MarketSequence(markets)
-    except ValueError as exc:
+    except ValueError as exc:  # a market admits an arbitrage
         raise InputError(str(exc)) from exc
-
-
-def sequence_to_obj(seq: MarketSequence) -> dict:
-    return {"markets": [market_to_obj(m) for m in seq.markets]}
-
-
-def load_payoff(obj, space: SampleSpace) -> BoundedFunction:
-    if not isinstance(obj, dict) or "values" not in obj:
-        raise InputError('payoff file: expected {"values": [...]}')
-    values = _parse_list(obj["values"], "payoff.values")
-    if len(values) != space.size:
-        raise InputError(
-            f"payoff.values: expected {space.size} entries, got {len(values)}"
-        )
-    return BoundedFunction(space, values)
-
-
-def load_hs_pair(obj) -> tuple[SampleSpace, AmbiguitySet, AmbiguitySet]:
-    if not isinstance(obj, dict):
-        raise InputError("pair file: expected an object")
-    for key in ("outcomes", "p_vertices", "q_vertices"):
-        if key not in obj:
-            raise InputError(f"pair file: missing field {key!r}")
-    space = _load_space(obj["outcomes"], "pair.outcomes")
-    P = _load_vertices(obj["p_vertices"], space, "pair.p_vertices")
-    return space, P, _load_vertices(obj["q_vertices"], space, "pair.q_vertices")
-
-
-def hs_pair_to_obj(space, P: AmbiguitySet, Q: AmbiguitySet) -> dict:
-    return {
-        "outcomes": list(space.outcomes),
-        "p_vertices": [_rs(v.mass) for v in P.vertices],
-        "q_vertices": [_rs(v.mass) for v in Q.vertices],
-    }
 
 
 # ---------------------------------------------------------------------------
 # certificates
-
-
-def canonical_json(obj) -> bytes:
-    return json.dumps(
-        obj, sort_keys=True, separators=(",", ":"), ensure_ascii=True
-    ).encode("ascii")
-
-
-def _digest(obj) -> str:
-    return hashlib.sha256(canonical_json(obj)).hexdigest()
-
-
-def build_certificate(command, input_obj, verdict, witness, transcript) -> dict:
-    payload = {
-        "command": command,
-        "input_digest": _digest(input_obj),
-        "verdict": verdict,
-        "witness": witness,
-        "transcript": transcript,
-    }
-    cert = dict(payload)
-    cert["payload_sha256"] = _digest(payload)
-    return cert
 
 
 def verify_certificate(cert) -> list[str]:
@@ -314,19 +142,17 @@ def verify_certificate(cert) -> list[str]:
     problems: list[str] = []
     if not isinstance(cert, dict):
         return ["certificate must be a JSON object"]
-    for key in ("command", "input_digest", "verdict", "witness", "transcript",
-                "payload_sha256"):
+    for key in PAYLOAD_FIELDS + ("payload_sha256",):
         if key not in cert:
             problems.append(f"missing field {key!r}")
     if problems:
         return problems
-    payload = {k: cert[k] for k in
-               ("command", "input_digest", "verdict", "witness", "transcript")}
+    payload = {k: cert[k] for k in PAYLOAD_FIELDS}
     try:
-        digest = _digest(payload)
+        payload_digest = digest(payload)
     except (TypeError, ValueError) as exc:  # not JSON, or an int past the str limit
         return [f"payload cannot be serialized ({exc})"]
-    if digest != cert["payload_sha256"]:
+    if payload_digest != cert["payload_sha256"]:
         problems.append("payload digest mismatch")
     transcript = cert["transcript"]
     if not isinstance(transcript, list):
@@ -355,7 +181,7 @@ def verify_certificate(cert) -> list[str]:
                 continue
             for j, vec in enumerate(vectors):
                 try:
-                    values = _parse_list(vec, f"witness.{field}[{j}]")
+                    values = parse_list(vec, f"witness.{field}[{j}]")
                 except InputError as exc:
                     problems.append(str(exc))
                     continue
@@ -388,22 +214,6 @@ def _multiplier_defects(witness: dict) -> list[str]:
     return problems
 
 
-# ---------------------------------------------------------------------------
-# shared serialization helpers
-
-
-def _transcript(claims: Sequence[Claim]) -> list[dict]:
-    return [
-        {
-            "description": c.description,
-            "lhs": format_rational(c.lhs),
-            "relation": c.relation,
-            "rhs": format_rational(c.rhs),
-        }
-        for c in claims
-    ]
-
-
 def _modulus_str(x: Fraction) -> str:
     return "none-qualifying" if x == NO_QUALIFYING_SET else format_rational(x)
 
@@ -418,7 +228,7 @@ def _cmd_check_na(args):
     holds, w = check_na(m)
     if holds:
         return "NA holds", None, [], market_to_obj(m)
-    witness = {"H": _rs(w.H), "strict_outcome": w.strict_outcome}
+    witness = {"H": format_list(w.H), "strict_outcome": w.strict_outcome}
     return "NA fails", witness, w.claims, market_to_obj(m)
 
 
@@ -429,7 +239,7 @@ def _cmd_martingale_polytope(args, max_enum):
         c for k, q in enumerate(poly.vertices)
         for c in m.martingale_claims(q, f"vertex {k}")
     ]
-    witness = {"probability_vectors": [_rs(v.mass) for v in poly.vertices]}
+    witness = {"probability_vectors": [format_list(v.mass) for v in poly.vertices]}
     verdict = f"{len(poly.vertices)} martingale vertices"
     return verdict, witness, claims, market_to_obj(m)
 
@@ -443,17 +253,14 @@ def _cmd_ftap(args):
             dominating.append(None)
             continue
         dominating.append(len(vectors))
-        vectors.append(_rs(q.mass))
+        vectors.append(format_list(q.mass))
         claims += dominating_claims(m, vp, q)
     verdict = (
         "NA holds; every ambiguity vertex admits a dominating martingale measure"
         if na_holds
         else "NA fails; some ambiguity vertex has no dominating martingale measure"
     )
-    witness = {
-        "probability_vectors": vectors,
-        "dominating_index_per_vertex": dominating,
-    }
+    witness = {"probability_vectors": vectors, "dominating_index_per_vertex": dominating}
     return verdict, witness, claims, market_to_obj(m)
 
 
@@ -462,17 +269,15 @@ def _cmd_superhedge(args):
         raise InputError("superhedge requires --payoff <file>")
     m = load_market(_load_json(args.input))
     f = load_payoff(_load_json(args.payoff), m.space)
-    input_obj = {"market": market_to_obj(m),
-                 "payoff": {"values": _rs(f.values)}}
+    input_obj = {"market": market_to_obj(m), "payoff": payoff_to_obj(f)}
     try:
         cert = superhedge(m, f)
     except NaViolated:
-        return ("NA fails; superhedging duality unavailable", None, [],
-                input_obj)
+        return "NA fails; superhedging duality unavailable", None, [], input_obj
     witness = {
         "price": format_rational(cert.price),
-        "H": _rs(cert.H),
-        "probability_vectors": [_rs(cert.attaining_q.mass)],
+        "H": format_list(cert.H),
+        "probability_vectors": [format_list(cert.attaining_q.mass)],
     }
     verdict = f"superhedging price {format_rational(cert.price)}"
     return verdict, witness, cert.claims, input_obj
@@ -512,9 +317,7 @@ def _vertex_p(inst, args):
     """The P-vertex named by --vertex-index, which must be in range."""
     count = len(inst.P.vertices)
     if not 0 <= args.vertex_index < count:
-        raise InputError(
-            f"--vertex-index: {args.vertex_index} is not in 0..{count - 1}"
-        )
+        raise InputError(f"--vertex-index: {args.vertex_index} is not in 0..{count - 1}")
     return inst.P.vertices[args.vertex_index]
 
 
@@ -534,10 +337,10 @@ def _cmd_hs_witness(args, max_enum, kind):
     else:
         verdict = f"witness with guaranteed bound {bound}"
     witness = {
-        "probability_vectors": [_rs(w.q_star.mass)],
-        "weight_vectors": [_rs(w.weights)],
+        "probability_vectors": [format_list(w.q_star.mass)],
+        "weight_vectors": [format_list(w.weights)],
         "guaranteed_bound": bound,
-        "for_vertex_p": _rs(vertex_p.mass),
+        "for_vertex_p": format_list(vertex_p.mass),
         "multiplier": format_rational(w.multiplier),
     }
     input_obj = dict(input_obj, vertex_index=args.vertex_index)
@@ -550,10 +353,7 @@ def _cmd_hs_modulus(args, max_enum):
         raise InputError("hs-modulus requires --epsilon")
     eps = _parse_level(args.epsilon, "--epsilon")
     value = hs_modulus(P, Q, eps, max_enum)
-    input_obj = {
-        "pair": hs_pair_to_obj(space, P, Q),
-        "epsilon": format_rational(eps),
-    }
+    input_obj = {"pair": hs_pair_to_obj(space, P, Q), "epsilon": format_rational(eps)}
     witness = {"modulus": format_rational(value)}
     return f"modulus {_modulus_str(value)}", witness, [], input_obj
 
@@ -576,13 +376,13 @@ def _cmd_scan(args, max_enum, kind):
     witness = {
         "alpha": format_rational(w.alpha),
         "indices": list(w.indices),
-        "strategies": [_rs(H) for H in w.strategies],
-        "probability_vectors": [_rs(v.mass) for v in w.measures],
+        "strategies": [format_list(H) for H in w.strategies],
+        "probability_vectors": [format_list(v.mass) for v in w.measures],
     }
     if kind == "first":
-        witness["bounds"] = _rs(w.bounds)
+        witness["bounds"] = format_list(w.bounds)
     else:
-        witness["attained"] = _rs(w.attained)
+        witness["attained"] = format_list(w.attained)
     verdict = f"{kind}-kind witness at alpha {format_rational(w.alpha)}"
     return verdict, witness, w.claims, input_obj
 
@@ -591,12 +391,10 @@ def _cmd_certify(args, max_enum, kind):
     seq = load_sequence(_load_json(args.input))
     grid = _parse_grid(args.epsilon_grid, "--epsilon-grid", list(DEFAULT_ALPHA_GRID))
     table = certify_moduli(seq, grid, kind, max_enum)
-    input_obj = dict(sequence_to_obj(seq), epsilon_grid=_rs(grid), kind=kind)
+    input_obj = dict(sequence_to_obj(seq), epsilon_grid=format_list(grid), kind=kind)
     witness = {
-        "epsilon_grid": _rs(table.epsilon_grid),
-        "per_market": [
-            [_modulus_str(x) for x in row] for row in table.per_market
-        ],
+        "epsilon_grid": format_list(table.epsilon_grid),
+        "per_market": [[_modulus_str(x) for x in row] for row in table.per_market],
         "uniform_delta": [_modulus_str(x) for x in table.uniform_delta],
     }
     label = "first" if kind == "primal" else "second"
@@ -616,12 +414,12 @@ def _cmd_build_contiguous(args, max_enum):
     except HypothesisViolated as exc:
         return f"construction unavailable: {exc}", None, [], sequence_to_obj(seq)
     witness = {
-        "probability_vectors": [_rs(q.mass) for q in cs.per_market],
-        "weight_vectors": [_rs(w) for w in cs.mixture_weights],
+        "probability_vectors": [format_list(q.mass) for q in cs.per_market],
+        "weight_vectors": [format_list(w) for w in cs.mixture_weights],
         "schedule": [
             [format_rational(e), format_rational(d)] for e, d in cs.schedule
         ],
-        "multipliers": [_rs(row) for row in cs.multipliers],
+        "multipliers": [format_list(row) for row in cs.multipliers],
     }
     verdict = f"contiguous dominating mixtures built for {len(seq)} markets"
     return verdict, witness, cs.claims, sequence_to_obj(seq)
@@ -641,8 +439,8 @@ def _cmd_weak_contiguity(args, max_enum):
         return f"certificate unavailable: {exc}", None, [], input_obj
     witness = {
         "delta": format_rational(delta),
-        "probability_vectors": [_rs(q.mass) for q in picks],
-        "multipliers": _rs(multipliers),
+        "probability_vectors": [format_list(q.mass) for q in picks],
+        "multipliers": format_list(multipliers),
     }
     verdict = (
         f"finite-horizon weak-contiguity certificate: delta "
@@ -674,11 +472,22 @@ _HANDLERS = {
 
 
 def _atomic_write(path: str, text: str) -> None:
-    directory = os.path.dirname(os.path.abspath(path))
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".robust-ftap-")
+    """Replace the regular file at ``path``, or at the target of a symlink
+    there, keeping its mode; a new file gets 0o666 & ~umask.  Anything but
+    a regular file is refused before a file is opened."""
+    path = os.path.realpath(path)
+    umask = os.umask(0o022)
+    os.umask(umask)
+    mode = 0o666 & ~umask
+    if os.path.lexists(path):
+        if not os.path.isfile(path):
+            raise OSError("not a regular file")
+        mode = os.stat(path).st_mode & 0o7777
+    fd, tmp = tempfile.mkstemp(dir=os.path.dirname(path), prefix=".robust-ftap-")
     try:
         with os.fdopen(fd, "w", encoding="utf-8") as fh:
             fh.write(text)
+        os.chmod(tmp, mode)
         os.replace(tmp, path)
     except BaseException:
         try:
@@ -705,7 +514,7 @@ def _emit(cert: dict, args) -> None:
     if args.output:
         try:
             _atomic_write(args.output, text)
-        except OSError as exc:  # a missing directory, or a directory as the file
+        except OSError as exc:  # a missing directory, or not a regular file
             reason = exc.strerror or exc
             raise InputError(f"--output: cannot write {args.output}: {reason}") from exc
     else:
@@ -808,7 +617,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         cap = (_resolve_max_enum(args),) if "max_enum" in vars(args) else ()
         verdict, witness, claims, input_obj = _HANDLERS[args.command](args, *cap)
         cert = build_certificate(
-            args.command, input_obj, verdict, witness, _transcript(claims)
+            args.command, input_obj, verdict, witness, claims_to_obj(claims)
         )
         _emit(cert, args)
         return 0

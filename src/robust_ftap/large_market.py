@@ -62,9 +62,10 @@ class MarketSequence:
         for i, m in enumerate(markets):
             holds, witness = check_na(m)
             if not holds:
+                H = ", ".join(map(str, witness.H))
                 raise ValueError(
                     f"market {i + 1} admits an arbitrage "
-                    f"(H={witness.H}, strict at {witness.strict_outcome})"
+                    f"(H = [{H}], strict at {witness.strict_outcome})"
                 )
         object.__setattr__(self, "markets", markets)
 

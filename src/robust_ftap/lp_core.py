@@ -24,10 +24,11 @@ Beside the solver, `enumerate_basic_feasible` lists the vertices of
 the column subsets, each prefix of a basis pivoted once and shared by
 every basis that extends it, the last column solved in closed form.
 
-On top of the solver sits a bilinear minimax over a vertex-polytope /
-polytope pair, solved as one LP: its primal is the sup-inf order and its
-exactly checked dual the inf-sup order, so the finite-dimensional sup-inf
-exchange is the strong duality that `check_optimal` proves.
+`minimax_value`, a bilinear minimax over a vertex-polytope / polytope pair
+solved as one LP (its primal the sup-inf order, its checked dual the
+inf-sup order), is called by no library module: it stays as the reference
+of the game differential test (`tests/hs_game_lp.py`), and the benchmark's
+tracer (`bench/tracing.py`) wraps it.
 """
 
 from __future__ import annotations

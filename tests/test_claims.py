@@ -7,6 +7,7 @@ import pytest
 
 from hs_reference import event_claims
 from robust_ftap import cli
+from robust_ftap.codec import build_certificate
 from robust_ftap import large_market as lm
 from robust_ftap.claims import RELATIONS, Claim, claim, probability_defects
 from robust_ftap.errors import CertificateError
@@ -79,7 +80,7 @@ class TestClaim:
 
     def test_verify_reads_the_same_relations(self):
         assert set(RELATIONS) == {"<", "<=", "=", ">=", ">"}
-        cert = cli.build_certificate(
+        cert = build_certificate(
             "demo", {}, "ok", None,
             [{"description": "x", "lhs": "1", "relation": "!=", "rhs": "2"}],
         )

@@ -12,15 +12,18 @@ import pytest
 
 from hs_reference import mixture_pair_instance, with_primal_delta
 from robust_ftap import cli, large_market
-from robust_ftap.cli import (
+from robust_ftap.cli import load_market, load_sequence, main, verify_certificate
+from robust_ftap.codec import (
     build_certificate,
     canonical_json,
     format_rational,
-    load_market,
-    main,
+    hs_pair_to_obj,
+    load_hs_pair,
+    load_payoff,
     market_to_obj,
     parse_rational,
-    verify_certificate,
+    payoff_to_obj,
+    sequence_to_obj,
 )
 from robust_ftap.errors import InputError
 from robust_ftap.halmos_savage import HsInstance, construct_dual_hs_witness, witness_claims
@@ -88,13 +91,27 @@ class TestRationalStrings:
         assert format_rational(F(-1, 3)) == "-1/3"
 
 
+def golden_input(name):
+    with open(os.path.join(os.path.dirname(SEQUENCE), name), encoding="utf-8") as fh:
+        return json.load(fh)
+
+
 class TestRoundTrip:
     def test_market_file_idempotent(self):
-        loaded = load_market(M1)
-        emitted = market_to_obj(loaded)
-        assert canonical_json(emitted) == canonical_json(
-            market_to_obj(load_market(emitted))
-        )
+        # each loader reads back what its emitter wrote, byte for byte
+        space = load_market(golden_input("market_two_assets.json")).space
+        cases = [
+            ("market", M1, load_market, market_to_obj),
+            ("pair.json", golden_input("pair.json"), load_hs_pair,
+             lambda loaded: hs_pair_to_obj(*loaded)),
+            ("payoff_two_assets.json", golden_input("payoff_two_assets.json"),
+             lambda obj: load_payoff(obj, space), payoff_to_obj),
+            ("sequence_flat.json", golden_input("sequence_flat.json"), load_sequence,
+             sequence_to_obj),
+        ]
+        for name, obj, load, emit in cases:
+            emitted = emit(load(obj))
+            assert canonical_json(emitted) == canonical_json(emit(load(emitted))), name
 
     def test_non_canonical_input_normalized(self):
         obj = dict(M1, S0=["2/2"], S1=[["4/2"], ["2/4"]])
@@ -307,7 +324,7 @@ class TestSubcommands:
         )
         assert code == 0
         with open(path, encoding="utf-8") as fh:
-            seq = cli.load_sequence(json.load(fh))
+            seq = load_sequence(json.load(fh))
         half = F(1, 4)
         d_eff = F(cert["witness"]["delta"]) / half
         q_sets = large_market.martingale_sets(seq)
@@ -330,7 +347,7 @@ class TestSubcommands:
         # 12 outcomes, 4096 events: the witness states its guarantee in
         # at most 3 claims, at its multiplier
         inst = with_primal_delta(mixture_pair_instance(random.Random(12)))
-        path = write(tmp_path, "pair12.json", cli.hs_pair_to_obj(inst.P.space, inst.P, inst.Q))
+        path = write(tmp_path, "pair12.json", hs_pair_to_obj(inst.P.space, inst.P, inst.Q))
         levels = ["--epsilon", format_rational(inst.epsilon),
                   "--delta", format_rational(inst.delta)]
         code, cert = run_json(tmp_path, ["hs-witness", "--input", path, *levels])
@@ -339,17 +356,50 @@ class TestSubcommands:
         assert F(cert["witness"]["multiplier"]) >= 0
         assert verify_certificate(cert) == []
 
-    @pytest.mark.parametrize("target", ["missing/c.json", "taken"])
+    @pytest.mark.parametrize("target", ["missing/c.json", "taken", "fifo"])
     def test_unwritable_output(self, tmp_path, capsys, target):
-        # a directory that does not exist, and an existing directory as the file
+        # a directory that does not exist, an existing directory as the file,
+        # and a FIFO, which is refused before it is opened (opening it blocks)
         path = write(tmp_path, "m1.json", M1)
         (tmp_path / "taken").mkdir()
+        os.mkfifo(tmp_path / "fifo")
         out = tmp_path / target
         assert main(["check-na", "--input", path, "--output", str(out)]) == 1
         err = capsys.readouterr().err
         assert err.startswith(f"input error: --output: cannot write {out}: ")
         assert "Traceback" not in err
         assert not list(tmp_path.rglob(".robust-ftap-*"))
+
+    def test_output_through_symlink(self, tmp_path):
+        # the link stays a link; its target is replaced, keeping its mode
+        path = write(tmp_path, "m1.json", M1)
+        target, link = tmp_path / "target.json", tmp_path / "link.json"
+        target.write_text("old")
+        target.chmod(0o640)
+        link.symlink_to(target)
+        assert main(["check-na", "--input", path, "--output", str(link)]) == 0
+        assert link.is_symlink() and os.readlink(link) == str(target)
+        assert json.loads(target.read_text())["verdict"] == "NA holds"
+        assert target.stat().st_mode & 0o777 == 0o640
+        assert not list(tmp_path.rglob(".robust-ftap-*"))
+
+    def test_new_output_file_follows_umask(self, tmp_path):
+        path = write(tmp_path, "m1.json", M1)
+        out = tmp_path / "cert.json"
+        old = os.umask(0o027)
+        try:
+            assert main(["check-na", "--input", path, "--output", str(out)]) == 0
+        finally:
+            os.umask(old)
+        assert out.stat().st_mode & 0o777 == 0o640
+
+    def test_arbitrage_in_sequence_is_named_in_rationals(self, tmp_path, capsys):
+        arb = dict(M1, S1=[["2"], ["3/2"]])
+        path = write(tmp_path, "seq.json", {"markets": [M1, arb]})
+        assert main(["build-contiguous", "--input", path]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("input error: market 2 admits an arbitrage (H = [")
+        assert "Fraction(" not in err and "Traceback" not in err
 
     def test_text_format(self, tmp_path, capsys):
         path = write(tmp_path, "m1.json", M1)

@@ -339,12 +339,12 @@ def test_pruning_saves_lps(monkeypatch):
     assert counter["lps"] == 3 * 3 * 5
 
 
-def test_kernel_imports_no_lp_engine():
-    # the event kernel, the claims and the measures form an LP-free core: a
-    # checker built on them loads no simplex
+def _loaded_package_modules(*modules):
+    """The robust_ftap modules in sys.modules of a fresh interpreter that
+    imports ``modules``."""
     code = (
-        "import sys, robust_ftap.events, robust_ftap.claims, robust_ftap.measures; "
-        "print('robust_ftap.lp_core' in sys.modules)"
+        f"import sys, {', '.join(modules)}; "
+        "print(*(m for m in sys.modules if m.startswith('robust_ftap.')))"
     )
     root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
     src = os.path.join(root, "src")
@@ -356,4 +356,25 @@ def test_kernel_imports_no_lp_engine():
         text=True,
         check=True,
     )
-    assert out.stdout == "False\n"
+    return out.stdout.split()
+
+
+# the LP engine and every module that imports it
+LP_MODULES = ("robust_ftap.lp_core", "robust_ftap.market", "robust_ftap.halmos_savage",
+              "robust_ftap.large_market", "robust_ftap.cli")
+
+
+def test_kernel_imports_no_lp_engine():
+    # the event kernel, the claims and the measures form an LP-free core: a
+    # checker built on them loads no simplex
+    loaded = _loaded_package_modules(
+        "robust_ftap.events", "robust_ftap.claims", "robust_ftap.measures"
+    )
+    assert "robust_ftap.lp_core" not in loaded
+
+
+def test_codec_imports_no_lp_engine():
+    # inputs and certificates parse without the solvers or the front-end
+    loaded = _loaded_package_modules("robust_ftap.codec")
+    assert "robust_ftap.codec" in loaded
+    assert not set(LP_MODULES) & set(loaded)

@@ -13,7 +13,7 @@ import hs_game_lp
 from hs_game_lp import lp_game
 from minimax_reference import check_against_reference
 from robust_ftap import halmos_savage, lp_core
-from robust_ftap.cli import load_hs_pair
+from robust_ftap.codec import load_hs_pair
 from robust_ftap.errors import EmptyPolytope, HypothesisViolated
 from robust_ftap.halmos_savage import (
     NO_QUALIFYING_SET,

@@ -39,7 +39,8 @@ from hs_reference import (
     with_primal_delta,
 )
 from robust_ftap import halmos_savage
-from robust_ftap.cli import load_hs_pair, load_sequence
+from robust_ftap.cli import load_sequence
+from robust_ftap.codec import load_hs_pair
 from robust_ftap.errors import CertificateError, HypothesisViolated
 from robust_ftap.halmos_savage import (
     DUAL,

@@ -28,7 +28,8 @@ from hypothesis import strategies as st
 from market_reference import reference_charging_lp, reference_superhedge_lp
 from na_reference import reference_check_na
 from robust_ftap import lp_core, market
-from robust_ftap.cli import load_market, load_payoff
+from robust_ftap.cli import load_market
+from robust_ftap.codec import load_payoff
 from robust_ftap.large_market import MarketSequence
 from robust_ftap.market import (
     Market,

@@ -7,7 +7,7 @@ replaced gives (`fraction_sums`): the sign and sum checks and the
 expectation of a `ProbabilityMeasure`, `Market.gain`, the expected
 increments of `Market.martingale_claims`, the charging column of the
 market LPs, the vertex list of `enumerate_basic_feasible` in its order,
-and `cli.parse_rational` on accepted and rejected text alike.  The boundary
+and `codec.parse_rational` on accepted and rejected text alike.  The boundary
 tests pin that stored fields are Fractions whatever the input type, and
 the edge forms of a rational string.
 """
@@ -21,7 +21,8 @@ from hypothesis import strategies as st
 
 import fraction_sums as ref
 from robust_ftap import market
-from robust_ftap.cli import main, parse_rational
+from robust_ftap.cli import main
+from robust_ftap.codec import parse_rational
 from robust_ftap.errors import CertificateError, InputError
 from robust_ftap.lp_core import EQ, Constraint, LinearProgram, enumerate_basic_feasible
 from robust_ftap.market import Market, check_na, full_support_martingale
