@@ -511,7 +511,7 @@ def _emit(cert: dict, args) -> None:
         )
         lines.append(f"payload_sha256: {cert['payload_sha256']}")
         text = "\n".join(lines) + "\n"
-    if args.output:
+    if args.output is not None:
         try:
             _atomic_write(args.output, text)
         except OSError as exc:  # a missing directory, or not a regular file
@@ -614,6 +614,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             return _run_verify(args)
         if not args.input:
             raise InputError(f"{args.command} requires --input <file>")
+        if args.output == "":
+            raise InputError("--output requires a path, got an empty one")
         cap = (_resolve_max_enum(args),) if "max_enum" in vars(args) else ()
         verdict, witness, claims, input_obj = _HANDLERS[args.command](args, *cap)
         cert = build_certificate(

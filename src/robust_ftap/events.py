@@ -13,12 +13,18 @@ Scans stream the subset sums block by block: a table of the low bits
 (at most ``2**LOW_BITS`` = 64 entries per measure) is shifted by the sum
 of the high bits, which walk through a Gray code.  Memory stays at
 O(V * 2**6) for V measures whatever the support size; no table of all
-2**n events is built.  Each entry of a block is its offset plus a table
-entry, so the block's aggregates lie between those of offset + min and
-offset + max of the tables: a best-value scan skips every block whose
-side cannot pass the test (for ``>=``, agg(offsets + max) is below the
-threshold; for ``<``, agg(offsets + min) reaches it) or whose values
-cannot beat the best found so far, and streams only the rest.
+2**n events is built.  A best-value scan over several blocks sorts each
+table once and keeps the bitmask (bit e for entry e) of every prefix or
+suffix of its sorted order.  In a block at offset o, the entries e of
+one measure with o + low[e] >= b form the suffix of its sorted table
+from ``bisect_left(sorted, b - o)``, those below b the prefix up to it,
+and those above b the suffix from ``bisect_right``.  Joined over the
+measures by ``|`` where the aggregate needs one measure to pass and by
+``&`` where it needs all, these masks give exactly the entries of the
+block that pass the side test and, once a best exists, beat it: a block
+whose mask is 0 is skipped, and only the entries of its mask are
+evaluated.  A support of at most ``LOW_BITS`` outcomes is one block,
+streamed whole without a sort.
 
 Events are ordered by size and then lexicographically in label order,
 the order of ``itertools.combinations`` over the support.  For two masks
@@ -32,9 +38,12 @@ finds the best value and its first event together.
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
 from fractions import Fraction
-from itertools import combinations, compress
+from functools import reduce
+from itertools import accumulate, combinations, compress
 from math import ceil
+from operator import and_, or_
 from typing import Callable, Iterable, Iterator, NamedTuple, Optional, Sequence
 
 from .claims import GE, LT
@@ -116,7 +125,7 @@ class EventSpace:
         side(A) op t, where ``where`` is (side, op, t); the first event
         attaining it; None when no event qualifies."""
         side, op, t = where
-        test = _test(op, side.threshold(t))
+        threshold = side.threshold(t)
         # a value entry is numerator * scale + key for min, and
         # numerator * scale + (scale - 1 - key) for max, so that pick finds
         # the best numerator and, among its ties, the least key
@@ -127,40 +136,59 @@ class EventSpace:
             for row in value.rows
         ]
         side_tables = [self._tables(row, 0) for row in side.rows]
-        side_lows = [low for low, _ in side_tables]
-        value_lows = [low for low, _ in value_tables]
-        beats = int.__lt__ if pick is min else int.__gt__
-        # every entry of a block is offset + low[e], so agg and pick of the
-        # block lie between agg of offset + min(low) and of offset + max(low):
-        # the side bound is the most a block can pass the test with, the
-        # value bound the best value it can hold.  A lone block is streamed
-        # whatever its bounds.
-        prune = self.size > self._low_bits
-        if prune:
-            side_bound = [(max if op == GE else min)(low) for low in side_lows]
-            value_bound = [pick(low) for low in value_lows]
-        cut = len(side_tables)
-        best = None
-        for offsets in self._blocks([high for _, high in side_tables + value_tables]):
-            side_offsets, value_offsets = offsets[:cut], offsets[cut:]
-            # the value integers carry the order key, so two events never
-            # tie and a block that cannot beat the best has nothing to add
-            if prune and (
-                not test(side.agg(map(int.__add__, side_offsets, side_bound)))
-                or best is not None
-                and not beats(value.agg(map(int.__add__, value_offsets, value_bound)), best)
-            ):
-                continue
-            qualifies = map(test, _aggregate(side.agg, _shifted(side_offsets, side_lows)))
-            values = _aggregate(value.agg, _shifted(value_offsets, value_lows))
-            b = pick(compress(values, qualifies), default=None)
-            if b is not None and (best is None or beats(b, best)):
-                best = b
+        if self.size <= self._low_bits:
+            # a lone block: stream it whole, with no sort
+            side_sums = _aggregate(side.agg, [low for low, _ in side_tables])
+            values = _aggregate(value.agg, [low for low, _ in value_tables])
+            best = pick(compress(values, map(_test(op, threshold), side_sums)), default=None)
+        else:
+            best = self._skip_blocks(
+                pick, value.agg, value_tables, side.agg, op, threshold, side_tables
+            )
         if best is None:
             return None
         numerator, rest = divmod(best, scale)
         key = rest if pick is min else scale - 1 - rest
         return Best(Fraction(numerator, value.denominator), self.event(self._mask_of_key(key)))
+
+    def _skip_blocks(self, pick, value_agg, value_tables, side_agg, op, threshold, side_tables):
+        """The best value entry over the blocks of a scan, or None,
+        evaluating only the entries that pass the side test and beat the
+        best so far."""
+        # each low table sorted once per scan, with the mask of every
+        # prefix (side <, value min) or suffix (side >=, value max) of its
+        # sorted order
+        side_sorted = [_sorted(low, op == GE) for low, _ in side_tables]
+        value_sorted = [_sorted(low, pick is max) for low, _ in value_tables]
+        value_lows = [low for low, _ in value_tables]
+        # an entry beats the best below it (a prefix up to bisect_left) for
+        # min and above it (a suffix from bisect_right) for max
+        beats = bisect_left if pick is min else bisect_right
+        # max >= t and min < t hold when one measure's sum passes, max < t
+        # and min >= t when every one does; likewise a value beats the best
+        # through one measure for pick min of min and max of max
+        side_join = or_ if (side_agg is max) == (op == GE) else and_
+        value_join = or_ if pick is value_agg else and_
+        cut = len(value_tables)
+        best = None
+        for offsets in self._blocks([high for _, high in value_tables + side_tables]):
+            # the value test first, the more selective once a best exists;
+            # zip stops at the value tables
+            mask = -1  # every entry
+            if best is not None:
+                mask = reduce(value_join, [
+                    m[beats(keys, best - o)] for (keys, m), o in zip(value_sorted, offsets)
+                ])
+            if mask:
+                mask &= reduce(side_join, [
+                    m[bisect_left(keys, threshold - o)]
+                    for (keys, m), o in zip(side_sorted, offsets[cut:])
+                ])
+            if mask:
+                # the value integers carry the order key, so no two entries
+                # tie and every entry left beats the best
+                best = _pick_in(pick, value_agg, mask, offsets, value_lows)
+        return best
 
     def _mask_of_key(self, key: int) -> int:
         n = self.size
@@ -178,17 +206,16 @@ class EventSpace:
 
     def _blocks(self, highs: list[list[int]]) -> Iterator[list[int]]:
         """Each table's offset (its sum over the high bits), once per
-        setting of the high bits, which follow a Gray code.  The list is
-        updated in place, so read it before taking the next."""
+        setting of the high bits, which follow a Gray code."""
         offsets = [0] * len(highs)
         yield offsets
+        columns = list(zip(*highs))  # each table's weight of one high bit
         gray = 0
         for g in range(1, 1 << (self.size - self._low_bits)):
             j = (g & -g).bit_length() - 1
             gray ^= 1 << j
-            up = gray >> j & 1
-            for t, high in enumerate(highs):
-                offsets[t] += high[j] if up else -high[j]
+            step = int.__add__ if gray >> j & 1 else int.__sub__
+            offsets = list(map(step, offsets, columns[j]))
             yield offsets
 
 
@@ -238,8 +265,27 @@ def _test(op: str, threshold: int):
     raise ValueError(f"unknown relation {op!r}")
 
 
-def _shifted(offsets, lows):
-    return [map(o.__add__, low) if o else low for o, low in zip(offsets, lows)]
+def _sorted(low: list[int], suffix: bool) -> tuple[list[int], list[int]]:
+    """The table in ascending order, and for each k the mask of its first
+    k entries in that order (of all but them when ``suffix``)."""
+    order = sorted(range(len(low)), key=low.__getitem__)
+    bits = [1 << e for e in order]
+    if suffix:
+        masks = list(accumulate(reversed(bits), or_, initial=0))[::-1]
+    else:
+        masks = list(accumulate(bits, or_, initial=0))
+    return [low[e] for e in order], masks
+
+
+def _pick_in(pick, agg, mask: int, offsets, lows) -> int:
+    """``pick`` over the entries e in ``mask`` of agg over the tables of
+    offset + low[e]; zip stops at the last table."""
+    entries = []
+    while mask:
+        bit = mask & -mask
+        entries.append(bit.bit_length() - 1)
+        mask ^= bit
+    return pick(_aggregate(agg, [[o + low[e] for e in entries] for o, low in zip(offsets, lows)]))
 
 
 def _aggregate(agg, lists):

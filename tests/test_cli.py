@@ -370,6 +370,14 @@ class TestSubcommands:
         assert "Traceback" not in err
         assert not list(tmp_path.rglob(".robust-ftap-*"))
 
+    def test_empty_output_is_refused(self, tmp_path, capsys):
+        # an empty path names no file: refused, not taken for stdout
+        path = write(tmp_path, "m1.json", M1)
+        assert main(["check-na", "--input", path, "--output", ""]) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == "input error: --output requires a path, got an empty one\n"
+
     def test_output_through_symlink(self, tmp_path):
         # the link stays a link; its target is replaced, keeping its mode
         path = write(tmp_path, "m1.json", M1)

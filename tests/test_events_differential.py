@@ -9,9 +9,12 @@ default 6-bit low block and also at 10 and 3 bits, so that supports of 4
 to 10 outcomes take the kernel's multi-block (Gray-code) path as well as
 its single-block one; supports of 11 to 13 outcomes, the size of the
 benchmark's ambiguity pairs, are scanned in many blocks at every width,
-most of which the kernel skips by their bounds.
+most of which the kernel skips by their exact masks: a block is
+evaluated only when one of its entries passes the side test and beats
+the best found so far.
 """
 
+import functools
 import os
 import subprocess
 import sys
@@ -190,16 +193,16 @@ def test_hs_sized_supports_match_brute_force(pair, pick, agg, op, t):
             assert _kernel_best(P, Q, pick, agg, op, t) == want
 
 
-def _count_streamed(monkeypatch):
-    """Counts the blocks that `best` streams rather than skips."""
+def _count_evaluated(monkeypatch):
+    """Counts the blocks that `best` evaluates rather than skips."""
     counter = {"blocks": 0}
-    shifted = events_module._shifted
+    pick_in = events_module._pick_in
 
-    def counted(offsets, lows):
+    def counted(*args):
         counter["blocks"] += 1
-        return shifted(offsets, lows)
+        return pick_in(*args)
 
-    monkeypatch.setattr(events_module, "_shifted", counted)
+    monkeypatch.setattr(events_module, "_pick_in", counted)
     return counter
 
 
@@ -219,14 +222,79 @@ def test_blocks_failing_the_side_test(monkeypatch, bits, pick, op, t, skipped):
     Q = AmbiguitySet(space, [_measure(space, [1, 2, 1, 2, 1, 2, 1, 2, 1, 2, 1, 2]),
                              _measure(space, [2] * 6 + [1] * 6)])
     agg = (max, min)
-    counter = _count_streamed(monkeypatch)
+    counter = _count_evaluated(monkeypatch)
     with low_bits(bits):
         got = _kernel_best(P, Q, pick, agg, op, t)
     assert got is not None
     assert got == _reference_best(P, Q, pick, agg, op, t)
-    # each streamed block shifts the side and the value tables once
     if bits == 6:
-        assert 0 < counter["blocks"] // 2 <= 64 - skipped
+        assert 0 < counter["blocks"] <= 64 - skipped
+
+
+@pytest.mark.parametrize("bits", LOW_BITS)
+@pytest.mark.parametrize(
+    "pick,op,t,q_weights",
+    # P puts 10/66 on each of o0..o5 and 1/66 on each of o6..o11, so at a
+    # 6-bit low block every block holds an event of P-mass >= 30/66 and
+    # one of P-mass < 35/66: every block passes the side test.  At every
+    # width the best is in the first block: {o0, o1, o2}, of Q-mass 30/66
+    # for min and 30/60 for max.  No entry of another block beats it: with
+    # pick min an entry of P-mass >= 30/66 has Q = P >= 31/66, and with
+    # pick max (Q charges o0..o5 only) an entry of P-mass < 35/66 holds at
+    # most three of o0..o5 and comes later in order than {o0, o1, o2}
+    [(min, GE, F(30, 66), [10] * 6 + [1] * 6), (max, LT, F(35, 66), [10] * 6 + [0] * 6)],
+)
+def test_blocks_passing_the_side_test_without_a_better_entry(
+    monkeypatch, bits, pick, op, t, q_weights
+):
+    space = SampleSpace([f"o{i}" for i in range(12)])
+    P = AmbiguitySet(space, [_measure(space, [10] * 6 + [1] * 6)])
+    Q = AmbiguitySet(space, [_measure(space, q_weights)])
+    counter = _count_evaluated(monkeypatch)
+    with low_bits(bits):
+        got = _kernel_best(P, Q, pick, (max, max), op, t)
+    assert got == _reference_best(P, Q, pick, (max, max), op, t)
+    assert got[1] == {"o0", "o1", "o2"}
+    # the first block is evaluated and every other one skipped
+    assert counter["blocks"] == 1
+
+
+def _threshold_pair():
+    # P weights 1, 2, 3 over 12 outcomes (total 24): every level k/24 is
+    # the exact P-mass of events in many blocks, so an entry sits at
+    # threshold - offset in most of them, and the Q-masses (weights 1 and
+    # 2, with one equal-weight measure) tie across blocks visited out of
+    # the order of events
+    space = SampleSpace([f"o{i}" for i in range(12)])
+    P = AmbiguitySet(space, [_measure(space, [1, 2, 3] * 4),
+                             _measure(space, [3, 2, 1] * 4)])
+    Q = AmbiguitySet(space, [_measure(space, [1] * 12),
+                             _measure(space, [2, 1] * 6)])
+    return P, Q
+
+
+THRESHOLD_CASES = [
+    (pick, agg, op, t)
+    for agg in [(max, max), (min, min), (max, min), (min, max)]
+    for t in (F(5, 24), F(12, 24), F(19, 24))
+    for pick in (min, max)
+    for op in (GE, LT)
+]
+
+
+@functools.cache
+def _threshold_references():
+    P, Q = _threshold_pair()
+    return [_reference_best(P, Q, *case) for case in THRESHOLD_CASES]
+
+
+@pytest.mark.parametrize("bits", [3, 6, 10])
+def test_entries_at_the_threshold_and_ties_with_the_best(bits):
+    P, Q = _threshold_pair()
+    with low_bits(bits):
+        got = [_kernel_best(P, Q, *case) for case in THRESHOLD_CASES]
+    for case, g, want in zip(THRESHOLD_CASES, got, _threshold_references()):
+        assert g == want, case
 
 
 def test_ties_pick_the_first_event_in_order():
