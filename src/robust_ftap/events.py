@@ -5,26 +5,38 @@ the contiguity bounds all quantify over every event A of a quasi-sure
 support.  :class:`EventSpace` maps the support to bit positions, so an
 event is an integer mask: bit i stands for ``labels[i]``, the support in
 the order of the sample space.  A set of measures becomes one row of
-integer numerators per measure over a common denominator, and a scan
-compares integer subset sums against integer thresholds, so no
-``Fraction`` appears inside the loop.
+integer numerators per measure over a common denominator, built from the
+integers each :class:`ProbabilityMeasure` keeps, and a scan compares
+integer subset sums against integer thresholds, so no ``Fraction``
+appears inside the loop.
 
 Scans stream the subset sums block by block: a table of the low bits
 (at most ``2**LOW_BITS`` = 64 entries per measure) is shifted by the sum
-of the high bits, which walk through a Gray code.  Memory stays at
-O(V * 2**6) for V measures whatever the support size; no table of all
-2**n events is built.  A best-value scan over several blocks sorts each
-table once and keeps the bitmask (bit e for entry e) of every prefix or
-suffix of its sorted order.  In a block at offset o, the entries e of
-one measure with o + low[e] >= b form the suffix of its sorted table
-from ``bisect_left(sorted, b - o)``, those below b the prefix up to it,
-and those above b the suffix from ``bisect_right``.  Joined over the
-measures by ``|`` where the aggregate needs one measure to pass and by
-``&`` where it needs all, these masks give exactly the entries of the
-block that pass the side test and, once a best exists, beat it: a block
-whose mask is 0 is skipped, and only the entries of its mask are
-evaluated.  A support of at most ``LOW_BITS`` outcomes is one block,
-streamed whole without a sort.
+of the high bits.  Memory stays at O(V * 2**6) for V measures whatever
+the support size; no table of all 2**n events is built.  A best-value
+scan over several blocks groups them by the next ``LOW_BITS`` bits: each
+measure's subset sums over those bits give the offsets of up to 64
+blocks.  Any bits above them, on supports of more than ``2 * LOW_BITS``
+outcomes, follow a Gray code as an outer loop whose every setting shifts
+all of these offsets.  The scan sorts each low table once.  A block's
+bound for one measure is its offset plus the measure's extreme low
+entry.  Aggregated over the side measures, it drops every block where no
+entry can pass the side test; aggregated over the value measures, it
+bounds the value of every entry of the block.  The blocks left are
+visited best bound first, and the walk stops at the first whose bound
+cannot beat the best so far.  This is exact because no two entries tie
+(see below), so the order of the visits does not change the result.
+
+A visited block is tested with bitmasks (bit e for entry e) of every
+prefix or suffix of each sorted table.  In a block at offset o, the
+entries e of one measure with o + low[e] >= b form the suffix of its
+sorted table from ``bisect_left(sorted, b - o)``, those below b the
+prefix up to it, and those above b the suffix from ``bisect_right``.
+Joined over the measures by ``|`` where the aggregate needs one measure
+to pass and by ``&`` where it needs all, these masks give exactly the
+entries of the block that pass the side test and, once a best exists,
+beat it; only those are evaluated.  A support of at most ``LOW_BITS``
+outcomes is one block, streamed whole without a sort.
 
 Events are ordered by size and then lexicographically in label order,
 the order of ``itertools.combinations`` over the support.  For two masks
@@ -42,7 +54,7 @@ from bisect import bisect_left, bisect_right
 from fractions import Fraction
 from functools import reduce
 from itertools import accumulate, combinations, compress
-from math import ceil
+from math import ceil, lcm
 from operator import and_, or_
 from typing import Callable, Iterable, Iterator, NamedTuple, Optional, Sequence
 
@@ -54,7 +66,6 @@ from .measures import (
     SampleSpace,
     ordered_support,
     rational,
-    scaled,
 )
 
 #: Width of the low-bit block: at most 2**LOW_BITS table entries per measure.
@@ -153,8 +164,8 @@ class EventSpace:
 
     def _skip_blocks(self, pick, value_agg, value_tables, side_agg, op, threshold, side_tables):
         """The best value entry over the blocks of a scan, or None,
-        evaluating only the entries that pass the side test and beat the
-        best so far."""
+        visiting the blocks best bound first and evaluating only the
+        entries that pass the side test and beat the best so far."""
         # each low table sorted once per scan, with the mask of every
         # prefix (side <, value min) or suffix (side >=, value max) of its
         # sorted order
@@ -164,30 +175,53 @@ class EventSpace:
         # an entry beats the best below it (a prefix up to bisect_left) for
         # min and above it (a suffix from bisect_right) for max
         beats = bisect_left if pick is min else bisect_right
+        better = int.__lt__ if pick is min else int.__gt__
         # max >= t and min < t hold when one measure's sum passes, max < t
         # and min >= t when every one does; likewise a value beats the best
         # through one measure for pick min of min and max of max
         side_join = or_ if (side_agg is max) == (op == GE) else and_
         value_join = or_ if pick is value_agg else and_
+        # a block's bound for a table is its offset plus the table's extreme
+        # low entry: the least for value min and side <, the greatest for
+        # value max and side >=.  Aggregated over the value tables it bounds
+        # the value of every entry of the block, and over the side tables it
+        # fails the side test only when no entry of the block can pass it
+        extremes = [keys[0] if pick is min else keys[-1] for keys, _ in value_sorted]
+        extremes += [keys[-1] if op == GE else keys[0] for keys, _ in side_sorted]
+        # the next LOW_BITS bits above the low ones pick a block among up to
+        # 2**LOW_BITS by their subset sums, and any bits above those (beyond
+        # 2 * LOW_BITS outcomes) shift every block, following a Gray code
+        highs = [high for _, high in value_tables + side_tables]
+        bits = self._low_bits
+        middles = [_subset_sums(high[:bits], 0) for high in highs]
+        extreme_sums = [[e + x for x in sums] for e, sums in zip(extremes, middles)]
+        side_test = _test(op, threshold)
         cut = len(value_tables)
         best = None
-        for offsets in self._blocks([high for _, high in value_tables + side_tables]):
-            # the value test first, the more selective once a best exists;
-            # zip stops at the value tables
-            mask = -1  # every entry
-            if best is not None:
-                mask = reduce(value_join, [
-                    m[beats(keys, best - o)] for (keys, m), o in zip(value_sorted, offsets)
-                ])
-            if mask:
-                mask &= reduce(side_join, [
-                    m[bisect_left(keys, threshold - o)]
-                    for (keys, m), o in zip(side_sorted, offsets[cut:])
-                ])
-            if mask:
-                # the value integers carry the order key, so no two entries
-                # tie and every entry left beats the best
-                best = _pick_in(pick, value_agg, mask, offsets, value_lows)
+        for outer in self._blocks([high[bits:] for high in highs]):
+            bounds = [[o + x for x in sums] for o, sums in zip(outer, extreme_sums)]
+            value_bounds = list(_aggregate(value_agg, bounds[:cut]))
+            passing = map(side_test, _aggregate(side_agg, bounds[cut:]))
+            visits = sorted(
+                compress(range(len(value_bounds)), passing),
+                key=value_bounds.__getitem__,
+                reverse=pick is max,
+            )
+            # the value integers carry the order key, so no two entries tie
+            # and the best does not depend on the order of the visits: a
+            # block whose bound is not better than the best, and every
+            # block after it, holds no better entry
+            for j in visits:
+                if best is not None and not better(value_bounds[j], best):
+                    break
+                offsets = [o + sums[j] for o, sums in zip(outer, middles)]
+                mask = _block_entries(
+                    offsets, best, value_sorted, beats, value_join, side_sorted, side_join,
+                    threshold,
+                )
+                if mask:
+                    # every entry left beats the best
+                    best = _pick_in(pick, value_agg, mask, offsets, value_lows)
         return best
 
     def _mask_of_key(self, key: int) -> int:
@@ -199,19 +233,16 @@ class EventSpace:
 
     def _tables(self, weights: list[int], const: int) -> tuple[list[int], list[int]]:
         """Subset sums of the low-bit weights (plus const), and the high weights."""
-        low = [const]
-        for w in weights[: self._low_bits]:
-            low += [w + x for x in low]
-        return low, weights[self._low_bits:]
+        return _subset_sums(weights[: self._low_bits], const), weights[self._low_bits:]
 
     def _blocks(self, highs: list[list[int]]) -> Iterator[list[int]]:
-        """Each table's offset (its sum over the high bits), once per
-        setting of the high bits, which follow a Gray code."""
+        """Each table's offset (its sum over its weights in ``highs``), once
+        per setting of those bits, which follow a Gray code."""
         offsets = [0] * len(highs)
         yield offsets
-        columns = list(zip(*highs))  # each table's weight of one high bit
+        columns = list(zip(*highs))  # each table's weight of one bit
         gray = 0
-        for g in range(1, 1 << (self.size - self._low_bits)):
+        for g in range(1, 1 << len(columns)):
             j = (g & -g).bit_length() - 1
             gray ^= 1 << j
             step = int.__add__ if gray >> j & 1 else int.__sub__
@@ -224,11 +255,15 @@ class Envelope:
     over one common denominator."""
 
     def __init__(self, events: EventSpace, measures: Sequence[ProbabilityMeasure], agg):
-        width = len(events._pos)
-        flat, d = scaled([mu.mass[p] for mu in measures for p in events._pos])
+        # the measures' own integer masses, brought to the lcm of their
+        # denominators
+        d = reduce(lcm, [mu.denominator for mu in measures], 1)
         self.agg = agg
         self.denominator = d
-        self.rows = [flat[i * width:(i + 1) * width] for i in range(len(measures))]
+        self.rows = [
+            [mu.numerators[p] * (d // mu.denominator) for p in events._pos]
+            for mu in measures
+        ]
 
     def threshold(self, t) -> int:
         """The least numerator N with N / denominator >= t."""
@@ -275,6 +310,36 @@ def _sorted(low: list[int], suffix: bool) -> tuple[list[int], list[int]]:
     else:
         masks = list(accumulate(bits, or_, initial=0))
     return [low[e] for e in order], masks
+
+
+def _subset_sums(weights: list[int], const: int) -> list[int]:
+    """const plus the sum of each subset of the weights, subset k being
+    the weights at the set bits of k."""
+    sums = [const]
+    for w in weights:
+        sums += [w + x for x in sums]
+    return sums
+
+
+def _block_entries(
+    offsets, best, value_sorted, beats, value_join, side_sorted, side_join, threshold
+) -> int:
+    """The mask of the entries of a block that pass the side test and,
+    once a best exists, beat it; ``offsets`` lists the value tables'
+    offsets and then the side tables'."""
+    # the value test first, the more selective once a best exists; zip
+    # stops at the value tables
+    mask = -1  # every entry
+    if best is not None:
+        mask = reduce(value_join, [
+            m[beats(keys, best - o)] for (keys, m), o in zip(value_sorted, offsets)
+        ])
+    if mask:
+        mask &= reduce(side_join, [
+            m[bisect_left(keys, threshold - o)]
+            for (keys, m), o in zip(side_sorted, offsets[len(value_sorted):])
+        ])
+    return mask
 
 
 def _pick_in(pick, agg, mask: int, offsets, lows) -> int:

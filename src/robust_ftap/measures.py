@@ -12,7 +12,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import reduce
+from functools import cached_property, reduce
+from itertools import compress
 from math import lcm
 from typing import Iterable, Sequence
 
@@ -87,10 +88,15 @@ def _check_space(space: SampleSpace, values: tuple[Fraction, ...]) -> None:
 
 @dataclass(frozen=True)
 class ProbabilityMeasure:
-    """Nonnegative rational mass function summing to exactly 1."""
+    """Nonnegative rational mass function summing to exactly 1.
+
+    ``numerators`` and ``denominator`` hold the mass as integers over the
+    lcm of its denominators: ``mass[i] == numerators[i] / denominator``."""
 
     space: SampleSpace
     mass: tuple[Fraction, ...]
+    numerators: tuple[int, ...] = field(init=False, repr=False, compare=False)
+    denominator: int = field(init=False, repr=False, compare=False)
 
     def __init__(self, space: SampleSpace, mass: Iterable):
         mass = _as_fractions(mass)
@@ -102,6 +108,8 @@ class ProbabilityMeasure:
             raise ValueError("probability masses must sum to exactly 1")
         object.__setattr__(self, "space", space)
         object.__setattr__(self, "mass", mass)
+        object.__setattr__(self, "numerators", tuple(nums))
+        object.__setattr__(self, "denominator", s)
 
     def __call__(self, event: Iterable[str]) -> Fraction:
         idx = {self.space.index(o) for o in event}
@@ -110,17 +118,17 @@ class ProbabilityMeasure:
     def mass_of(self, label: str) -> Fraction:
         return self.mass[self.space.index(label)]
 
-    @property
+    @cached_property
     def support(self) -> frozenset[str]:
-        return frozenset(
-            o for o, m in zip(self.space.outcomes, self.mass) if m.numerator > 0
-        )
+        return frozenset(compress(self.space.outcomes, self.numerators))
 
     def expectation(self, f: "BoundedFunction") -> Fraction:
         if f.space is not self.space and f.space != self.space:
             raise DimensionMismatch("function lives on a different space")
-        (mass, s), (values, t) = scaled(self.mass), scaled(f.values)
-        return Fraction(sum(m * v for m, v in zip(mass, values)), s * t)
+        values, t = scaled(f.values)
+        return Fraction(
+            sum(m * v for m, v in zip(self.numerators, values)), self.denominator * t
+        )
 
 
 @dataclass(frozen=True)
@@ -128,11 +136,13 @@ class AmbiguitySet:
     """Convex polytope of probability measures, given by its vertex list.
 
     Represents the convex hull of the vertices; redundant vertices are
-    permitted and not deduplicated.
+    permitted and not deduplicated.  ``support`` is the quasi-sure support,
+    the outcomes some vertex charges, in the order of the sample space.
     """
 
     space: SampleSpace
     vertices: tuple[ProbabilityMeasure, ...]
+    support: tuple[str, ...] = field(init=False, repr=False, compare=False)
 
     def __init__(self, space: SampleSpace, vertices: Sequence[ProbabilityMeasure]):
         vertices = tuple(vertices)
@@ -141,8 +151,10 @@ class AmbiguitySet:
         for v in vertices:
             if v.space != space:
                 raise DimensionMismatch("vertex on a different sample space")
+        charged = map(any, zip(*(v.numerators for v in vertices)))
         object.__setattr__(self, "space", space)
         object.__setattr__(self, "vertices", vertices)
+        object.__setattr__(self, "support", tuple(compress(space.outcomes, charged)))
 
 
 @dataclass(frozen=True)
@@ -164,16 +176,12 @@ class BoundedFunction:
 
 def quasi_sure_support(P: AmbiguitySet) -> frozenset[str]:
     """Union of the vertex supports; its complement is the maximal polar set."""
-    support: frozenset[str] = frozenset()
-    for v in P.vertices:
-        support |= v.support
-    return support
+    return frozenset(P.support)
 
 
 def ordered_support(P: AmbiguitySet) -> tuple[str, ...]:
     """The quasi-sure support of P in the order of its sample space."""
-    support = quasi_sure_support(P)
-    return tuple(o for o in P.space.outcomes if o in support)
+    return P.support
 
 
 def dominated_by(Q: ProbabilityMeasure, P: AmbiguitySet) -> bool:

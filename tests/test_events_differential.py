@@ -9,15 +9,19 @@ default 6-bit low block and also at 10 and 3 bits, so that supports of 4
 to 10 outcomes take the kernel's multi-block (Gray-code) path as well as
 its single-block one; supports of 11 to 13 outcomes, the size of the
 benchmark's ambiguity pairs, are scanned in many blocks at every width,
-most of which the kernel skips by their exact masks: a block is
-evaluated only when one of its entries passes the side test and beats
-the best found so far.
+most of which the kernel skips: it visits the blocks best bound first,
+stops at the first whose bound cannot beat the best found so far, and
+evaluates a block only when one of its entries passes the side test and
+beats that best.  Supports of more than twice the width also walk the
+bits above the blocks in an outer Gray code.
 """
 
 import functools
 import os
+import random
 import subprocess
 import sys
+import tracemalloc
 from contextlib import contextmanager
 from fractions import Fraction
 from itertools import combinations
@@ -41,7 +45,7 @@ from robust_ftap.halmos_savage import (
 )
 from robust_ftap.large_market import MarketSequence, _dual_modulus, scan_aa1, scan_aa2
 from robust_ftap.market import Market
-from robust_ftap.measures import AmbiguitySet, ProbabilityMeasure, SampleSpace
+from robust_ftap.measures import AmbiguitySet, ProbabilityMeasure, SampleSpace, mix
 
 F = Fraction
 
@@ -193,16 +197,23 @@ def test_hs_sized_supports_match_brute_force(pair, pick, agg, op, t):
             assert _kernel_best(P, Q, pick, agg, op, t) == want
 
 
-def _count_evaluated(monkeypatch):
-    """Counts the blocks that `best` evaluates rather than skips."""
-    counter = {"blocks": 0}
-    pick_in = events_module._pick_in
+def _count_blocks(monkeypatch):
+    """Counts the blocks that `best` tests (computes the mask of their
+    entries that pass the side test and beat the best) and evaluates
+    (finds the best among those entries); every other block is skipped."""
+    counter = {"tested": 0, "evaluated": 0}
 
-    def counted(*args):
-        counter["blocks"] += 1
-        return pick_in(*args)
+    def counting(name, key):
+        original = getattr(events_module, name)
 
-    monkeypatch.setattr(events_module, "_pick_in", counted)
+        def counted(*args):
+            counter[key] += 1
+            return original(*args)
+
+        monkeypatch.setattr(events_module, name, counted)
+
+    counting("_block_entries", "tested")
+    counting("_pick_in", "evaluated")
     return counter
 
 
@@ -222,13 +233,35 @@ def test_blocks_failing_the_side_test(monkeypatch, bits, pick, op, t, skipped):
     Q = AmbiguitySet(space, [_measure(space, [1, 2, 1, 2, 1, 2, 1, 2, 1, 2, 1, 2]),
                              _measure(space, [2] * 6 + [1] * 6)])
     agg = (max, min)
-    counter = _count_evaluated(monkeypatch)
+    counter = _count_blocks(monkeypatch)
     with low_bits(bits):
         got = _kernel_best(P, Q, pick, agg, op, t)
     assert got is not None
     assert got == _reference_best(P, Q, pick, agg, op, t)
     if bits == 6:
-        assert 0 < counter["blocks"] <= 64 - skipped
+        # a block whose side bound fails is dropped before any test
+        assert 0 < counter["evaluated"] <= counter["tested"] <= 64 - skipped
+
+
+# (tested, evaluated) blocks per (pick, bits).  At 10 and 6 bits every
+# block's value bound beats the best, so all 4 and all 64 blocks are
+# tested: for min the bound is the Q-mass of the block's high outcomes
+# alone, at most 6/66, and for max it is that of the event adding all of
+# o0..o5, 1.  At 3 bits (low o0..o2, blocks over o3..o5, 64 settings of
+# o6..o11 outside them) the first setting, none of o6..o11, holds the
+# best.  For min its first block gives it and the walk stops, at every
+# setting, before the block of all of o3..o5, whose bound ties the best's
+# Q-mass with a later event: 64 * 7 tested.  For max (Q charges o0..o5
+# only) the blocks come in the order of their count of o3..o5, 3 down
+# to 0, and 4 of them improve the best in turn, down to {o0, o1, o2}.  At
+# the other 63 settings the walk stops before the block of none of
+# o3..o5, whose bound is the event o0..o2 plus the setting, and the side
+# bound drops the block of all of them at the 7 settings of 5 or 6
+# outcomes: 8 + 63 * 7 - 7 = 442 tested
+PASSING_COUNTS = {
+    (min, 10): (4, 1), (min, 6): (64, 1), (min, 3): (448, 1),
+    (max, 10): (4, 1), (max, 6): (64, 1), (max, 3): (442, 4),
+}
 
 
 @pytest.mark.parametrize("bits", LOW_BITS)
@@ -250,13 +283,79 @@ def test_blocks_passing_the_side_test_without_a_better_entry(
     space = SampleSpace([f"o{i}" for i in range(12)])
     P = AmbiguitySet(space, [_measure(space, [10] * 6 + [1] * 6)])
     Q = AmbiguitySet(space, [_measure(space, q_weights)])
-    counter = _count_evaluated(monkeypatch)
+    counter = _count_blocks(monkeypatch)
     with low_bits(bits):
         got = _kernel_best(P, Q, pick, (max, max), op, t)
     assert got == _reference_best(P, Q, pick, (max, max), op, t)
     assert got[1] == {"o0", "o1", "o2"}
-    # the first block is evaluated and every other one skipped
-    assert counter["blocks"] == 1
+    assert (counter["tested"], counter["evaluated"]) == PASSING_COUNTS[pick, bits]
+
+
+def test_blocks_that_cannot_beat_the_best_are_never_tested(monkeypatch):
+    # P puts 1/66 on each of o0..o5 and 10/66 on each of o6..o11, Q is
+    # uniform, and the scan is min Q(A) over P(A) >= 32/66.  At a 6-bit low
+    # block, block h (its outcomes among o6..o11) has side bound
+    # P(h) + 6/66, so the 22 blocks with at most 2 of them are dropped, and
+    # value bound Q(h) with the key of h.  The 20 blocks of 3 come first,
+    # in event order.  The first, {o6, o7, o8}, gives the best
+    # {o0, o1, o6, o7, o8} of Q-mass 5/12, which no entry of the other 19
+    # beats: beating it needs at most one of o0..o5, which falls short of
+    # the side test.  The first block of 4, {o6, o7, o8, o9}, holds the
+    # event of its high outcomes alone, of Q-mass 4/12, the best.  Every
+    # block left (14 of 4, 6 of 5 and 1 of 6 outcomes) has a bound that
+    # cannot beat it, so the walk stops there: 21 blocks tested, 2 of
+    # them evaluated, where a walk in Gray-code order tests all 64
+    space = SampleSpace([f"o{i}" for i in range(12)])
+    P = AmbiguitySet(space, [_measure(space, [1] * 6 + [10] * 6)])
+    Q = AmbiguitySet(space, [_measure(space, [1] * 12)])
+    counter = _count_blocks(monkeypatch)
+    with low_bits(6):
+        got = _kernel_best(P, Q, min, (max, max), GE, F(32, 66))
+    assert got == _reference_best(P, Q, min, (max, max), GE, F(32, 66))
+    assert got == (F(4, 12), {"o6", "o7", "o8", "o9"})
+    assert (counter["tested"], counter["evaluated"]) == (21, 2)
+
+
+def _seeded_pair(n, seed):
+    # three P-vertices with integer weights 0 to 4 (the first positive
+    # everywhere) and two Q-vertices mixing them with weights 1 to 3
+    rng = random.Random(seed)
+    space = SampleSpace([f"o{i}" for i in range(n)])
+    rows = [[rng.randint(1, 4) for _ in range(n)]]
+    rows += [[rng.randint(0, 4) for _ in range(n)] for _ in range(2)]
+    P = [_measure(space, row) for row in rows]
+    Q = [mix(P, [F(w, 6) for w in rng.choice([(1, 2, 3), (3, 2, 1), (2, 3, 1)])])
+         for _ in range(2)]
+    return AmbiguitySet(space, P), AmbiguitySet(space, Q)
+
+
+def test_hypothesis_scans_test_and_evaluate_few_blocks(monkeypatch):
+    # the regression signal of the block walk on one benchmark-sized pair:
+    # of the 64 blocks of each scan, the primal scan (min Q over P >= eps)
+    # and the dual scan (min Q over P < delta) test and evaluate these many
+    P, Q = _seeded_pair(12, 2026)
+    inst = HsInstance(P, Q, F(1, 4), F(1, 3))
+    counter = _count_blocks(monkeypatch)
+    counts = []
+    for check in (check_hypothesis_primal, check_hypothesis_dual):
+        counter.update(tested=0, evaluated=0)
+        assert check(inst) == getattr(ref, check.__name__)(inst)
+        counts.append((counter["tested"], counter["evaluated"]))
+    assert counts == [(11, 4), (54, 4)]
+
+
+def test_a_twenty_outcome_scan_keeps_its_tables_small():
+    # at the default cap, 2**20 events in 2**8 settings of the high bits
+    # of 64 blocks of 64 entries: the walk holds O(measures * 2**6) integers,
+    # where a table of every event would take tens of MiB
+    P, Q = _seeded_pair(20, 2026)
+    tracemalloc.start()
+    try:
+        hs_modulus(P, Q, F(1, 4))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
 
 
 def _threshold_pair():
@@ -295,6 +394,72 @@ def test_entries_at_the_threshold_and_ties_with_the_best(bits):
         got = [_kernel_best(P, Q, *case) for case in THRESHOLD_CASES]
     for case, g, want in zip(THRESHOLD_CASES, got, _threshold_references()):
         assert g == want, case
+
+
+def _zero_high_pair(n):
+    # Q charges o0..o5 only, so at a 6-bit low block every high weight
+    # of a max scan, numerator * scale - key, is negative (and some are at
+    # 3 and 10 bits); P charges every outcome with weights 1 to 3.  At 14
+    # outcomes and 6 bits, o12 and o13 lie above the blocks of o6..o11, so
+    # the Gray code over them visits 4 settings
+    space = SampleSpace([f"o{i}" for i in range(n)])
+    P = AmbiguitySet(space, [_measure(space, [1 + i % 3 for i in range(n)]),
+                             _measure(space, [3 - i % 3 for i in range(n)])])
+    Q = AmbiguitySet(space, [_measure(space, [1, 2, 3, 1, 2, 3] + [0] * (n - 6)),
+                             _measure(space, [2, 1, 1, 2, 0, 1] + [0] * (n - 6))])
+    return P, Q
+
+
+ZERO_HIGH_CASES = [
+    (max, agg, op, t)
+    for agg in [(max, max), (min, min), (max, min), (min, max)]
+    for t in (F(1, 4), F(5, 8))
+    for op in (GE, LT)
+]
+
+
+@functools.cache
+def _zero_high_references(n):
+    # each event's P- and Q-masses priced once by the frozenset events,
+    # then the frozenset scan per case
+    P, Q = _zero_high_pair(n)
+    support = ref.sorted_support(P)
+    masses = {
+        A: ([v(A) for v in P.vertices], [v(A) for v in Q.vertices])
+        for A in ref.support_subsets(support, 20)
+    }
+    references = []
+    for pick, (side_agg, value_agg), op, t in ZERO_HIGH_CASES:
+        def qualifies(A):
+            mass = side_agg(masses[A][0])
+            return mass >= t if op == GE else mass < t
+
+        references.append(
+            ref.best(pick, lambda A: value_agg(masses[A][1]), qualifies, support)
+        )
+    return references
+
+
+@pytest.mark.parametrize("n", [12, 14])
+@pytest.mark.parametrize("bits", [3, 6, 10])
+def test_max_over_outcomes_of_zero_value_mass(monkeypatch, n, bits):
+    P, Q = _zero_high_pair(n)
+    settings = []
+    blocks = EventSpace._blocks
+
+    def counted(self, highs):
+        settings.append(0)
+        for offsets in blocks(self, highs):
+            settings[-1] += 1
+            yield offsets
+
+    monkeypatch.setattr(EventSpace, "_blocks", counted)
+    with low_bits(bits):
+        got = [_kernel_best(P, Q, *case) for case in ZERO_HIGH_CASES]
+    for case, g, want in zip(ZERO_HIGH_CASES, got, _zero_high_references(n)):
+        assert g == want, case
+    # each scan walks 2**(n - 2 * bits) settings of the bits above its blocks
+    assert set(settings) == {2 ** max(n - 2 * bits, 0)}
 
 
 def test_ties_pick_the_first_event_in_order():
