@@ -59,7 +59,6 @@ from .halmos_savage import (
     construct_dual_hs_witness,
     construct_hs_witness,
     hs_modulus,
-    witness_claims,
 )
 from .large_market import (
     DEFAULT_ALPHA_GRID,
@@ -344,7 +343,7 @@ def _cmd_hs_witness(args, max_enum, kind):
         "multiplier": format_rational(w.multiplier),
     }
     input_obj = dict(input_obj, vertex_index=args.vertex_index)
-    return verdict, witness, witness_claims(inst, w), input_obj
+    return verdict, witness, w.claims, input_obj
 
 
 def _cmd_hs_modulus(args, max_enum):

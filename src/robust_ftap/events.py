@@ -54,7 +54,7 @@ from bisect import bisect_left, bisect_right
 from fractions import Fraction
 from functools import reduce
 from itertools import accumulate, combinations, compress
-from math import ceil, lcm
+from math import ceil
 from operator import and_, or_
 from typing import Callable, Iterable, Iterator, NamedTuple, Optional, Sequence
 
@@ -64,6 +64,7 @@ from .measures import (
     AmbiguitySet,
     ProbabilityMeasure,
     SampleSpace,
+    integer_rows,
     ordered_support,
     rational,
 )
@@ -255,15 +256,8 @@ class Envelope:
     over one common denominator."""
 
     def __init__(self, events: EventSpace, measures: Sequence[ProbabilityMeasure], agg):
-        # the measures' own integer masses, brought to the lcm of their
-        # denominators
-        d = reduce(lcm, [mu.denominator for mu in measures], 1)
         self.agg = agg
-        self.denominator = d
-        self.rows = [
-            [mu.numerators[p] * (d // mu.denominator) for p in events._pos]
-            for mu in measures
-        ]
+        self.rows, self.denominator = integer_rows(measures, events._pos)
 
     def threshold(self, t) -> int:
         """The least numerator N with N / denominator >= t."""

@@ -13,10 +13,12 @@ events.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from functools import reduce
+from itertools import compress
 from math import lcm
+from operator import mul
 from typing import NamedTuple, Optional
 
 from .claims import EQ, GE, LE, LT, Claim, claim
@@ -35,6 +37,7 @@ from .measures import (
     AmbiguitySet,
     ProbabilityMeasure,
     dominated_by,
+    integer_rows,
     mix,
     ordered_support,
     rational,
@@ -82,7 +85,8 @@ class HsWitness:
     forVertexP(A) < epsilon*delta carries q_star mass < guaranteed_bound.
     `multiplier` is the knapsack multiplier lambda >= 0 at which the
     scalar bound of `knapsack_bound` proves this for all events at once
-    (0 for the vacuous witness); `witness_claims` states that bound.
+    (0 for the vacuous witness); `witness_claims` states that bound, and
+    ``claims`` lists its claims as the constructor checked them.
     """
 
     kind: str
@@ -91,6 +95,7 @@ class HsWitness:
     weights: tuple[Fraction, ...]
     guaranteed_bound: Fraction
     multiplier: Fraction
+    claims: tuple[Claim, ...] = field(default=(), repr=False, compare=False)
 
 
 def check_hypothesis_primal(
@@ -138,14 +143,17 @@ class _Game(NamedTuple):
 
 
 class _TestFunction(NamedTuple):
-    """h over the support: 1 where `full`, `fill` at `last`, 0 elsewhere."""
+    """h over the support: 1 where `full`, fill / unit at `last`, 0
+    elsewhere (fill 0 over unit 1 when `last` is None)."""
 
     full: list[bool]
     last: Optional[int]
-    fill: Fraction
+    fill: int
+    unit: int
 
-    def dot(self, a: list[int]):
-        total = sum(x for x, f in zip(a, self.full) if f)
+    def dot(self, a: list[int]) -> int:
+        """h.a times `unit`, an integer for integers a."""
+        total = sum(compress(a, self.full)) * self.unit
         return total if self.last is None else total + self.fill * a[self.last]
 
 
@@ -175,10 +183,10 @@ def _knapsack(
     left = level
     for o in order:
         if pn[o] >= left:
-            return _TestFunction(full, o, Fraction(left, pn[o]))
+            return _TestFunction(full, o, left, pn[o])
         full[o] = True
         left -= pn[o]
-    return _TestFunction(full, None, ZERO)
+    return _TestFunction(full, None, 0, 1)
 
 
 def _expectation_game(
@@ -195,26 +203,43 @@ def _expectation_game(
     otherwise as one LP over the knapsack's dual (`_knapsack_dual_lp`).
     The cutting planes need about one master LP per Q-vertex that w*
     mixes, which is known only once solved; 2K > n stands in for "w*
-    mixes many".  Mean per game on a 2-vCPU VM, Python 3.11: on
-    12-outcome pairs with K = 2 or 3, 0.36 ms against 3.16 ms for the
-    dual LP; on the large-market witnesses (K = 5 on 6 outcomes, w*
-    mixing up to all five), 2.35 ms against 1.06 ms.  Raises
-    EmptyPolytope when no h reaches a primal level.
+    mixes many".  Mean per game with integer rows, Python 3.11 on a
+    2-vCPU host: on 12-outcome pairs with K = 2 or 3, 0.20 ms against
+    2.02 ms for the dual LP; on the large-market witnesses (K = 5 on 6
+    outcomes, w* mixing up to all five), 1.40 ms against 0.62 ms.  p and
+    the Q-vertices are read from the measures' integer numerators on the
+    support (`integer_rows`), p and the level over one denominator, the
+    Q-vertices over another.  Raises EmptyPolytope when no h reaches a
+    primal level.
     """
     if kind not in (PRIMAL, DUAL):
         raise ValueError("kind must be 'primal' or 'dual'")
-    support = ordered_support(inst.P)
     level = 2 * inst.epsilon if kind == PRIMAL else inst.epsilon * inst.delta
-    p = [vertex_p.mass_of(o) for o in support]
-    if kind == PRIMAL and sum(p) < level:
+    (pn,), pd = _support_rows(inst, [vertex_p])
+    # p and the level as integers over one denominator d
+    d = lcm(pd, level.denominator)
+    pn = [x * (d // pd) for x in pn]
+    level = level.numerator * (d // level.denominator)
+    if kind == PRIMAL and sum(pn) < level:
         raise EmptyPolytope("no test function reaches mass 2*epsilon")
-    Q = [[v.mass_of(o) for o in support] for v in inst.Q.vertices]
-    if 2 * len(Q) <= len(support):
-        return _cutting_planes(p, Q, level, kind)
-    return _knapsack_dual_lp(p, Q, level, kind)
+    Qn, qd = _support_rows(inst, inst.Q.vertices)
+    if 2 * len(Qn) <= len(pn):
+        return _cutting_planes(pn, d, level, Qn, qd, kind)
+    return _knapsack_dual_lp(pn, d, level, Qn, qd, kind)
 
 
-def _cutting_planes(p: list, Q: list, level: Fraction, kind: str) -> _Game:
+def _support_rows(
+    inst: HsInstance, measures: list[ProbabilityMeasure]
+) -> tuple[list[list[int]], int]:
+    """The measures' masses on the quasi-sure support of P, in sample-space
+    order, as integer rows over one denominator."""
+    index = inst.P.space.index
+    return integer_rows(measures, map(index, ordered_support(inst.P)))
+
+
+def _cutting_planes(
+    pn: list[int], pd: int, level: int, Qn: list[list[int]], qd: int, kind: str
+) -> _Game:
     """Kelley's cutting planes, from the uniform mixture, with the exact
     knapsack (`_knapsack`) as oracle.  The master LP maximizes (dual:
     minimizes) t over the simplex of weights with one row t <= w.(Q h_j)
@@ -222,16 +247,12 @@ def _cutting_planes(p: list, Q: list, level: Fraction, kind: str) -> _Game:
     t or returns the next cut, a vertex of the D-set that w violates.
     Every cut lies in the D-set, so the master's checked optimum bounds
     the value from above (dual: below), and the knapsack's value at w is
-    exact; the loop stops when the two are equal.  The knapsack sums in
-    integers: p and the level over one denominator, the Q-vertices over
-    another."""
-    n, K = len(p), len(Q)
-    pn, pd = scaled(p + [level])
-    pn, level = pn[:-1], pn[-1]
+    exact; the loop stops when the two are equal.  p and the level are
+    integers over pd, the Q-vertices integer rows over qd, and the
+    knapsack and its values h.q sum in integers."""
+    K = len(Qn)
     span = reduce(lcm, [x for x in pn if x], 1)
     keys = [span // x if x else 0 for x in pn]
-    flat, qd = scaled([x for row in Q for x in row])
-    Qn = [flat[k * n:(k + 1) * n] for k in range(K)]
     sense, rel = ("max", LE) if kind == PRIMAL else ("min", GE)
     # variables (t, w_1..w_K): t free, each weight >= 0
     simplex = Constraint([ZERO] + [ONE] * K, EQ, ONE)
@@ -239,15 +260,15 @@ def _cutting_planes(p: list, Q: list, level: Fraction, kind: str) -> _Game:
     weights, t = (Fraction(1, K),) * K, None
     while True:
         wn, wd = scaled(weights)
-        qn = [sum(w * col[o] for w, col in zip(wn, Qn)) for o in range(n)]
+        qn = [sum(map(mul, wn, col)) for col in zip(*Qn)]
         h = _knapsack(qn, pn, keys, level, kind)
-        value = Fraction(h.dot(qn), wd * qd)
+        value = Fraction(h.dot(qn), h.unit * wd * qd)
         if value == t:
             if h.last is None:
                 return _Game(value, weights, ZERO)
             s = h.last
             return _Game(value, weights, Fraction(qn[s] * pd, pn[s] * wd * qd))
-        cut = [-Fraction(h.dot(col), qd) for col in Qn]
+        cut = [Fraction(-h.dot(row), h.unit * qd) for row in Qn]
         cuts.append(Constraint([ONE] + cut, rel, ZERO))
         sol = solve_lp(LinearProgram(
             [ONE] + [ZERO] * K, sense, cuts + [simplex], [None] + [ZERO] * K
@@ -257,7 +278,9 @@ def _cutting_planes(p: list, Q: list, level: Fraction, kind: str) -> _Game:
         t, weights = sol.value, sol.primal[1:]
 
 
-def _knapsack_dual_lp(p: list, Q: list, level: Fraction, kind: str) -> _Game:
+def _knapsack_dual_lp(
+    pn: list[int], pd: int, level: int, Qn: list[list[int]], qd: int, kind: str
+) -> _Game:
     """The game as one LP over the knapsack's LP dual, all variables >= 0.
 
     Primal: max level*lambda - sum_o mu_o subject to
@@ -266,20 +289,23 @@ def _knapsack_dual_lp(p: list, Q: list, level: Fraction, kind: str) -> _Game:
     sum_o mu_o subject to mu_o + lambda p_o - sum_k w_k Q_k,o >= 0 and
     sum_k w_k = 1.  At the optimum mu_o is the positive part in
     `knapsack_bound`, so lambda is a multiplier at which it is exact.
-    Variables (lambda, mu_1..mu_n, w_1..w_K)."""
-    n, K = len(p), len(Q)
-    s = ONE if kind == PRIMAL else -ONE
+    Variables (lambda, mu_1..mu_n, w_1..w_K).  p and the level are
+    integers over pd and the Q-vertices over qd; each coefficient is
+    their ratio, so every row is the same rational row whatever the
+    denominators."""
+    n, K = len(pn), len(Qn)
+    s = 1 if kind == PRIMAL else -1
     rows = [
         Constraint(
-            [-s * p[o]] + [ONE if j == o else ZERO for j in range(n)]
-            + [s * Q[k][o] for k in range(K)],
+            [Fraction(-s * pn[o], pd)] + [ONE if j == o else ZERO for j in range(n)]
+            + [Fraction(s * row[o], qd) for row in Qn],
             GE, ZERO,
         )
         for o in range(n)
     ]
     rows.append(Constraint([ZERO] * (n + 1) + [ONE] * K, EQ, ONE))
     sol = solve_lp(LinearProgram(
-        [level] + [-s] * n + [ZERO] * K,
+        [Fraction(level, pd)] + [-s] * n + [ZERO] * K,
         "max" if kind == PRIMAL else "min",
         rows,
         [ZERO] * (1 + n + K),
@@ -308,7 +334,9 @@ def construct_hs_witness(
     attaining mixture guarantees Q(A) >= value for every event A with
     vertex_p(A) >= 2*epsilon, and the value is at least epsilon*delta/2.
     Both facts are verified before returning by `witness_claims`, the
-    first by the knapsack bound L(lambda) >= value, with no event scan.
+    first by the knapsack bound L(lambda) >= value, with no event scan;
+    the witness carries those claims.  The vacuous witness (2*epsilon > 1)
+    carries none.
     """
     holds, _ = check_hypothesis_primal(inst, max_enum)
     if not holds:
@@ -324,8 +352,7 @@ def construct_hs_witness(
     game = _expectation_game(inst, vertex_p, PRIMAL)
     w = HsWitness(PRIMAL, vertex_p, mix(inst.Q.vertices, game.weights),
                   game.weights, game.value, game.multiplier)
-    witness_claims(inst, w)
-    return w
+    return replace(w, claims=witness_claims(inst, w))
 
 
 def construct_dual_hs_witness(
@@ -339,7 +366,8 @@ def construct_dual_hs_witness(
     value is at most (2 - epsilon) * epsilon, and the attaining mixture
     satisfies Q(A) < 2*epsilon whenever vertex_p(A) < epsilon*delta.
     Both facts are verified before returning, the second by the knapsack
-    bound U(lambda) < 2*epsilon (`witness_claims`), with no event scan.
+    bound U(lambda) < 2*epsilon (`witness_claims`), with no event scan;
+    the witness carries those claims.
     """
     holds, _ = check_hypothesis_dual(inst, max_enum)
     if not holds:
@@ -351,8 +379,7 @@ def construct_dual_hs_witness(
           game.value, LE, (2 - inst.epsilon) * inst.epsilon)
     w = HsWitness(DUAL, vertex_p, mix(inst.Q.vertices, game.weights),
                   game.weights, 2 * inst.epsilon, game.multiplier)
-    witness_claims(inst, w)
-    return w
+    return replace(w, claims=witness_claims(inst, w))
 
 
 def knapsack_bound(
@@ -376,17 +403,15 @@ def knapsack_bound(
     negative multiplier.
     """
     claim("knapsack multiplier lambda nonnegative", multiplier, GE, ZERO)
-    support = ordered_support(inst.P)
-    qn, qd = scaled([q.mass_of(o) for o in support])
-    pn, pd = scaled([p.mass_of(o) for o in support])
+    (qn, pn), d = _support_rows(inst, [q, p])
     a, b = multiplier.numerator, multiplier.denominator
     sign = 1 if kind == PRIMAL else -1
     excess = 0
     for x, y in zip(pn, qn):
-        d = sign * (a * x * qd - b * y * pd)
-        if d > 0:
-            excess += d
-    excess = Fraction(excess, b * pd * qd)
+        e = sign * (a * x - b * y)
+        if e > 0:
+            excess += e
+    excess = Fraction(excess, b * d)
     if kind == PRIMAL:
         return 2 * inst.epsilon * multiplier - excess
     return inst.epsilon * inst.delta * multiplier + excess

@@ -25,7 +25,6 @@ from .halmos_savage import (
     construct_hs_witness,
     hs_modulus,
     knapsack_bound,
-    witness_claims,
 )
 from .lp_core import Constraint, LinearProgram, solve_lp
 from .market import Market, check_na, martingale_polytope
@@ -137,7 +136,7 @@ class ContiguousSequence:
 
 
 def _worst_gain(m: Market, H: Sequence[Fraction]) -> Fraction:
-    return min(m.gain(H, o) for o in m.support)
+    return min(m.gains(H))
 
 
 def _feasible_strategy(
@@ -194,7 +193,9 @@ def _feasible_events(
             infeasible.append((mask, alpha, floor))
             continue
         vertex = m.P.vertices[upper.first_best(mask)]
-        gain_event = events.mask(o for o in events.labels if m.gain(H, o) >= alpha)
+        gain_event = events.mask(
+            o for o, g in zip(events.labels, m.gains(H)) if g >= alpha
+        )
         yield H, vertex, events.mass(vertex).at(gain_event)
 
 
@@ -473,7 +474,7 @@ def weak_contiguity_certificate(
 ) -> tuple[Fraction, tuple[ProbabilityMeasure, ...], tuple[Fraction, ...], tuple[Claim, ...]]:
     """:func:`weak_contiguity_witness` as (delta, picks, multipliers,
     claims).  Each pick is the dual witness at level epsilon/2 and
-    epsilon*d/2 = delta, so its own claims (`witness_claims`, prefixed
+    epsilon*d/2 = delta, so its own claims (`HsWitness.claims`, prefixed
     with the market) state the bound, at its multiplier; none and
     multipliers 0 for epsilon > 1."""
     epsilon = rational(epsilon)
@@ -500,7 +501,7 @@ def weak_contiguity_certificate(
         picks.append(w.q_star)
         multipliers.append(w.multiplier)
         claims += (replace(c, description=f"market {n}: {c.description}")
-                   for c in witness_claims(inst, w))
+                   for c in w.claims)
     return half * d_eff, tuple(picks), tuple(multipliers), tuple(claims)
 
 
@@ -520,5 +521,5 @@ def martingale_contradiction_margin(
     if not poly.vertices:
         raise EmptyMartingalePolytope("no martingale measure")
     events = support_events(m.P, max_enum)
-    event = events.mask(o for o in events.labels if m.gain(H, o) >= alpha)
+    event = events.mask(o for o, g in zip(events.labels, m.gains(H)) if g >= alpha)
     return events.upper(poly.vertices).at(event)

@@ -16,6 +16,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 from math import comb
+from operator import mul
 from typing import Iterable, Optional, Sequence
 
 from .claims import EQ, Claim, claim
@@ -105,6 +106,16 @@ class Market:
         h, scale = scaled(H)
         g = sum(a * b for a, b in zip(h, self._int_increments[outcome]))
         return Fraction(g, scale * self._increment_scale)
+
+    def gains(self, H: Sequence[Fraction]) -> tuple[Fraction, ...]:
+        """The gain of H at each support outcome, in support order, with H
+        scaled to integers once."""
+        h, scale = scaled(H)
+        scale *= self._increment_scale
+        rows = self._int_increments
+        return tuple(
+            Fraction(sum(map(mul, h, rows[o])), scale) for o in self.support
+        )
 
     def measure(self, values: Iterable) -> ProbabilityMeasure:
         """The probability measure with the given masses on the support."""
@@ -222,11 +233,10 @@ def _decide_na(
         raise CertificateError(f"the full-support martingale LP is {sol.status}")
     sign = 1 if sol.status == "Optimal" else -1
     H = tuple(sign * y for y in sol.dual[1 : 1 + m.d])
-    strict = next((o for o in m.support if m.gain(H, o) > 0), m.support[0])
-    claims = tuple(
-        claim(f"gain of H at {o}", m.gain(H, o), ">=", ZERO) for o in m.support
-    )
-    claims += (claim(f"strict gain at {strict}", m.gain(H, strict), ">", ZERO),)
+    gains = dict(zip(m.support, m.gains(H)))
+    strict = next((o for o, g in gains.items() if g > 0), m.support[0])
+    claims = tuple(claim(f"gain of H at {o}", g, ">=", ZERO) for o, g in gains.items())
+    claims += (claim(f"strict gain at {strict}", gains[strict], ">", ZERO),)
     return None, ArbitrageWitness(H, strict, claims)
 
 
@@ -371,8 +381,8 @@ def superhedge(m: Market, f: BoundedFunction) -> HedgeCertificate:
     H = sol.dual[1:]
     attaining = m.measure(sol.primal)
     claims = tuple(
-        claim(f"hedge dominates payoff at {o}", price + m.gain(H, o), ">=", v)
-        for o, v in zip(support, values)
+        claim(f"hedge dominates payoff at {o}", price + g, ">=", v)
+        for o, g, v in zip(support, m.gains(H), values)
     )
     claims += (
         claim("attaining measure reaches the price", attaining.expectation(f), "=", price),

@@ -15,6 +15,7 @@ from fractions import Fraction
 from functools import cached_property, reduce
 from itertools import compress
 from math import lcm
+from operator import mul
 from typing import Iterable, Sequence
 
 from .errors import DimensionMismatch
@@ -195,20 +196,36 @@ def dominated_by(Q: ProbabilityMeasure, P: AmbiguitySet) -> bool:
     return Q.support <= quasi_sure_support(P)
 
 
+def integer_rows(
+    measures: Sequence[ProbabilityMeasure], positions: Iterable[int]
+) -> tuple[list[list[int]], int]:
+    """Each measure's masses at ``positions`` as integers over d, the lcm
+    of the measures' denominators, and d: the stored numerators of each
+    measure, brought to d."""
+    d = reduce(lcm, [mu.denominator for mu in measures], 1)
+    positions = list(positions)
+    return [
+        [mu.numerators[i] * (d // mu.denominator) for i in positions]
+        for mu in measures
+    ], d
+
+
 def mix(
     measures: Sequence[ProbabilityMeasure], weights: Sequence
 ) -> ProbabilityMeasure:
-    """Convex combination of probability measures with exact weights."""
+    """Convex combination of probability measures with exact weights,
+    summed in integers: the weights over their common denominator, the
+    measures' numerators over the lcm of their denominators."""
     weights = _as_fractions(weights)
     if len(measures) != len(weights):
         raise DimensionMismatch("one weight per measure required")
-    if any(w < 0 for w in weights) or sum(weights) != 1:
+    wn, wd = scaled(weights)
+    if any(w < 0 for w in wn) or sum(wn) != wd:
         raise ValueError("weights must be nonnegative and sum to 1")
     space = measures[0].space
-    mass = [ZERO] * space.size
-    for m, w in zip(measures, weights):
-        if m.space != space:
-            raise DimensionMismatch("measures on different spaces")
-        for i, x in enumerate(m.mass):
-            mass[i] += w * x
-    return ProbabilityMeasure(space, mass)
+    if any(m.space != space for m in measures):
+        raise DimensionMismatch("measures on different spaces")
+    rows, d = integer_rows(measures, range(space.size))
+    sums = [sum(map(mul, wn, col)) for col in zip(*rows)]
+    d *= wd
+    return ProbabilityMeasure(space, [Fraction(x, d) for x in sums])

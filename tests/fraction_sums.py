@@ -2,11 +2,12 @@
 
 ``robust_ftap`` makes values exact once (``measures.rational``) and then
 sums integers over a common denominator: the mass checks and the
-expectations of a ``ProbabilityMeasure``, a market's gains, its expected
-increments and the charging column of its LPs, the reading of a rational
-string, and the duplicate test of the vertex enumeration.  These are the
-expressions they replaced, over ``fractions.Fraction``, kept only as the
-slow reference path of ``test_rational_differential.py``.
+expectations of a ``ProbabilityMeasure``, the mixtures of ``measures.mix``,
+a market's gains, its expected increments and the charging column of its
+LPs, the reading of a rational string, and the duplicate test of the
+vertex enumeration.  These are the expressions they replaced, over
+``fractions.Fraction``, kept only as the slow reference path of
+``test_rational_differential.py``.
 """
 
 from __future__ import annotations
@@ -16,8 +17,9 @@ from fractions import Fraction
 from itertools import combinations
 from typing import Optional
 
-from robust_ftap.errors import InputError
+from robust_ftap.errors import DimensionMismatch, InputError
 from robust_ftap.lp_core import _int_row, _row_reduce, solve_square
+from robust_ftap.measures import ProbabilityMeasure
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
@@ -36,6 +38,23 @@ def probability_defect(mass) -> Optional[str]:
 
 def expectation(q, f) -> Fraction:
     return sum((m * v for m, v in zip(q.mass, f.values)), ZERO)
+
+
+def mix(measures, weights) -> ProbabilityMeasure:
+    """The former ``measures.mix``: K * n Fraction multiply-adds."""
+    weights = tuple(Fraction(w) for w in weights)
+    if len(measures) != len(weights):
+        raise DimensionMismatch("one weight per measure required")
+    if any(w < 0 for w in weights) or sum(weights) != 1:
+        raise ValueError("weights must be nonnegative and sum to 1")
+    space = measures[0].space
+    mass = [ZERO] * space.size
+    for m, w in zip(measures, weights):
+        if m.space != space:
+            raise DimensionMismatch("measures on different spaces")
+        for i, x in enumerate(m.mass):
+            mass[i] += w * x
+    return ProbabilityMeasure(space, mass)
 
 
 def gain(m, H, outcome) -> Fraction:

@@ -20,10 +20,11 @@ when the game's optimum is not unique.
 
 The library checks a witness by one scalar per claim
 (`halmos_savage.witness_claims`, and the contiguity builders of
-`large_market`).  The per-event claims below are what those scalars
-imply, one claim per qualifying event: the scans the library ran before
-it carried the multiplier, kept as the reference of
-`test_hs_knapsack_differential.py`.
+`large_market`), the Lagrangian bound of `knapsack_bound`, summed in
+integers; `lagrangian_bound` is its transcription in Fractions.  The
+per-event claims below are what those scalars imply, one claim per
+qualifying event: the scans the library ran before it carried the
+multiplier, kept as the reference of `test_hs_knapsack_differential.py`.
 """
 
 from __future__ import annotations
@@ -98,6 +99,20 @@ def knapsack_max(
         if room == 0:
             break
     return value
+
+
+def lagrangian_bound(
+    inst: HsInstance, kind: str, q: ProbabilityMeasure, p: ProbabilityMeasure, lam
+) -> Fraction:
+    """L(lambda) = 2*epsilon*lambda - sum_o (lambda p_o - q_o)+ (primal) or
+    U(lambda) = epsilon*delta*lambda + sum_o (q_o - lambda p_o)+ (dual),
+    the sums over the quasi-sure support of P, in Fractions."""
+    items = _items(inst, q, p)
+    if kind == PRIMAL:
+        excess = sum((max(lam * po - qo, F(0)) for qo, po in items), F(0))
+        return 2 * inst.epsilon * lam - excess
+    excess = sum((max(qo - lam * po, F(0)) for qo, po in items), F(0))
+    return inst.epsilon * inst.delta * lam + excess
 
 
 def random_vertex(space, rng, max_denom=10):

@@ -11,7 +11,7 @@ from fractions import Fraction
 import pytest
 
 from hs_reference import mixture_pair_instance, with_primal_delta
-from robust_ftap import cli, large_market
+from robust_ftap import cli, halmos_savage, large_market
 from robust_ftap.cli import load_market, load_sequence, main, verify_certificate
 from robust_ftap.codec import (
     build_certificate,
@@ -355,6 +355,25 @@ class TestSubcommands:
         assert 1 <= len(cert["transcript"]) <= 3
         assert F(cert["witness"]["multiplier"]) >= 0
         assert verify_certificate(cert) == []
+
+    @pytest.mark.parametrize("command", ["hs-witness", "hs-dual-witness"])
+    def test_hs_witness_checks_its_claims_once(self, tmp_path, monkeypatch, command):
+        # the transcript is the claims the constructor checked, carried by
+        # the witness, so one run evaluates one knapsack bound
+        kinds = []
+        bound = halmos_savage.knapsack_bound
+
+        def counting(inst, kind, *args):
+            kinds.append(kind)
+            return bound(inst, kind, *args)
+
+        monkeypatch.setattr(halmos_savage, "knapsack_bound", counting)
+        path = os.path.join(os.path.dirname(SEQUENCE), "pair.json")
+        code, cert = run_json(
+            tmp_path, [command, "--input", path, "--epsilon", "1/4", "--delta", "1/8"]
+        )
+        assert code == 0 and cert["transcript"]
+        assert kinds == ["primal" if command == "hs-witness" else "dual"]
 
     @pytest.mark.parametrize("target", ["missing/c.json", "taken", "fifo"])
     def test_unwritable_output(self, tmp_path, capsys, target):

@@ -10,8 +10,10 @@ maximum at the dual witness's q* must equal the dual game value, exactly.
 
 The witnesses are verified by one scalar each, the Lagrangian bound
 L(lambda) or U(lambda) of `knapsack_bound`, instead of a scan of every
-event.  Whenever that bound holds, every per-event claim must hold, which
-the frozenset event scans of `frozenset_events` check at any multiplier,
+event.  It sums in integers and must equal its Fraction transcription
+(`hs_reference.lagrangian_bound`) exactly, at any multiplier.  Whenever
+that bound holds, every per-event claim must hold, which the frozenset
+event scans of `frozenset_events` check at any multiplier,
 and the per-event claims of `hs_reference` check at the witnesses' own
 multipliers: on criterion 4/5's instances, the golden pair, seeded
 12-outcome pairs, and the contiguity certificates of the golden
@@ -34,6 +36,7 @@ from hs_reference import (
     event_claims,
     knapsack_max,
     knapsack_min,
+    lagrangian_bound,
     mixture_pair_instance,
     weak_contiguity_event_claims,
     with_primal_delta,
@@ -128,6 +131,25 @@ def test_bound_implies_every_event_claim():
     assert checked > 1000
 
 
+def test_knapsack_bound_matches_fraction_sums():
+    rng = random.Random(5)
+    instances = [_random_hs_instance(rng) for _ in range(120)]
+    instances += [mixture_pair_instance(rng) for _ in range(12)]
+    compared = 0
+    for inst in instances:
+        weights = [F(rng.randint(0, 4)) for _ in inst.Q.vertices]
+        weights[rng.randrange(len(weights))] += 1
+        q = mix(inst.Q.vertices, [w / sum(weights) for w in weights])
+        for p in inst.P.vertices:
+            for lam in _multipliers(inst, q, p, rng):
+                for kind in (PRIMAL, DUAL):
+                    got = knapsack_bound(inst, kind, q, p, lam)
+                    assert type(got) is Fraction
+                    assert got == lagrangian_bound(inst, kind, q, p, lam)
+                    compared += 1
+    assert compared > 2000
+
+
 def test_negative_multiplier_refused():
     inst = _forgeable(3)
     vp = inst.P.vertices[0]
@@ -175,6 +197,37 @@ def test_forged_mixture_raises(monkeypatch, kind, n):
     monkeypatch.setattr(halmos_savage, "_expectation_game", forged_game)
     with pytest.raises(CertificateError):
         construct(inst, vp)
+
+
+@pytest.mark.parametrize("n", [3, 4])
+def test_witnesses_read_the_stored_numerators(monkeypatch, n):
+    # past the hypothesis gate, the game, the mixture and the knapsack
+    # bound read ProbabilityMeasure.numerators, never mass_of: on 3
+    # outcomes through the knapsack dual LP, on 4 through the cutting planes
+    inst = _forgeable(n)
+    vp = inst.P.vertices[0]
+    want = [construct(inst, vp) for construct in (construct_hs_witness,
+                                                  construct_dual_hs_witness)]
+    solvers = []
+    for name in ("_cutting_planes", "_knapsack_dual_lp"):
+        solver = getattr(halmos_savage, name)
+
+        def spy(*args, _name=name, _solver=solver):
+            solvers.append(_name)
+            return _solver(*args)
+
+        monkeypatch.setattr(halmos_savage, name, spy)
+
+    def no_mass_of(self, label):
+        raise RuntimeError("mass_of called on the witness path")
+
+    monkeypatch.setattr(ProbabilityMeasure, "mass_of", no_mass_of)
+    got = [construct_hs_witness(inst, vp), construct_dual_hs_witness(inst, vp)]
+    assert got == want
+    assert [w.claims for w in got] == [w.claims for w in want]
+    assert all(w.claims for w in got)
+    solver = "_knapsack_dual_lp" if n == 3 else "_cutting_planes"
+    assert solvers == [solver, solver]
 
 
 def _witness_claims_imply_event_claims(inst, vp):

@@ -2,17 +2,19 @@
 
 Values become Fractions once, at `measures.rational`, and the hot sums
 then run in integers over a common denominator.  On hypothesis-drawn
-inputs each integer path must give exactly what the Fraction expression it
-replaced gives (`fraction_sums`): the sign and sum checks and the
-expectation of a `ProbabilityMeasure`, `Market.gain`, the expected
-increments of `Market.martingale_claims`, the charging column of the
-market LPs, the vertex list of `enumerate_basic_feasible` in its order,
+(and, for `measures.mix`, seeded) inputs each integer path must give
+exactly what the Fraction expression it replaced gives (`fraction_sums`):
+the sign and sum checks and the expectation of a `ProbabilityMeasure`,
+`measures.mix` with its errors, `Market.gain` and `Market.gains`, the
+expected increments of `Market.martingale_claims`, the charging column of
+the market LPs, the vertex list of `enumerate_basic_feasible` in its order,
 and `codec.parse_rational` on accepted and rejected text alike.  The boundary
 tests pin that stored fields are Fractions whatever the input type, and
 the edge forms of a rational string.
 """
 
 import json
+import random
 from fractions import Fraction
 
 import pytest
@@ -23,7 +25,7 @@ import fraction_sums as ref
 from robust_ftap import market
 from robust_ftap.cli import main
 from robust_ftap.codec import parse_rational
-from robust_ftap.errors import CertificateError, InputError
+from robust_ftap.errors import CertificateError, DimensionMismatch, InputError
 from robust_ftap.lp_core import EQ, Constraint, LinearProgram, enumerate_basic_feasible
 from robust_ftap.market import Market, check_na, full_support_martingale
 from robust_ftap.measures import (
@@ -31,6 +33,7 @@ from robust_ftap.measures import (
     BoundedFunction,
     ProbabilityMeasure,
     SampleSpace,
+    mix,
     rational,
 )
 
@@ -115,6 +118,9 @@ def test_gains_match(m, data):
         got = m.gain(H, o)
         assert type(got) is Fraction
         assert got == ref.gain(m, H, o)
+    gains = m.gains(H)
+    assert gains == tuple(ref.gain(m, H, o) for o in m.support)
+    assert all(type(g) is Fraction for g in gains)
 
 
 @settings(max_examples=300, deadline=None)
@@ -151,6 +157,81 @@ def test_charge_column_matches(m, data):
     got = market._charge_column(m, charged)
     assert got == ref.charge_column(m, charged)
     assert all(type(x) is Fraction for x in got)
+
+
+MIX_KINDS = ("probability", "negative", "off", "space", "count")
+
+
+def _random_mixture(rng, kind):
+    """1 to 4 measures on 1 to 5 outcomes, each over its own denominator,
+    and weights with zeros among them, broken as ``kind`` says: a negative
+    weight, weights off 1 by a small rational, one measure on another
+    space (of the same size or not), or one weight too many."""
+    n, K = rng.randint(1, 5), rng.randint(1, 4)
+    space = _space(n)
+
+    def measure(on):
+        counts = [rng.randint(0, 6) for _ in range(on.size)]
+        counts[rng.randrange(on.size)] += 1
+        return ProbabilityMeasure(on, [F(c, sum(counts)) for c in counts])
+
+    measures = [measure(space) for _ in range(K)]
+    counts = [rng.choice([0, 0, 1, 2, 3, 5]) for _ in range(K)]
+    counts[rng.randrange(K)] += 1
+    weights = [F(c, sum(counts)) for c in counts]
+    if kind == "negative":
+        i, j = rng.randrange(K), rng.randrange(K)
+        shift = weights[i] + F(rng.randint(1, 4), rng.choice([1, 2, 3, 7]))
+        weights[i] -= shift
+        weights[j] += shift
+        if i == j:
+            weights[i] -= shift  # one weight, so it goes negative alone
+    elif kind == "off":
+        weights[rng.randrange(K)] += F(rng.choice([-1, 1]), rng.randint(2, 9))
+    elif kind == "space":
+        other = SampleSpace([f"x{k}" for k in range(rng.choice([n, n + 1]))])
+        measures.insert(rng.randint(1, K), measure(other))
+        weights.insert(0, F(0))
+    elif kind == "count":
+        weights.append(F(0))
+    return measures, weights
+
+
+def _mix_outcome(f, measures, weights):
+    try:
+        q = f(measures, weights)
+    except (DimensionMismatch, ValueError) as exc:
+        return type(exc), str(exc)
+    assert all(type(x) is Fraction for x in q.mass)
+    return q.mass, q.numerators, q.denominator
+
+
+def test_mix_matches_fraction_sums():
+    # seeded mixtures of every kind, including zero weights, a single
+    # measure and measures over different denominators
+    rng = random.Random(314)
+    seen = set()
+    for k in range(1500):
+        kind = MIX_KINDS[k % len(MIX_KINDS)]
+        measures, weights = _random_mixture(rng, kind)
+        got = _mix_outcome(mix, measures, weights)
+        assert got == _mix_outcome(ref.mix, measures, weights)
+        failed = type(got[0]) is type
+        assert failed == (kind != "probability")
+        if kind == "probability":
+            seen.add("zero weight" if 0 in weights else "no zero weight")
+            seen.add("one measure" if len(measures) == 1 else "several measures")
+            if len({m.denominator for m in measures}) > 1:
+                seen.add("different denominators")
+        else:
+            seen.add(got)
+    assert seen >= {
+        "zero weight", "no zero weight", "one measure", "several measures",
+        "different denominators",
+        (ValueError, "weights must be nonnegative and sum to 1"),
+        (DimensionMismatch, "measures on different spaces"),
+        (DimensionMismatch, "one weight per measure required"),
+    }
 
 
 # small entries make degenerate systems, where bases share a vertex
