@@ -172,9 +172,11 @@ def verify_certificate(cert) -> list[str]:
                 f" ({e.get('description', '')})"
             )
     witness = cert["witness"]
+    if witness is not None and not isinstance(witness, dict):
+        problems.append("witness: expected an object or null")
     if isinstance(witness, dict):
         for field in ("probability_vectors", "weight_vectors"):
-            vectors = witness.get(field) or []
+            vectors = witness.get(field, [])
             if not isinstance(vectors, list):
                 problems.append(f"witness.{field}: expected a list")
                 continue

@@ -1,14 +1,13 @@
 """Quantitative Halmos-Savage machinery with constructive witnesses.
 
-Hypothesis checking over all events of the quasi-sure support (by the
-integer event kernel of :mod:`robust_ftap.events`), the inf-sup /
-sup-inf values of the expectation game between Q-mixtures and the
-primal/dual test-function sets, solved by cutting planes whose oracle is
-an exact fractional knapsack (or as one LP over the knapsack's dual when
-the Q-vertices outnumber half the support), and witness measures that
-are verified before being returned by one Lagrangian bound of that
-knapsack, which implies every per-event claim without enumerating the
-events.
+Hypothesis checks and the primal and dual moduli, each one scan of the
+events of the quasi-sure support (by the integer event kernel of
+:mod:`robust_ftap.events`); the values of the expectation game between
+Q-mixtures and the primal/dual test-function sets, solved by cutting
+planes whose oracle is an exact fractional knapsack (or as one LP over
+the knapsack's dual when the Q-vertices outnumber half the support); and
+witnesses of both kinds from one body (`hs_witness`) that scans no
+event, each verified by one Lagrangian bound of that knapsack.
 """
 
 from __future__ import annotations
@@ -86,7 +85,7 @@ class HsWitness:
     `multiplier` is the knapsack multiplier lambda >= 0 at which the
     scalar bound of `knapsack_bound` proves this for all events at once
     (0 for the vacuous witness); `witness_claims` states that bound, and
-    ``claims`` lists its claims as the constructor checked them.
+    ``claims`` lists its claims as `hs_witness` checked them.
     """
 
     kind: str
@@ -323,36 +322,47 @@ def basic_lemma_value(
     return _expectation_game(inst, vertex_p, kind).value
 
 
+def hs_witness(
+    inst: HsInstance, vertex_p: ProbabilityMeasure, kind: str
+) -> HsWitness:
+    """The witness of ``kind``, for a caller that knows its hypothesis
+    holds on inst: the one body of both constructors, scanning no event.
+
+    The mixture attaining the game's value, which is the primal bound; a
+    dual value must be at most (2 - epsilon) * epsilon, bound 2*epsilon.
+    `witness_claims` is checked, and the witness carries its claims.  The
+    primal witness is the vacuous uniform mixture when 2*epsilon > 1.
+    """
+    if kind == PRIMAL and 2 * inst.epsilon > 1:
+        # no event can reach mass 2*epsilon; any mixture works vacuously
+        k = len(inst.Q.vertices)
+        weights = (Fraction(1, k),) * k
+        return HsWitness(PRIMAL, vertex_p, mix(inst.Q.vertices, weights), weights,
+                         NO_QUALIFYING_SET, ZERO)
+    game = _expectation_game(inst, vertex_p, kind)
+    bound = game.value
+    if kind == DUAL:
+        claim("inf-sup value at most (2-epsilon)*epsilon",
+              game.value, LE, (2 - inst.epsilon) * inst.epsilon)
+        bound = 2 * inst.epsilon
+    w = HsWitness(kind, vertex_p, mix(inst.Q.vertices, game.weights),
+                  game.weights, bound, game.multiplier)
+    return replace(w, claims=witness_claims(inst, w))
+
+
 def construct_hs_witness(
     inst: HsInstance,
     vertex_p: ProbabilityMeasure,
     max_enum: int = DEFAULT_MAX_ENUM,
 ) -> HsWitness:
-    """Witness measure for the primal quantitative conclusion.
-
-    Solves sup over Q-mixtures of inf over the primal D-set of E_Q[h]; the
-    attaining mixture guarantees Q(A) >= value for every event A with
-    vertex_p(A) >= 2*epsilon, and the value is at least epsilon*delta/2.
-    Both facts are verified before returning by `witness_claims`, the
-    first by the knapsack bound L(lambda) >= value, with no event scan;
-    the witness carries those claims.  The vacuous witness (2*epsilon > 1)
-    carries none.
-    """
-    holds, _ = check_hypothesis_primal(inst, max_enum)
-    if not holds:
+    """The primal witness: q_star(A) >= the bound >= epsilon*delta/2 for
+    every event A with vertex_p(A) >= 2*epsilon.  The primal hypothesis
+    check (HypothesisViolated when it fails), then `hs_witness`."""
+    if not check_hypothesis_primal(inst, max_enum)[0]:
         raise HypothesisViolated(
             "the primal epsilon-delta hypothesis fails on this instance"
         )
-    if 2 * inst.epsilon > 1:
-        # no event can reach mass 2*epsilon; any mixture works vacuously
-        k = len(inst.Q.vertices)
-        weights = tuple(Fraction(1, k) for _ in range(k))
-        q_star = mix(inst.Q.vertices, weights)
-        return HsWitness(PRIMAL, vertex_p, q_star, weights, NO_QUALIFYING_SET, ZERO)
-    game = _expectation_game(inst, vertex_p, PRIMAL)
-    w = HsWitness(PRIMAL, vertex_p, mix(inst.Q.vertices, game.weights),
-                  game.weights, game.value, game.multiplier)
-    return replace(w, claims=witness_claims(inst, w))
+    return hs_witness(inst, vertex_p, PRIMAL)
 
 
 def construct_dual_hs_witness(
@@ -360,26 +370,14 @@ def construct_dual_hs_witness(
     vertex_p: ProbabilityMeasure,
     max_enum: int = DEFAULT_MAX_ENUM,
 ) -> HsWitness:
-    """Witness measure for the dual quantitative conclusion.
-
-    Solves inf over Q-mixtures of sup over the dual D-set of E_Q[h]; the
-    value is at most (2 - epsilon) * epsilon, and the attaining mixture
-    satisfies Q(A) < 2*epsilon whenever vertex_p(A) < epsilon*delta.
-    Both facts are verified before returning, the second by the knapsack
-    bound U(lambda) < 2*epsilon (`witness_claims`), with no event scan;
-    the witness carries those claims.
-    """
-    holds, _ = check_hypothesis_dual(inst, max_enum)
-    if not holds:
+    """The dual witness: q_star(A) < 2*epsilon for every event A with
+    vertex_p(A) < epsilon*delta.  The dual hypothesis check
+    (HypothesisViolated when it fails), then `hs_witness`."""
+    if not check_hypothesis_dual(inst, max_enum)[0]:
         raise HypothesisViolated(
             "the dual epsilon-delta hypothesis fails on this instance"
         )
-    game = _expectation_game(inst, vertex_p, DUAL)
-    claim("inf-sup value at most (2-epsilon)*epsilon",
-          game.value, LE, (2 - inst.epsilon) * inst.epsilon)
-    w = HsWitness(DUAL, vertex_p, mix(inst.Q.vertices, game.weights),
-                  game.weights, 2 * inst.epsilon, game.multiplier)
-    return replace(w, claims=witness_claims(inst, w))
+    return hs_witness(inst, vertex_p, DUAL)
 
 
 def knapsack_bound(
@@ -445,10 +443,7 @@ def witness_claims(inst: HsInstance, w: HsWitness) -> tuple[Claim, ...]:
 
 
 def hs_modulus(
-    P: AmbiguitySet,
-    Q: AmbiguitySet,
-    epsilon,
-    max_enum: int = DEFAULT_MAX_ENUM,
+    P: AmbiguitySet, Q: AmbiguitySet, epsilon, max_enum: int = DEFAULT_MAX_ENUM
 ) -> Fraction:
     """Worst-case best Q-mass over events carrying P-mass at least epsilon.
 
@@ -460,6 +455,22 @@ def hs_modulus(
     if P.space != Q.space:
         raise DimensionMismatch("P and Q live on different spaces")
     best = _primal_scan(P, Q, epsilon, max_enum)
+    return NO_QUALIFYING_SET if best is None else best.value
+
+
+def dual_modulus(
+    P: AmbiguitySet, Q: AmbiguitySet, epsilon, max_enum: int = DEFAULT_MAX_ENUM
+) -> Fraction:
+    """Largest delta with: min_P P(A) < delta implies min_Q Q(A) < epsilon,
+    the least worst P-mass over events whose every Q-vertex mass is at
+    least epsilon; the sentinel value 2 when no event qualifies."""
+    epsilon = rational(epsilon)
+    if P.space != Q.space:
+        raise DimensionMismatch("P and Q live on different spaces")
+    events = support_events(P, max_enum)
+    best = events.best(
+        min, events.lower(P.vertices), (events.lower(Q.vertices), GE, epsilon)
+    )
     return NO_QUALIFYING_SET if best is None else best.value
 
 

@@ -5,6 +5,8 @@ A market sequence here is a finite prefix of the infinite object; the
 asymptotic notions are certified quantitatively: per-level moduli with a
 uniform positive infimum certify the absence of asymptotic arbitrage on
 the family, while the scanners search for explicit witness strategies.
+The contiguity builders' modulus tables decide their levels' hypotheses
+(`_level`), so their witnesses come from `hs_witness` with no rescan.
 """
 
 from __future__ import annotations
@@ -18,12 +20,12 @@ from .claims import GE, LE, Claim, claim
 from .errors import EmptyMartingalePolytope, HypothesisViolated
 from .events import Envelope, EventSpace, support_events
 from .halmos_savage import (
-    NO_QUALIFYING_SET,
+    DUAL,
     PRIMAL,
     HsInstance,
-    construct_dual_hs_witness,
-    construct_hs_witness,
+    dual_modulus,
     hs_modulus,
+    hs_witness,
     knapsack_bound,
 )
 from .lp_core import Constraint, LinearProgram, solve_lp
@@ -135,10 +137,6 @@ class ContiguousSequence:
     claims: tuple[Claim, ...] = field(default=(), repr=False, compare=False)
 
 
-def _worst_gain(m: Market, H: Sequence[Fraction]) -> Fraction:
-    return min(m.gains(H))
-
-
 def _feasible_strategy(
     m: Market,
     event: frozenset[str],
@@ -242,7 +240,7 @@ def _fill_slots(
             # the high-gain event contains the scanned event, whose best
             # P-vertex mass is at least the slot's level
             claims.append(claim(f"{name}: {mass_claim}", mass, ">=", level))
-            worst = _worst_gain(seq.markets[n - 1], H)
+            worst = min(seq.markets[n - 1].gains(H))
             claims.append(claim(f"{name}: worst-case gain", worst, ">=", -floor))
             filled.append((n, H, vertex, mass))
             next_market = n + 1
@@ -347,7 +345,7 @@ def certify_moduli(
 def _moduli(seq, q_sets, epsilon_grid, kind: str, max_enum: int) -> ModulusTable:
     """:func:`certify_moduli` against the martingale sets already enumerated."""
     epsilon_grid = tuple(map(rational, epsilon_grid))
-    modulus = hs_modulus if kind == "primal" else _dual_modulus
+    modulus = hs_modulus if kind == "primal" else dual_modulus
     per_market = tuple(
         tuple(modulus(m.P, q_set, eps, max_enum) for eps in epsilon_grid)
         for m, q_set in zip(seq.markets, q_sets)
@@ -358,19 +356,17 @@ def _moduli(seq, q_sets, epsilon_grid, kind: str, max_enum: int) -> ModulusTable
     return ModulusTable(epsilon_grid, per_market, uniform)
 
 
-def _dual_modulus(
-    P: AmbiguitySet, Q: AmbiguitySet, epsilon: Fraction, max_enum: int
-) -> Fraction:
-    """Largest delta with: min_P P(A) < delta implies min_Q Q(A) < epsilon.
-
-    Equals the least P-mass among events where every martingale mass is at
-    least epsilon; sentinel 2 when no such event exists.
-    """
-    events = support_events(P, max_enum)
-    best = events.best(
-        min, events.lower(P.vertices), (events.lower(Q.vertices), GE, epsilon)
-    )
-    return NO_QUALIFYING_SET if best is None else best.value
+def _level(u: Fraction, name: str) -> Fraction:
+    """The level delta of the uniform modulus u (``name``): u, or 1/2 once
+    u reaches 1, as only a lower bound is needed; HypothesisViolated when
+    u <= 0.  Then delta <= u <= each market's modulus, which decides each
+    level's hypothesis: a primal modulus is the least best Q-mass of the
+    events the primal hypothesis constrains, so each has one >= delta; a
+    dual one the least worst P-mass of the events with every Q-mass >=
+    epsilon, so no event of worst P-mass < delta is among them."""
+    if u <= 0:
+        raise HypothesisViolated(f"{name} is not positive")
+    return u if u < 1 else Fraction(1, 2)
 
 
 def build_contiguous_sequence(
@@ -393,16 +389,8 @@ def build_contiguous_sequence(
     eps = [Fraction(1, mm) for mm in range(1, N + 1)]
     q_sets = martingale_sets(seq, max_enum)
     table = _moduli(seq, q_sets, eps, "primal", max_enum)
-    delta = []
-    for m_idx in range(N):
-        u = table.uniform_delta[m_idx]
-        if u <= 0:
-            raise HypothesisViolated(
-                f"uniform modulus at level {eps[m_idx]} is not positive"
-            )
-        # the modulus can reach 1 (or the no-qualifying-event sentinel);
-        # shrink into (0,1) since only a lower bound is needed
-        delta.append(u if u < 1 else Fraction(1, 2))
+    delta = [_level(u, f"uniform modulus at level {e}")
+             for e, u in zip(eps, table.uniform_delta)]
     per_market, all_weights, all_components, all_multipliers, claims = [], [], [], [], []
     for n in range(1, N + 1):
         market = seq.markets[n - 1]
@@ -420,7 +408,7 @@ def build_contiguous_sequence(
                 components.append(q_sets[n - 1].vertices[0])
                 continue
             inst = HsInstance(market.P, q_sets[n - 1], e, d)
-            w = construct_hs_witness(inst, vertex_p, max_enum)
+            w = hs_witness(inst, vertex_p, PRIMAL)
             components.append(w.q_star)
             levels.append((m_level, inst, w.multiplier))
         q_n = mix(components, weights)
@@ -488,16 +476,11 @@ def weak_contiguity_certificate(
         return ONE, picks, (ZERO,) * N, ()
     half = epsilon / 2
     table = _moduli(seq, q_sets, [half], "dual", max_enum)
-    d = table.uniform_delta[0]
-    if d <= 0:
-        raise HypothesisViolated(
-            f"uniform dual modulus at level {half} is not positive"
-        )
-    d_eff = d if d < 1 else Fraction(1, 2)
+    d_eff = _level(table.uniform_delta[0], f"uniform dual modulus at level {half}")
     picks, multipliers, claims = [], [], []
     for n, (market, q_set) in enumerate(zip(seq.markets, q_sets), start=1):
         inst = HsInstance(market.P, q_set, half, d_eff)
-        w = construct_dual_hs_witness(inst, market.P.vertices[0], max_enum)
+        w = hs_witness(inst, market.P.vertices[0], DUAL)
         picks.append(w.q_star)
         multipliers.append(w.multiplier)
         claims += (replace(c, description=f"market {n}: {c.description}")

@@ -42,6 +42,7 @@ from .measures import (
     BoundedFunction,
     ProbabilityMeasure,
     SampleSpace,
+    integer_rows,
     ordered_support,
     rational,
     scaled,
@@ -135,7 +136,7 @@ class Market:
     ) -> tuple[Claim, ...]:
         """E_q[increment of asset i] = 0 over the support, for each asset i;
         raises CertificateError when q is not a martingale measure."""
-        mass, scale = scaled([q.mass_of(o) for o in self.support])
+        (mass,), scale = integer_rows([q], map(q.space.index, self.support))
         rows = [self._int_increments[o] for o in self.support]
         scale *= self._increment_scale
         return tuple(

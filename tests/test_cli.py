@@ -14,8 +14,10 @@ from hs_reference import mixture_pair_instance, with_primal_delta
 from robust_ftap import cli, halmos_savage, large_market
 from robust_ftap.cli import load_market, load_sequence, main, verify_certificate
 from robust_ftap.codec import (
+    PAYLOAD_FIELDS,
     build_certificate,
     canonical_json,
+    digest,
     format_rational,
     hs_pair_to_obj,
     load_hs_pair,
@@ -567,6 +569,30 @@ class TestVerify:
         assert main(["verify", "--certificate", cpath]) == 1
         out = capsys.readouterr().out
         assert "witness.probability_vectors: expected a list" in out
+
+    @pytest.mark.parametrize("witness,problem", [
+        ("garbage", "witness: expected an object or null"),
+        ([1, 2], "witness: expected an object or null"),
+        (5, "witness: expected an object or null"),
+        ({"probability_vectors": 0}, "witness.probability_vectors: expected a list"),
+        ({"probability_vectors": ""}, "witness.probability_vectors: expected a list"),
+        ({"weight_vectors": False}, "witness.weight_vectors: expected a list"),
+        ({"weight_vectors": {}}, "witness.weight_vectors: expected a list"),
+    ], ids=["str", "list", "int", "vectors-0", "vectors-empty-str",
+            "weights-false", "weights-empty-object"])
+    def test_rejects_malformed_witness(self, tmp_path, capsys, witness, problem):
+        # a re-signed hs-witness certificate whose witness, or one of its
+        # vector lists, has the wrong type: rejected, naming the field
+        path = os.path.join(os.path.dirname(SEQUENCE), "..", "expected", "hs-witness.out")
+        with open(path, encoding="utf-8") as fh:
+            cert = json.load(fh)
+        if isinstance(witness, dict):
+            witness = dict(cert["witness"], **witness)
+        cert["witness"] = witness
+        cert["payload_sha256"] = digest({k: cert[k] for k in PAYLOAD_FIELDS})
+        assert verify_certificate(cert) == [problem]
+        assert main(["verify", "--certificate", write(tmp_path, "c.json", cert)]) == 1
+        assert problem in capsys.readouterr().out
 
     def test_rejects_negative_multiplier(self, tmp_path):
         pair = os.path.join(os.path.dirname(SEQUENCE), "pair.json")

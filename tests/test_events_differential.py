@@ -40,10 +40,11 @@ from robust_ftap.halmos_savage import (
     HsInstance,
     check_hypothesis_dual,
     check_hypothesis_primal,
+    dual_modulus,
     hs_modulus,
     indicator_restricted_value,
 )
-from robust_ftap.large_market import MarketSequence, _dual_modulus, scan_aa1, scan_aa2
+from robust_ftap.large_market import MarketSequence, scan_aa1, scan_aa2
 from robust_ftap.market import Market
 from robust_ftap.measures import AmbiguitySet, ProbabilityMeasure, SampleSpace, mix
 
@@ -107,7 +108,7 @@ def test_hs_scans_match_frozenset_scans(bits, pair, epsilon, delta, level):
         assert check_hypothesis_dual(inst) == ref.check_hypothesis_dual(inst)
         for e in (epsilon, delta, level):
             assert hs_modulus(P, Q, e) == ref.hs_modulus(P, Q, e)
-            assert _dual_modulus(P, Q, e, 20) == ref.dual_modulus(P, Q, e)
+            assert dual_modulus(P, Q, e, 20) == ref.dual_modulus(P, Q, e)
         for vp in P.vertices:
             assert indicator_restricted_value(inst, vp) == (
                 ref.indicator_restricted_value(inst, vp)

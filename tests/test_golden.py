@@ -15,6 +15,7 @@ import sys
 
 import pytest
 
+from robust_ftap import halmos_savage
 from robust_ftap.cli import main
 
 HERE = os.path.dirname(os.path.abspath(__file__))
@@ -118,6 +119,21 @@ def test_golden_certificate_verifies(name, capsys):
     path = os.path.join(EXPECTED, f"{name}.out")
     assert main(["verify", "--certificate", path]) == 0
     assert capsys.readouterr().out == "certificate accepted\n"
+
+
+@pytest.mark.parametrize("name", sorted(
+    n for n, argv in CASES.items() if argv[0] in ("build-contiguous", "weak-contiguity")
+))
+def test_contiguity_builders_check_no_hypothesis(name, capsys, monkeypatch):
+    # the modulus table decides each level's hypothesis, so the builders
+    # give the same certificates with both hypothesis checks raising
+    def rescan(*args):
+        raise RuntimeError("a contiguity builder rescanned a hypothesis")
+
+    for check in ("check_hypothesis_primal", "check_hypothesis_dual"):
+        monkeypatch.setattr(halmos_savage, check, rescan)
+    assert main(CASES[name]) == 0
+    assert capsys.readouterr() == (_expected(name), "")
 
 
 def test_cap_exceeded_message(capsys):

@@ -41,7 +41,7 @@ from hs_reference import (
     weak_contiguity_event_claims,
     with_primal_delta,
 )
-from robust_ftap import halmos_savage
+from robust_ftap import halmos_savage, large_market
 from robust_ftap.cli import load_sequence
 from robust_ftap.codec import load_hs_pair
 from robust_ftap.errors import CertificateError, HypothesisViolated
@@ -52,6 +52,8 @@ from robust_ftap.halmos_savage import (
     HsWitness,
     _expectation_game,
     basic_lemma_value,
+    check_hypothesis_dual,
+    check_hypothesis_primal,
     construct_dual_hs_witness,
     construct_hs_witness,
     knapsack_bound,
@@ -322,3 +324,32 @@ def test_contiguity_claims_imply_event_claims(seq):
         events = weak_contiguity_event_claims(seq, delta, picks, epsilon)
         assert [c.rhs for c in claims] == [c.rhs for c in events]
         assert all(c.lhs >= e.lhs for c, e in zip(claims, events))
+
+
+@pytest.mark.parametrize("seq", [seq for _, seq in FAMILIES],
+                         ids=[name for name, _ in FAMILIES])
+def test_contiguity_levels_pass_their_hypotheses(seq, monkeypatch):
+    # the builders take each level's hypothesis from their modulus table:
+    # every level instance they hand to hs_witness passes the check of its
+    # kind, and there hs_witness gives what the checking constructor gives
+    levels = []
+
+    def spy(inst, vertex_p, kind):
+        w = halmos_savage.hs_witness(inst, vertex_p, kind)
+        levels.append((inst, vertex_p, kind, w))
+        return w
+
+    monkeypatch.setattr(large_market, "hs_witness", spy)
+    build_contiguous_sequence(seq)
+    for epsilon in (F(1, 4), F(1, 2), F(1)):
+        weak_contiguity_certificate(seq, epsilon)
+    N = len(seq)
+    kinds = [kind for _, _, kind, _ in levels]
+    assert (kinds.count(PRIMAL), kinds.count(DUAL)) == (N * (N - 1) // 2, 3 * N)
+    checks = {PRIMAL: (check_hypothesis_primal, construct_hs_witness),
+              DUAL: (check_hypothesis_dual, construct_dual_hs_witness)}
+    for inst, vertex_p, kind, w in levels:
+        check, construct = checks[kind]
+        assert check(inst)[0]
+        built = construct(inst, vertex_p)
+        assert built == w and built.claims == w.claims

@@ -126,13 +126,16 @@ def test_gains_match(m, data):
 @settings(max_examples=300, deadline=None)
 @given(markets(), st.data())
 def test_expected_increments_match(m, data):
-    # a drawn measure on the support, and the full-support martingale
-    # measure when there is one: the claims fail, or hold, alike
-    n = len(m.support)
-    weights = data.draw(st.lists(st.integers(0, 5), min_size=n, max_size=n))
-    if not any(weights):
-        weights[0] = 1
-    qs = [m.measure(F(w, sum(weights)) for w in weights)]
+    # a drawn measure on the support, one on the whole space (its mass off
+    # the support is not read), and the full-support martingale measure
+    # when there is one: the claims fail, or hold, alike
+    drawn = []
+    for n in (len(m.support), m.space.size):
+        weights = data.draw(st.lists(st.integers(0, 5), min_size=n, max_size=n))
+        if not any(weights):
+            weights[0] = 1
+        drawn.append([F(w, sum(weights)) for w in weights])
+    qs = [m.measure(drawn[0]), ProbabilityMeasure(m.space, drawn[1])]
     if check_na(m)[0]:
         qs.append(full_support_martingale(m))
     for q in qs:
