@@ -20,6 +20,7 @@ import argparse
 import functools
 import json
 import os
+import re
 import sys
 import tempfile
 from fractions import Fraction
@@ -146,6 +147,13 @@ def verify_certificate(cert) -> list[str]:
             problems.append(f"missing field {key!r}")
     if problems:
         return problems
+    command, input_digest = cert["command"], cert["input_digest"]
+    if not (isinstance(command, str) and command in _HANDLERS):
+        problems.append(f"command: {command!r} is not a subcommand")
+    if not (isinstance(input_digest, str) and re.fullmatch("[0-9a-f]{64}", input_digest)):
+        problems.append("input_digest: expected 64 lowercase hex digits")
+    if not isinstance(cert["verdict"], str):
+        problems.append("verdict: expected a string")
     payload = {k: cert[k] for k in PAYLOAD_FIELDS}
     try:
         payload_digest = digest(payload)
@@ -163,13 +171,14 @@ def verify_certificate(cert) -> list[str]:
             rel = e["relation"]
             if rel not in RELATIONS:
                 raise InputError(f"transcript[{i}]: unknown relation {rel!r}")
+            if not isinstance(e["description"], str):
+                raise InputError(f"transcript[{i}].description: expected a string")
         except (InputError, KeyError, TypeError) as exc:
             problems.append(f"transcript[{i}]: malformed entry ({exc})")
             continue
         if not RELATIONS[rel](lhs, rhs):
             problems.append(
-                f"transcript[{i}] fails: {e['lhs']} {rel} {e['rhs']}"
-                f" ({e.get('description', '')})"
+                f"transcript[{i}] fails: {e['lhs']} {rel} {e['rhs']} ({e['description']})"
             )
     witness = cert["witness"]
     if witness is not None and not isinstance(witness, dict):

@@ -65,7 +65,6 @@ from .measures import (
     ProbabilityMeasure,
     SampleSpace,
     integer_rows,
-    ordered_support,
     rational,
 )
 
@@ -278,7 +277,7 @@ class Envelope:
 
 def support_events(P: AmbiguitySet, max_enum: int) -> EventSpace:
     """The events of the quasi-sure support of P, in sample-space order."""
-    return EventSpace(P.space, ordered_support(P), max_enum)
+    return EventSpace(P.space, P.support, max_enum)
 
 
 def _bits(mask: int, n: int) -> list[int]:

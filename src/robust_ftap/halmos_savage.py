@@ -38,7 +38,6 @@ from .measures import (
     dominated_by,
     integer_rows,
     mix,
-    ordered_support,
     rational,
     scaled,
 )
@@ -233,7 +232,7 @@ def _support_rows(
     """The measures' masses on the quasi-sure support of P, in sample-space
     order, as integer rows over one denominator."""
     index = inst.P.space.index
-    return integer_rows(measures, map(index, ordered_support(inst.P)))
+    return integer_rows(measures, map(index, inst.P.support))
 
 
 def _cutting_planes(

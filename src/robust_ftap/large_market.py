@@ -144,19 +144,20 @@ def _feasible_strategy(
     floor: Fraction,
 ) -> Optional[tuple[Fraction, ...]]:
     """H in [-1,1]^d with gain >= alpha on the event and >= -floor elsewhere
-    on the support, or None.  The box is the lower bounds -1 and one row
-    H_j <= 1 per asset after the support rows."""
+    on the support, or None.  The box is the substitution G = H + 1 >= 0:
+    the LP's variables are G, a support row's rhs is its target plus the
+    gain of H = (1, ..., 1), and one row G_j <= 2 per asset follows the
+    support rows."""
     if m.d == 0:
         return None
     cons = []
-    for o in m.support:
+    for o, shift in zip(m.support, m.gains((ONE,) * m.d)):
         target = alpha if o in event else -floor
-        cons.append(Constraint(m.delta_s(o), GE, target))
+        cons.append(Constraint(m.delta_s(o), GE, target + shift))
     for j in range(m.d):
-        cons.append(Constraint([ONE if k == j else ZERO for k in range(m.d)], LE, ONE))
-    lp = LinearProgram([ZERO] * m.d, "max", cons, lower=[-ONE] * m.d)
-    sol = solve_lp(lp)
-    return sol.primal if sol.status == "Optimal" else None
+        cons.append(Constraint([ONE if k == j else ZERO for k in range(m.d)], LE, 2))
+    sol = solve_lp(LinearProgram([ZERO] * m.d, "max", cons, lower=[ZERO] * m.d))
+    return tuple(g - ONE for g in sol.primal) if sol.status == "Optimal" else None
 
 
 def _feasible_events(

@@ -16,8 +16,8 @@ is checked exactly before it is returned (`check_optimal`,
 `check_infeasible`, `check_unbounded`; a failed check raises
 CertificateError), in integers on the LP's scaled rows and never on the
 tableau, each solution vector over its common denominator.  Variables
-are free or bounded below; an upper bound is an ordinary `<=` row, so
-every multiplier is a row's.
+are free or nonnegative; any other bound is a row or a substitution by
+the caller, so every multiplier is a row's.
 
 Beside the solver, `enumerate_basic_feasible` lists the vertices of
 {q >= 0 : A q = b} on the same integer pivots: a depth-first walk over
@@ -62,16 +62,15 @@ class Constraint:
 
 @dataclass(frozen=True)
 class LinearProgram:
-    """General-form LP: optimize c.x subject to rows and per-variable lower
-    bounds.  A variable with no lower bound is free; an upper bound is a
-    `<=` row like any other.
+    """General-form LP: optimize c.x subject to rows.  A variable is free
+    (its `lower` entry None) or nonnegative (0); any other lower bound
+    raises ValueError naming its index, and every other bound is a row.
 
     Its scaled rows, which the solver and the checks read, are built with
     it: `_rows` holds (a, relation, b, s) per constraint, its coefficients
     and rhs times s > 0, the lcm of their denominators.  A positive scale
     keeps the relation, and a row's multiplier is s times that of its
-    scaled row.  `_cost` and `_lower` are the objective and the lower
-    bounds (0 for a free variable) in the same form, as (integers, scale).
+    scaled row.  `_cost` is the objective as (integers, scale).
     """
 
     objective: tuple[Fraction, ...]
@@ -80,7 +79,6 @@ class LinearProgram:
     lower: tuple[Optional[Fraction], ...]
     _rows: tuple = field(init=False, repr=False, compare=False)
     _cost: tuple[list[int], int] = field(init=False, repr=False, compare=False)
-    _lower: tuple[list[int], int] = field(init=False, repr=False, compare=False)
 
     def __init__(
         self,
@@ -105,6 +103,9 @@ class LinearProgram:
         )
         if len(lo) != n:
             raise DimensionMismatch("one bound entry per variable required")
+        for j, b in enumerate(lo):
+            if b:
+                raise ValueError(f"variable {j} has lower bound {b}, not None or 0")
         rows = []
         for row in constraints:
             a, s = scaled(row.coeffs + (row.rhs,))
@@ -112,7 +113,7 @@ class LinearProgram:
         for name, value in (
             ("objective", objective), ("sense", sense), ("constraints", constraints),
             ("lower", lo), ("_rows", tuple(rows)),
-            ("_cost", scaled(objective)), ("_lower", scaled([b or ZERO for b in lo])),
+            ("_cost", scaled(objective)),
         ):
             object.__setattr__(self, name, value)
 
@@ -278,11 +279,10 @@ def solve_lp(lp: LinearProgram) -> LpSolution:
     """
     n = lp.num_vars
     sign = 1 if lp.sense == "min" else -1  # the solver minimizes sign * c.x
-    (low, lden), (cost, cscale) = lp._lower, lp._cost
+    cost, cscale = lp._cost
 
-    # Variable handling: a lower bound is shifted away (x = lo + u, u >= 0);
-    # an unbounded-below variable is split into u+ - u-.  Column map entries
-    # are (var, sign) pairs contributing sign * z_col to x_var.
+    # A free variable is split into u+ - u-.  Column map entries are
+    # (var, sign) pairs contributing sign * z_col to x_var.
     cols: list[tuple[int, int]] = []
     for j in range(n):
         cols.append((j, 1))
@@ -305,16 +305,11 @@ def solve_lp(lp: LinearProgram) -> LpSolution:
         row = [cs * a[j] for j, cs in cols] + [0] * len(slack)
         if r in slack:
             row[slack[r]] = s if rel == LE else -s
-        # the rhs shifted by the lower bounds, (b lden - a.low) / lden; a row
-        # whose shifted rhs is fractional is scaled once more, by t
-        shifted = b * lden - _idot(a, low)
-        g = gcd(shifted, lden)
-        t = lden // g
-        flip.append(-1 if shifted < 0 else 1)
+        flip.append(-1 if b < 0 else 1)
         tab_rows.append(
-            [flip[r] * t * v for v in row]
-            + [t * s if k == r else 0 for k in range(m)]
-            + [abs(shifted) // g, 0]
+            [flip[r] * v for v in row]
+            + [s if k == r else 0 for k in range(m)]
+            + [abs(b), 0]
         )
 
     tab = _Tableau(tab_rows, ncols)
@@ -349,7 +344,7 @@ def solve_lp(lp: LinearProgram) -> LpSolution:
     enter = tab.run([True] * ncols + [False] * m)
 
     # the basic solution, feasible since phase 1 and kept feasible by phase 2
-    x = [lo or ZERO for lo in lp.lower]
+    x = [ZERO] * n
     for r, bv in enumerate(tab.basis):
         if bv < nz and tab.rows[r][total]:
             j, cs = cols[bv]
@@ -376,12 +371,11 @@ def solve_lp(lp: LinearProgram) -> LpSolution:
     # column; both are negated for max.
     obj, z = tab.rows[m], tab.rows[m][-1]
     dual = tuple(Fraction(-sign * flip[i] * obj[ncols + i], z) for i in range(m))
-    value = z * _idot(cost, low) - sign * obj[total] * cscale * lden
     sol = LpSolution(
         status="Optimal",
         primal=tuple(x),
         dual=dual,
-        value=Fraction(value, z * cscale * lden),
+        value=Fraction(-sign * obj[total], z),
         reduced_costs=tuple(
             Fraction(sign * obj[col], z) for col, (_, cs) in enumerate(cols) if cs > 0
         ),
@@ -410,14 +404,13 @@ def _idot(u: Sequence[int], v: Sequence[int]) -> int:
 
 
 def _require_feasible(lp: LinearProgram, x: Sequence) -> tuple[list[int], int]:
-    """x = X / D satisfies every row and bound of the LP; returns X and D."""
+    """x = X / D satisfies every row and sign of the LP; returns X and D."""
     X, D = scaled(x)
     for a, rel, b, _ in lp._rows:
         _require(RELATIONS[rel](_idot(a, X), b * D), f"primal infeasible ({rel} row)")
-    low, lden = lp._lower
-    for xj, lo, bound in zip(X, low, lp.lower):
-        if bound is not None:
-            _require(xj * lden >= lo * D, "primal below lower bound")
+    for xj, lo in zip(X, lp.lower):
+        if lo is not None:
+            _require(xj >= 0, "primal below lower bound")
     return X, D
 
 
@@ -473,7 +466,7 @@ def check_optimal(lp: LinearProgram, sol: LpSolution) -> None:
         if rel != EQ:
             nonneg = maximize == (rel == LE)
             _require(w >= 0 if nonneg else w <= 0, f"dual sign ({rel} row)")
-    (cost, sc), (low, lden) = lp._cost, lp._lower
+    cost, sc = lp._cost
     for cj, gj, rj, lo in zip(cost, _combination(lp, W), R, lp.lower):
         _require(cj * E == sc * (gj + rj), "stored reduced cost mismatch")
         if lo is None:
@@ -481,13 +474,12 @@ def check_optimal(lp: LinearProgram, sol: LpSolution) -> None:
         else:
             _require((rj <= 0) if maximize else (rj >= 0), "reduced cost sign")
 
-    # y.b + r.lo, over E * lden
-    dual_obj = lden * _idot(W, [b for _, _, b, _ in lp._rows]) + _idot(R, low)
+    dual_obj = _idot(W, [b for _, _, b, _ in lp._rows])  # y.b, over E
     vn, vd = sol.value.numerator, sol.value.denominator
     _require(
         vd * _idot(cost, X) == vn * sc * D, "stored value differs from primal objective"
     )
-    _require(vd * dual_obj == vn * E * lden, "strong duality gap")
+    _require(vd * dual_obj == vn * E, "strong duality gap")
 
 
 def check_infeasible(lp: LinearProgram, sol: LpSolution) -> None:
@@ -496,9 +488,8 @@ def check_infeasible(lp: LinearProgram, sol: LpSolution) -> None:
     The multipliers are y = `sol.dual` on the rows, with y <= 0 on <= rows
     and y >= 0 on >= rows.  With g_j = sum_i y_i a_ij, every feasible x
     would have g.x >= y.b; the certificate requires g_j = 0 for free
-    variables and g_j <= 0 for variables with a lower bound l_j, so
-    g.x <= sum g_j l_j, and y.b - sum g_j l_j > 0 makes the two bounds
-    contradict.  Raises CertificateError on any exact violation.
+    variables and g_j <= 0 for nonnegative ones, so g.x <= 0, and y.b > 0
+    contradicts it.  Raises CertificateError on any exact violation.
     """
     _require(sol.status == "Infeasible", f"status {sol.status!r} is not Infeasible")
     _require(len(sol.dual) == len(lp.constraints), "Farkas vector has the wrong length")
@@ -506,26 +497,23 @@ def check_infeasible(lp: LinearProgram, sol: LpSolution) -> None:
     for w, (_, rel, _, _) in zip(W, lp._rows):
         if rel != EQ:
             _require((w <= 0) if rel == LE else (w >= 0), f"Farkas sign ({rel} row)")
-    # y.b - g.l, over E * lden
-    low, lden = lp._lower
-    bound = lden * _idot(W, [b for _, _, b, _ in lp._rows])
-    for gj, lo, bound_j in zip(_combination(lp, W), low, lp.lower):
-        if bound_j is None:
+    for gj, lo in zip(_combination(lp, W), lp.lower):
+        if lo is None:
             _require(gj == 0, "Farkas combination nonzero on a free variable")
         else:
             _require(gj <= 0, "Farkas combination positive on a bounded variable")
-            bound -= gj * lo
-    _require(bound > 0, "Farkas combination is not contradictory")
+    rhs = _idot(W, [b for _, _, b, _ in lp._rows])  # y.b, over E
+    _require(rhs > 0, "Farkas combination is not contradictory")
 
 
 def check_unbounded(lp: LinearProgram, sol: LpSolution) -> None:
     """Exact verification of a feasible point x = `sol.point` and an
     improving ray d = `sol.primal`.
 
-    x must satisfy every row and bound of the LP, and d the homogeneous
-    system (a.d <= 0, >= 0 or = 0 with the row's relation; d_j >= 0 under
-    a lower bound) and strictly improve the objective; x + s d is then
-    feasible for every s >= 0, and the LP value is unbounded.  Raises
+    x must satisfy every row and sign of the LP, and d the homogeneous
+    system (a.d <= 0, >= 0 or = 0 with the row's relation; d_j >= 0 for a
+    nonnegative variable) and strictly improve the objective; x + s d is
+    then feasible for every s >= 0, and the LP value is unbounded.  Raises
     CertificateError on any exact violation.
     """
     _require(sol.status == "Unbounded", f"status {sol.status!r} is not Unbounded")
@@ -752,7 +740,7 @@ def minimax_value(inst: MinimaxInstance) -> MinimaxResult:
     The inner dual wants mu_r >= 0 on >= rows, mu_r <= 0 on <= rows and
     mu_r free on = rows.  A <= row enters as nu_r = -mu_r >= 0 instead,
     with its coefficients and its objective entry negated, so every
-    variable but those of = rows is bounded below by 0 and none above.
+    variable but those of = rows is nonnegative.
     The rows, and with them y*, are the same either way.
     """
     B = inst.payoff

@@ -43,7 +43,6 @@ from .measures import (
     ProbabilityMeasure,
     SampleSpace,
     integer_rows,
-    ordered_support,
     rational,
     scaled,
 )
@@ -89,7 +88,7 @@ class Market:
         object.__setattr__(self, "s0", s0)
         object.__setattr__(self, "s1", s1)
         object.__setattr__(self, "P", P)
-        object.__setattr__(self, "support", ordered_support(P))
+        object.__setattr__(self, "support", P.support)
         increments = {
             o: tuple(x - y for x, y in zip(row, s0))
             for o, row in zip(space.outcomes, s1)

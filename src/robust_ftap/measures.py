@@ -180,11 +180,6 @@ def quasi_sure_support(P: AmbiguitySet) -> frozenset[str]:
     return frozenset(P.support)
 
 
-def ordered_support(P: AmbiguitySet) -> tuple[str, ...]:
-    """The quasi-sure support of P in the order of its sample space."""
-    return P.support
-
-
 def dominated_by(Q: ProbabilityMeasure, P: AmbiguitySet) -> bool:
     """Whether Q is absolutely continuous w.r.t. some member of P.
 

@@ -116,20 +116,13 @@ def reference_solve_lp(lp: LinearProgram) -> LpSolution:
     minimize = lp.sense == "min"
     c = [f if minimize else -f for f in lp.objective]
 
-    # Variable handling: a lower bound is shifted away (x = lo + u, u >= 0);
-    # an unbounded-below variable is split into u+ - u-.  Column map entries
-    # are (var, sign) pairs contributing sign * z_col to x_var.
-    col_of_var: list[list[tuple[int, int]]] = []
-    shift = [ZERO] * n
+    # A variable is nonnegative or free; a free one is split into u+ - u-.
+    # Column map entries are (var, sign) pairs contributing sign * z_col to
+    # x_var.
     cols: list[tuple[int, int]] = []
     for j in range(n):
-        if lp.lower[j] is not None:
-            shift[j] = lp.lower[j]
-            col_of_var.append([(len(cols), 1)])
-            cols.append((j, 1))
-        else:
-            col_of_var.append([(len(cols), 1), (len(cols) + 1, -1)])
-            cols.append((j, 1))
+        cols.append((j, 1))
+        if lp.lower[j] is None:
             cols.append((j, -1))
 
     rows = [(row.coeffs, row.relation, row.rhs) for row in lp.constraints]
@@ -150,7 +143,7 @@ def reference_solve_lp(lp: LinearProgram) -> LpSolution:
     tab_rows: list[list[Fraction]] = []
     tab_rhs: list[Fraction] = []
     flip: list[int] = []
-    for r, (coeffs, rel, rhs) in enumerate(rows):
+    for r, (coeffs, rel, b) in enumerate(rows):
         row = [ZERO] * ncols
         for col, (j, s) in enumerate(cols):
             if coeffs[j]:
@@ -158,7 +151,6 @@ def reference_solve_lp(lp: LinearProgram) -> LpSolution:
         sc = slack_of_row[r]
         if sc is not None:
             row[sc] = ONE if rel == LE else -ONE
-        b = rhs - sum(coeffs[j] * shift[j] for j in range(n))
         if b < 0:
             row = [-a for a in row]
             b = -b
@@ -207,7 +199,7 @@ def reference_solve_lp(lp: LinearProgram) -> LpSolution:
     z = [ZERO] * total
     for r, bv in enumerate(tab.basis):
         z[bv] = tab.b[r]
-    x = list(shift)
+    x = [ZERO] * n
     for col, (j, s) in enumerate(cols):
         x[j] += s * z[col]
 
@@ -226,8 +218,7 @@ def reference_solve_lp(lp: LinearProgram) -> LpSolution:
         return LpSolution(status="Unbounded", primal=tuple(ray), point=tuple(x))
 
     # optimal: duals and reduced costs
-    obj_shift = sum(c[j] * shift[j] for j in range(n))
-    value_min = -const2[0] + obj_shift
+    value_min = -const2[0]
     value = value_min if minimize else -value_min
 
     lam = [-red2[ncols + i] for i in range(m)]  # artificial cost 0 in phase 2
@@ -277,7 +268,7 @@ def _row_sums(lp: LinearProgram, y: Sequence[Fraction]) -> list[Fraction]:
 
 
 def _require_feasible(lp: LinearProgram, x: Sequence[Fraction]) -> None:
-    """x satisfies every row and every bound of the LP."""
+    """x satisfies every row and every sign of the LP."""
     for row in lp.constraints:
         lhs = _dot(row.coeffs, x)
         if row.relation == LE:
@@ -288,7 +279,7 @@ def _require_feasible(lp: LinearProgram, x: Sequence[Fraction]) -> None:
             _require(lhs == row.rhs, "primal infeasible (= row)")
     for j, xj in enumerate(x):
         if lp.lower[j] is not None:
-            _require(xj >= lp.lower[j], "primal below lower bound")
+            _require(xj >= 0, "primal below lower bound")
 
 
 def check_optimal(lp: LinearProgram, sol: LpSolution) -> None:
@@ -326,9 +317,6 @@ def check_optimal(lp: LinearProgram, sol: LpSolution) -> None:
             _require((r <= 0) if maximize else (r >= 0), "reduced cost sign")
 
     dual_obj = _dot(sol.dual, [row.rhs for row in lp.constraints])
-    dual_obj += sum(
-        r * lo for r, lo in zip(reduced, lp.lower) if lo is not None
-    )
     primal_obj = _dot(lp.objective, x)
     _require(primal_obj == sol.value, "stored value differs from primal objective")
     _require(dual_obj == sol.value, "strong duality gap")
@@ -340,9 +328,8 @@ def check_infeasible(lp: LinearProgram, sol: LpSolution) -> None:
     The multipliers are y = `sol.dual` on the rows, with y <= 0 on <= rows
     and y >= 0 on >= rows.  With g_j = sum_i y_i a_ij, every feasible x
     would have g.x >= y.b; the certificate requires g_j = 0 for free
-    variables and g_j <= 0 for variables with a lower bound l_j, so
-    g.x <= sum g_j l_j, and y.b - sum g_j l_j > 0 makes the two bounds
-    contradict.  Raises CertificateError on any exact violation.
+    variables and g_j <= 0 for nonnegative ones, so g.x <= 0, and y.b > 0
+    contradicts it.  Raises CertificateError on any exact violation.
     """
     _require(sol.status == "Infeasible", f"status {sol.status!r} is not Infeasible")
     _require(len(sol.dual) == len(lp.constraints), "Farkas vector has the wrong length")
@@ -357,7 +344,6 @@ def check_infeasible(lp: LinearProgram, sol: LpSolution) -> None:
             _require(gj == 0, "Farkas combination nonzero on a free variable")
         else:
             _require(gj <= 0, "Farkas combination positive on a bounded variable")
-            bound -= gj * lp.lower[j]
     _require(bound > 0, "Farkas combination is not contradictory")
 
 
@@ -365,9 +351,9 @@ def check_unbounded(lp: LinearProgram, sol: LpSolution) -> None:
     """Exact verification of a feasible point x = `sol.point` and an
     improving ray d = `sol.primal`.
 
-    x must satisfy every row and bound of the LP, and d the homogeneous
-    system (a.d <= 0, >= 0 or = 0 with the row's relation; d_j >= 0 under
-    a lower bound) and strictly improve the objective; x + s d is then
+    x must satisfy every row and sign of the LP, and d the homogeneous
+    system (a.d <= 0, >= 0 or = 0 with the row's relation; d_j >= 0 for a
+    nonnegative variable) and strictly improve the objective; x + s d is then
     feasible for every s >= 0, and the LP value is unbounded.  Raises
     CertificateError on any exact violation.
     """

@@ -22,7 +22,7 @@ from robust_ftap.lp_core import (
     VertexPolytope,
     minimax_value,
 )
-from robust_ftap.measures import ONE, ZERO, ProbabilityMeasure, ordered_support
+from robust_ftap.measures import ONE, ZERO, ProbabilityMeasure
 
 
 def d_set_polytope(
@@ -33,7 +33,7 @@ def d_set_polytope(
     Off-support coordinates are fixed to 0, so each h is a deterministic
     representative of its equivalence class modulo the polar set.
     """
-    support = ordered_support(inst.P)
+    support = inst.P.support
     n = len(support)
     cons: list[Constraint] = []
     for i in range(n):

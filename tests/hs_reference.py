@@ -50,7 +50,6 @@ from robust_ftap.measures import (
     AmbiguitySet,
     ProbabilityMeasure,
     SampleSpace,
-    ordered_support,
     quasi_sure_support,
 )
 
@@ -59,7 +58,7 @@ F = Fraction
 
 def _items(inst: HsInstance, q: ProbabilityMeasure, p: ProbabilityMeasure):
     """(q_o, p_o) per outcome of the quasi-sure support of P."""
-    return [(q.mass_of(o), p.mass_of(o)) for o in ordered_support(inst.P)]
+    return [(q.mass_of(o), p.mass_of(o)) for o in inst.P.support]
 
 
 def knapsack_min(

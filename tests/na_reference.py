@@ -1,11 +1,12 @@
 """The per-outcome no-arbitrage check that `market.check_na` replaced.
 
 It solves one boxed LP per support outcome, max gain at that outcome over
-H in [-1, 1]^d with nonnegative gains on the support, and reports the
-first outcome with a positive optimum.  `market.check_na` now decides the
-verdict with one LP for a full-support martingale measure and reads the
-arbitrage off that LP's dual; this copy is the slow reference of the
-verdict in the differential test in `test_na_differential.py`.
+H in [-1, 1]^d (H free, the box as rows) with nonnegative gains on the
+support, and reports the first outcome with a positive optimum.
+`market.check_na` now decides the verdict with one LP for a full-support
+martingale measure and reads the arbitrage off that LP's dual; this copy
+is the slow reference of the verdict in the differential test in
+`test_na_differential.py`.
 """
 
 from fractions import Fraction
@@ -21,12 +22,11 @@ def reference_check_na(m):
     if m.d == 0:
         return True, None
     base = [Constraint(m.delta_s(o), GE, 0) for o in m.support]
-    base += [
-        Constraint([ONE if k == j else ZERO for k in range(m.d)], LE, 1)
-        for j in range(m.d)
-    ]
+    for j in range(m.d):
+        unit = [ONE if k == j else ZERO for k in range(m.d)]
+        base += [Constraint(unit, GE, -1), Constraint(unit, LE, 1)]
     for o in m.support:
-        sol = solve_lp(LinearProgram(m.delta_s(o), "max", base, lower=[-ONE] * m.d))
+        sol = solve_lp(LinearProgram(m.delta_s(o), "max", base))
         assert sol.status == "Optimal", sol.status
         if sol.value > 0:
             return False, (sol.primal, o)

@@ -31,7 +31,6 @@ from robust_ftap.measures import (
     BoundedFunction,
     ProbabilityMeasure,
     SampleSpace,
-    ordered_support,
 )
 
 F = Fraction
@@ -81,7 +80,7 @@ class TestClaim:
     def test_verify_reads_the_same_relations(self):
         assert set(RELATIONS) == {"<", "<=", "=", ">=", ">"}
         cert = build_certificate(
-            "demo", {}, "ok", None,
+            "hs-check", {}, "ok", None,
             [{"description": "x", "lhs": "1", "relation": "!=", "rhs": "2"}],
         )
         assert any("unknown relation" in p for p in cli.verify_certificate(cert))
@@ -96,7 +95,7 @@ class TestClaim:
 class TestMarketClaims:
     def test_support_and_increments_computed_once(self):
         m = one_asset(W3, [1, 0, F(-1, 2)], pm(W3, F(1, 2), 0, F(1, 2)))
-        assert m.support == ("u", "d") == ordered_support(m.P)
+        assert m.support == ("u", "d") == m.P.support
         assert m.delta_s("d") is m.delta_s("d")
         assert m.delta_s("d") == (F(-1, 2),)
 

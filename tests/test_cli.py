@@ -561,7 +561,7 @@ class TestVerify:
             assert verify_certificate(obj), f"mutation at {pos} accepted"
 
     def test_rejects_witness_vectors_that_are_not_a_list(self, tmp_path, capsys):
-        cert = build_certificate("demo", {}, "ok", {"probability_vectors": 5}, [])
+        cert = build_certificate("hs-witness", {}, "ok", {"probability_vectors": 5}, [])
         assert verify_certificate(cert) == [
             "witness.probability_vectors: expected a list"
         ]
@@ -594,6 +594,33 @@ class TestVerify:
         assert main(["verify", "--certificate", write(tmp_path, "c.json", cert)]) == 1
         assert problem in capsys.readouterr().out
 
+    @pytest.mark.parametrize("field,value,problem", [
+        ("command", 5, "command: 5 is not a subcommand"),
+        ("command", "no-such-command",
+         "command: 'no-such-command' is not a subcommand"),
+        ("input_digest", 5, "input_digest: expected 64 lowercase hex digits"),
+        ("input_digest", "zz", "input_digest: expected 64 lowercase hex digits"),
+        ("verdict", None, "verdict: expected a string"),
+        ("verdict", {"x": 1}, "verdict: expected a string"),
+        ("description", 5, "transcript[0]: malformed entry "
+         "(transcript[0].description: expected a string)"),
+    ], ids=["command-int", "command-unknown", "digest-int", "digest-short",
+            "verdict-null", "verdict-object", "description-int"])
+    def test_rejects_malformed_payload_field(self, tmp_path, capsys, field, value, problem):
+        # a re-signed build-contiguous certificate with one payload field,
+        # or the description of its first transcript entry, of the wrong
+        # type or form: rejected, naming the field
+        path = os.path.join(
+            os.path.dirname(SEQUENCE), "..", "expected", "build-contiguous.out"
+        )
+        with open(path, encoding="utf-8") as fh:
+            cert = json.load(fh)
+        (cert["transcript"][0] if field == "description" else cert)[field] = value
+        cert["payload_sha256"] = digest({k: cert[k] for k in PAYLOAD_FIELDS})
+        assert verify_certificate(cert) == [problem]
+        assert main(["verify", "--certificate", write(tmp_path, "c.json", cert)]) == 1
+        assert problem in capsys.readouterr().out
+
     def test_rejects_negative_multiplier(self, tmp_path):
         pair = os.path.join(os.path.dirname(SEQUENCE), "pair.json")
         _, cert = run_json(tmp_path, ["hs-witness", "--input", pair,
@@ -612,19 +639,19 @@ class TestVerify:
         ("1", "witness.multipliers: expected a list"),
     ])
     def test_rejects_bad_multipliers(self, multipliers, problem):
-        cert = build_certificate("demo", {}, "ok", {"multipliers": multipliers}, [])
+        cert = build_certificate("hs-witness", {}, "ok", {"multipliers": multipliers}, [])
         assert verify_certificate(cert) == [problem]
 
     def test_rejects_bad_weight_vector(self):
         cert = build_certificate(
-            "demo", {}, "ok", {"weight_vectors": [["1/2", "1/3"]]}, []
+            "hs-witness", {}, "ok", {"weight_vectors": [["1/2", "1/3"]]}, []
         )
         problems = verify_certificate(cert)
         assert any("sum to 1" in p for p in problems)
 
     def test_rejects_false_transcript_entry(self):
         cert = build_certificate(
-            "demo",
+            "hs-witness",
             {},
             "ok",
             None,

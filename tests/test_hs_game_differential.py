@@ -23,7 +23,7 @@ from hs_reference import (
     mixture_pair_instance,
 )
 from robust_ftap.halmos_savage import PRIMAL, _expectation_game
-from robust_ftap.measures import mix, ordered_support
+from robust_ftap.measures import mix
 
 
 def _inner(inst, weights, vp, kind):
@@ -46,7 +46,7 @@ def test_criterion_4_5_games_match_lp():
     for kind, inst in criterion_4_5_instances():
         for vp in inst.P.vertices:
             check_game(inst, vp, kind)
-            paths[2 * len(inst.Q.vertices) > len(ordered_support(inst.P))] += 1
+            paths[2 * len(inst.Q.vertices) > len(inst.P.support)] += 1
     assert min(paths) > 200
 
 

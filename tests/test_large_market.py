@@ -1,6 +1,7 @@
 """Market families: asymptotic-arbitrage scanners, uniform moduli, and
 contiguity constructions."""
 
+import random
 from fractions import Fraction
 from itertools import combinations
 
@@ -20,6 +21,7 @@ from robust_ftap.large_market import (
     scan_aa2,
     weak_contiguity_witness,
 )
+from robust_ftap.lp_core import GE, LE, Constraint, LinearProgram, solve_lp
 from robust_ftap.market import Market
 from robust_ftap.measures import (
     AmbiguitySet,
@@ -191,6 +193,58 @@ class TestSlotFiller:
         assert counts["events"] == [id(seq.markets[0].P)]
         with pytest.raises(EnumerationCapExceeded):
             scan_aa1(seq, alpha_grid=[F(1, 2)], c_schedule=[1, F(1, 2)], max_enum=2)
+
+
+def _random_market(rng):
+    """d in {1, 2, 3} assets on 4-8 outcomes; one or two P-vertices, which
+    may leave some outcomes off the support."""
+    n, d = rng.randint(4, 8), rng.randint(1, 3)
+    space = SampleSpace([f"w{i}" for i in range(n)])
+    vertices = []
+    for _ in range(rng.randint(1, 2)):
+        mass = [rng.randint(0, 3) for _ in range(n)]
+        mass[rng.randrange(n)] += 1
+        vertices.append(ProbabilityMeasure(space, [F(v, sum(mass)) for v in mass]))
+    s0 = [F(rng.randint(1, 4)) for _ in range(d)]
+    s1 = [[s + F(rng.randint(-6, 6), rng.randint(1, 4)) for s in s0] for _ in range(n)]
+    return Market(space, s0, s1, AmbiguitySet(space, vertices))
+
+
+def _box_rows_feasible(m, event, alpha, floor):
+    """The strategy LP with H free and the box [-1, 1]^d as rows
+    H_j >= -1 and H_j <= 1 after the target rows."""
+    rows = [
+        Constraint(m.delta_s(o), GE, alpha if o in event else -floor)
+        for o in m.support
+    ]
+    for j in range(m.d):
+        unit = [int(k == j) for k in range(m.d)]
+        rows += [Constraint(unit, GE, -1), Constraint(unit, LE, 1)]
+    return solve_lp(LinearProgram([0] * m.d, "max", rows)).status == "Optimal"
+
+
+class TestFeasibleStrategy:
+    def test_substitution_matches_box_rows(self):
+        # the substitution G = H + 1 >= 0 decides feasibility as the box
+        # rows do, and every H it returns lies in the box and meets its targets
+        rng = random.Random(23)
+        found = {True: 0, False: 0}
+        for _ in range(150):
+            m = _random_market(rng)
+            for _ in range(3):
+                event = frozenset(o for o in m.support if rng.random() < 0.5)
+                alpha = F(rng.randint(1, 6), rng.randint(1, 4))
+                floor = F(rng.randint(0, 6), rng.randint(1, 4))
+                H = large_market._feasible_strategy(m, event, alpha, floor)
+                feasible = _box_rows_feasible(m, event, alpha, floor)
+                assert (H is not None) == feasible
+                found[feasible] += 1
+                if H is None:
+                    continue
+                assert len(H) == m.d and all(-1 <= h <= 1 for h in H)
+                for o, g in zip(m.support, m.gains(H)):
+                    assert g >= (alpha if o in event else -floor)
+        assert min(found.values()) > 50, found
 
 
 class TestScanAa2:

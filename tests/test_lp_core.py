@@ -105,6 +105,12 @@ class TestSolveLp:
         with pytest.raises(DimensionMismatch):
             LinearProgram([1, 2], "max", [Constraint([1], LE, 0)])
 
+    @pytest.mark.parametrize("bound", [-1, "1/3"])
+    def test_rejects_a_lower_bound_other_than_zero(self, bound):
+        # a variable is free or nonnegative; any other bound is a row
+        with pytest.raises(ValueError, match="variable 1 "):
+            LinearProgram([1, 1], "max", [Constraint([1, 1], LE, 3)], lower=[0, bound])
+
     def test_beale_cycling_instance(self):
         # classic degenerate instance on which naive pivoting cycles;
         # Bland's rule must terminate at value -1/20
@@ -150,9 +156,10 @@ def _random_lp(rng):
     lower, box = [], []
     for j in range(n):
         kind = rng.randrange(3)
-        lower.append([F(0), F(-1), None][kind])
-        if kind == 1:  # -1 <= x_j <= 1, the upper bound as a <= row
-            box.append(Constraint([int(k == j) for k in range(n)], LE, 1))
+        lower.append(F(0) if kind == 0 else None)
+        if kind == 1:  # -1 <= x_j <= 1 on a free variable: two rows
+            unit = [int(k == j) for k in range(n)]
+            box += [Constraint(unit, GE, -1), Constraint(unit, LE, 1)]
     return LinearProgram(obj, sense, cons + box, lower=lower)
 
 
@@ -188,9 +195,12 @@ class TestStrongDuality:
             c = [F(rng.randint(-5, 5), rng.randint(1, 5)) for _ in range(n)]
             row = [F(rng.randint(-5, 5), rng.randint(1, 5)) for _ in range(n)]
             rhs = F(rng.randint(0, 5), 1)
-            box = [Constraint([int(k == j) for k in range(n)], LE, 1) for j in range(n)]
+            units = [[int(k == j) for k in range(n)] for j in range(n)]
+            box = [
+                Constraint(u, rel, b) for u in units for rel, b in ((GE, -1), (LE, 1))
+            ]
             cons = [Constraint(row, LE, rhs)] + box
-            lp = LinearProgram(c, "max", cons, lower=[-1] * n)
+            lp = LinearProgram(c, "max", cons)  # free variables, boxed by rows
             sol = solve_lp(lp)
             assert sol.status == "Optimal"  # 0 is feasible, box is compact
             check_optimal(lp, sol)

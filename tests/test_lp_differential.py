@@ -50,7 +50,9 @@ REFERENCE_CHECKS = {
 rationals = st.builds(F, st.integers(-6, 6), st.integers(1, 4))
 
 # (lower, upper) per variable: free, nonnegative, boxed, upper bound only,
-# and a general interval; an upper bound is a <= row after the drawn rows
+# and a general interval.  A variable is free or nonnegative, so a lower
+# bound other than 0 is a >= row on a free variable and an upper bound a
+# <= row, after the drawn rows
 bounds = st.one_of(
     st.just((None, None)),
     st.just((F(0), None)),
@@ -75,16 +77,17 @@ def linear_programs(draw):
         )
     )
     box = draw(st.lists(bounds, min_size=n, max_size=n))
-    rows += [
-        Constraint([int(k == j) for k in range(n)], LE, up)
-        for j, (_, up) in enumerate(box)
-        if up is not None
-    ]
+    for j, (lo, up) in enumerate(box):
+        unit = [int(k == j) for k in range(n)]
+        if lo is not None and lo != 0:
+            rows.append(Constraint(unit, GE, lo))
+        if up is not None:
+            rows.append(Constraint(unit, LE, up))
     return LinearProgram(
         draw(st.lists(rationals, min_size=n, max_size=n)),
         draw(st.sampled_from(["max", "min"])),
         rows,
-        lower=[lo for lo, _ in box],
+        lower=[F(0) if lo == 0 else None for lo, _ in box],
     )
 
 
