@@ -72,9 +72,9 @@ from .large_market import (
 )
 from .market import (
     Market,
+    charging_claims,
     check_na,
     check_ftap,
-    dominating_claims,
     martingale_polytope,
     superhedge,
 )
@@ -200,7 +200,26 @@ def verify_certificate(cert) -> list[str]:
                     for defect in probability_defects(values)
                 )
         problems += _multiplier_defects(witness)
+        problems += _index_defects(witness)
     return problems
+
+
+def _index_defects(witness: dict) -> list[str]:
+    """Why ``dominating_index_per_vertex`` (ftap) is not a list whose
+    entries are null or an index into ``probability_vectors``."""
+    if "dominating_index_per_vertex" not in witness:
+        return []
+    field = "witness.dominating_index_per_vertex"
+    indices = witness["dominating_index_per_vertex"]
+    if not isinstance(indices, list):
+        return [f"{field}: expected a list"]
+    vectors = witness.get("probability_vectors", [])
+    n = len(vectors) if isinstance(vectors, list) else 0
+    return [
+        f"{field}[{i}]: {json.dumps(k)} is not null or an index below {n}"
+        for i, k in enumerate(indices)
+        if k is not None and not (type(k) is int and 0 <= k < n)
+    ]
 
 
 def _multiplier_defects(witness: dict) -> list[str]:
@@ -257,14 +276,17 @@ def _cmd_martingale_polytope(args, max_enum):
 def _cmd_ftap(args):
     m = load_market(_load_json(args.input))
     na_holds, per_vertex = check_ftap(m)
-    claims, dominating, vectors = [], [], []
+    # each distinct measure is listed, and its martingale claims made, once
+    claims, index, vectors = [], {}, []
     for vp, q in per_vertex:
         if q is None:
-            dominating.append(None)
             continue
-        dominating.append(len(vectors))
-        vectors.append(format_list(q.mass))
-        claims += dominating_claims(m, vp, q)
+        if q not in index:
+            index[q] = len(vectors)
+            vectors.append(format_list(q.mass))
+            claims += m.martingale_claims(q, "dominating Q")
+        claims += charging_claims(vp, q)
+    dominating = [index.get(q) for _, q in per_vertex]
     verdict = (
         "NA holds; every ambiguity vertex admits a dominating martingale measure"
         if na_holds

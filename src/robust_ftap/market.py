@@ -17,7 +17,7 @@ from fractions import Fraction
 from functools import cached_property
 from math import comb
 from operator import mul
-from typing import Iterable, Optional, Sequence
+from typing import Collection, Iterable, Optional, Sequence
 
 from .claims import EQ, Claim, claim
 from .errors import (
@@ -227,7 +227,8 @@ def _decide_na(
     """
     sol, q = _max_charge(m, m.support)
     if q is not None:
-        _charging_claims(m, q, m.support, "full-support Q")
+        m.martingale_claims(q, "full-support Q")
+        _positive_claims(q, m.support, "full-support Q")
         return q, None
     if sol.status not in ("Optimal", "Infeasible"):
         raise CertificateError(f"the full-support martingale LP is {sol.status}")
@@ -270,7 +271,7 @@ def _martingale_rows(m: Market, *extra: Sequence[Fraction]) -> list[Constraint]:
 
 
 def _max_charge(
-    m: Market, charged: Sequence[str]
+    m: Market, charged: Collection[str]
 ) -> tuple[LpSolution, Optional[ProbabilityMeasure]]:
     """The checked solution of max t over (s on the support, t >= 0)
     subject to the martingale rows of q, where q_o = s_o + t on every
@@ -290,7 +291,7 @@ def _max_charge(
     return sol, m.measure(v + t if o in charged else v for o, v in zip(m.support, s))
 
 
-def _charge_column(m: Market, charged: Sequence[str]) -> list[Fraction]:
+def _charge_column(m: Market, charged: Collection[str]) -> list[Fraction]:
     """The sum of (1, dS_o) over the outcomes in `charged`, summed in the
     market's integer increments."""
     rows = [m._int_increments[o] for o in charged]
@@ -310,17 +311,26 @@ def find_dominating_martingale(
     """
     if vertex_p.support - set(m.support):
         return None
-    return _max_charge(m, [o for o in m.support if vertex_p.mass_of(o) > 0])[1]
+    return _max_charge(m, vertex_p.support)[1]
 
 
-def _charging_claims(
-    m: Market, q: ProbabilityMeasure, outcomes: Iterable[str], name: str
+def _positive_claims(
+    q: ProbabilityMeasure, outcomes: Iterable[str], name: str
 ) -> tuple[Claim, ...]:
-    """q is a martingale measure charging every outcome in `outcomes`;
-    raises CertificateError when a claim fails."""
-    return m.martingale_claims(q, name) + tuple(
-        claim(f"{name} positive at {o}", q.mass_of(o), ">", ZERO) for o in outcomes
+    """q > 0 at every outcome in `outcomes`; raises CertificateError when a
+    claim fails."""
+    mass, at = q.mass, q.space.index
+    return tuple(
+        claim(f"{name} positive at {o}", mass[at(o)], ">", ZERO) for o in outcomes
     )
+
+
+def charging_claims(
+    vertex_p: ProbabilityMeasure, q: ProbabilityMeasure
+) -> tuple[Claim, ...]:
+    """q charges every outcome that vertex_p charges, in label order;
+    raises CertificateError when a claim fails."""
+    return _positive_claims(q, sorted(vertex_p.support), "dominating Q")
 
 
 def dominating_claims(
@@ -328,7 +338,7 @@ def dominating_claims(
 ) -> tuple[Claim, ...]:
     """q is a martingale measure charging every outcome that vertex_p
     charges; raises CertificateError when a claim fails."""
-    return _charging_claims(m, q, sorted(vertex_p.support), "dominating Q")
+    return m.martingale_claims(q, "dominating Q") + charging_claims(vertex_p, q)
 
 
 def check_ftap(
@@ -337,21 +347,21 @@ def check_ftap(
     """The no-arbitrage verdict and the other side of the one-period FTAP
     equivalence, a dominating martingale measure (or None) per P-vertex.
 
-    The sides must agree (no-arbitrage holds iff every P-vertex admits a
-    martingale measure dominating it); their agreement is checked, and
-    CertificateError is raised if it fails.
+    Under no-arbitrage the checked full-support martingale measure q of
+    `check_na` dominates every P-vertex: q > 0 on the quasi-sure support,
+    and the support of every vertex lies inside it (Bouchard-Nutz).  So q
+    is returned for every vertex and no further LP is solved.  When NA
+    fails, `find_dominating_martingale` searches each vertex, and the sides
+    must agree: some vertex has no dominating martingale measure, else
+    CertificateError is raised.
     """
-    na_holds, _ = check_na(m)
-    per_vertex = []
-    all_dominated = True
-    for vp in m.P.vertices:
-        q = find_dominating_martingale(m, vp)
-        per_vertex.append((vp, q))
-        if q is None:
-            all_dominated = False
-    if na_holds != all_dominated:
+    q = full_support_martingale(m)
+    if q is not None:
+        return True, [(vp, q) for vp in m.P.vertices]
+    per_vertex = [(vp, find_dominating_martingale(m, vp)) for vp in m.P.vertices]
+    if all(q is not None for _, q in per_vertex):
         raise CertificateError("FTAP equivalence failed on this market")
-    return na_holds, per_vertex
+    return False, per_vertex
 
 
 def superhedge(m: Market, f: BoundedFunction) -> HedgeCertificate:

@@ -594,6 +594,26 @@ class TestVerify:
         assert main(["verify", "--certificate", write(tmp_path, "c.json", cert)]) == 1
         assert problem in capsys.readouterr().out
 
+    @pytest.mark.parametrize("indices,problems", [
+        ([99, -1], ["witness.dominating_index_per_vertex[0]: 99 is not null or an index below 1",
+                    "witness.dominating_index_per_vertex[1]: -1 is not null or an index below 1"]),
+        ("x", ["witness.dominating_index_per_vertex: expected a list"]),
+        ([True, 0.5], ["witness.dominating_index_per_vertex[0]: true is not null or an index below 1",
+                       "witness.dominating_index_per_vertex[1]: 0.5 is not null or an index below 1"]),
+    ], ids=["out-of-range", "str", "bool-and-float"])
+    def test_rejects_bad_dominating_index(self, tmp_path, capsys, indices, problems):
+        # a re-signed ftap certificate whose vertices point at no listed
+        # dominating measure: rejected, naming the field
+        path = os.path.join(os.path.dirname(SEQUENCE), "..", "expected", "ftap-holds.out")
+        with open(path, encoding="utf-8") as fh:
+            cert = json.load(fh)
+        assert verify_certificate(cert) == []
+        cert["witness"]["dominating_index_per_vertex"] = indices
+        cert["payload_sha256"] = digest({k: cert[k] for k in PAYLOAD_FIELDS})
+        assert verify_certificate(cert) == problems
+        assert main(["verify", "--certificate", write(tmp_path, "c.json", cert)]) == 1
+        assert problems[0] in capsys.readouterr().out
+
     @pytest.mark.parametrize("field,value,problem", [
         ("command", 5, "command: 5 is not a subcommand"),
         ("command", "no-such-command",

@@ -6,12 +6,15 @@ from fractions import Fraction
 
 import pytest
 
+from robust_ftap import market
 from robust_ftap.errors import NaViolated
 from robust_ftap.market import (
     Market,
     check_ftap,
     check_na,
+    dominating_claims,
     find_dominating_martingale,
+    full_support_martingale,
     martingale_polytope,
     superhedge,
 )
@@ -173,6 +176,37 @@ class TestFtap:
             m = _random_market(rng)
             na, _ = check_ftap(m)  # equivalence asserted internally
             assert na == check_na(m)[0]
+
+    def test_na_reuses_the_full_support_measure(self, monkeypatch):
+        # under NA the one LP of check_na gives every vertex its dominating
+        # measure; under arbitrage each vertex is searched on its own
+        solved = [0]
+        solve = market.solve_lp
+
+        def solve_counted(lp):
+            solved[0] += 1
+            return solve(lp)
+
+        monkeypatch.setattr(market, "solve_lp", solve_counted)
+        rng = random.Random(24)
+        seen = {True: 0, False: 0}
+        for _ in range(200):
+            m = _random_market(rng)
+            solved[0] = 0
+            na, per_vertex = check_ftap(m)
+            seen[na] += 1
+            assert [vp for vp, _ in per_vertex] == list(m.P.vertices)
+            qs = [q for _, q in per_vertex]
+            if na:
+                assert solved[0] == 1
+                q = full_support_martingale(m)
+                for vp, qv in per_vertex:
+                    assert qv is q
+                    dominating_claims(m, vp, qv)
+            else:
+                assert qs == [find_dominating_martingale(m, vp) for vp in m.P.vertices]
+                assert None in qs
+        assert min(seen.values()) >= 20
 
 
 class TestSuperhedge:

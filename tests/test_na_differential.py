@@ -35,6 +35,7 @@ from robust_ftap.market import (
     Market,
     check_ftap,
     check_na,
+    find_dominating_martingale,
     full_support_martingale,
     martingale_polytope,
     superhedge,
@@ -127,8 +128,9 @@ def test_matches_row_per_outcome_lps(drawn, data):
     # (find_dominating_martingale): same status and t*, and q, like the
     # reference's, is a martingale measure charging the charged outcomes
     # (an optimal q is not unique, so its other masses may differ)
-    _, per_vertex = check_ftap(m)
-    qs = [full_support_martingale(m)] + [q for _, q in per_vertex]
+    qs = [full_support_martingale(m)] + [
+        find_dominating_martingale(m, vp) for vp in m.P.vertices
+    ]
     supports = [m.support] + [
         [o for o in m.support if vp.mass_of(o) > 0] for vp in m.P.vertices
     ]
@@ -239,10 +241,10 @@ def _golden(name):
 
 
 def test_market_lps_are_the_martingale_system(monkeypatch):
-    """check_na, the two P-vertices of find_dominating_martingale and
-    superhedge on market_two_assets.json: each LP has exactly the d+1
-    martingale rows, all equalities; the simplex pivots of each are
-    pinned."""
+    """check_ftap and superhedge on market_two_assets.json, which holds NA,
+    solve two LPs: check_na's and the superhedge's; then the two P-vertices
+    of find_dominating_martingale.  Each LP has exactly the d+1 martingale
+    rows, all equalities; the simplex pivots of each are pinned."""
     m = load_market(_golden("market_two_assets.json"))
     f = load_payoff(_golden("payoff_two_assets.json"), m.space)
     solved, pivots = [], [0]
@@ -262,7 +264,10 @@ def test_market_lps_are_the_martingale_system(monkeypatch):
     monkeypatch.setattr(lp_core._Tableau, "pivot", pivot_counted)
     assert check_ftap(m)[0]
     superhedge(m, f)
-    assert len(solved) == 1 + len(m.P.vertices) + 1
+    assert len(solved) == 2
+    for vp in m.P.vertices:
+        assert find_dominating_martingale(m, vp) is not None
+    assert len(solved) == 2 + len(m.P.vertices)
     for lp, _ in solved:
         assert [row.relation for row in lp.constraints] == ["="] * (m.d + 1)
         assert [row.rhs for row in lp.constraints] == [1] + [0] * m.d
