@@ -241,8 +241,10 @@ def _cutting_planes(
     """Kelley's cutting planes, from the uniform mixture, with the exact
     knapsack (`_knapsack`) as oracle.  The master LP maximizes (dual:
     minimizes) t over the simplex of weights with one row t <= w.(Q h_j)
-    (dual: >=) per cut h_j, and the knapsack at its w either attains its
-    t or returns the next cut, a vertex of the D-set that w violates.
+    (dual: >=) per cut h_j.  t >= 0 like every LP variable, which removes
+    no optimum: each cut value w.(Q h_j) is >= 0, as h, Q and w are.  The
+    knapsack at its w either attains its t or returns the next cut, a
+    vertex of the D-set that w violates.
     Every cut lies in the D-set, so the master's checked optimum bounds
     the value from above (dual: below), and the knapsack's value at w is
     exact; the loop stops when the two are equal.  p and the level are
@@ -252,7 +254,7 @@ def _cutting_planes(
     span = reduce(lcm, [x for x in pn if x], 1)
     keys = [span // x if x else 0 for x in pn]
     sense, rel = ("max", LE) if kind == PRIMAL else ("min", GE)
-    # variables (t, w_1..w_K): t free, each weight >= 0
+    # variables (t, w_1..w_K), all >= 0
     simplex = Constraint([ZERO] + [ONE] * K, EQ, ONE)
     cuts: list[Constraint] = []
     weights, t = (Fraction(1, K),) * K, None
@@ -268,9 +270,7 @@ def _cutting_planes(
             return _Game(value, weights, Fraction(qn[s] * pd, pn[s] * wd * qd))
         cut = [Fraction(-h.dot(row), h.unit * qd) for row in Qn]
         cuts.append(Constraint([ONE] + cut, rel, ZERO))
-        sol = solve_lp(LinearProgram(
-            [ONE] + [ZERO] * K, sense, cuts + [simplex], [None] + [ZERO] * K
-        ))
+        sol = solve_lp(LinearProgram([ONE] + [ZERO] * K, sense, cuts + [simplex]))
         if sol.status != "Optimal":
             raise CertificateError(f"the game's master LP is {sol.status}")
         t, weights = sol.value, sol.primal[1:]
@@ -306,7 +306,6 @@ def _knapsack_dual_lp(
         [Fraction(level, pd)] + [-s] * n + [ZERO] * K,
         "max" if kind == PRIMAL else "min",
         rows,
-        [ZERO] * (1 + n + K),
     ))
     if sol.status != "Optimal":
         raise CertificateError(f"the game's knapsack dual LP is {sol.status}")

@@ -156,7 +156,7 @@ def _feasible_strategy(
         cons.append(Constraint(m.delta_s(o), GE, target + shift))
     for j in range(m.d):
         cons.append(Constraint([ONE if k == j else ZERO for k in range(m.d)], LE, 2))
-    sol = solve_lp(LinearProgram([ZERO] * m.d, "max", cons, lower=[ZERO] * m.d))
+    sol = solve_lp(LinearProgram([ZERO] * m.d, "max", cons))
     return tuple(g - ONE for g in sol.primal) if sol.status == "Optimal" else None
 
 

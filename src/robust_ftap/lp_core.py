@@ -15,9 +15,11 @@ unbounded ones with a feasible point and an improving ray.  Each outcome
 is checked exactly before it is returned (`check_optimal`,
 `check_infeasible`, `check_unbounded`; a failed check raises
 CertificateError), in integers on the LP's scaled rows and never on the
-tableau, each solution vector over its common denominator.  Variables
-are free or nonnegative; any other bound is a row or a substitution by
-the caller, so every multiplier is a row's.
+tableau, each solution vector over its common denominator.  Every LP
+is in standard form: each variable is nonnegative, a free one is written
+by the caller as two columns x+ and x-, and any other bound is a row or a
+substitution, so every multiplier is a row's and an optimum is certified
+by its primal point and row duals alone.
 
 Beside the solver, `enumerate_basic_feasible` lists the vertices of
 {q >= 0 : A q = b} on the same integer pivots: a depth-first walk over
@@ -62,9 +64,9 @@ class Constraint:
 
 @dataclass(frozen=True)
 class LinearProgram:
-    """General-form LP: optimize c.x subject to rows.  A variable is free
-    (its `lower` entry None) or nonnegative (0); any other lower bound
-    raises ValueError naming its index, and every other bound is a row.
+    """Standard-form LP: optimize c.x subject to rows over x >= 0.  Every
+    variable is nonnegative; a free one is two columns x+ and x- with
+    x = x+ - x-, and every other bound is a row.
 
     Its scaled rows, which the solver and the checks read, are built with
     it: `_rows` holds (a, relation, b, s) per constraint, its coefficients
@@ -76,17 +78,10 @@ class LinearProgram:
     objective: tuple[Fraction, ...]
     sense: str  # "max" | "min"
     constraints: tuple[Constraint, ...]
-    lower: tuple[Optional[Fraction], ...]
     _rows: tuple = field(init=False, repr=False, compare=False)
     _cost: tuple[list[int], int] = field(init=False, repr=False, compare=False)
 
-    def __init__(
-        self,
-        objective: Iterable,
-        sense: str,
-        constraints: Sequence[Constraint],
-        lower: Optional[Sequence] = None,
-    ):
+    def __init__(self, objective: Iterable, sense: str, constraints: Sequence[Constraint]):
         objective = tuple(map(rational, objective))
         n = len(objective)
         if sense not in ("max", "min"):
@@ -97,23 +92,13 @@ class LinearProgram:
                 raise DimensionMismatch(
                     f"constraint has {len(row.coeffs)} coefficients, expected {n}"
                 )
-        lo = tuple(
-            None if b is None else rational(b)
-            for b in (lower if lower is not None else [None] * n)
-        )
-        if len(lo) != n:
-            raise DimensionMismatch("one bound entry per variable required")
-        for j, b in enumerate(lo):
-            if b:
-                raise ValueError(f"variable {j} has lower bound {b}, not None or 0")
         rows = []
         for row in constraints:
             a, s = scaled(row.coeffs + (row.rhs,))
             rows.append((a[:n], row.relation, a[n], s))
         for name, value in (
             ("objective", objective), ("sense", sense), ("constraints", constraints),
-            ("lower", lo), ("_rows", tuple(rows)),
-            ("_cost", scaled(objective)),
+            ("_rows", tuple(rows)), ("_cost", scaled(objective)),
         ):
             object.__setattr__(self, name, value)
 
@@ -132,8 +117,8 @@ class LpSolution:
     """Solver output.
 
     For Optimal: `primal` is a feasible point, `dual` holds one multiplier
-    per constraint row, `reduced_costs` one per variable (zero for free
-    variables), and primal and dual objectives agree exactly in `value`.
+    per constraint row, and primal and dual objectives agree exactly in
+    `value`; the reduced costs follow from the duals (see `check_optimal`).
     For Infeasible, `dual` carries the Farkas multipliers of the rows (see
     `check_infeasible`); for Unbounded, `point` is a feasible point and
     `primal` an improving ray (see `check_unbounded`).
@@ -143,7 +128,6 @@ class LpSolution:
     primal: tuple[Fraction, ...] = ()
     dual: tuple[Fraction, ...] = ()
     value: Optional[Fraction] = None
-    reduced_costs: tuple[Fraction, ...] = ()
     point: tuple[Fraction, ...] = ()
 
 
@@ -280,29 +264,20 @@ def solve_lp(lp: LinearProgram) -> LpSolution:
     n = lp.num_vars
     sign = 1 if lp.sense == "min" else -1  # the solver minimizes sign * c.x
     cost, cscale = lp._cost
-
-    # A free variable is split into u+ - u-.  Column map entries are
-    # (var, sign) pairs contributing sign * z_col to x_var.
-    cols: list[tuple[int, int]] = []
-    for j in range(n):
-        cols.append((j, 1))
-        if lp.lower[j] is None:
-            cols.append((j, -1))
     rows = lp._rows
     m = len(rows)
 
-    nz = len(cols)
-    # slack columns: one per inequality row
+    # slack columns: one per inequality row, after the n variables
     slack: dict[int, int] = {}
     for r, (_, rel, _, _) in enumerate(rows):
         if rel != EQ:
-            slack[r] = nz + len(slack)
-    ncols = nz + len(slack)
+            slack[r] = n + len(slack)
+    ncols = n + len(slack)
 
     tab_rows: list[list[int]] = []
     flip: list[int] = []
     for r, (a, rel, b, s) in enumerate(rows):
-        row = [cs * a[j] for j, cs in cols] + [0] * len(slack)
+        row = a + [0] * len(slack)
         if r in slack:
             row[slack[r]] = s if rel == LE else -s
         flip.append(-1 if b < 0 else 1)
@@ -340,45 +315,34 @@ def solve_lp(lp: LinearProgram) -> LpSolution:
 
     # phase 2: artificial columns stay in the tableau (they carry the dual
     # multipliers) but may not enter
-    tab.price([sign * cs * cost[j] for j, cs in cols] + [0] * (total - nz), cscale)
+    tab.price([sign * c for c in cost] + [0] * (total - n), cscale)
     enter = tab.run([True] * ncols + [False] * m)
 
     # the basic solution, feasible since phase 1 and kept feasible by phase 2
     x = [ZERO] * n
     for r, bv in enumerate(tab.basis):
-        if bv < nz and tab.rows[r][total]:
-            j, cs = cols[bv]
-            v = Fraction(cs * tab.rows[r][total], tab.rows[r][bv])
-            x[j] = v + x[j] if x[j] else v
+        if bv < n and tab.rows[r][total]:
+            x[bv] = Fraction(tab.rows[r][total], tab.rows[r][bv])
 
     if enter is not None:
         ray = [ZERO] * n
-        if enter < nz:
-            j, cs = cols[enter]
-            ray[j] += cs
+        if enter < n:
+            ray[enter] = ONE
         for r in range(m):
             bv = tab.basis[r]
-            if tab.rows[r][enter] and bv < nz:
-                vj, vs = cols[bv]
-                ray[vj] -= Fraction(vs * tab.rows[r][enter], tab.rows[r][bv])
+            if tab.rows[r][enter] and bv < n:
+                ray[bv] = Fraction(-tab.rows[r][enter], tab.rows[r][bv])
         sol = LpSolution(status="Unbounded", primal=tuple(ray), point=tuple(x))
         check_unbounded(lp, sol)
         return sol
 
     # optimal: everything over the objective row's factor z.  The dual of
     # row i is minus its artificial's reduced cost (cost 0 in phase 2)
-    # through the flip, and a variable's reduced cost is that of its first
-    # column; both are negated for max.
+    # through the flip, negated for max.
     obj, z = tab.rows[m], tab.rows[m][-1]
     dual = tuple(Fraction(-sign * flip[i] * obj[ncols + i], z) for i in range(m))
     sol = LpSolution(
-        status="Optimal",
-        primal=tuple(x),
-        dual=dual,
-        value=Fraction(-sign * obj[total], z),
-        reduced_costs=tuple(
-            Fraction(sign * obj[col], z) for col, (_, cs) in enumerate(cols) if cs > 0
-        ),
+        status="Optimal", primal=tuple(x), dual=dual, value=Fraction(-sign * obj[total], z)
     )
     check_optimal(lp, sol)
     return sol
@@ -404,29 +368,21 @@ def _idot(u: Sequence[int], v: Sequence[int]) -> int:
 
 
 def _require_feasible(lp: LinearProgram, x: Sequence) -> tuple[list[int], int]:
-    """x = X / D satisfies every row and sign of the LP; returns X and D."""
+    """x = X / D satisfies every row of the LP and x >= 0; returns X and D."""
     X, D = scaled(x)
     for a, rel, b, _ in lp._rows:
         _require(RELATIONS[rel](_idot(a, X), b * D), f"primal infeasible ({rel} row)")
-    for xj, lo in zip(X, lp.lower):
-        if lo is not None:
-            _require(xj >= 0, "primal below lower bound")
+    _require(all(xj >= 0 for xj in X), "primal has a negative entry")
     return X, D
 
 
-def _multipliers(
-    lp: LinearProgram, y: Sequence, *extra: Sequence
-) -> tuple[list[int], list[int], int]:
-    """The multipliers y of the rows and the vectors `extra` over one
-    denominator E > 0.
-
-    Returns W with W_i = E y_i / s_i for the LP's scaled rows (so W.a = E
-    times the rational combination), E times the `extra` entries, and E.
-    """
-    num, d = scaled(list(y) + [v for vec in extra for v in vec])
+def _multipliers(lp: LinearProgram, y: Sequence) -> tuple[list[int], int]:
+    """The multipliers y of the rows over one denominator E > 0: returns
+    W with W_i = E y_i / s_i for the LP's scaled rows (so W.a = E times
+    the rational combination), and E."""
+    num, d = scaled(y)
     scale = reduce(lcm, [s for *_, s in lp._rows], 1)
-    W = [w * (scale // s) for w, (*_, s) in zip(num, lp._rows)]
-    return W, [v * scale for v in num[len(y):]], d * scale
+    return [w * (scale // s) for w, (*_, s) in zip(num, lp._rows)], d * scale
 
 
 def _combination(lp: LinearProgram, W: Sequence[int]) -> list[int]:
@@ -441,19 +397,19 @@ def _combination(lp: LinearProgram, W: Sequence[int]) -> list[int]:
 def check_optimal(lp: LinearProgram, sol: LpSolution) -> None:
     """Exact verification of an Optimal solution against the original LP.
 
-    Checks primal feasibility, dual sign conventions, stationarity of the
-    reduced costs, and equality of primal and dual objectives; raises
-    CertificateError on any exact violation.  With the multipliers and
-    reduced costs over one denominator E (see `_multipliers`) and the
-    objective c = `_cost` / s_c, stationarity c - y.A = r reads
-    c_j E = s_c (G_j + R_j) in integers, with G = W.a.
+    Checks primal feasibility (x >= 0 and every row), the sign of each
+    row's dual, the sign of each reduced cost c_j - y.A_j (>= 0 for min,
+    <= 0 for max), and equality of primal and dual objectives: together
+    the weak-duality proof that no feasible point does better.  Raises
+    CertificateError on any exact violation.  With the multipliers over
+    one denominator E (see `_multipliers`) and the objective c = `_cost`
+    / s_c, the reduced cost of x_j is (c_j E - s_c G_j) / (E s_c) in
+    integers, with G = W.a.
     """
     _require(sol.status == "Optimal", f"status {sol.status!r} is not Optimal")
-    n = lp.num_vars
     _require(
-        len(sol.primal) == n
+        len(sol.primal) == lp.num_vars
         and len(sol.dual) == len(lp.constraints)
-        and len(sol.reduced_costs) == n
         and sol.value is not None,
         "solution vectors have the wrong length",
     )
@@ -461,18 +417,15 @@ def check_optimal(lp: LinearProgram, sol: LpSolution) -> None:
 
     maximize = lp.sense == "max"
     # for max, y >= 0 on <= rows, y <= 0 on >= rows
-    W, R, E = _multipliers(lp, sol.dual, sol.reduced_costs)
+    W, E = _multipliers(lp, sol.dual)
     for w, (_, rel, _, _) in zip(W, lp._rows):
         if rel != EQ:
             nonneg = maximize == (rel == LE)
             _require(w >= 0 if nonneg else w <= 0, f"dual sign ({rel} row)")
     cost, sc = lp._cost
-    for cj, gj, rj, lo in zip(cost, _combination(lp, W), R, lp.lower):
-        _require(cj * E == sc * (gj + rj), "stored reduced cost mismatch")
-        if lo is None:
-            _require(rj == 0, "free variable has nonzero reduced cost")
-        else:
-            _require((rj <= 0) if maximize else (rj >= 0), "reduced cost sign")
+    for cj, gj in zip(cost, _combination(lp, W)):
+        rj = cj * E - sc * gj
+        _require((rj <= 0) if maximize else (rj >= 0), "reduced cost sign")
 
     dual_obj = _idot(W, [b for _, _, b, _ in lp._rows])  # y.b, over E
     vn, vd = sol.value.numerator, sol.value.denominator
@@ -487,21 +440,19 @@ def check_infeasible(lp: LinearProgram, sol: LpSolution) -> None:
 
     The multipliers are y = `sol.dual` on the rows, with y <= 0 on <= rows
     and y >= 0 on >= rows.  With g_j = sum_i y_i a_ij, every feasible x
-    would have g.x >= y.b; the certificate requires g_j = 0 for free
-    variables and g_j <= 0 for nonnegative ones, so g.x <= 0, and y.b > 0
-    contradicts it.  Raises CertificateError on any exact violation.
+    would have g.x >= y.b; the certificate requires g <= 0, so g.x <= 0
+    on x >= 0, and y.b > 0 contradicts it.  Raises CertificateError on any
+    exact violation.
     """
     _require(sol.status == "Infeasible", f"status {sol.status!r} is not Infeasible")
     _require(len(sol.dual) == len(lp.constraints), "Farkas vector has the wrong length")
-    W, _, _ = _multipliers(lp, sol.dual)
+    W, _ = _multipliers(lp, sol.dual)
     for w, (_, rel, _, _) in zip(W, lp._rows):
         if rel != EQ:
             _require((w <= 0) if rel == LE else (w >= 0), f"Farkas sign ({rel} row)")
-    for gj, lo in zip(_combination(lp, W), lp.lower):
-        if lo is None:
-            _require(gj == 0, "Farkas combination nonzero on a free variable")
-        else:
-            _require(gj <= 0, "Farkas combination positive on a bounded variable")
+    _require(
+        all(gj <= 0 for gj in _combination(lp, W)), "Farkas combination has a positive entry"
+    )
     rhs = _idot(W, [b for _, _, b, _ in lp._rows])  # y.b, over E
     _require(rhs > 0, "Farkas combination is not contradictory")
 
@@ -510,11 +461,11 @@ def check_unbounded(lp: LinearProgram, sol: LpSolution) -> None:
     """Exact verification of a feasible point x = `sol.point` and an
     improving ray d = `sol.primal`.
 
-    x must satisfy every row and sign of the LP, and d the homogeneous
-    system (a.d <= 0, >= 0 or = 0 with the row's relation; d_j >= 0 for a
-    nonnegative variable) and strictly improve the objective; x + s d is
-    then feasible for every s >= 0, and the LP value is unbounded.  Raises
-    CertificateError on any exact violation.
+    x must satisfy every row of the LP and x >= 0, and d the homogeneous
+    system (a.d <= 0, >= 0 or = 0 with the row's relation; d >= 0) and
+    strictly improve the objective; x + s d is then feasible for every
+    s >= 0, and the LP value is unbounded.  Raises CertificateError on
+    any exact violation.
     """
     _require(sol.status == "Unbounded", f"status {sol.status!r} is not Unbounded")
     n = lp.num_vars
@@ -524,9 +475,7 @@ def check_unbounded(lp: LinearProgram, sol: LpSolution) -> None:
     d, _ = scaled(sol.primal)
     for a, rel, _, _ in lp._rows:
         _require(RELATIONS[rel](_idot(a, d), 0), f"ray leaves a {rel} row")
-    for dj, lo in zip(d, lp.lower):
-        if lo is not None:
-            _require(dj >= 0, "ray leaves a lower bound")
+    _require(all(dj >= 0 for dj in d), "ray has a negative entry")
     gain = _idot(lp._cost[0], d)
     _require(gain > 0 if lp.sense == "max" else gain < 0, "ray does not improve")
 
@@ -739,9 +688,10 @@ def minimax_value(inst: MinimaxInstance) -> MinimaxResult:
 
     The inner dual wants mu_r >= 0 on >= rows, mu_r <= 0 on <= rows and
     mu_r free on = rows.  A <= row enters as nu_r = -mu_r >= 0 instead,
-    with its coefficients and its objective entry negated, so every
-    variable but those of = rows is nonnegative.
-    The rows, and with them y*, are the same either way.
+    with its coefficients and its objective entry negated, and an = row
+    as two adjacent columns, mu_r+ with (a_r, b_r) and then mu_r- with
+    (-a_r, -b_r), so every variable is nonnegative.  The rows, and with
+    them y*, are the same either way.
     """
     B = inst.payoff
     xverts = inst.X.vertices
@@ -764,35 +714,27 @@ def minimax_value(inst: MinimaxInstance) -> MinimaxResult:
             [Constraint([int(j == l) for j in range(L)], GE, 0) for l in range(L)]
             + [Constraint([1] * L, EQ, 1)],
         )
-    ydim, R, K = Y.dim, len(Y.constraints), len(xverts)
+    ydim, K = Y.dim, len(xverts)
     # B x_k, one per X vertex
     bx = [[_dot(row, x) for row in B] for x in xverts]
-    # variables (nu_1..nu_R, lambda_1..lambda_K): nu_r = -mu_r on <= rows
-    # and mu_r elsewhere, each row's coefficients and rhs signed to match
-    signed = [
-        ([-a if a else a for a in row.coeffs], -row.rhs) if row.relation == LE
-        else (row.coeffs, row.rhs)
-        for row in Y.constraints
-    ]
+    # the columns of the mu variables, then lambda_1..lambda_K: each row's
+    # coefficients and rhs, negated for nu_r on a <= row, both signs on an
+    # = row
+    signed = []
+    for row in Y.constraints:
+        pos, neg = (row.coeffs, row.rhs), ([-a if a else a for a in row.coeffs], -row.rhs)
+        signed += {LE: [neg], GE: [pos], EQ: [pos, neg]}[row.relation]
     cons = [
         Constraint([a[i] for a, _ in signed] + [-b[i] for b in bx], EQ, 0)
         for i in range(ydim)
     ]
-    cons.append(Constraint([ZERO] * R + [ONE] * K, EQ, 1))
-    sol = solve_lp(
-        LinearProgram(
-            objective=[rhs for _, rhs in signed] + [ZERO] * K,
-            sense="max",
-            constraints=cons,
-            lower=[None if row.relation == EQ else ZERO for row in Y.constraints]
-            + [ZERO] * K,
-        )
-    )
+    cons.append(Constraint([ZERO] * len(signed) + [ONE] * K, EQ, 1))
+    sol = solve_lp(LinearProgram([rhs for _, rhs in signed] + [ZERO] * K, "max", cons))
     if sol.status == "Unbounded":
         raise EmptyPolytope("Y is empty")
     if sol.status != "Optimal":
         raise EmptyPolytope("Y is empty or the inner infimum over Y is -infinity")
-    lam = sol.primal[R:]
+    lam = sol.primal[len(signed):]
     y_star = sol.dual[:ydim]
     if isinstance(inst.Y, VertexPolytope):
         y_star = tuple(_dot(y_star, coord) for coord in zip(*inst.Y.vertices))

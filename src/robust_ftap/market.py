@@ -281,10 +281,7 @@ def _max_charge(
     without a bound."""
     t_col = _charge_column(m, charged)
     n = len(m.support)
-    lp = LinearProgram(
-        [ZERO] * n + [ONE], "max", _martingale_rows(m, t_col), lower=[ZERO] * (n + 1)
-    )
-    sol = solve_lp(lp)
+    sol = solve_lp(LinearProgram([ZERO] * n + [ONE], "max", _martingale_rows(m, t_col)))
     if sol.status != "Optimal" or sol.value <= 0:
         return sol, None
     *s, t = sol.primal
@@ -382,9 +379,7 @@ def superhedge(m: Market, f: BoundedFunction) -> HedgeCertificate:
         raise DimensionMismatch("payoff on a different space")
     support = m.support
     values = [f.value_at(o) for o in support]
-    sol = solve_lp(
-        LinearProgram(values, "max", _martingale_rows(m), lower=[ZERO] * len(support))
-    )
+    sol = solve_lp(LinearProgram(values, "max", _martingale_rows(m)))
     if sol.status != "Optimal":
         raise CertificateError("superhedging LP must be solvable under NA")
     price = sol.value

@@ -9,7 +9,8 @@ every field of their solutions must agree exactly.
 It also keeps the engine's former certificate checks, which work in
 Fractions on the LP's constraints as given (``check_optimal``,
 ``check_infeasible``, ``check_unbounded``): the reference for the integer
-checks on the scaled rows.
+checks on the scaled rows.  Like the engine, it takes an LP in standard
+form, every variable >= 0.
 """
 
 from __future__ import annotations
@@ -60,7 +61,7 @@ class _Tableau:
             const[0] -= f * b[r]
         self.basis[r] = j
 
-    def reduced_costs(self, cost: list[Fraction]) -> tuple[list[Fraction], list[Fraction]]:
+    def price(self, cost: list[Fraction]) -> tuple[list[Fraction], list[Fraction]]:
         # cost has length total; returns (reduced row, [objective constant])
         red = list(cost)
         const = [ZERO]
@@ -83,7 +84,7 @@ class _Tableau:
         status "optimal" or "unbounded"; on "unbounded" `entering` is the
         column whose increase improves without bound.
         """
-        red, const = self.reduced_costs(cost)
+        red, const = self.price(cost)
         while True:
             enter = -1
             for j in range(self.total):
@@ -116,38 +117,25 @@ def reference_solve_lp(lp: LinearProgram) -> LpSolution:
     minimize = lp.sense == "min"
     c = [f if minimize else -f for f in lp.objective]
 
-    # A variable is nonnegative or free; a free one is split into u+ - u-.
-    # Column map entries are (var, sign) pairs contributing sign * z_col to
-    # x_var.
-    cols: list[tuple[int, int]] = []
-    for j in range(n):
-        cols.append((j, 1))
-        if lp.lower[j] is None:
-            cols.append((j, -1))
-
     rows = [(row.coeffs, row.relation, row.rhs) for row in lp.constraints]
     m = len(rows)
 
-    nz = len(cols)
-    # slack columns: one per inequality row
+    # slack columns: one per inequality row, after the n variables
     slack_of_row: list[Optional[int]] = []
     nslack = 0
     for _, rel, _ in rows:
         if rel == EQ:
             slack_of_row.append(None)
         else:
-            slack_of_row.append(nz + nslack)
+            slack_of_row.append(n + nslack)
             nslack += 1
-    ncols = nz + nslack
+    ncols = n + nslack
 
     tab_rows: list[list[Fraction]] = []
     tab_rhs: list[Fraction] = []
     flip: list[int] = []
     for r, (coeffs, rel, b) in enumerate(rows):
-        row = [ZERO] * ncols
-        for col, (j, s) in enumerate(cols):
-            if coeffs[j]:
-                row[col] = s * coeffs[j]
+        row = list(coeffs) + [ZERO] * nslack
         sc = slack_of_row[r]
         if sc is not None:
             row[sc] = ONE if rel == LE else -ONE
@@ -167,7 +155,7 @@ def reference_solve_lp(lp: LinearProgram) -> LpSolution:
     cost1 = [ZERO] * ncols + [ONE] * m
     allow = [True] * total
     status, red1, _const1, _ = tab.run(cost1, allow)
-    assert status == "optimal"
+    _require(status == "optimal", "phase 1 reported an unbounded sum of artificials")
     phase1_value = sum(
         tab.b[r] for r in range(m) if tab.basis[r] >= ncols
     )
@@ -189,35 +177,28 @@ def reference_solve_lp(lp: LinearProgram) -> LpSolution:
 
     # phase 2: artificial columns stay in the tableau (they carry the dual
     # multipliers) but may not enter
-    cost2 = [ZERO] * total
-    for col, (j, s) in enumerate(cols):
-        cost2[col] = s * c[j]
+    cost2 = c + [ZERO] * (total - n)
     allow2 = [True] * ncols + [False] * m
     status, red2, const2, enter = tab.run(cost2, allow2)
 
     # the basic solution: feasible, and optimal unless a ray improves it
-    z = [ZERO] * total
-    for r, bv in enumerate(tab.basis):
-        z[bv] = tab.b[r]
     x = [ZERO] * n
-    for col, (j, s) in enumerate(cols):
-        x[j] += s * z[col]
+    for r, bv in enumerate(tab.basis):
+        if bv < n:
+            x[bv] = tab.b[r]
 
     if status == "unbounded":
-        assert enter is not None
         ray = [ZERO] * n
-        if enter < nz:
-            j, s = cols[enter]
-            ray[j] += s
+        if enter < n:
+            ray[enter] = ONE
         for r in range(m):
             a = tab.A[r][enter]
             bv = tab.basis[r]
-            if a and bv < nz:
-                vj, vs = cols[bv]
-                ray[vj] += vs * (-a)
+            if a and bv < n:
+                ray[bv] = -a
         return LpSolution(status="Unbounded", primal=tuple(ray), point=tuple(x))
 
-    # optimal: duals and reduced costs
+    # optimal: duals
     value_min = -const2[0]
     value = value_min if minimize else -value_min
 
@@ -225,20 +206,7 @@ def reference_solve_lp(lp: LinearProgram) -> LpSolution:
     lam = [flip[i] * lam[i] for i in range(m)]
     if not minimize:
         lam = [-v for v in lam]
-    reduced = [ZERO] * n
-    for j in range(n):
-        r = lp.objective[j] - sum(
-            lam[i] * rows[i][0][j] for i in range(m)
-        )
-        reduced[j] = r
-
-    return LpSolution(
-        status="Optimal",
-        primal=tuple(x),
-        dual=tuple(lam),
-        value=value,
-        reduced_costs=tuple(reduced),
-    )
+    return LpSolution(status="Optimal", primal=tuple(x), dual=tuple(lam), value=value)
 
 
 # ---------------------------------------------------------------------------
@@ -268,7 +236,7 @@ def _row_sums(lp: LinearProgram, y: Sequence[Fraction]) -> list[Fraction]:
 
 
 def _require_feasible(lp: LinearProgram, x: Sequence[Fraction]) -> None:
-    """x satisfies every row and every sign of the LP."""
+    """x satisfies every row of the LP and x >= 0."""
     for row in lp.constraints:
         lhs = _dot(row.coeffs, x)
         if row.relation == LE:
@@ -277,25 +245,20 @@ def _require_feasible(lp: LinearProgram, x: Sequence[Fraction]) -> None:
             _require(lhs >= row.rhs, "primal infeasible (>= row)")
         else:
             _require(lhs == row.rhs, "primal infeasible (= row)")
-    for j, xj in enumerate(x):
-        if lp.lower[j] is not None:
-            _require(xj >= 0, "primal below lower bound")
+    _require(all(xj >= 0 for xj in x), "primal has a negative entry")
 
 
 def check_optimal(lp: LinearProgram, sol: LpSolution) -> None:
     """Exact verification of an Optimal solution against the original LP.
 
-    Checks primal feasibility, dual sign conventions, stationarity of the
-    reduced costs, and equality of primal and dual objectives; raises
-    CertificateError on any exact violation.
+    Checks primal feasibility, dual sign conventions, the sign of each
+    reduced cost c_j - y.A_j, and equality of primal and dual objectives;
+    raises CertificateError on any exact violation.
     """
     _require(sol.status == "Optimal", f"status {sol.status!r} is not Optimal")
-    n = lp.num_vars
     x = sol.primal
     _require(
-        len(x) == n
-        and len(sol.dual) == len(lp.constraints)
-        and len(sol.reduced_costs) == n,
+        len(x) == lp.num_vars and len(sol.dual) == len(lp.constraints),
         "solution vectors have the wrong length",
     )
     _require_feasible(lp, x)
@@ -307,14 +270,8 @@ def check_optimal(lp: LinearProgram, sol: LpSolution) -> None:
             _require((y >= 0) if maximize else (y <= 0), "dual sign (<= row)")
         elif row.relation == GE:
             _require((y <= 0) if maximize else (y >= 0), "dual sign (>= row)")
-    reduced = [cj - s for cj, s in zip(lp.objective, _row_sums(lp, sol.dual))]
-    for j in range(n):
-        r = reduced[j]
-        _require(r == sol.reduced_costs[j], "stored reduced cost mismatch")
-        if lp.lower[j] is None:
-            _require(r == 0, "free variable has nonzero reduced cost")
-        else:
-            _require((r <= 0) if maximize else (r >= 0), "reduced cost sign")
+    for cj, s in zip(lp.objective, _row_sums(lp, sol.dual)):
+        _require((cj - s <= 0) if maximize else (cj - s >= 0), "reduced cost sign")
 
     dual_obj = _dot(sol.dual, [row.rhs for row in lp.constraints])
     primal_obj = _dot(lp.objective, x)
@@ -327,9 +284,9 @@ def check_infeasible(lp: LinearProgram, sol: LpSolution) -> None:
 
     The multipliers are y = `sol.dual` on the rows, with y <= 0 on <= rows
     and y >= 0 on >= rows.  With g_j = sum_i y_i a_ij, every feasible x
-    would have g.x >= y.b; the certificate requires g_j = 0 for free
-    variables and g_j <= 0 for nonnegative ones, so g.x <= 0, and y.b > 0
-    contradicts it.  Raises CertificateError on any exact violation.
+    would have g.x >= y.b; the certificate requires g <= 0, so g.x <= 0 on
+    x >= 0, and y.b > 0 contradicts it.  Raises CertificateError on any
+    exact violation.
     """
     _require(sol.status == "Infeasible", f"status {sol.status!r} is not Infeasible")
     _require(len(sol.dual) == len(lp.constraints), "Farkas vector has the wrong length")
@@ -339,11 +296,10 @@ def check_infeasible(lp: LinearProgram, sol: LpSolution) -> None:
         elif row.relation == GE:
             _require(y >= 0, "Farkas sign (>= row)")
     bound = _dot(sol.dual, [row.rhs for row in lp.constraints])
-    for j, gj in enumerate(_row_sums(lp, sol.dual)):
-        if lp.lower[j] is None:
-            _require(gj == 0, "Farkas combination nonzero on a free variable")
-        else:
-            _require(gj <= 0, "Farkas combination positive on a bounded variable")
+    _require(
+        all(gj <= 0 for gj in _row_sums(lp, sol.dual)),
+        "Farkas combination has a positive entry",
+    )
     _require(bound > 0, "Farkas combination is not contradictory")
 
 
@@ -351,11 +307,11 @@ def check_unbounded(lp: LinearProgram, sol: LpSolution) -> None:
     """Exact verification of a feasible point x = `sol.point` and an
     improving ray d = `sol.primal`.
 
-    x must satisfy every row and sign of the LP, and d the homogeneous
-    system (a.d <= 0, >= 0 or = 0 with the row's relation; d_j >= 0 for a
-    nonnegative variable) and strictly improve the objective; x + s d is then
-    feasible for every s >= 0, and the LP value is unbounded.  Raises
-    CertificateError on any exact violation.
+    x must satisfy every row of the LP and x >= 0, and d the homogeneous
+    system (a.d <= 0, >= 0 or = 0 with the row's relation; d >= 0) and
+    strictly improve the objective; x + s d is then feasible for every
+    s >= 0, and the LP value is unbounded.  Raises CertificateError on any
+    exact violation.
     """
     _require(sol.status == "Unbounded", f"status {sol.status!r} is not Unbounded")
     n = lp.num_vars
@@ -371,8 +327,6 @@ def check_unbounded(lp: LinearProgram, sol: LpSolution) -> None:
             _require(lhs >= 0, "ray leaves a >= row")
         else:
             _require(lhs == 0, "ray leaves an = row")
-    for j in range(n):
-        if lp.lower[j] is not None:
-            _require(d[j] >= 0, "ray leaves a lower bound")
+    _require(all(dj >= 0 for dj in d), "ray has a negative entry")
     gain = _dot(lp.objective, d)
     _require(gain > 0 if lp.sense == "max" else gain < 0, "ray does not improve")

@@ -3,10 +3,14 @@
 ``robust_ftap.lp_core.minimax_value`` solves one LP, the sup-inf order with
 the inner infimum dualized, and reads the inf-sup side off its checked
 dual.  This module solves the inf-sup order directly, inf over y in Y of
-the max over the X-vertices of y.Bx, as its own LP for either kind of Y.
+the max over the X-vertices of y.Bx, as its own LP for either kind of Y;
+its free variables are each two nonnegative columns
+(`free_columns.standard_form`).
 It is kept only as the independent side of the differential test: its
-value must equal ``minimax_value``'s exactly.  Criterion 3's seeded
-instance generator lives here too, so that both tests draw the same games.
+value must equal ``minimax_value``'s exactly.  Its checks raise
+CertificateError rather than assert, so they hold under ``python -O``.
+Criterion 3's seeded instance generator lives here too, so that both
+tests draw the same games.
 """
 
 from __future__ import annotations
@@ -15,6 +19,8 @@ import operator
 import random
 from fractions import Fraction
 
+from free_columns import merged, standard_form
+from robust_ftap.errors import CertificateError
 from robust_ftap.lp_core import (
     EQ,
     GE,
@@ -32,6 +38,11 @@ ONE = Fraction(1)
 _HOLDS = {LE: operator.le, GE: operator.ge, EQ: operator.eq}
 
 
+def _require(ok: bool, what: str) -> None:
+    if not ok:
+        raise CertificateError(what)
+
+
 def payoff_at_vertices(inst: MinimaxInstance) -> list[list[Fraction]]:
     """B x_k, one vector per X-vertex."""
     B = inst.payoff
@@ -43,8 +54,8 @@ def payoff_at_vertices(inst: MinimaxInstance) -> list[list[Fraction]]:
 
 def reference_minimax(inst: MinimaxInstance) -> tuple[Fraction, tuple[Fraction, ...]]:
     """(value, y) of inf over y in Y of max_k y.Bx_k, by one LP in the
-    variables (weights of Y's vertices, s) or (y, s): min s subject to
-    s >= y.Bx_k for every X-vertex and y in Y."""
+    variables (weights of Y's vertices, s free) or (y, s), both free: min s
+    subject to s >= y.Bx_k for every X-vertex and y in Y."""
     bx_list = payoff_at_vertices(inst)
     ydim = len(inst.payoff)
     if isinstance(inst.Y, VertexPolytope):
@@ -59,15 +70,8 @@ def reference_minimax(inst: MinimaxInstance) -> tuple[Fraction, tuple[Fraction, 
             for bx in bx_list
         ]
         cons.append(Constraint([ONE] * L + [ZERO], EQ, 1))
-        sol = solve_lp(
-            LinearProgram(
-                objective=[ZERO] * L + [ONE],
-                sense="min",
-                constraints=cons,
-                lower=[ZERO] * L + [None],
-            )
-        )
-        assert sol.status == "Optimal", sol.status
+        sol = solve_lp(standard_form([ZERO] * L + [ONE], "min", cons, free=[L]))
+        _require(sol.status == "Optimal", f"reference LP is {sol.status}")
         mu = sol.primal[:L]
         y = tuple(sum(mu[l] * yverts[l][i] for l in range(L)) for i in range(ydim))
         return sol.value, y
@@ -76,11 +80,10 @@ def reference_minimax(inst: MinimaxInstance) -> tuple[Fraction, tuple[Fraction, 
         Constraint(list(row.coeffs) + [ZERO], row.relation, row.rhs)
         for row in inst.Y.constraints
     ]
-    sol = solve_lp(
-        LinearProgram(objective=[ZERO] * ydim + [ONE], sense="min", constraints=cons)
-    )
-    assert sol.status == "Optimal", sol.status
-    return sol.value, sol.primal[:ydim]
+    free = range(ydim + 1)
+    sol = solve_lp(standard_form([ZERO] * ydim + [ONE], "min", cons, free))
+    _require(sol.status == "Optimal", f"reference LP is {sol.status}")
+    return sol.value, merged(sol.primal, free)[:ydim]
 
 
 def in_polytope(Y, y) -> bool:
@@ -98,7 +101,7 @@ def in_polytope(Y, y) -> bool:
         Constraint([v[i] for v in Y.vertices], EQ, y[i]) for i in range(len(y))
     ]
     cons.append(Constraint([ONE] * L, EQ, 1))
-    sol = solve_lp(LinearProgram([ZERO] * L, "max", cons, lower=[ZERO] * L))
+    sol = solve_lp(LinearProgram([ZERO] * L, "max", cons))
     return sol.status == "Optimal"
 
 
@@ -107,14 +110,14 @@ def check_against_reference(inst: MinimaxInstance, res) -> None:
     reference value equals ``res.value`` exactly, y* lies in Y and
     max_k y*.Bx_k equals the value."""
     ref_value, ref_y = reference_minimax(inst)
-    assert res.value == ref_value
-    assert in_polytope(inst.Y, ref_y)
-    assert in_polytope(inst.Y, res.y_star)
+    _require(res.value == ref_value, f"value {res.value} is not the reference {ref_value}")
+    _require(in_polytope(inst.Y, ref_y), "the reference y lies outside Y")
+    _require(in_polytope(inst.Y, res.y_star), "y* lies outside Y")
     best = max(
         sum((a * b for a, b in zip(res.y_star, bx)), ZERO)
         for bx in payoff_at_vertices(inst)
     )
-    assert best == res.value
+    _require(best == res.value, f"max_k y*.Bx_k is {best}, not the value {res.value}")
 
 
 def criterion_3_instances(seed: int = 31415, count: int = 500):

@@ -1,8 +1,9 @@
 """The per-outcome no-arbitrage check that `market.check_na` replaced.
 
 It solves one boxed LP per support outcome, max gain at that outcome over
-H in [-1, 1]^d (H free, the box as rows) with nonnegative gains on the
-support, and reports the first outcome with a positive optimum.
+H in [-1, 1]^d (H free, written as two nonnegative columns per asset by
+`free_columns.standard_form`, the box as rows) with nonnegative gains on
+the support, and reports the first outcome with a positive optimum.
 `market.check_na` now decides the verdict with one LP for a full-support
 martingale measure and reads the arbitrage off that LP's dual; this copy
 is the slow reference of the verdict in the differential test in
@@ -11,7 +12,9 @@ is the slow reference of the verdict in the differential test in
 
 from fractions import Fraction
 
-from robust_ftap.lp_core import GE, LE, Constraint, LinearProgram, solve_lp
+from free_columns import merged, standard_form
+from robust_ftap.errors import CertificateError
+from robust_ftap.lp_core import GE, LE, Constraint, solve_lp
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
@@ -25,9 +28,11 @@ def reference_check_na(m):
     for j in range(m.d):
         unit = [ONE if k == j else ZERO for k in range(m.d)]
         base += [Constraint(unit, GE, -1), Constraint(unit, LE, 1)]
+    H = range(m.d)
     for o in m.support:
-        sol = solve_lp(LinearProgram(m.delta_s(o), "max", base))
-        assert sol.status == "Optimal", sol.status
+        sol = solve_lp(standard_form(m.delta_s(o), "max", base, free=H))
+        if sol.status != "Optimal":
+            raise CertificateError(f"the boxed LP at {o} is {sol.status}")
         if sol.value > 0:
-            return False, (sol.primal, o)
+            return False, (merged(sol.primal, H), o)
     return True, None

@@ -395,8 +395,9 @@ class TestHsModulus:
 class TestGameLp:
     """With K Q-vertices on n outcomes and 2K <= n, the expectation game
     is a cutting-plane loop over one small master LP: t and the K weights,
-    t free and every weight bounded below by 0, with one row per cut and
-    the simplex row.  Otherwise it is one LP over the knapsack's dual.
+    all >= 0, with one row per cut and the simplex row; t >= 0 removes no
+    optimum, as every cut value w.(Q h) is >= 0.  Otherwise it is one LP
+    over the knapsack's dual.
     The one-LP game both replaced lives on in `hs_game_lp` as the
     reference, with its shape."""
 
@@ -431,7 +432,6 @@ class TestGameLp:
         assert lps
         for cuts, lp in enumerate(lps, start=1):
             assert lp.num_vars == K + 1
-            assert lp.lower == (None,) + (0,) * K
             assert len(lp.constraints) == cuts + 1
             assert lp.sense == ("max" if kind == "primal" else "min")
         assert value == lp_game(inst, inst.P.vertices[0], kind).value
@@ -445,15 +445,14 @@ class TestGameLp:
                           F(1, 4), F(1, 2))
         value, [lp] = self._game_lps(monkeypatch, inst, kind)
         assert lp.num_vars == 1 + 2 + 2
-        assert lp.lower == (0,) * 5
         assert len(lp.constraints) == 2 + 1
         assert value == lp_game(inst, P.vertices[0], kind).value
 
     @pytest.mark.parametrize("kind", ["primal", "dual"])
     def test_golden_pair_reference_game_shape(self, monkeypatch, kind):
-        # the reference is one LP, and every variable of it is free or
-        # bounded below by 0: the multipliers of the D-set's <= rows enter
-        # as nu = -mu >= 0
+        # the reference is one LP over nonnegative variables: the
+        # multiplier of a D-set <= row enters as nu = -mu >= 0, and that of
+        # an = row as two columns mu+ and mu-
         inst = self._golden_instance()
         games, lps = [], []
         minimax, solve = lp_core.minimax_value, lp_core.solve_lp
@@ -470,9 +469,9 @@ class TestGameLp:
         monkeypatch.setattr(lp_core, "solve_lp", capture_lp)
         lp_game(inst, inst.P.vertices[0], kind)
         [game], [lp] = games, lps
-        assert all(lo == 0 for lo in lp.lower)
         assert len(lp.constraints) == game.Y.dim + 1
-        # one column per D-set row and per Q-vertex
-        assert lp.num_vars == len(game.Y.constraints) + len(game.X.vertices)
+        # one column per D-set inequality row, two per = row, one per Q-vertex
+        columns = sum(2 if row.relation == "=" else 1 for row in game.Y.constraints)
+        assert lp.num_vars == columns + len(game.X.vertices)
         monkeypatch.undo()
         check_against_reference(game, minimax(game))

@@ -7,6 +7,7 @@ from itertools import combinations
 
 import pytest
 
+from free_columns import standard_form
 from robust_ftap import large_market
 from robust_ftap.errors import EnumerationCapExceeded
 from robust_ftap.halmos_savage import NO_QUALIFYING_SET
@@ -21,7 +22,7 @@ from robust_ftap.large_market import (
     scan_aa2,
     weak_contiguity_witness,
 )
-from robust_ftap.lp_core import GE, LE, Constraint, LinearProgram, solve_lp
+from robust_ftap.lp_core import GE, LE, Constraint, solve_lp
 from robust_ftap.market import Market
 from robust_ftap.measures import (
     AmbiguitySet,
@@ -211,8 +212,9 @@ def _random_market(rng):
 
 
 def _box_rows_feasible(m, event, alpha, floor):
-    """The strategy LP with H free and the box [-1, 1]^d as rows
-    H_j >= -1 and H_j <= 1 after the target rows."""
+    """The strategy LP with H free (two nonnegative columns per asset) and
+    the box [-1, 1]^d as rows H_j >= -1 and H_j <= 1 after the target
+    rows."""
     rows = [
         Constraint(m.delta_s(o), GE, alpha if o in event else -floor)
         for o in m.support
@@ -220,7 +222,8 @@ def _box_rows_feasible(m, event, alpha, floor):
     for j in range(m.d):
         unit = [int(k == j) for k in range(m.d)]
         rows += [Constraint(unit, GE, -1), Constraint(unit, LE, 1)]
-    return solve_lp(LinearProgram([0] * m.d, "max", rows)).status == "Optimal"
+    lp = standard_form([0] * m.d, "max", rows, free=range(m.d))
+    return solve_lp(lp).status == "Optimal"
 
 
 class TestFeasibleStrategy:

@@ -11,6 +11,7 @@ from fractions import Fraction
 
 import pytest
 
+from free_columns import standard_form
 from minimax_reference import check_against_reference
 from robust_ftap import lp_core
 from robust_ftap.errors import CertificateError, DimensionMismatch, EmptyPolytope
@@ -38,14 +39,25 @@ F = Fraction
 
 class TestSolveLp:
     def test_single_variable_bound(self):
-        lp = LinearProgram([1], "max", [Constraint([1], LE, 3)], lower=[0])
+        lp = LinearProgram([1], "max", [Constraint([1], LE, 3)])
         sol = solve_lp(lp)
         assert sol.status == "Optimal"
         assert sol.value == 3
 
+    def test_every_variable_is_nonnegative(self):
+        # min x with no row: x >= 0 bounds it, so the optimum is x = 0
+        lp = LinearProgram([1], "min", [])
+        sol = solve_lp(lp)
+        assert (sol.status, sol.value, sol.primal) == ("Optimal", 0, (0,))
+        check_optimal(lp, sol)
+        # there is no per-variable bound to pass
+        with pytest.raises(TypeError):
+            LinearProgram([1], "min", [], lower=[None])
+
     def test_infeasible(self):
-        lp = LinearProgram(
-            [1], "max", [Constraint([1], GE, 1), Constraint([1], LE, 0)]
+        # x free, as the columns x+ and x-
+        lp = standard_form(
+            [1], "max", [Constraint([1], GE, 1), Constraint([1], LE, 0)], free=[0]
         )
         sol = solve_lp(lp)
         assert sol.status == "Infeasible"
@@ -56,9 +68,7 @@ class TestSolveLp:
     def test_infeasible_through_upper_bound(self):
         # x >= 2 against the bound row x <= 1 of a variable bounded below:
         # the Farkas vector needs the multiplier of the bound row
-        lp = LinearProgram(
-            [1], "min", [Constraint([1], GE, 2), Constraint([1], LE, 1)], lower=[0]
-        )
+        lp = LinearProgram([1], "min", [Constraint([1], GE, 2), Constraint([1], LE, 1)])
         sol = solve_lp(lp)
         assert sol.status == "Infeasible"
         assert sol.dual[1] < 0
@@ -75,7 +85,6 @@ class TestSolveLp:
                 Constraint([1, 1], EQ, 1),
                 Constraint([1, F(-1, 2)], EQ, 0),
             ],
-            lower=[0, 0],
         )
         sol = solve_lp(lp)
         assert sol.status == "Optimal"
@@ -83,33 +92,32 @@ class TestSolveLp:
         assert sol.primal == (F(1, 3), F(2, 3))
 
     def test_unbounded(self):
-        lp = LinearProgram([1], "max", [Constraint([1], GE, 0)])
+        # max x over x >= 0, x free as the columns x+ and x-
+        lp = standard_form([1], "max", [Constraint([1], GE, 0)], free=[0])
         sol = solve_lp(lp)
         assert sol.status == "Unbounded"
         # the returned ray improves the objective and preserves feasibility
         ray = sol.primal
-        assert sum(c * r for c, r in zip([F(1)], ray)) > 0
+        assert sum(c * r for c, r in zip([F(1), F(-1)], ray)) > 0
         check_unbounded(lp, sol)
         with pytest.raises(CertificateError, match="improve"):
-            check_unbounded(lp, replace(sol, primal=(F(0),)))
+            check_unbounded(lp, replace(sol, primal=(F(0), F(0))))
         with pytest.raises(CertificateError, match=">= row"):
-            check_unbounded(lp, replace(sol, primal=(F(-1),)))
+            check_unbounded(lp, replace(sol, primal=(F(0), F(1))))
+        with pytest.raises(CertificateError, match="negative entry"):
+            check_unbounded(lp, replace(sol, primal=(F(0), F(-1))))
         # the feasible point is part of the certificate
-        assert sol.point == (F(0),)
+        assert sol.point == (F(0), F(0))
         with pytest.raises(CertificateError, match="primal infeasible"):
-            check_unbounded(lp, replace(sol, point=(F(-1),)))
+            check_unbounded(lp, replace(sol, point=(F(0), F(1))))
+        with pytest.raises(CertificateError, match="primal has a negative entry"):
+            check_unbounded(lp, replace(sol, point=(F(1), F(-1))))
         with pytest.raises(CertificateError, match="feasible point"):
             check_unbounded(lp, replace(sol, point=()))
 
     def test_dimension_mismatch(self):
         with pytest.raises(DimensionMismatch):
             LinearProgram([1, 2], "max", [Constraint([1], LE, 0)])
-
-    @pytest.mark.parametrize("bound", [-1, "1/3"])
-    def test_rejects_a_lower_bound_other_than_zero(self, bound):
-        # a variable is free or nonnegative; any other bound is a row
-        with pytest.raises(ValueError, match="variable 1 "):
-            LinearProgram([1, 1], "max", [Constraint([1, 1], LE, 3)], lower=[0, bound])
 
     def test_beale_cycling_instance(self):
         # classic degenerate instance on which naive pivoting cycles;
@@ -122,7 +130,6 @@ class TestSolveLp:
                 Constraint([F(1, 2), -90, F(-1, 50), 3], LE, 0),
                 Constraint([0, 0, 1, 0], LE, 1),
             ],
-            lower=[0, 0, 0, 0],
         )
         sol = solve_lp(lp)
         assert sol.status == "Optimal"
@@ -130,11 +137,13 @@ class TestSolveLp:
         check_optimal(lp, sol)
 
     def test_free_variables_and_equalities(self):
-        # min x subject to x + h >= 1, x - h/2 >= 0 (superhedging shape)
-        lp = LinearProgram(
+        # min x subject to x + h >= 1, x - h/2 >= 0 (superhedging shape),
+        # x and h free, each as two columns
+        lp = standard_form(
             [1, 0],
             "min",
             [Constraint([1, 1], GE, 1), Constraint([1, F(-1, 2)], GE, 0)],
+            free=[0, 1],
         )
         sol = solve_lp(lp)
         assert sol.status == "Optimal"
@@ -153,14 +162,15 @@ def _random_lp(rng):
         rel = rng.choice([LE, GE, EQ])
         rhs = F(rng.randint(-10, 10), rng.randint(1, 10))
         cons.append(Constraint(coeffs, rel, rhs))
-    lower, box = [], []
+    free, box = [], []
     for j in range(n):
-        kind = rng.randrange(3)
-        lower.append(F(0) if kind == 0 else None)
+        kind = rng.randrange(3)  # 0: x_j >= 0; 1: x_j free, boxed; 2: free
+        if kind:
+            free.append(j)
         if kind == 1:  # -1 <= x_j <= 1 on a free variable: two rows
             unit = [int(k == j) for k in range(n)]
             box += [Constraint(unit, GE, -1), Constraint(unit, LE, 1)]
-    return LinearProgram(obj, sense, cons + box, lower=lower)
+    return standard_form(obj, sense, cons + box, free)
 
 
 class TestStrongDuality:
@@ -200,7 +210,8 @@ class TestStrongDuality:
                 Constraint(u, rel, b) for u in units for rel, b in ((GE, -1), (LE, 1))
             ]
             cons = [Constraint(row, LE, rhs)] + box
-            lp = LinearProgram(c, "max", cons)  # free variables, boxed by rows
+            # free variables, each as two columns, boxed by rows
+            lp = standard_form(c, "max", cons, free=range(n))
             sol = solve_lp(lp)
             assert sol.status == "Optimal"  # 0 is feasible, box is compact
             check_optimal(lp, sol)
@@ -214,12 +225,24 @@ class TestStrongDuality:
 
 
 class TestCertificateChecks:
-    LP = LinearProgram([1], "max", [Constraint([1], LE, 3)], lower=[0])
+    LP = LinearProgram([1], "max", [Constraint([1], LE, 3)])
 
     def test_rejects_infeasible_primal(self):
         sol = solve_lp(self.LP)
         with pytest.raises(CertificateError, match="primal infeasible"):
             check_optimal(self.LP, replace(sol, primal=(F(4),), value=F(4)))
+
+    def test_rejects_a_wrong_reduced_cost_sign(self):
+        # max x_1 subject to x_1 <= 1, x_2 <= 1: x = 0 with y = 0 is feasible,
+        # has dual signs and y.b = c.x = 0, but c - y.A = (1, 0) has a
+        # positive entry, so x_1 can grow; only the reduced costs tell
+        lp = LinearProgram([1, 0], "max", [Constraint([1, 0], LE, 1), Constraint([0, 1], LE, 1)])
+        sol = solve_lp(lp)
+        assert sol.value == 1
+        check_optimal(lp, sol)
+        forged = replace(sol, primal=(F(0), F(0)), dual=(F(0), F(0)), value=F(0))
+        with pytest.raises(CertificateError, match="reduced cost sign"):
+            check_optimal(lp, forged)
 
     def test_rejects_wrong_status(self):
         sol = solve_lp(self.LP)
@@ -248,7 +271,7 @@ class TestCertificateChecks:
             from robust_ftap.errors import CertificateError
             from robust_ftap.lp_core import (
                 Constraint, LE, LinearProgram, check_optimal, solve_lp)
-            lp = LinearProgram([1], "max", [Constraint([1], LE, 3)], lower=[0])
+            lp = LinearProgram([1], "max", [Constraint([1], LE, 3)])
             forged = replace(solve_lp(lp), primal=(4,), value=4)
             try:
                 check_optimal(lp, forged)

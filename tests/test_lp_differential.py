@@ -4,11 +4,13 @@ certificate checks against the Fraction checks they replaced.
 
 Both engines build the same columns, artificials and row flips and follow
 Bland's rule, so they make the same pivots: every field of their solutions
-(status, primal, dual, value, reduced costs, the Farkas vector of an
-Infeasible LP and the feasible point and ray of an Unbounded one) must be
-exactly equal, and each must pass the check for its status.  A solution with one field forged by a small rational must be
-accepted or rejected alike by the integer check on the scaled rows and by
-the reference check on the rows as given.
+(status, primal, dual, value, the Farkas vector of an Infeasible LP and
+the feasible point and ray of an Unbounded one) must be exactly equal,
+and each must pass the check for its status.  A solution with one field
+forged by a small rational must be accepted or rejected alike by the
+integer check on the scaled rows and by the reference check on the rows
+as given.  A free variable is two nonnegative columns
+(`free_columns.standard_form`).
 """
 
 from dataclasses import replace
@@ -20,6 +22,7 @@ from hypothesis import strategies as st
 
 import fraction_simplex
 from fraction_simplex import reference_solve_lp
+from free_columns import standard_form
 from robust_ftap.errors import CertificateError
 from robust_ftap.lp_core import (
     EQ,
@@ -50,9 +53,9 @@ REFERENCE_CHECKS = {
 rationals = st.builds(F, st.integers(-6, 6), st.integers(1, 4))
 
 # (lower, upper) per variable: free, nonnegative, boxed, upper bound only,
-# and a general interval.  A variable is free or nonnegative, so a lower
-# bound other than 0 is a >= row on a free variable and an upper bound a
-# <= row, after the drawn rows
+# and a general interval.  A variable with lower bound 0 is one column, any
+# other is free and two columns; a lower bound other than 0 is a >= row on
+# it and an upper bound a <= row, after the drawn rows
 bounds = st.one_of(
     st.just((None, None)),
     st.just((F(0), None)),
@@ -83,20 +86,18 @@ def linear_programs(draw):
             rows.append(Constraint(unit, GE, lo))
         if up is not None:
             rows.append(Constraint(unit, LE, up))
-    return LinearProgram(
+    return standard_form(
         draw(st.lists(rationals, min_size=n, max_size=n)),
         draw(st.sampled_from(["max", "min"])),
         rows,
-        lower=[F(0) if lo == 0 else None for lo, _ in box],
+        free=[j for j, (lo, _) in enumerate(box) if lo != 0],
     )
 
 
 def _assert_same(lp):
     sol = solve_lp(lp)
     ref = reference_solve_lp(lp)
-    for field in (
-        "status", "primal", "dual", "value", "reduced_costs", "point"
-    ):
+    for field in ("status", "primal", "dual", "value", "point"):
         assert getattr(sol, field) == getattr(ref, field), field
     CHECKS[sol.status](lp, sol)
     return sol
@@ -110,7 +111,7 @@ def test_matches_fraction_simplex(lp):
 
 # the fields that make up the certificate of each status
 FORGEABLE = {
-    "Optimal": ("value", "primal", "dual", "reduced_costs"),
+    "Optimal": ("value", "primal", "dual"),
     "Infeasible": ("dual",),
     "Unbounded": ("primal", "point"),
 }
@@ -148,7 +149,7 @@ def test_checks_agree_on_forged_solutions(lp, data):
             forged,
             **{
                 f: tuple(map(_plain, getattr(forged, f)))
-                for f in ("primal", "dual", "reduced_costs", "point")
+                for f in ("primal", "dual", "point")
             },
             value=None if forged.value is None else _plain(forged.value),
         )
@@ -166,7 +167,6 @@ BEALE = LinearProgram(
         Constraint([F(1, 2), -90, F(-1, 50), 3], LE, 0),
         Constraint([0, 0, 1, 0], LE, 1),
     ],
-    lower=[0, 0, 0, 0],
 )
 
 
@@ -174,12 +174,12 @@ BEALE = LinearProgram(
     "lp,status",
     [
         (BEALE, "Optimal"),
-        (LinearProgram([1], "max", [Constraint([1], GE, 1), Constraint([1], LE, 0)]),
-         "Infeasible"),
-        (LinearProgram([1], "min", [Constraint([1], GE, 2), Constraint([1], LE, 1)]),
-         "Infeasible"),
-        (LinearProgram([1], "max", [Constraint([1], GE, 0)]), "Unbounded"),
-        (LinearProgram([0, 1], "max", [Constraint([1, -1], EQ, 0)], lower=[0, None]),
+        (standard_form([1], "max", [Constraint([1], GE, 1), Constraint([1], LE, 0)],
+                       free=[0]), "Infeasible"),
+        (standard_form([1], "min", [Constraint([1], GE, 2), Constraint([1], LE, 1)],
+                       free=[0]), "Infeasible"),
+        (standard_form([1], "max", [Constraint([1], GE, 0)], free=[0]), "Unbounded"),
+        (standard_form([0, 1], "max", [Constraint([1, -1], EQ, 0)], free=[1]),
          "Unbounded"),
     ],
 )

@@ -146,7 +146,7 @@ def test_matches_row_per_outcome_lps(drawn, data):
             assert q is None
             continue
         assert min(q.mass_of(o) for o in charged) == want.value
-        want_q = m.measure(want.primal[:-1])
+        want_q = m.measure(want.primal[:len(m.support)])
         assert set(charged) <= q.support & want_q.support
         assert q.support <= set(m.support)
         m.martingale_claims(q, "q")
@@ -244,7 +244,8 @@ def test_market_lps_are_the_martingale_system(monkeypatch):
     """check_ftap and superhedge on market_two_assets.json, which holds NA,
     solve two LPs: check_na's and the superhedge's; then the two P-vertices
     of find_dominating_martingale.  Each LP has exactly the d+1 martingale
-    rows, all equalities; the simplex pivots of each are pinned."""
+    rows, all equalities, over the support's masses (and t for a charging
+    LP); the simplex pivots of each are pinned."""
     m = load_market(_golden("market_two_assets.json"))
     f = load_payoff(_golden("payoff_two_assets.json"), m.space)
     solved, pivots = [], [0]
@@ -271,5 +272,6 @@ def test_market_lps_are_the_martingale_system(monkeypatch):
     for lp, _ in solved:
         assert [row.relation for row in lp.constraints] == ["="] * (m.d + 1)
         assert [row.rhs for row in lp.constraints] == [1] + [0] * m.d
-        assert all(lo == 0 for lo in lp.lower)
+    size = len(m.support)
+    assert [lp.num_vars for lp, _ in solved] == [size + 1, size] + [size + 1] * len(m.P.vertices)
     assert [n for _, n in solved] == [4, 4, 4, 4]

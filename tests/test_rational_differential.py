@@ -368,12 +368,8 @@ def test_constraint_and_lp_store_fractions():
     row = Constraint([1, True, "1/2"], EQ, False)
     assert _all_fractions(row.coeffs + (row.rhs,))
     assert row.coeffs == (1, 1, F(1, 2)) and row.rhs == 0
-    lp = LinearProgram([1, "2", True], "max", [row], lower=[0, None, False])
+    lp = LinearProgram([1, "2", True], "max", [row])
     assert _all_fractions(lp.objective)
-    assert _all_fractions(b for b in lp.lower if b is not None)
-    # a lower bound is None or 0: any other raises, naming the variable
-    with pytest.raises(ValueError, match="variable 2 "):
-        LinearProgram([1, "2", True], "max", [row], lower=[0, None, "1/3"])
 
 
 def test_measure_and_market_store_fractions():
