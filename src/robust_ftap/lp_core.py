@@ -21,6 +21,16 @@ by the caller as two columns x+ and x-, and any other bound is a row or a
 substitution, so every multiplier is a row's and an optimum is certified
 by its primal point and row duals alone.
 
+Phase 1 reads only the rows: its costs are on the artificial columns, so
+its final tableau is the same whatever the objective.  `phase_one` hands
+that tableau out as an `LpStart`, and `solve_lp(lp, start)` runs phase 2
+alone from it, with the pivots and the solution of `solve_lp(lp)`; a
+caller that solves many objectives over the same rows (a market's
+superhedges) pays for phase 1 once.  A start built for other rows, or
+whose basic point is not feasible, is refused, never replaced by a fresh
+phase 1, and every solution is checked as before, so a start cannot make
+an answer wrong.
+
 Beside the solver, `enumerate_basic_feasible` lists the vertices of
 {q >= 0 : A q = b} on the same integer pivots: a depth-first walk over
 the column subsets, each prefix of a basis pivoted once and shared by
@@ -199,14 +209,23 @@ class _Tableau:
     After the m constraint rows comes the reduced-cost row
     ``[red, -value, z]``, whose last entry z > 0 is its factor (the column
     of the objective variable).  The ratio of two entries of one row never
-    needs the factor.
+    needs the factor.  A tableau resumed from an `LpStart` takes the
+    start's rows and `basis`; `flip` is the sign each input row was
+    multiplied by to make its rhs nonnegative, which the duals undo.
     """
 
-    def __init__(self, rows: list[list[int]], ncols: int):
+    def __init__(
+        self,
+        rows: list[list[int]],
+        ncols: int,
+        basis: Optional[Sequence[int]] = None,
+        flip: tuple[int, ...] = (),
+    ):
         self.m = len(rows)
         self.total = ncols + self.m
-        self.basis = [ncols + i for i in range(self.m)]
+        self.basis = list(basis) if basis is not None else [ncols + i for i in range(self.m)]
         self.rows = rows + [[0] * (self.total + 2)]  # reduced costs: see price()
+        self.flip = flip
 
     def pivot(self, r: int, j: int) -> None:
         """Column j enters the basis in row r."""
@@ -254,16 +273,41 @@ class _Tableau:
             self.pivot(leave, enter)
 
 
-def solve_lp(lp: LinearProgram) -> LpSolution:
-    """Exact two-phase simplex with Bland's rule and dual extraction.
+@dataclass(frozen=True)
+class LpStart:
+    """A feasible basis of an LP's rows: the tableau that phase 1 leaves.
 
-    Every result is checked before it is returned: `check_optimal`,
-    `check_infeasible` or `check_unbounded` raises CertificateError if the
-    solution does not prove its status.
+    Phase 1 reads only the rows (its costs are on the artificials), so its
+    final tableau is the same whatever the objective, and one start serves
+    every LP over the same rows: `solve_lp(lp, start)` runs phase 2 alone.
+    `rows` are the scaled rows it was built for (`LinearProgram._rows`),
+    `tableau` the m integer constraint rows and `basis` their basic columns
+    after the artificials were driven out, and `flip` the sign each row
+    was multiplied by to make its rhs nonnegative.  A solve pivots a
+    shallow copy of `tableau`: `_pivot` rebinds the rows it changes and
+    never writes into one, so the start is left as it was.
     """
+
+    rows: tuple
+    tableau: tuple[list[int], ...]
+    basis: tuple[int, ...]
+    flip: tuple[int, ...]
+
+
+def phase_one(lp: LinearProgram) -> LpStart | LpSolution:
+    """Phase 1 of the simplex on the LP's rows alone: a feasible start
+    (`LpStart`), or the checked Infeasible solution with its Farkas
+    multipliers.  The objective is not read."""
+    tab = _phase_one(lp)
+    if isinstance(tab, LpSolution):
+        return tab
+    return LpStart(lp._rows, tuple(tab.rows[: tab.m]), tuple(tab.basis), tab.flip)
+
+
+def _phase_one(lp: LinearProgram) -> _Tableau | LpSolution:
+    """`phase_one`, leaving the feasible tableau as it is, with its row
+    flips as `flip`."""
     n = lp.num_vars
-    sign = 1 if lp.sense == "min" else -1  # the solver minimizes sign * c.x
-    cost, cscale = lp._cost
     rows = lp._rows
     m = len(rows)
 
@@ -287,10 +331,8 @@ def solve_lp(lp: LinearProgram) -> LpSolution:
             + [abs(b), 0]
         )
 
-    tab = _Tableau(tab_rows, ncols)
+    tab = _Tableau(tab_rows, ncols, flip=tuple(flip))
     total = tab.total
-
-    # phase 1
     tab.price([0] * ncols + [1] * m)
     if tab.run([True] * total) is not None:
         raise CertificateError("phase 1 reported an unbounded sum of artificials")
@@ -312,6 +354,60 @@ def solve_lp(lp: LinearProgram) -> LpSolution:
                 if tab.rows[r][j]:
                     tab.pivot(r, j)
                     break
+    return tab
+
+
+def _resume(lp: LinearProgram, start: LpStart) -> _Tableau:
+    """A copy of the start's tableau, once the start is checked: it was
+    built for the LP's rows, and its basic point is feasible (every basic
+    entry positive, every rhs nonnegative, no artificial at a positive
+    level, and the point's variables satisfy every row of the LP, in
+    integers over one denominator).  Raises CertificateError otherwise."""
+    rows, n = lp._rows, lp.num_vars
+    _require(start.rows == rows, "the start was built for other rows")
+    m = len(rows)
+    ncols = n + sum(1 for _, rel, _, _ in rows if rel != EQ)
+    total = ncols + m
+    _require(
+        len(start.tableau) == len(start.basis) == len(start.flip) == m
+        and all(len(row) == total + 2 for row in start.tableau)
+        and all(0 <= bv < total for bv in start.basis),
+        "the start has the wrong shape",
+    )
+    # x_bv = rhs / entry over D, the lcm of the entries of the nonzero x's
+    D, level = 1, list(zip(start.tableau, start.basis))
+    for row, bv in level:
+        p, v = row[bv], row[total]
+        _require(p > 0 and v >= 0 and (bv < ncols or not v), "the start is not primal feasible")
+        if bv < n and v:
+            D = lcm(D, p)
+    X = [0] * n
+    for row, bv in level:
+        if bv < n:
+            X[bv] = row[total] * (D // row[bv])
+    _require_feasible(lp, X, D)
+    return _Tableau(list(start.tableau), ncols, start.basis, start.flip)
+
+
+def solve_lp(lp: LinearProgram, start: Optional[LpStart] = None) -> LpSolution:
+    """Exact two-phase simplex with Bland's rule and dual extraction.
+
+    Without `start`, phase 1 (`phase_one`) runs first, and an infeasible
+    LP returns there.  With it, a start that `phase_one` built on the same
+    rows, only phase 2 runs, and every pivot and the solution are those of
+    the solve without it; a start built for other rows, or one whose
+    basic point is not feasible, raises CertificateError.  Every result
+    is checked before it is returned: `check_optimal`, `check_infeasible`
+    or `check_unbounded` raises CertificateError if the solution does not
+    prove its status.
+    """
+    tab = _phase_one(lp) if start is None else _resume(lp, start)
+    if isinstance(tab, LpSolution):
+        return tab
+    n, m, total, flip = lp.num_vars, tab.m, tab.total, tab.flip
+    ncols = total - m
+    sign = 1 if lp.sense == "min" else -1  # the solver minimizes sign * c.x
+    cost, cscale = lp._cost
 
     # phase 2: artificial columns stay in the tableau (they carry the dual
     # multipliers) but may not enter
@@ -367,13 +463,11 @@ def _idot(u: Sequence[int], v: Sequence[int]) -> int:
     return sum(a * b for a, b in zip(u, v) if a)
 
 
-def _require_feasible(lp: LinearProgram, x: Sequence) -> tuple[list[int], int]:
-    """x = X / D satisfies every row of the LP and x >= 0; returns X and D."""
-    X, D = scaled(x)
+def _require_feasible(lp: LinearProgram, X: Sequence[int], D: int) -> None:
+    """x = X / D, with D > 0, satisfies every row of the LP and x >= 0."""
     for a, rel, b, _ in lp._rows:
         _require(RELATIONS[rel](_idot(a, X), b * D), f"primal infeasible ({rel} row)")
     _require(all(xj >= 0 for xj in X), "primal has a negative entry")
-    return X, D
 
 
 def _multipliers(lp: LinearProgram, y: Sequence) -> tuple[list[int], int]:
@@ -413,7 +507,8 @@ def check_optimal(lp: LinearProgram, sol: LpSolution) -> None:
         and sol.value is not None,
         "solution vectors have the wrong length",
     )
-    X, D = _require_feasible(lp, sol.primal)
+    X, D = scaled(sol.primal)
+    _require_feasible(lp, X, D)
 
     maximize = lp.sense == "max"
     # for max, y >= 0 on <= rows, y <= 0 on >= rows
@@ -471,7 +566,7 @@ def check_unbounded(lp: LinearProgram, sol: LpSolution) -> None:
     n = lp.num_vars
     _require(len(sol.primal) == n, "ray has the wrong length")
     _require(len(sol.point) == n, "feasible point has the wrong length")
-    _require_feasible(lp, sol.point)
+    _require_feasible(lp, *scaled(sol.point))
     d, _ = scaled(sol.primal)
     for a, rel, _, _ in lp._rows:
         _require(RELATIONS[rel](_idot(a, d), 0), f"ray leaves a {rel} row")

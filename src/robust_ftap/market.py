@@ -8,6 +8,14 @@ with machine-checkable witnesses: a martingale measure charging the whole
 quasi-sure support, or an explicit arbitrage strategy read off the dual
 of the same LP; the vertex list of the martingale-measure polytope; or a
 superhedge read off the dual of max E_q[f], with the maximizing q.
+
+A `Market` keeps the answers that depend on it alone, each computed
+lazily, when it is first asked for, and then kept on the object: the
+no-arbitrage decision, the vertex list of the martingale polytope, the
+answer of `check_ftap`, and a feasible start of its martingale LP (phase 1
+reads only the rows, so every superhedge LP on the market runs phase 2
+from it).  Nothing is kept outside the market, and equal markets share
+none of these answers.
 """
 
 from __future__ import annotations
@@ -30,8 +38,10 @@ from .lp_core import (
     Constraint,
     LinearProgram,
     LpSolution,
+    LpStart,
     enumerate_basic_feasible,
     matrix_rank,
+    phase_one,
     solve_lp,
 )
 from .measures import (
@@ -55,8 +65,12 @@ class Market:
     The quasi-sure support, in sample-space order, and the price increment
     at every outcome are computed once, at construction, the increments
     also as integer rows over one common denominator, which the gains and
-    the expected increments sum; the no-arbitrage decision once, when it
-    is first asked for (`check_na`).
+    the expected increments sum.  Four answers are computed once each,
+    when first asked for, as `cached_property`s left out of equality and
+    hashing: the no-arbitrage decision (`check_na`), the martingale
+    polytope's vertices (`martingale_polytope`), the FTAP sides
+    (`check_ftap`) and the phase-1 start of the martingale rows
+    (`superhedge`).
     """
 
     space: SampleSpace
@@ -129,6 +143,20 @@ class Market:
         self,
     ) -> tuple[Optional[ProbabilityMeasure], Optional[ArbitrageWitness]]:
         return _decide_na(self)
+
+    @cached_property
+    def _martingale_vertices(self) -> tuple[ProbabilityMeasure, ...]:
+        return _enumerate_martingale_vertices(self)
+
+    @cached_property
+    def _ftap(
+        self,
+    ) -> tuple[bool, tuple[tuple[ProbabilityMeasure, Optional[ProbabilityMeasure]], ...]]:
+        return _decide_ftap(self)
+
+    @cached_property
+    def _martingale_start(self) -> LpStart:
+        return _build_martingale_start(self)
 
     def martingale_claims(
         self, q: ProbabilityMeasure, name: str
@@ -248,15 +276,22 @@ def martingale_polytope(
 
     The feasible bases of the d+1 rows are walked depth first
     (`enumerate_basic_feasible`), each shared prefix pivoted once; adequate
-    and exact at desk scale.  A support larger than `max_enum` is refused
-    with the number of bases C(n, rank) the enumeration covers.
+    and exact at desk scale.  The list is enumerated once per market and
+    kept on it.  A support larger than `max_enum` is refused, on every
+    call and before the kept list is read, with the number of bases
+    C(n, rank) the enumeration covers.
     """
     n = len(m.support)
-    rows = [row.coeffs for row in _martingale_rows(m)]
     if n > max_enum:
+        rows = [row.coeffs for row in _martingale_rows(m)]
         raise EnumerationCapExceeded(n, max_enum, bases=comb(n, matrix_rank(rows)))
+    return MartingalePolytope(market=m, vertices=m._martingale_vertices)
+
+
+def _enumerate_martingale_vertices(m: Market) -> tuple[ProbabilityMeasure, ...]:
+    rows = [row.coeffs for row in _martingale_rows(m)]
     verts = enumerate_basic_feasible(rows, [ONE] + [ZERO] * m.d)
-    return MartingalePolytope(market=m, vertices=tuple(m.measure(q) for q in verts))
+    return tuple(m.measure(q) for q in verts)
 
 
 def _martingale_rows(m: Market, *extra: Sequence[Fraction]) -> list[Constraint]:
@@ -286,6 +321,16 @@ def _max_charge(
         return sol, None
     *s, t = sol.primal
     return sol, m.measure(v + t if o in charged else v for o, v in zip(m.support, s))
+
+
+def _build_martingale_start(m: Market) -> LpStart:
+    """Phase 1 of the martingale rows, which superhedge's LPs share.  Called
+    under no-arbitrage, when some martingale measure exists, so the rows
+    are feasible; CertificateError otherwise."""
+    start = phase_one(LinearProgram([ZERO] * len(m.support), "max", _martingale_rows(m)))
+    if not isinstance(start, LpStart):
+        raise CertificateError("the martingale rows are infeasible")
+    return start
 
 
 def _charge_column(m: Market, charged: Collection[str]) -> list[Fraction]:
@@ -348,14 +393,30 @@ def check_ftap(
     `check_na` dominates every P-vertex: q > 0 on the quasi-sure support,
     and the support of every vertex lies inside it (Bouchard-Nutz).  So q
     is returned for every vertex and no further LP is solved.  When NA
-    fails, `find_dominating_martingale` searches each vertex, and the sides
-    must agree: some vertex has no dominating martingale measure, else
-    CertificateError is raised.
+    fails, a vertex whose support is the whole quasi-sure support gets
+    None without an LP: its charging LP is `check_na`'s, which failed, and
+    the checked arbitrage witness proves that no martingale measure charges
+    every support outcome.  `find_dominating_martingale` searches each
+    other vertex, and the sides must agree: some vertex has no dominating
+    martingale measure, else CertificateError is raised.  The answer is
+    worked out once per market and kept on it; each call returns a fresh
+    list.
     """
+    na, per_vertex = m._ftap
+    return na, list(per_vertex)
+
+
+def _decide_ftap(
+    m: Market,
+) -> tuple[bool, tuple[tuple[ProbabilityMeasure, Optional[ProbabilityMeasure]], ...]]:
     q = full_support_martingale(m)
     if q is not None:
-        return True, [(vp, q) for vp in m.P.vertices]
-    per_vertex = [(vp, find_dominating_martingale(m, vp)) for vp in m.P.vertices]
+        return True, tuple((vp, q) for vp in m.P.vertices)
+    full = frozenset(m.support)
+    per_vertex = tuple(
+        (vp, None if vp.support == full else find_dominating_martingale(m, vp))
+        for vp in m.P.vertices
+    )
     if all(q is not None for _, q in per_vertex):
         raise CertificateError("FTAP equivalence failed on this market")
     return False, per_vertex
@@ -370,7 +431,9 @@ def superhedge(m: Market, f: BoundedFunction) -> HedgeCertificate:
     every support outcome.  Under every martingale measure Q a hedge
     dominating f costs at least E_Q[f] (weak duality), so the hedge and q
     meeting at the price prove that it is least and that q attains
-    sup E_Q[f]; no vertex enumeration is needed.
+    sup E_Q[f]; no vertex enumeration is needed.  Phase 1 reads only the
+    rows, which every payoff shares, so it runs once per market
+    (`_build_martingale_start`) and each superhedge LP runs phase 2 alone.
     """
     na_holds, _ = check_na(m)
     if not na_holds:
@@ -379,7 +442,7 @@ def superhedge(m: Market, f: BoundedFunction) -> HedgeCertificate:
         raise DimensionMismatch("payoff on a different space")
     support = m.support
     values = [f.value_at(o) for o in support]
-    sol = solve_lp(LinearProgram(values, "max", _martingale_rows(m)))
+    sol = solve_lp(LinearProgram(values, "max", _martingale_rows(m)), m._martingale_start)
     if sol.status != "Optimal":
         raise CertificateError("superhedging LP must be solvable under NA")
     price = sol.value

@@ -43,6 +43,8 @@ CASES = {
     "martingale-polytope": ["martingale-polytope", "--input", _in("market_na.json")],
     "martingale-polytope-two-assets":
         ["martingale-polytope", "--input", _in("market_two_assets.json")],
+    # the support {u, d} with increments (1, 0): q_u = 0 is forced
+    "martingale-polytope-arb": ["martingale-polytope", "--input", _in("market_arb.json")],
     "ftap-holds": ["ftap", "--input", _in("market_two_assets.json")],
     "ftap-fails": ["ftap", "--input", _in("market_arb.json")],
     "superhedge": ["superhedge", "--input", _in("market_na.json"),

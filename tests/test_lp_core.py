@@ -1,6 +1,8 @@
 """Exact simplex core: strong duality, degeneracy, vertex enumeration,
 and the bilinear minimax exchange."""
 
+import copy
+import json
 import os
 import random
 import subprocess
@@ -13,7 +15,8 @@ import pytest
 
 from free_columns import standard_form
 from minimax_reference import check_against_reference
-from robust_ftap import lp_core
+from robust_ftap import lp_core, market
+from robust_ftap.cli import load_market
 from robust_ftap.errors import CertificateError, DimensionMismatch, EmptyPolytope
 from robust_ftap.lp_core import (
     Constraint,
@@ -22,6 +25,8 @@ from robust_ftap.lp_core import (
     HPolytope,
     LE,
     LinearProgram,
+    LpSolution,
+    LpStart,
     MinimaxInstance,
     VertexPolytope,
     check_infeasible,
@@ -30,9 +35,12 @@ from robust_ftap.lp_core import (
     enumerate_basic_feasible,
     matrix_rank,
     minimax_value,
+    phase_one,
     solve_lp,
     solve_square,
 )
+from robust_ftap.measures import BoundedFunction
+from test_market import _random_market
 
 F = Fraction
 
@@ -244,11 +252,79 @@ class TestCertificateChecks:
         with pytest.raises(CertificateError, match="reduced cost sign"):
             check_optimal(lp, forged)
 
+    # min x s.t. x <= 3, x >= 1: the optimum is x = 1, with duals (0, 1)
+    BAND = LinearProgram([1], "min", [Constraint([1], LE, 3), Constraint([1], GE, 1)])
+
+    def test_rejects_a_false_optimum_by_the_dual_sign_alone(self):
+        # x = 2 with duals (1/2, 1/2): feasible, c - y.A = 0, y.b = 2 = c.x;
+        # only the sign of the <= row's dual (<= 0 for min) is wrong
+        sol = solve_lp(self.BAND)
+        assert (sol.primal, sol.dual, sol.value) == ((1,), (0, 1), 1)
+        forged = replace(sol, primal=(F(2),), dual=(F(1, 2), F(1, 2)), value=F(2))
+        with pytest.raises(CertificateError, match=r"^dual sign \(<= row\)$"):
+            check_optimal(self.BAND, forged)
+
+    def test_rejects_a_false_optimum_by_the_duality_gap_alone(self):
+        # x = 2 with duals (0, 1): feasible, dual signs right, c - y.A = 0,
+        # c.x = 2 is the stored value; only y.b = 1 differs from it
+        forged = LpSolution("Optimal", primal=(F(2),), dual=(F(0), F(1)), value=F(2))
+        with pytest.raises(CertificateError, match="^strong duality gap$"):
+            check_optimal(self.BAND, forged)
+
+    def test_rejects_a_false_optimum_by_its_stored_value_alone(self):
+        # x = 2 with duals (0, 1) and the value 1 that the duals prove:
+        # only c.x = 2 differs from the stored value
+        forged = LpSolution("Optimal", primal=(F(2),), dual=(F(0), F(1)), value=F(1))
+        with pytest.raises(CertificateError, match="^stored value differs from primal objective$"):
+            check_optimal(self.BAND, forged)
+
+    # each forgery appends a zero, which every other check would read
+    # through zip and accept; only the length check rejects it
+    @pytest.mark.parametrize("field", ["primal", "dual"])
+    def test_rejects_an_optimum_of_the_wrong_length(self, field):
+        sol = solve_lp(self.BAND)
+        forged = replace(sol, **{field: getattr(sol, field) + (F(0),)})
+        with pytest.raises(CertificateError, match="^solution vectors have the wrong length$"):
+            check_optimal(self.BAND, forged)
+
+    def test_rejects_a_farkas_vector_by_its_sign_alone(self):
+        # x <= -1 and x <= 5 over x >= 0: y = (-1, 1/2) combines them into
+        # -x/2 <= -7/2, a contradiction, but a <= row's multiplier must be
+        # <= 0, or the combination's inequality points the wrong way
+        lp = LinearProgram([0], "min", [Constraint([1], LE, -1), Constraint([1], LE, 5)])
+        sol = solve_lp(lp)
+        assert sol.status == "Infeasible"
+        forged = replace(sol, dual=(F(-1), F(1, 2)))
+        with pytest.raises(CertificateError, match=r"^Farkas sign \(<= row\)$"):
+            check_infeasible(lp, forged)
+
+    def test_rejects_a_farkas_vector_of_the_wrong_length(self):
+        lp = LinearProgram([1], "min", [Constraint([1], GE, 2), Constraint([1], LE, 1)])
+        sol = solve_lp(lp)
+        assert sol.status == "Infeasible"
+        with pytest.raises(CertificateError, match="^Farkas vector has the wrong length$"):
+            check_infeasible(lp, replace(sol, dual=sol.dual + (F(0),)))
+
+    @pytest.mark.parametrize(
+        "field, what", [("primal", "ray"), ("point", "feasible point")]
+    )
+    def test_rejects_an_unbounded_vector_of_the_wrong_length(self, field, what):
+        lp = LinearProgram([1], "max", [Constraint([1], GE, 0)])
+        sol = solve_lp(lp)
+        assert sol.status == "Unbounded"
+        forged = replace(sol, **{field: getattr(sol, field) + (F(0),)})
+        with pytest.raises(CertificateError, match=f"^{what} has the wrong length$"):
+            check_unbounded(lp, forged)
+
     def test_rejects_wrong_status(self):
         sol = solve_lp(self.LP)
         for check in (check_infeasible, check_unbounded):
             with pytest.raises(CertificateError, match="status"):
                 check(self.LP, sol)
+        # an optimum relabelled: every other check of check_optimal holds
+        for status in ("Infeasible", "Unbounded"):
+            with pytest.raises(CertificateError, match=f"^status '{status}' is not Optimal$"):
+                check_optimal(self.LP, replace(sol, status=status))
 
     def test_rejects_forged_farkas_vectors(self):
         rng = random.Random(77)
@@ -294,7 +370,8 @@ class TestCertificateChecks:
             P = AmbiguitySet(space, [ProbabilityMeasure(space, ["1/2", "1/2"])])
             m = market.Market(space, [1], [[2], [0]], P)
             solve = market.solve_lp
-            market.solve_lp = lambda lp: replace(solve(lp), status="Unbounded")
+            market.solve_lp = lambda lp, start=None: replace(
+                solve(lp, start), status="Unbounded")
             try:
                 market.check_na(m)
             except CertificateError as exc:
@@ -304,8 +381,8 @@ class TestCertificateChecks:
             # an arbitrage market: the full-support LP reaches t* = 0, and
             # its dual, which names H, is forged
             arb = market.Market(space, [1], [[2], [1]], P)
-            def forged(lp):
-                sol = solve(lp)
+            def forged(lp, start=None):
+                sol = solve(lp, start)
                 return replace(sol, dual=tuple(-y for y in sol.dual))
             market.solve_lp = forged
             try:
@@ -314,7 +391,9 @@ class TestCertificateChecks:
                 print("arbitrage rejected:", exc)
             else:
                 print("arbitrage accepted")
-            # an NA market: superhedge reads H off its LP's dual, forged
+            # an NA market: superhedge reads H off its LP's dual, forged;
+            # the LP is solved from the market's start, which phase 1
+            # built with the real solver
             na = market.Market(space, [1], [[2], [0]], P)
             market.solve_lp = solve
             market.check_na(na)
@@ -345,6 +424,144 @@ class TestCertificateChecks:
             "arbitrage rejected: gain of H at u: -1 >= 0 is false",
             "superhedge rejected: hedge dominates payoff at u: 0 >= 1 is false",
         ]
+
+
+GOLDEN = os.path.join(os.path.dirname(os.path.abspath(__file__)), "golden", "inputs")
+
+
+def _golden_markets():
+    out = []
+    for name in ("market_na.json", "market_arb.json", "market_two_assets.json"):
+        with open(os.path.join(GOLDEN, name), encoding="utf-8") as fh:
+            out.append(load_market(json.load(fh)))
+    return out
+
+
+def _market_lps(monkeypatch, markets, rng):
+    """Every LP that check_ftap and (under NA) three superhedges solve on
+    the markets, each with the start it was solved from (or None)."""
+    seen = []
+    solve = market.solve_lp
+
+    def recording(lp, start=None):
+        seen.append((lp, start))
+        return solve(lp, start)
+
+    monkeypatch.setattr(market, "solve_lp", recording)
+    for m in markets:
+        na, _ = market.check_ftap(m)
+        for _ in range(3 if na else 0):
+            values = [F(rng.randint(-5, 5), rng.randint(1, 5)) for _ in range(m.space.size)]
+            market.superhedge(m, BoundedFunction(m.space, values))
+    return seen
+
+
+class TestLpStart:
+    def test_start_solves_like_phase_one_on_random_lps(self):
+        rng = random.Random(2611)
+        statuses = {"Optimal": 0, "Infeasible": 0, "Unbounded": 0}
+        for _ in range(300):
+            lp = _random_lp(rng)
+            sol, start = solve_lp(lp), phase_one(lp)
+            statuses[sol.status] += 1
+            if sol.status == "Infeasible":
+                assert isinstance(start, LpSolution) and start == sol
+                continue
+            assert isinstance(start, LpStart) and solve_lp(lp, start) == sol
+            # the start serves any objective over the same rows
+            other = LinearProgram(
+                [F(rng.randint(-5, 5), rng.randint(1, 5)) for _ in range(lp.num_vars)],
+                rng.choice(["max", "min"]),
+                lp.constraints,
+            )
+            assert solve_lp(other, start) == solve_lp(other)
+        assert all(statuses.values()), statuses
+
+    def test_start_solves_like_phase_one_on_market_lps(self, monkeypatch):
+        rng = random.Random(2612)
+        markets = _golden_markets() + [_random_market(rng) for _ in range(60)]
+        seen = _market_lps(monkeypatch, markets, rng)
+        monkeypatch.undo()
+        kept = sum(start is not None for _, start in seen)
+        assert kept >= 30 and len(seen) - kept >= 30
+        for lp, start in seen:
+            want = solve_lp(lp)
+            if start is not None:  # the market's start, for a superhedge
+                assert solve_lp(lp, start) == want
+            own = phase_one(lp)
+            if isinstance(own, LpStart):
+                assert solve_lp(lp, own) == want
+            else:
+                assert own == want
+
+    def test_start_for_other_rows_raises(self):
+        lp = LinearProgram([1, 1], "max", [Constraint([1, 1], LE, 3)])
+        start = phase_one(lp)
+        for other in (
+            LinearProgram([1, 1], "max", [Constraint([1, 1], LE, 4)]),
+            LinearProgram([1, 1], "max", [Constraint([1, 1], GE, 3)]),
+            LinearProgram([1, 1], "max", [Constraint([1, 1], LE, 3)] * 2),
+            LinearProgram([1, 1, 1], "max", [Constraint([1, 1, 1], LE, 3)]),
+        ):
+            with pytest.raises(CertificateError, match="built for other rows"):
+                solve_lp(other, start)
+        # the rows are the scaled ones, whose scale the start's artificial
+        # columns carry: a multiple of a row is another row
+        third = LinearProgram([1, 1], "max", [Constraint([F(1, 3), F(1, 3)], LE, 1)])
+        with pytest.raises(CertificateError, match="built for other rows"):
+            solve_lp(third, start)
+        # the same rows under another objective take the start
+        other = LinearProgram([2, 0], "min", lp.constraints)
+        assert solve_lp(other, start) == solve_lp(other)
+
+    def test_infeasible_start_raises(self):
+        # q_u + q_d = 1 and q_u - q_d / 2 = 0: the start's point is (1/3, 2/3)
+        lp = LinearProgram([1, 0], "max", [Constraint([1, 1], EQ, 1),
+                                           Constraint([1, F(-1, 2)], EQ, 0)])
+        start = phase_one(lp)
+        assert solve_lp(lp, start) == solve_lp(lp)
+        tab, basis = start.tableau, start.basis
+        total = len(tab[0]) - 2
+        negated_rhs = [row[:] for row in tab]
+        negated_rhs[0][total] = -negated_rhs[0][total]
+        doubled_rhs = [row[:] for row in tab]
+        doubled_rhs[0][total] *= 2  # x_u = 2/3: q no longer sums to 1
+        forged = [
+            replace(start, tableau=tuple(negated_rhs)),
+            replace(start, tableau=tuple(r[:] for r in reversed(tab))),  # basic entries 0
+            replace(start, basis=(2, 3)),  # the artificials, basic at positive levels
+        ]
+        for bad in forged:
+            with pytest.raises(CertificateError, match="^the start is not primal feasible$"):
+                solve_lp(lp, bad)
+        # a tableau that looks feasible, but its point misses the rows
+        with pytest.raises(CertificateError, match=r"^primal infeasible \(= row\)$"):
+            solve_lp(lp, replace(start, tableau=tuple(doubled_rhs)))
+        with pytest.raises(CertificateError, match="wrong shape"):
+            solve_lp(lp, replace(start, basis=basis[:1]))
+
+    def test_start_is_unchanged_by_solves(self):
+        lp = LinearProgram([1, 0, 2], "max", [Constraint([1, 1, 1], EQ, 1),
+                                              Constraint([1, -1, 2], LE, F(1, 2))])
+        start = phase_one(lp)
+        snapshot, ids = copy.deepcopy(start), [id(row) for row in start.tableau]
+        for objective in ([1, 0, 2], [0, 1, 0], [-1, 3, 1], [5, -2, 0]):
+            for sense in ("max", "min"):
+                other = LinearProgram(objective, sense, lp.constraints)
+                assert solve_lp(other, start) == solve_lp(other)
+        assert start == snapshot
+        assert [id(row) for row in start.tableau] == ids
+
+    def test_pivot_rebinds_the_rows_it_changes(self):
+        # why a shallow copy of the start's rows is enough: _pivot assigns a
+        # new list to every row it changes, the negated pivot row included,
+        # and writes into none
+        rows = [[-2, 1, 3], [4, -1, 0], [0, 5, 1]]
+        snapshot, copied = copy.deepcopy(rows), rows[:]
+        lp_core._pivot(copied, 0, 0)
+        assert copied != snapshot and rows == snapshot
+        assert all(a is not b for a, b in zip(copied[:2], rows[:2]))
+        assert copied[2] is rows[2]  # its entry at the pivot column is 0
 
 
 class TestLinearAlgebra:

@@ -6,8 +6,8 @@ from fractions import Fraction
 
 import pytest
 
-from robust_ftap import market
-from robust_ftap.errors import NaViolated
+from robust_ftap import lp_core, market
+from robust_ftap.errors import EnumerationCapExceeded, NaViolated
 from robust_ftap.market import (
     Market,
     check_ftap,
@@ -256,3 +256,129 @@ class TestSuperhedge:
                 v.expectation(f) for v in martingale_polytope(m).vertices
             )
             assert cert.price == best
+
+
+@pytest.fixture
+def work(monkeypatch):
+    """Counts the LPs, phase-1 starts, vertex enumerations and integer
+    pivots (tableau, pricing and vertex walk) that `market` asks for."""
+    count = {"lp": 0, "start": 0, "enum": 0, "pivot": 0}
+
+    def counting(name, fn):
+        def wrapper(*args, **kwargs):
+            count[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(market, "solve_lp", counting("lp", market.solve_lp))
+    monkeypatch.setattr(market, "phase_one", counting("start", market.phase_one))
+    monkeypatch.setattr(
+        market, "enumerate_basic_feasible", counting("enum", market.enumerate_basic_feasible)
+    )
+    monkeypatch.setattr(lp_core, "_pivot", counting("pivot", lp_core._pivot))
+    return count
+
+
+def _payoffs(m, rng, k=3):
+    return [
+        BoundedFunction(m.space, [F(rng.randint(-5, 5), rng.randint(1, 5)) for _ in m.space.outcomes])
+        for _ in range(k)
+    ]
+
+
+class TestMarketCaches:
+    def test_second_calls_solve_and_pivot_nothing(self, work):
+        rng = random.Random(26)
+        seen = {True: 0, False: 0}
+        for _ in range(80):
+            m = _random_market(rng)
+            first = (check_na(m), check_ftap(m), martingale_polytope(m).vertices)
+            seen[first[0][0]] += 1
+            before = dict(work)
+            again = (check_na(m), check_ftap(m), martingale_polytope(m).vertices)
+            assert again == first
+            assert work == before
+        assert min(seen.values()) >= 20
+
+    def test_superhedges_share_one_phase_one(self, work):
+        rng = random.Random(27)
+        seen = 0
+        while seen < 30:
+            m = _random_market(rng)
+            if not check_na(m)[0]:
+                continue
+            seen += 1
+            for k, f in enumerate(_payoffs(m, rng)):
+                lps, starts = work["lp"], work["start"]
+                cert = superhedge(m, f)
+                assert (work["lp"] - lps, work["start"] - starts) == (1, int(k == 0))
+                assert cert.price == max(
+                    v.expectation(f) for v in martingale_polytope(m).vertices
+                )
+
+    def test_equal_markets_share_no_answer(self, work):
+        # equal markets compare and hash alike, filled caches or not, but
+        # each works out its own answers: nothing is kept outside the market
+        rng = random.Random(28)
+        for s1 in ([[2], [0]], [[2], [1]]):  # NA, then arbitrage
+            P = AmbiguitySet(W2, [pm(W2, F(1, 2), F(1, 2)), pm(W2, 1, 0)])
+            m, twin = Market(W2, [1], s1, P), Market(W2, [1], s1, P)
+            na, _ = check_na(m)
+            check_ftap(m)
+            martingale_polytope(m)
+            for f in _payoffs(m, rng) if na else ():
+                superhedge(m, f)
+            assert m == twin and hash(m) == hash(twin)
+            before = dict(work)
+            assert check_na(twin) == check_na(m)
+            assert check_ftap(twin) == check_ftap(m)
+            assert martingale_polytope(twin).vertices == martingale_polytope(m).vertices
+            assert work["lp"] == before["lp"] + (1 if na else 2)
+            assert work["enum"] == before["enum"] + 1
+            if na:
+                superhedge(twin, _payoffs(twin, rng, 1)[0])
+                assert work["start"] == before["start"] + 1
+                assert twin._martingale_start is not m._martingale_start
+                assert twin._martingale_start == m._martingale_start
+
+    def test_cap_is_checked_on_every_call(self):
+        m = market_from_deltas(W3, [1, 0, -1])
+        poly = martingale_polytope(m)
+        assert len(poly.vertices) == 2
+        for _ in range(2):
+            with pytest.raises(EnumerationCapExceeded) as err:
+                martingale_polytope(m, max_enum=2)
+            assert (err.value.size, err.value.cap, err.value.bases) == (3, 2, 3)
+        assert martingale_polytope(m, max_enum=3).vertices == poly.vertices
+
+    def test_ftap_lists_are_fresh(self):
+        for deltas in ([1, F(-1, 2)], [1, 0]):
+            m = market_from_deltas(W2, deltas, vertices=[[1, 0], [F(1, 2), F(1, 2)]])
+            na, per_vertex = check_ftap(m)
+            want = list(per_vertex)
+            per_vertex.clear()
+            per_vertex.append(("forged", None))
+            assert check_ftap(m) == (na, want)
+            assert check_ftap(m)[1] is not check_ftap(m)[1]
+
+    def test_arbitrage_skips_vertices_charging_the_whole_support(self, work):
+        # check_na's LP charges the whole quasi-sure support and failed; a
+        # vertex with that support would solve it again, so it gets None
+        # without an LP, and every other vertex pays one LP
+        rng = random.Random(29)
+        seen = 0
+        for _ in range(400):
+            m = _random_market(rng)
+            if check_na(m)[0]:
+                continue
+            full = set(m.support)
+            skipped = sum(vp.support == full for vp in m.P.vertices)
+            seen += skipped > 0
+            lps = work["lp"]
+            na, per_vertex = check_ftap(m)
+            assert not na
+            assert work["lp"] - lps == len(m.P.vertices) - skipped
+            assert [q for _, q in per_vertex] == [
+                find_dominating_martingale(m, vp) for vp in m.P.vertices
+            ]
+        assert seen >= 20

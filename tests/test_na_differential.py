@@ -175,9 +175,9 @@ def counted(monkeypatch):
     calls = {"lp": 0}
     solve = market.solve_lp
 
-    def solve_counted(lp):
+    def solve_counted(lp, start=None):
         calls["lp"] += 1
-        return solve(lp)
+        return solve(lp, start)
 
     def refuse(*args):
         raise AssertionError("vertex enumeration called")
@@ -245,16 +245,20 @@ def test_market_lps_are_the_martingale_system(monkeypatch):
     solve two LPs: check_na's and the superhedge's; then the two P-vertices
     of find_dominating_martingale.  Each LP has exactly the d+1 martingale
     rows, all equalities, over the support's masses (and t for a charging
-    LP); the simplex pivots of each are pinned."""
+    LP); the simplex pivots of each are pinned, the superhedge's as those
+    of the market's start (its phase 1, built on the first superhedge)
+    plus those of its own phase 2."""
     m = load_market(_golden("market_two_assets.json"))
     f = load_payoff(_golden("payoff_two_assets.json"), m.space)
     solved, pivots = [], [0]
     solve, pivot = market.solve_lp, lp_core._Tableau.pivot
 
-    def solve_counted(lp):
-        pivots[0] = 0
-        sol = solve(lp)
+    def solve_counted(lp, start=None):
+        # the pivots since the last LP: its own, and the start's too when
+        # the call built one
+        sol = solve(lp, start)
         solved.append((lp, pivots[0]))
+        pivots[0] = 0
         return sol
 
     def pivot_counted(tab, r, j):
