@@ -22,14 +22,14 @@ substitution, so every multiplier is a row's and an optimum is certified
 by its primal point and row duals alone.
 
 Phase 1 reads only the rows: its costs are on the artificial columns, so
-its final tableau is the same whatever the objective.  `phase_one` hands
-that tableau out as an `LpStart`, and `solve_lp(lp, start)` runs phase 2
-alone from it, with the pivots and the solution of `solve_lp(lp)`; a
-caller that solves many objectives over the same rows (a market's
-superhedges) pays for phase 1 once.  A start built for other rows, or
-whose basic point is not feasible, is refused, never replaced by a fresh
-phase 1, and every solution is checked as before, so a start cannot make
-an answer wrong.
+its outcome is the same whatever the objective.  A `LinearProgram` keeps
+that outcome, the feasible tableau or the checked Infeasible solution,
+the first time it is solved, and `lp.with_objective(c, sense)` is the LP
+of another objective that shares the rows and the kept outcome.  Each
+later solve of either runs phase 2 alone, with the pivots and the
+solution of a fresh LP; a caller that solves many objectives over the
+same rows (a market's superhedges) pays for phase 1 once, and hands
+nothing to the solver but the LP.
 
 Beside the solver, `enumerate_basic_feasible` lists the vertices of
 {q >= 0 : A q = b} on the same integer pivots: a depth-first walk over
@@ -45,6 +45,7 @@ tracer (`bench/tracing.py`) wraps it.
 
 from __future__ import annotations
 
+from copy import copy
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import reduce
@@ -83,6 +84,9 @@ class LinearProgram:
     and rhs times s > 0, the lcm of their denominators.  A positive scale
     keeps the relation, and a row's multiplier is s times that of its
     scaled row.  `_cost` is the objective as (integers, scale).
+    `_phase1` holds the outcome of phase 1 on the rows once `solve_lp`
+    has run it, and is shared, with `_rows`, by every LP that
+    `with_objective` derives.
     """
 
     objective: tuple[Fraction, ...]
@@ -90,6 +94,7 @@ class LinearProgram:
     constraints: tuple[Constraint, ...]
     _rows: tuple = field(init=False, repr=False, compare=False)
     _cost: tuple[list[int], int] = field(init=False, repr=False, compare=False)
+    _phase1: list = field(init=False, repr=False, compare=False)
 
     def __init__(self, objective: Iterable, sense: str, constraints: Sequence[Constraint]):
         objective = tuple(map(rational, objective))
@@ -108,9 +113,25 @@ class LinearProgram:
             rows.append((a[:n], row.relation, a[n], s))
         for name, value in (
             ("objective", objective), ("sense", sense), ("constraints", constraints),
-            ("_rows", tuple(rows)), ("_cost", scaled(objective)),
+            ("_rows", tuple(rows)), ("_cost", scaled(objective)), ("_phase1", []),
         ):
             object.__setattr__(self, name, value)
+
+    def with_objective(self, objective: Iterable, sense: str) -> LinearProgram:
+        """The LP of `objective` and `sense` over the same constraints.  It
+        shares this LP's scaled rows and kept phase-1 outcome, so phase 1
+        runs once for both; only the new objective is scaled."""
+        objective = tuple(map(rational, objective))
+        if len(objective) != self.num_vars:
+            raise DimensionMismatch(
+                f"objective has {len(objective)} coefficients, expected {self.num_vars}"
+            )
+        if sense not in ("max", "min"):
+            raise ValueError("sense must be 'max' or 'min'")
+        twin = copy(self)
+        for name, value in (("objective", objective), ("sense", sense), ("_cost", scaled(objective))):
+            object.__setattr__(twin, name, value)
+        return twin
 
     @property
     def num_vars(self) -> int:
@@ -209,21 +230,16 @@ class _Tableau:
     After the m constraint rows comes the reduced-cost row
     ``[red, -value, z]``, whose last entry z > 0 is its factor (the column
     of the objective variable).  The ratio of two entries of one row never
-    needs the factor.  A tableau resumed from an `LpStart` takes the
-    start's rows and `basis`; `flip` is the sign each input row was
-    multiplied by to make its rhs nonnegative, which the duals undo.
+    needs the factor.  `flip` is the sign each input row was multiplied
+    by to make its rhs nonnegative, which the duals undo.  A copy whose
+    `rows` and `basis` are shallow copies pivots apart from the original:
+    `_pivot` rebinds the rows it changes and never writes into one.
     """
 
-    def __init__(
-        self,
-        rows: list[list[int]],
-        ncols: int,
-        basis: Optional[Sequence[int]] = None,
-        flip: tuple[int, ...] = (),
-    ):
+    def __init__(self, rows: list[list[int]], ncols: int, flip: tuple[int, ...]):
         self.m = len(rows)
         self.total = ncols + self.m
-        self.basis = list(basis) if basis is not None else [ncols + i for i in range(self.m)]
+        self.basis = [ncols + i for i in range(self.m)]
         self.rows = rows + [[0] * (self.total + 2)]  # reduced costs: see price()
         self.flip = flip
 
@@ -273,40 +289,10 @@ class _Tableau:
             self.pivot(leave, enter)
 
 
-@dataclass(frozen=True)
-class LpStart:
-    """A feasible basis of an LP's rows: the tableau that phase 1 leaves.
-
-    Phase 1 reads only the rows (its costs are on the artificials), so its
-    final tableau is the same whatever the objective, and one start serves
-    every LP over the same rows: `solve_lp(lp, start)` runs phase 2 alone.
-    `rows` are the scaled rows it was built for (`LinearProgram._rows`),
-    `tableau` the m integer constraint rows and `basis` their basic columns
-    after the artificials were driven out, and `flip` the sign each row
-    was multiplied by to make its rhs nonnegative.  A solve pivots a
-    shallow copy of `tableau`: `_pivot` rebinds the rows it changes and
-    never writes into one, so the start is left as it was.
-    """
-
-    rows: tuple
-    tableau: tuple[list[int], ...]
-    basis: tuple[int, ...]
-    flip: tuple[int, ...]
-
-
-def phase_one(lp: LinearProgram) -> LpStart | LpSolution:
-    """Phase 1 of the simplex on the LP's rows alone: a feasible start
-    (`LpStart`), or the checked Infeasible solution with its Farkas
-    multipliers.  The objective is not read."""
-    tab = _phase_one(lp)
-    if isinstance(tab, LpSolution):
-        return tab
-    return LpStart(lp._rows, tuple(tab.rows[: tab.m]), tuple(tab.basis), tab.flip)
-
-
 def _phase_one(lp: LinearProgram) -> _Tableau | LpSolution:
-    """`phase_one`, leaving the feasible tableau as it is, with its row
-    flips as `flip`."""
+    """Phase 1 of the simplex on the LP's rows alone: the feasible tableau
+    after the artificials are driven out, or the checked Infeasible
+    solution with its Farkas multipliers.  The objective is not read."""
     n = lp.num_vars
     rows = lp._rows
     m = len(rows)
@@ -331,11 +317,10 @@ def _phase_one(lp: LinearProgram) -> _Tableau | LpSolution:
             + [abs(b), 0]
         )
 
-    tab = _Tableau(tab_rows, ncols, flip=tuple(flip))
+    tab = _Tableau(tab_rows, ncols, tuple(flip))
     total = tab.total
     tab.price([0] * ncols + [1] * m)
-    if tab.run([True] * total) is not None:
-        raise CertificateError("phase 1 reported an unbounded sum of artificials")
+    tab.run([True] * total)  # a sum of nonnegative artificials is bounded
     # the artificials are nonnegative, so the phase-1 value is positive
     # exactly when one of them is basic at a positive level
     if any(tab.basis[r] >= ncols and tab.rows[r][total] for r in range(m)):
@@ -357,53 +342,24 @@ def _phase_one(lp: LinearProgram) -> _Tableau | LpSolution:
     return tab
 
 
-def _resume(lp: LinearProgram, start: LpStart) -> _Tableau:
-    """A copy of the start's tableau, once the start is checked: it was
-    built for the LP's rows, and its basic point is feasible (every basic
-    entry positive, every rhs nonnegative, no artificial at a positive
-    level, and the point's variables satisfy every row of the LP, in
-    integers over one denominator).  Raises CertificateError otherwise."""
-    rows, n = lp._rows, lp.num_vars
-    _require(start.rows == rows, "the start was built for other rows")
-    m = len(rows)
-    ncols = n + sum(1 for _, rel, _, _ in rows if rel != EQ)
-    total = ncols + m
-    _require(
-        len(start.tableau) == len(start.basis) == len(start.flip) == m
-        and all(len(row) == total + 2 for row in start.tableau)
-        and all(0 <= bv < total for bv in start.basis),
-        "the start has the wrong shape",
-    )
-    # x_bv = rhs / entry over D, the lcm of the entries of the nonzero x's
-    D, level = 1, list(zip(start.tableau, start.basis))
-    for row, bv in level:
-        p, v = row[bv], row[total]
-        _require(p > 0 and v >= 0 and (bv < ncols or not v), "the start is not primal feasible")
-        if bv < n and v:
-            D = lcm(D, p)
-    X = [0] * n
-    for row, bv in level:
-        if bv < n:
-            X[bv] = row[total] * (D // row[bv])
-    _require_feasible(lp, X, D)
-    return _Tableau(list(start.tableau), ncols, start.basis, start.flip)
-
-
-def solve_lp(lp: LinearProgram, start: Optional[LpStart] = None) -> LpSolution:
+def solve_lp(lp: LinearProgram) -> LpSolution:
     """Exact two-phase simplex with Bland's rule and dual extraction.
 
-    Without `start`, phase 1 (`phase_one`) runs first, and an infeasible
-    LP returns there.  With it, a start that `phase_one` built on the same
-    rows, only phase 2 runs, and every pivot and the solution are those of
-    the solve without it; a start built for other rows, or one whose
-    basic point is not feasible, raises CertificateError.  Every result
-    is checked before it is returned: `check_optimal`, `check_infeasible`
-    or `check_unbounded` raises CertificateError if the solution does not
-    prove its status.
+    Phase 1 runs once per row set: its outcome is kept on the LP, and on
+    every LP that `with_objective` derives from it, the first time one of
+    them is solved.  An infeasible LP returns the kept Infeasible
+    solution; otherwise phase 2 runs on a copy of the kept tableau, which
+    stays as phase 1 left it.  Every result is checked before it is
+    returned: `check_optimal`, `check_infeasible` or `check_unbounded`
+    raises CertificateError if the solution does not prove its status.
     """
-    tab = _phase_one(lp) if start is None else _resume(lp, start)
-    if isinstance(tab, LpSolution):
-        return tab
+    if not lp._phase1:
+        lp._phase1.append(_phase_one(lp))
+    kept = lp._phase1[0]
+    if isinstance(kept, LpSolution):
+        return kept
+    tab = copy(kept)
+    tab.rows, tab.basis = kept.rows[:], kept.basis[:]
     n, m, total, flip = lp.num_vars, tab.m, tab.total, tab.flip
     ncols = total - m
     sign = 1 if lp.sense == "min" else -1  # the solver minimizes sign * c.x

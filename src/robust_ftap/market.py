@@ -12,10 +12,10 @@ superhedge read off the dual of max E_q[f], with the maximizing q.
 A `Market` keeps the answers that depend on it alone, each computed
 lazily, when it is first asked for, and then kept on the object: the
 no-arbitrage decision, the vertex list of the martingale polytope, the
-answer of `check_ftap`, and a feasible start of its martingale LP (phase 1
-reads only the rows, so every superhedge LP on the market runs phase 2
-from it).  Nothing is kept outside the market, and equal markets share
-none of these answers.
+answer of `check_ftap`, and its martingale LP, whose rows the polytope
+reads and whose phase 1 every superhedge LP on the market shares.
+Nothing is kept outside the market, and equal markets share none of
+these answers.
 """
 
 from __future__ import annotations
@@ -38,10 +38,8 @@ from .lp_core import (
     Constraint,
     LinearProgram,
     LpSolution,
-    LpStart,
     enumerate_basic_feasible,
     matrix_rank,
-    phase_one,
     solve_lp,
 )
 from .measures import (
@@ -69,8 +67,8 @@ class Market:
     when first asked for, as `cached_property`s left out of equality and
     hashing: the no-arbitrage decision (`check_na`), the martingale
     polytope's vertices (`martingale_polytope`), the FTAP sides
-    (`check_ftap`) and the phase-1 start of the martingale rows
-    (`superhedge`).
+    (`check_ftap`) and the martingale LP over the d+1 martingale rows,
+    which `martingale_polytope` and `superhedge` read.
     """
 
     space: SampleSpace
@@ -155,8 +153,8 @@ class Market:
         return _decide_ftap(self)
 
     @cached_property
-    def _martingale_start(self) -> LpStart:
-        return _build_martingale_start(self)
+    def _martingale_lp(self) -> LinearProgram:
+        return LinearProgram([ZERO] * len(self.support), "max", _martingale_rows(self))
 
     def martingale_claims(
         self, q: ProbabilityMeasure, name: str
@@ -283,21 +281,23 @@ def martingale_polytope(
     """
     n = len(m.support)
     if n > max_enum:
-        rows = [row.coeffs for row in _martingale_rows(m)]
+        rows = [row.coeffs for row in m._martingale_lp.constraints]
         raise EnumerationCapExceeded(n, max_enum, bases=comb(n, matrix_rank(rows)))
     return MartingalePolytope(market=m, vertices=m._martingale_vertices)
 
 
 def _enumerate_martingale_vertices(m: Market) -> tuple[ProbabilityMeasure, ...]:
-    rows = [row.coeffs for row in _martingale_rows(m)]
-    verts = enumerate_basic_feasible(rows, [ONE] + [ZERO] * m.d)
+    rows = m._martingale_lp.constraints
+    verts = enumerate_basic_feasible([row.coeffs for row in rows], [row.rhs for row in rows])
     return tuple(m.measure(q) for q in verts)
 
 
 def _martingale_rows(m: Market, *extra: Sequence[Fraction]) -> list[Constraint]:
     """The d+1 equality rows sum q = 1 and E_q[increment of asset i] = 0
     over the support, one column per support outcome and then one per
-    `extra` column of d+1 coefficients; every market LP is built on them."""
+    `extra` column of d+1 coefficients.  The market's martingale LP holds
+    them with no extra column; only `_max_charge` builds them again, with
+    the column of t."""
     cols = [(ONE,) + m.delta_s(o) for o in m.support] + list(extra)
     return [
         Constraint([col[k] for col in cols], EQ, ONE if k == 0 else ZERO)
@@ -321,16 +321,6 @@ def _max_charge(
         return sol, None
     *s, t = sol.primal
     return sol, m.measure(v + t if o in charged else v for o, v in zip(m.support, s))
-
-
-def _build_martingale_start(m: Market) -> LpStart:
-    """Phase 1 of the martingale rows, which superhedge's LPs share.  Called
-    under no-arbitrage, when some martingale measure exists, so the rows
-    are feasible; CertificateError otherwise."""
-    start = phase_one(LinearProgram([ZERO] * len(m.support), "max", _martingale_rows(m)))
-    if not isinstance(start, LpStart):
-        raise CertificateError("the martingale rows are infeasible")
-    return start
 
 
 def _charge_column(m: Market, charged: Collection[str]) -> list[Fraction]:
@@ -431,9 +421,10 @@ def superhedge(m: Market, f: BoundedFunction) -> HedgeCertificate:
     every support outcome.  Under every martingale measure Q a hedge
     dominating f costs at least E_Q[f] (weak duality), so the hedge and q
     meeting at the price prove that it is least and that q attains
-    sup E_Q[f]; no vertex enumeration is needed.  Phase 1 reads only the
-    rows, which every payoff shares, so it runs once per market
-    (`_build_martingale_start`) and each superhedge LP runs phase 2 alone.
+    sup E_Q[f]; no vertex enumeration is needed.  The LP is the market's
+    martingale LP with f as its objective, so phase 1, which reads only
+    the rows, runs once per market and each later superhedge runs phase 2
+    alone.
     """
     na_holds, _ = check_na(m)
     if not na_holds:
@@ -442,7 +433,7 @@ def superhedge(m: Market, f: BoundedFunction) -> HedgeCertificate:
         raise DimensionMismatch("payoff on a different space")
     support = m.support
     values = [f.value_at(o) for o in support]
-    sol = solve_lp(LinearProgram(values, "max", _martingale_rows(m)), m._martingale_start)
+    sol = solve_lp(m._martingale_lp.with_objective(values, "max"))
     if sol.status != "Optimal":
         raise CertificateError("superhedging LP must be solvable under NA")
     price = sol.value

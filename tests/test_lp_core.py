@@ -26,7 +26,6 @@ from robust_ftap.lp_core import (
     LE,
     LinearProgram,
     LpSolution,
-    LpStart,
     MinimaxInstance,
     VertexPolytope,
     check_infeasible,
@@ -35,7 +34,6 @@ from robust_ftap.lp_core import (
     enumerate_basic_feasible,
     matrix_rank,
     minimax_value,
-    phase_one,
     solve_lp,
     solve_square,
 )
@@ -370,8 +368,7 @@ class TestCertificateChecks:
             P = AmbiguitySet(space, [ProbabilityMeasure(space, ["1/2", "1/2"])])
             m = market.Market(space, [1], [[2], [0]], P)
             solve = market.solve_lp
-            market.solve_lp = lambda lp, start=None: replace(
-                solve(lp, start), status="Unbounded")
+            market.solve_lp = lambda lp: replace(solve(lp), status="Unbounded")
             try:
                 market.check_na(m)
             except CertificateError as exc:
@@ -381,8 +378,8 @@ class TestCertificateChecks:
             # an arbitrage market: the full-support LP reaches t* = 0, and
             # its dual, which names H, is forged
             arb = market.Market(space, [1], [[2], [1]], P)
-            def forged(lp, start=None):
-                sol = solve(lp, start)
+            def forged(lp):
+                sol = solve(lp)
                 return replace(sol, dual=tuple(-y for y in sol.dual))
             market.solve_lp = forged
             try:
@@ -392,8 +389,7 @@ class TestCertificateChecks:
             else:
                 print("arbitrage accepted")
             # an NA market: superhedge reads H off its LP's dual, forged;
-            # the LP is solved from the market's start, which phase 1
-            # built with the real solver
+            # its LP shares the phase 1 of the market's martingale LP
             na = market.Market(space, [1], [[2], [0]], P)
             market.solve_lp = solve
             market.check_na(na)
@@ -439,13 +435,13 @@ def _golden_markets():
 
 def _market_lps(monkeypatch, markets, rng):
     """Every LP that check_ftap and (under NA) three superhedges solve on
-    the markets, each with the start it was solved from (or None)."""
+    the markets, each with whether it found a kept phase-1 outcome."""
     seen = []
     solve = market.solve_lp
 
-    def recording(lp, start=None):
-        seen.append((lp, start))
-        return solve(lp, start)
+    def recording(lp):
+        seen.append((lp, bool(lp._phase1)))
+        return solve(lp)
 
     monkeypatch.setattr(market, "solve_lp", recording)
     for m in markets:
@@ -456,106 +452,133 @@ def _market_lps(monkeypatch, markets, rng):
     return seen
 
 
-class TestLpStart:
-    def test_start_solves_like_phase_one_on_random_lps(self):
+def _objective(rng, n):
+    return [F(rng.randint(-5, 5), rng.randint(1, 5)) for _ in range(n)], rng.choice(["max", "min"])
+
+
+@pytest.fixture
+def phase_two(monkeypatch):
+    """solve(lp) -> (solve_lp(lp), the tableau pivots it made after phase 1)."""
+    state = {"phase1": False, "pivots": 0}
+    pivot, phase_one = lp_core._Tableau.pivot, lp_core._phase_one
+
+    def counted(tab, r, j):
+        state["pivots"] += not state["phase1"]
+        pivot(tab, r, j)
+
+    def marked(lp):
+        state["phase1"] = True
+        try:
+            return phase_one(lp)
+        finally:
+            state["phase1"] = False
+
+    monkeypatch.setattr(lp_core._Tableau, "pivot", counted)
+    monkeypatch.setattr(lp_core, "_phase_one", marked)
+
+    def solve(lp):
+        state["pivots"] = 0
+        return solve_lp(lp), state["pivots"]
+
+    return solve
+
+
+@pytest.fixture
+def phase_one_runs(monkeypatch):
+    """The number of phase 1 runs so far."""
+    runs = [0]
+    phase_one = lp_core._phase_one
+
+    def counted(lp):
+        runs[0] += 1
+        return phase_one(lp)
+
+    monkeypatch.setattr(lp_core, "_phase_one", counted)
+    return runs
+
+
+class TestKeptPhaseOne:
+    def test_siblings_solve_like_fresh_lps_on_random_lps(self, phase_two):
         rng = random.Random(2611)
         statuses = {"Optimal": 0, "Infeasible": 0, "Unbounded": 0}
         for _ in range(300):
             lp = _random_lp(rng)
-            sol, start = solve_lp(lp), phase_one(lp)
-            statuses[sol.status] += 1
-            if sol.status == "Infeasible":
-                assert isinstance(start, LpSolution) and start == sol
-                continue
-            assert isinstance(start, LpStart) and solve_lp(lp, start) == sol
-            # the start serves any objective over the same rows
-            other = LinearProgram(
-                [F(rng.randint(-5, 5), rng.randint(1, 5)) for _ in range(lp.num_vars)],
-                rng.choice(["max", "min"]),
-                lp.constraints,
-            )
-            assert solve_lp(other, start) == solve_lp(other)
+            first = phase_two(lp)
+            statuses[first[0].status] += 1
+            assert phase_two(lp) == first  # a second solve: phase 2 alone
+            for c, sense in [(lp.objective, lp.sense), _objective(rng, lp.num_vars)]:
+                sibling, fresh = lp.with_objective(c, sense), LinearProgram(c, sense, lp.constraints)
+                assert sibling == fresh
+                assert phase_two(sibling) == phase_two(fresh)
         assert all(statuses.values()), statuses
 
-    def test_start_solves_like_phase_one_on_market_lps(self, monkeypatch):
+    def test_siblings_solve_like_fresh_lps_on_market_lps(self, monkeypatch, phase_two):
         rng = random.Random(2612)
         markets = _golden_markets() + [_random_market(rng) for _ in range(60)]
         seen = _market_lps(monkeypatch, markets, rng)
-        monkeypatch.undo()
-        kept = sum(start is not None for _, start in seen)
-        assert kept >= 30 and len(seen) - kept >= 30
-        for lp, start in seen:
-            want = solve_lp(lp)
-            if start is not None:  # the market's start, for a superhedge
-                assert solve_lp(lp, start) == want
-            own = phase_one(lp)
-            if isinstance(own, LpStart):
-                assert solve_lp(lp, own) == want
-            else:
-                assert own == want
+        shared = sum(kept for _, kept in seen)
+        assert shared >= 30 and len(seen) - shared >= 30
+        for lp, _ in seen:
+            # the LP as the market solved it, then a sibling of it
+            assert phase_two(lp) == phase_two(LinearProgram(lp.objective, lp.sense, lp.constraints))
+            c, sense = _objective(rng, lp.num_vars)
+            fresh = LinearProgram(c, sense, lp.constraints)
+            assert phase_two(lp.with_objective(c, sense)) == phase_two(fresh)
 
-    def test_start_for_other_rows_raises(self):
-        lp = LinearProgram([1, 1], "max", [Constraint([1, 1], LE, 3)])
-        start = phase_one(lp)
-        for other in (
-            LinearProgram([1, 1], "max", [Constraint([1, 1], LE, 4)]),
-            LinearProgram([1, 1], "max", [Constraint([1, 1], GE, 3)]),
-            LinearProgram([1, 1], "max", [Constraint([1, 1], LE, 3)] * 2),
-            LinearProgram([1, 1, 1], "max", [Constraint([1, 1, 1], LE, 3)]),
-        ):
-            with pytest.raises(CertificateError, match="built for other rows"):
-                solve_lp(other, start)
-        # the rows are the scaled ones, whose scale the start's artificial
-        # columns carry: a multiple of a row is another row
-        third = LinearProgram([1, 1], "max", [Constraint([F(1, 3), F(1, 3)], LE, 1)])
-        with pytest.raises(CertificateError, match="built for other rows"):
-            solve_lp(third, start)
-        # the same rows under another objective take the start
-        other = LinearProgram([2, 0], "min", lp.constraints)
-        assert solve_lp(other, start) == solve_lp(other)
+    def test_phase_one_runs_once_per_row_set(self, phase_one_runs):
+        rows = [Constraint([1, 1, 1], EQ, 1), Constraint([1, -1, 2], LE, F(1, 2))]
+        lp = LinearProgram([1, 0, 2], "max", rows)
+        sol = solve_lp(lp)
+        assert solve_lp(lp) == sol and phase_one_runs == [1]
+        sibling = lp.with_objective([0, 1, 0], "min")
+        for other in (sibling, sibling.with_objective([3, 1, 1], "max"), lp):
+            solve_lp(other)
+        assert phase_one_runs == [1]
+        # equal rows in a new LP are another row set, with their own phase 1
+        assert solve_lp(LinearProgram([1, 0, 2], "max", rows)) == sol
+        assert phase_one_runs == [2]
 
-    def test_infeasible_start_raises(self):
-        # q_u + q_d = 1 and q_u - q_d / 2 = 0: the start's point is (1/3, 2/3)
-        lp = LinearProgram([1, 0], "max", [Constraint([1, 1], EQ, 1),
-                                           Constraint([1, F(-1, 2)], EQ, 0)])
-        start = phase_one(lp)
-        assert solve_lp(lp, start) == solve_lp(lp)
-        tab, basis = start.tableau, start.basis
-        total = len(tab[0]) - 2
-        negated_rhs = [row[:] for row in tab]
-        negated_rhs[0][total] = -negated_rhs[0][total]
-        doubled_rhs = [row[:] for row in tab]
-        doubled_rhs[0][total] *= 2  # x_u = 2/3: q no longer sums to 1
-        forged = [
-            replace(start, tableau=tuple(negated_rhs)),
-            replace(start, tableau=tuple(r[:] for r in reversed(tab))),  # basic entries 0
-            replace(start, basis=(2, 3)),  # the artificials, basic at positive levels
-        ]
-        for bad in forged:
-            with pytest.raises(CertificateError, match="^the start is not primal feasible$"):
-                solve_lp(lp, bad)
-        # a tableau that looks feasible, but its point misses the rows
-        with pytest.raises(CertificateError, match=r"^primal infeasible \(= row\)$"):
-            solve_lp(lp, replace(start, tableau=tuple(doubled_rhs)))
-        with pytest.raises(CertificateError, match="wrong shape"):
-            solve_lp(lp, replace(start, basis=basis[:1]))
+    def test_infeasible_rows_keep_their_farkas_solution(self, phase_one_runs):
+        # x + y <= 1 and x + y >= 2
+        lp = LinearProgram([1, 1], "max", [Constraint([1, 1], LE, 1), Constraint([1, 1], GE, 2)])
+        sol = solve_lp(lp)
+        assert sol.status == "Infeasible"
+        for c, sense in (([1, 1], "min"), ([-2, 5], "max"), ([0, 0], "min")):
+            sibling = lp.with_objective(c, sense)
+            assert solve_lp(sibling) == sol == solve_lp(LinearProgram(c, sense, lp.constraints))
+            check_infeasible(sibling, sol)
+        assert phase_one_runs == [1 + 3]  # the three fresh LPs
 
-    def test_start_is_unchanged_by_solves(self):
+    def test_with_objective_refuses_bad_input(self):
+        lp = LinearProgram([1, 2], "max", [Constraint([1, 1], LE, 3)])
+        for c in ([1], [1, 2, 3], []):
+            with pytest.raises(DimensionMismatch, match=f"objective has {len(c)} coefficients"):
+                lp.with_objective(c, "max")
+        with pytest.raises(ValueError, match="sense"):
+            lp.with_objective([1, 2], "maximize")
+        assert (lp.objective, lp.sense) == ((1, 2), "max") and lp._phase1 == []
+
+    def test_kept_tableau_is_unchanged_by_sibling_solves(self):
         lp = LinearProgram([1, 0, 2], "max", [Constraint([1, 1, 1], EQ, 1),
                                               Constraint([1, -1, 2], LE, F(1, 2))])
-        start = phase_one(lp)
-        snapshot, ids = copy.deepcopy(start), [id(row) for row in start.tableau]
+        solve_lp(lp)
+        (kept,) = lp._phase1
+        snapshot = copy.deepcopy((kept.rows, kept.basis))
+        ids = [id(row) for row in kept.rows]
+        solved = 0
         for objective in ([1, 0, 2], [0, 1, 0], [-1, 3, 1], [5, -2, 0]):
             for sense in ("max", "min"):
                 other = LinearProgram(objective, sense, lp.constraints)
-                assert solve_lp(other, start) == solve_lp(other)
-        assert start == snapshot
-        assert [id(row) for row in start.tableau] == ids
+                assert solve_lp(lp.with_objective(objective, sense)) == solve_lp(other)
+                solved += 1
+        assert solved == 8 and lp._phase1 == [kept]
+        assert (kept.rows, kept.basis) == snapshot
+        assert [id(row) for row in kept.rows] == ids
 
     def test_pivot_rebinds_the_rows_it_changes(self):
-        # why a shallow copy of the start's rows is enough: _pivot assigns a
-        # new list to every row it changes, the negated pivot row included,
-        # and writes into none
+        # why a shallow copy of the kept tableau's rows is enough: _pivot
+        # assigns a new list to every row it changes, the negated pivot row
+        # included, and writes into none
         rows = [[-2, 1, 3], [4, -1, 0], [0, 5, 1]]
         snapshot, copied = copy.deepcopy(rows), rows[:]
         lp_core._pivot(copied, 0, 0)

@@ -260,9 +260,9 @@ class TestSuperhedge:
 
 @pytest.fixture
 def work(monkeypatch):
-    """Counts the LPs, phase-1 starts, vertex enumerations and integer
+    """Counts the LPs, phase 1 runs, vertex enumerations and integer
     pivots (tableau, pricing and vertex walk) that `market` asks for."""
-    count = {"lp": 0, "start": 0, "enum": 0, "pivot": 0}
+    count = {"lp": 0, "phase1": 0, "enum": 0, "pivot": 0}
 
     def counting(name, fn):
         def wrapper(*args, **kwargs):
@@ -271,7 +271,7 @@ def work(monkeypatch):
         return wrapper
 
     monkeypatch.setattr(market, "solve_lp", counting("lp", market.solve_lp))
-    monkeypatch.setattr(market, "phase_one", counting("start", market.phase_one))
+    monkeypatch.setattr(lp_core, "_phase_one", counting("phase1", lp_core._phase_one))
     monkeypatch.setattr(
         market, "enumerate_basic_feasible", counting("enum", market.enumerate_basic_feasible)
     )
@@ -309,9 +309,9 @@ class TestMarketCaches:
                 continue
             seen += 1
             for k, f in enumerate(_payoffs(m, rng)):
-                lps, starts = work["lp"], work["start"]
+                lps, runs = work["lp"], work["phase1"]
                 cert = superhedge(m, f)
-                assert (work["lp"] - lps, work["start"] - starts) == (1, int(k == 0))
+                assert (work["lp"] - lps, work["phase1"] - runs) == (1, int(k == 0))
                 assert cert.price == max(
                     v.expectation(f) for v in martingale_polytope(m).vertices
                 )
@@ -337,9 +337,11 @@ class TestMarketCaches:
             assert work["enum"] == before["enum"] + 1
             if na:
                 superhedge(twin, _payoffs(twin, rng, 1)[0])
-                assert work["start"] == before["start"] + 1
-                assert twin._martingale_start is not m._martingale_start
-                assert twin._martingale_start == m._martingale_start
+                # check_na's LP and the first superhedge's: each runs its
+                # own phase 1, none is taken from the equal market
+                assert work["phase1"] - before["phase1"] == work["lp"] - before["lp"] == 2
+                assert twin._martingale_lp is not m._martingale_lp
+                assert twin._martingale_lp == m._martingale_lp
 
     def test_cap_is_checked_on_every_call(self):
         m = market_from_deltas(W3, [1, 0, -1])

@@ -175,9 +175,9 @@ def counted(monkeypatch):
     calls = {"lp": 0}
     solve = market.solve_lp
 
-    def solve_counted(lp, start=None):
+    def solve_counted(lp):
         calls["lp"] += 1
-        return solve(lp, start)
+        return solve(lp)
 
     def refuse(*args):
         raise AssertionError("vertex enumeration called")
@@ -246,17 +246,16 @@ def test_market_lps_are_the_martingale_system(monkeypatch):
     of find_dominating_martingale.  Each LP has exactly the d+1 martingale
     rows, all equalities, over the support's masses (and t for a charging
     LP); the simplex pivots of each are pinned, the superhedge's as those
-    of the market's start (its phase 1, built on the first superhedge)
-    plus those of its own phase 2."""
+    of its phase 1, which it runs on the market's martingale LP and keeps
+    there for later payoffs, plus those of its phase 2."""
     m = load_market(_golden("market_two_assets.json"))
     f = load_payoff(_golden("payoff_two_assets.json"), m.space)
     solved, pivots = [], [0]
     solve, pivot = market.solve_lp, lp_core._Tableau.pivot
 
-    def solve_counted(lp, start=None):
-        # the pivots since the last LP: its own, and the start's too when
-        # the call built one
-        sol = solve(lp, start)
+    def solve_counted(lp):
+        # the pivots since the last LP, phase 1 included
+        sol = solve(lp)
         solved.append((lp, pivots[0]))
         pivots[0] = 0
         return sol
