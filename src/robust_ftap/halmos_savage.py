@@ -4,10 +4,9 @@ Hypothesis checks and the primal and dual moduli, each one scan of the
 events of the quasi-sure support (by the integer event kernel of
 :mod:`robust_ftap.events`); the values of the expectation game between
 Q-mixtures and the primal/dual test-function sets, solved by cutting
-planes whose oracle is an exact fractional knapsack (or as one LP over
-the knapsack's dual when the Q-vertices outnumber half the support); and
-witnesses of both kinds from one body (`hs_witness`) that scans no
-event, each verified by one Lagrangian bound of that knapsack.
+planes whose oracle is an exact fractional knapsack; and witnesses of
+both kinds from one body (`hs_witness`) that scans no event, each
+verified by one Lagrangian bound of that knapsack.
 """
 
 from __future__ import annotations
@@ -195,16 +194,8 @@ def _expectation_game(
     Primal kind: sup over the weights w of the Q-vertices of min over the
     D-set {h in [0, 1]^n : p.h >= 2*epsilon} of E_q[h], q the mixture of
     w; dual kind: inf over w of max over {h : p.h <= epsilon*delta}.  At
-    a fixed w the inner problem is a fractional knapsack.  With K
-    Q-vertices on n support outcomes, the game is solved by cutting
-    planes over that knapsack when 2K <= n (`_cutting_planes`), and
-    otherwise as one LP over the knapsack's dual (`_knapsack_dual_lp`).
-    The cutting planes need about one master LP per Q-vertex that w*
-    mixes, which is known only once solved; 2K > n stands in for "w*
-    mixes many".  Mean per game with integer rows, Python 3.11 on a
-    2-vCPU host: on 12-outcome pairs with K = 2 or 3, 0.20 ms against
-    2.02 ms for the dual LP; on the large-market witnesses (K = 5 on 6
-    outcomes, w* mixing up to all five), 1.40 ms against 0.62 ms.  p and
+    a fixed w the inner problem is a fractional knapsack, and the game
+    is solved by cutting planes over it (`_cutting_planes`).  p and
     the Q-vertices are read from the measures' integer numerators on the
     support (`integer_rows`), p and the level over one denominator, the
     Q-vertices over another.  Raises EmptyPolytope when no h reaches a
@@ -221,9 +212,7 @@ def _expectation_game(
     if kind == PRIMAL and sum(pn) < level:
         raise EmptyPolytope("no test function reaches mass 2*epsilon")
     Qn, qd = _support_rows(inst, inst.Q.vertices)
-    if 2 * len(Qn) <= len(pn):
-        return _cutting_planes(pn, d, level, Qn, qd, kind)
-    return _knapsack_dual_lp(pn, d, level, Qn, qd, kind)
+    return _cutting_planes(pn, d, level, Qn, qd, kind)
 
 
 def _support_rows(
@@ -274,42 +263,6 @@ def _cutting_planes(
         if sol.status != "Optimal":
             raise CertificateError(f"the game's master LP is {sol.status}")
         t, weights = sol.value, sol.primal[1:]
-
-
-def _knapsack_dual_lp(
-    pn: list[int], pd: int, level: int, Qn: list[list[int]], qd: int, kind: str
-) -> _Game:
-    """The game as one LP over the knapsack's LP dual, all variables >= 0.
-
-    Primal: max level*lambda - sum_o mu_o subject to
-    mu_o - lambda p_o + sum_k w_k Q_k,o >= 0 and sum_k w_k = 1, whose
-    value at fixed w is the knapsack minimum.  Dual: min level*lambda +
-    sum_o mu_o subject to mu_o + lambda p_o - sum_k w_k Q_k,o >= 0 and
-    sum_k w_k = 1.  At the optimum mu_o is the positive part in
-    `knapsack_bound`, so lambda is a multiplier at which it is exact.
-    Variables (lambda, mu_1..mu_n, w_1..w_K).  p and the level are
-    integers over pd and the Q-vertices over qd; each coefficient is
-    their ratio, so every row is the same rational row whatever the
-    denominators."""
-    n, K = len(pn), len(Qn)
-    s = 1 if kind == PRIMAL else -1
-    rows = [
-        Constraint(
-            [Fraction(-s * pn[o], pd)] + [ONE if j == o else ZERO for j in range(n)]
-            + [Fraction(s * row[o], qd) for row in Qn],
-            GE, ZERO,
-        )
-        for o in range(n)
-    ]
-    rows.append(Constraint([ZERO] * (n + 1) + [ONE] * K, EQ, ONE))
-    sol = solve_lp(LinearProgram(
-        [Fraction(level, pd)] + [-s] * n + [ZERO] * K,
-        "max" if kind == PRIMAL else "min",
-        rows,
-    ))
-    if sol.status != "Optimal":
-        raise CertificateError(f"the game's knapsack dual LP is {sol.status}")
-    return _Game(sol.value, sol.primal[1 + n:], sol.primal[0])
 
 
 def basic_lemma_value(

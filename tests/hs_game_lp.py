@@ -1,6 +1,5 @@
 """The expectation game of the quantitative Halmos-Savage witnesses as one
-minimax LP: the reference that `halmos_savage`'s cutting planes and its
-knapsack-dual LP replaced.
+minimax LP: the reference that `halmos_savage`'s cutting planes replaced.
 
 The D-set is the polytope of test functions h in [0, 1]^n over the
 quasi-sure support of P with p.h >= 2*epsilon (primal) or

@@ -68,7 +68,7 @@ CASES = {
         ["hs-dual-witness", "--input", _in("pair.json"), *LEVELS, "--vertex-index", "1"],
     "hs-dual-witness-primal-fails":
         ["hs-dual-witness", "--input", _in("pair_primal_fails.json"), *LEVELS],
-    # 3 Q-vertices on 4 outcomes: the game is the knapsack dual LP
+    # 3 Q-vertices on 4 outcomes: the game's optimum mixes two of them
     "hs-witness-dense": ["hs-witness", "--input", _in("pair_dense.json"), *LEVELS,
                          "--vertex-index", "1"],
     "hs-dual-witness-dense": ["hs-dual-witness", "--input", _in("pair_dense.json"),

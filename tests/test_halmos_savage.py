@@ -218,7 +218,7 @@ class TestBasicLemmaValue:
         with pytest.raises(EmptyPolytope):
             lp_game(inst, vp, "primal")
         assert basic_lemma_value(inst, vp, "dual") == F(3, 10)
-        # one outcome and one Q-vertex: the knapsack dual LP's side
+        # one outcome and one Q-vertex
         W1 = SampleSpace(["w"])
         one = amb(W1, (1,))
         with pytest.raises(EmptyPolytope):
@@ -393,25 +393,23 @@ class TestHsModulus:
 
 
 class TestGameLp:
-    """With K Q-vertices on n outcomes and 2K <= n, the expectation game
-    is a cutting-plane loop over one small master LP: t and the K weights,
-    all >= 0, with one row per cut and the simplex row; t >= 0 removes no
-    optimum, as every cut value w.(Q h) is >= 0.  Otherwise it is one LP
-    over the knapsack's dual.
-    The one-LP game both replaced lives on in `hs_game_lp` as the
-    reference, with its shape."""
+    """The expectation game is a cutting-plane loop over one small master
+    LP: t and the K weights of the Q-vertices, all >= 0, with one row per
+    cut and the simplex row; t >= 0 removes no optimum, as every cut value
+    w.(Q h) is >= 0.  The one-LP game it replaced lives on in `hs_game_lp`
+    as the reference, with its shape."""
 
-    PAIR = os.path.join(os.path.dirname(os.path.abspath(__file__)),
-                        "golden", "inputs", "pair.json")
+    INPUTS = os.path.join(os.path.dirname(os.path.abspath(__file__)),
+                          "golden", "inputs")
 
-    def _golden_instance(self):
-        with open(self.PAIR) as fh:
+    def _golden_instance(self, name="pair.json"):
+        with open(os.path.join(self.INPUTS, name)) as fh:
             _, P, Q = load_hs_pair(json.load(fh))
         return HsInstance(P, Q, F(1, 4), F(1, 8))
 
     @staticmethod
-    def _game_lps(monkeypatch, inst, kind):
-        """basic_lemma_value at the first P-vertex, and the LPs it solved."""
+    def _game_lps(monkeypatch, inst, vp, kind):
+        """basic_lemma_value at the P-vertex vp, and the LPs it solved."""
         lps = []
         solve = halmos_savage.solve_lp
 
@@ -420,33 +418,25 @@ class TestGameLp:
             return solve(lp)
 
         monkeypatch.setattr(halmos_savage, "solve_lp", capture_lp)
-        value = basic_lemma_value(inst, inst.P.vertices[0], kind)
+        value = basic_lemma_value(inst, vp, kind)
         monkeypatch.undo()
         return value, lps
 
     @pytest.mark.parametrize("kind", ["primal", "dual"])
     def test_golden_pair_game_shape(self, monkeypatch, kind):
-        inst = self._golden_instance()
-        value, lps = self._game_lps(monkeypatch, inst, kind)
-        K = len(inst.Q.vertices)
-        assert lps
-        for cuts, lp in enumerate(lps, start=1):
-            assert lp.num_vars == K + 1
-            assert len(lp.constraints) == cuts + 1
-            assert lp.sense == ("max" if kind == "primal" else "min")
-        assert value == lp_game(inst, inst.P.vertices[0], kind).value
-
-    @pytest.mark.parametrize("kind", ["primal", "dual"])
-    def test_knapsack_dual_lp_shape(self, monkeypatch, kind):
-        # K = 2 Q-vertices on n = 2 outcomes, K > n/2: one LP over
-        # (lambda, mu_1..mu_n, w_1..w_K), all >= 0, with n + 1 rows
-        P = amb(W2, (F(1, 2), F(1, 2)))
-        inst = HsInstance(P, amb(W2, (F(1, 3), F(2, 3)), (F(3, 4), F(1, 4))),
-                          F(1, 4), F(1, 2))
-        value, [lp] = self._game_lps(monkeypatch, inst, kind)
-        assert lp.num_vars == 1 + 2 + 2
-        assert len(lp.constraints) == 2 + 1
-        assert value == lp_game(inst, P.vertices[0], kind).value
+        # (input, P-vertex, master LPs): K = 2 on 5 outcomes, whose optimum
+        # is one Q-vertex, and K = 3 on 4, whose optimum mixes two
+        for name, vertex, masters in (("pair.json", 0, 1), ("pair_dense.json", 1, 2)):
+            inst = self._golden_instance(name)
+            vp = inst.P.vertices[vertex]
+            value, lps = self._game_lps(monkeypatch, inst, vp, kind)
+            K = len(inst.Q.vertices)
+            assert len(lps) == masters
+            for cuts, lp in enumerate(lps, start=1):
+                assert lp.num_vars == K + 1
+                assert len(lp.constraints) == cuts + 1
+                assert lp.sense == ("max" if kind == "primal" else "min")
+            assert value == lp_game(inst, vp, kind).value
 
     @pytest.mark.parametrize("kind", ["primal", "dual"])
     def test_golden_pair_reference_game_shape(self, monkeypatch, kind):

@@ -1,6 +1,5 @@
-"""Differential test of the Halmos-Savage game, its cutting planes and
-its knapsack dual LP, against the one-LP game they replaced
-(`hs_game_lp`).
+"""Differential test of the Halmos-Savage game's cutting planes against
+the one-LP game they replaced (`hs_game_lp`).
 
 The value of every game must be equal exactly.  The Q-vertex weights must
 be equal wherever the optimum is unique: where the two differ, each
@@ -41,13 +40,15 @@ def check_game(inst, vp, kind):
 
 
 def test_criterion_4_5_games_match_lp():
-    # (cutting-plane games, knapsack dual LP games): 2K <= n or not
-    paths = [0, 0]
+    # (games with 2K <= n, games with 2K > n): K Q-vertices on n outcomes;
+    # the dense games' optima tend to mix more Q-vertices, and so to take
+    # more master LPs
+    sizes = [0, 0]
     for kind, inst in criterion_4_5_instances():
         for vp in inst.P.vertices:
             check_game(inst, vp, kind)
-            paths[2 * len(inst.Q.vertices) > len(inst.P.support)] += 1
-    assert min(paths) > 200
+            sizes[2 * len(inst.Q.vertices) > len(inst.P.support)] += 1
+    assert min(sizes) > 200
 
 
 @pytest.mark.parametrize("seed", [1, 411, 8123])

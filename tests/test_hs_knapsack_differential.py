@@ -163,8 +163,8 @@ def _forgeable(n):
     """Q-vertex 0 is the unique optimum of both games; a q* of Q-vertex 1
     puts mass 2/5 < 1/2 on the p-mass 19/20 >= 2*epsilon of all outcomes
     but a, and 3/5 >= 2*epsilon on {a}, of p-mass 1/20 < epsilon*delta.
-    On 3 outcomes (K = 2 > n/2) the game is the knapsack dual LP; on 4,
-    the last outcome split in two halves, the cutting planes."""
+    On 3 outcomes K = 2 > n/2; on 4 the last outcome is split in two
+    halves."""
     space = SampleSpace(["a", "b", "c", "d"][:n])
     rest = [F(19, 40)] if n == 3 else [F(19, 80), F(19, 80)]
     p = ProbabilityMeasure(space, [F(1, 20), F(19, 40)] + rest)
@@ -204,21 +204,20 @@ def test_forged_mixture_raises(monkeypatch, kind, n):
 @pytest.mark.parametrize("n", [3, 4])
 def test_witnesses_read_the_stored_numerators(monkeypatch, n):
     # past the hypothesis gate, the game, the mixture and the knapsack
-    # bound read ProbabilityMeasure.numerators, never mass_of: on 3
-    # outcomes through the knapsack dual LP, on 4 through the cutting planes
+    # bound read ProbabilityMeasure.numerators, never mass_of, and the
+    # game runs the cutting planes on 3 outcomes as on 4
     inst = _forgeable(n)
     vp = inst.P.vertices[0]
     want = [construct(inst, vp) for construct in (construct_hs_witness,
                                                   construct_dual_hs_witness)]
-    solvers = []
-    for name in ("_cutting_planes", "_knapsack_dual_lp"):
-        solver = getattr(halmos_savage, name)
+    calls = []
+    solver = halmos_savage._cutting_planes
 
-        def spy(*args, _name=name, _solver=solver):
-            solvers.append(_name)
-            return _solver(*args)
+    def spy(*args):
+        calls.append(args)
+        return solver(*args)
 
-        monkeypatch.setattr(halmos_savage, name, spy)
+    monkeypatch.setattr(halmos_savage, "_cutting_planes", spy)
 
     def no_mass_of(self, label):
         raise RuntimeError("mass_of called on the witness path")
@@ -228,8 +227,7 @@ def test_witnesses_read_the_stored_numerators(monkeypatch, n):
     assert got == want
     assert [w.claims for w in got] == [w.claims for w in want]
     assert all(w.claims for w in got)
-    solver = "_knapsack_dual_lp" if n == 3 else "_cutting_planes"
-    assert solvers == [solver, solver]
+    assert len(calls) == 2
 
 
 def _witness_claims_imply_event_claims(inst, vp):
