@@ -32,9 +32,8 @@ same rows (a market's superhedges) pays for phase 1 once, and hands
 nothing to the solver but the LP.
 
 Beside the solver, `enumerate_basic_feasible` lists the vertices of
-{q >= 0 : A q = b} on the same integer pivots: a depth-first walk over
-the column subsets, each prefix of a basis pivoted once and shared by
-every basis that extends it, the last column solved in closed form.
+{q >= 0 : A q = b} on the same integer pivots: the rows are reduced once,
+and each column subset of their rank is solved by `solve_square`.
 
 `minimax_value`, a bilinear minimax over a vertex-polytope / polytope pair
 solved as one LP (its primal the sup-inf order, its checked dual the
@@ -49,6 +48,7 @@ from copy import copy
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import reduce
+from itertools import combinations
 from math import gcd, lcm
 from typing import Iterable, Optional, Sequence
 
@@ -550,10 +550,10 @@ def _shape(matrix: Sequence[Sequence], rhs: Optional[Sequence] = None) -> int:
     return n
 
 
-# no library caller; read by tests/fraction_sums.py and wrapped by bench/tracing.py
 def solve_square(matrix: Sequence[Sequence[Fraction]], rhs: Sequence[Fraction]):
     """The nonnegative solution of a square rational system, by
-    fraction-free elimination.
+    fraction-free elimination; `enumerate_basic_feasible` solves each of
+    its bases with it.
 
     Returns None when the matrix is singular or the solution has a negative
     entry; the sign test runs on the reduced integer rows, before any
@@ -586,14 +586,8 @@ def enumerate_basic_feasible(
     """Vertices of {q >= 0 : A q = b}, one per feasible basis.
 
     Desk-scale method.  The rows are made integers and reduced to `rank`
-    independent ones; then the column subsets of size rank are walked depth
-    first, in `itertools.combinations` order.  Each prefix of a basis is
-    pivoted once, on a copy of the rows, and every basis that extends it
-    shares that work.  A column with no nonzero entry in the rows the prefix
-    left is a combination of the prefix columns, so no basis through prefix
-    and column is tried.  The last column is solved in closed form and its
-    signs are tested in integers; a feasible basis is keyed by the reduced
-    integers of its entries, and only a new vertex builds Fractions.  A
+    independent ones; then every column subset of size rank, in
+    `itertools.combinations` order, is solved by `solve_square`, and a
     vertex is listed at the first basis that yields it.  No rows, ragged
     rows or a rhs of another length raise DimensionMismatch.
     """
@@ -605,64 +599,20 @@ def enumerate_basic_feasible(
         return []
     if rank == 0:
         return [tuple([ZERO] * nvars)]
-    last = rank - 1
-
-    # a vertex is keyed by the integers (j, numerator, denominator) of its
-    # nonzero entries: hashing a Fraction costs a modular inverse
-    seen: set[tuple[tuple[int, int, int], ...]] = set()
+    rows, rhs = work[:rank], [row[nvars] for row in work[:rank]]
+    seen: set[tuple[Fraction, ...]] = set()
     out: list[tuple[Fraction, ...]] = []
-
-    def leaves(rows: list[list[int]], basis: list[int], start: int) -> None:
-        # the prefix `basis` sits in rows 0..last-1, each with a positive
-        # entry at its column and zeros at the others; row `last` is left.
-        # With a = row_last[j] > 0 and b its rhs, x_j = b / a and
-        # x_{b_i} = (b_i a - row_i[j] b) / (row_i[b_i] a).
-        final = rows[last]
-        prefix = rows[:last]
-        for j in range(start, nvars):
-            a, b = final[j], final[nvars]
-            if not a:
-                continue
-            if a < 0:
-                a, b = -a, -b
-            if b < 0:
-                continue
-            nums = [row[nvars] * a - row[j] * b for row in prefix]
-            if any(v < 0 for v in nums):
-                continue
-            key = []
-            for col, v, row in zip(basis, nums, prefix):
-                if v:
-                    d = row[col] * a
-                    g = gcd(v, d)
-                    key.append((col, v // g, d // g))
-            if b:
-                g = gcd(b, a)
-                key.append((j, b // g, a // g))
-            key = tuple(key)
-            if key not in seen:
-                seen.add(key)
-                q = [ZERO] * nvars
-                for col, num, den in key:
-                    q[col] = Fraction(num, den)
-                out.append(tuple(q))
-
-    def walk(rows: list[list[int]], basis: list[int], start: int) -> None:
-        k = len(basis)
-        if k == last:
-            leaves(rows, basis, start)
-            return
-        for j in range(start, nvars - last + k):
-            r = next((r for r in range(k, rank) if rows[r][j]), None)
-            if r is None:
-                continue
-            # _pivot rebinds the rows it changes, so a shallow copy is enough
-            pivoted = rows[:]
-            pivoted[k], pivoted[r] = pivoted[r], pivoted[k]
-            _pivot(pivoted, k, j)
-            walk(pivoted, basis + [j], j + 1)
-
-    walk(work[:rank], [], 0)
+    for basis in combinations(range(nvars), rank):
+        sol = solve_square([[row[j] for j in basis] for row in rows], rhs)
+        if sol is None:
+            continue
+        q = [ZERO] * nvars
+        for j, v in zip(basis, sol):
+            q[j] = v
+        q = tuple(q)
+        if q not in seen:
+            seen.add(q)
+            out.append(q)
     return out
 
 

@@ -192,16 +192,6 @@ class MartingalePolytope:
     market: Market
     vertices: tuple[ProbabilityMeasure, ...]
 
-    def contains(self, q: ProbabilityMeasure) -> bool:
-        m = self.market
-        if not q.support <= set(m.support):
-            return False
-        try:
-            m.martingale_claims(q, "q")
-        except CertificateError:
-            return False
-        return True
-
 
 @dataclass(frozen=True)
 class HedgeCertificate:
@@ -272,12 +262,11 @@ def martingale_polytope(
 ) -> MartingalePolytope:
     """Vertex list of {q >= 0 on the support, sum q = 1, E_q[increments] = 0}.
 
-    The feasible bases of the d+1 rows are walked depth first
-    (`enumerate_basic_feasible`), each shared prefix pivoted once; adequate
-    and exact at desk scale.  The list is enumerated once per market and
-    kept on it.  A support larger than `max_enum` is refused, on every
-    call and before the kept list is read, with the number of bases
-    C(n, rank) the enumeration covers.
+    Each of the C(n, rank) bases of the d+1 rows is solved in turn
+    (`enumerate_basic_feasible`); adequate and exact at desk scale.  The
+    list is enumerated once per market and kept on it.  A support larger
+    than `max_enum` is refused, on every call and before the kept list is
+    read, with the number of bases C(n, rank) the enumeration would try.
     """
     n = len(m.support)
     if n > max_enum:

@@ -4,10 +4,13 @@
 sums integers over a common denominator: the mass checks and the
 expectations of a ``ProbabilityMeasure``, the mixtures of ``measures.mix``,
 a market's gains, its expected increments and the charging column of its
-LPs, the reading of a rational string, and the duplicate test of the
-vertex enumeration.  These are the expressions they replaced, over
-``fractions.Fraction``, kept only as the slow reference path of
-``test_rational_differential.py``.
+LPs, and the reading of a rational string.  These are the expressions they
+replaced, over ``fractions.Fraction``, kept only as the slow reference path
+of ``test_rational_differential.py``.  Beside them is a vertex enumeration
+by Gauss-Jordan elimination over Fractions, which imports nothing from
+``lp_core``: the library reduces integer rows fraction-free and solves each
+basis with ``lp_core.solve_square``, and this reference must not share
+that code with it.
 """
 
 from __future__ import annotations
@@ -18,7 +21,6 @@ from itertools import combinations
 from typing import Optional
 
 from robust_ftap.errors import DimensionMismatch, InputError
-from robust_ftap.lp_core import _int_row, _row_reduce, solve_square
 from robust_ftap.measures import ProbabilityMeasure
 
 ZERO = Fraction(0)
@@ -104,23 +106,45 @@ def parse_rational(value, field: str = "value") -> Fraction:
     raise InputError(f"{field}: expected a rational string, got {type(value).__name__}")
 
 
+def _gauss_jordan(rows, ncols) -> int:
+    """Gauss-Jordan elimination in place over the first ``ncols`` columns
+    of Fraction rows, each pivot scaled to 1; returns the rank."""
+    rank = 0
+    for col in range(ncols):
+        piv = next((r for r in range(rank, len(rows)) if rows[r][col]), None)
+        if piv is None:
+            continue
+        rows[rank], rows[piv] = rows[piv], rows[rank]
+        p = rows[rank][col]
+        rows[rank] = [a / p for a in rows[rank]]
+        for r, row in enumerate(rows):
+            if r != rank and row[col]:
+                f = row[col]
+                rows[r] = [a - f * b for a, b in zip(row, rows[rank])]
+        rank += 1
+    return rank
+
+
 def enumerate_basic_feasible(eq_rows, eq_rhs) -> list[tuple[Fraction, ...]]:
-    """The former vertex enumeration, which removed duplicates by hashing
-    each vertex as a tuple of Fractions."""
+    """Vertices of {q >= 0 : A q = b} over Fractions: the rows reduced to
+    their rank, then each column subset of that size in ``combinations``
+    order solved by elimination, a vertex listed at the first basis that
+    yields it."""
     nvars = len(eq_rows[0])
-    work = [_int_row(list(row) + [b]) for row, b in zip(eq_rows, eq_rhs)]
-    rank = _row_reduce(work, nvars)
-    if any(row[nvars] for row in work[rank:]):
+    rows = [[Fraction(a) for a in row] + [Fraction(b)] for row, b in zip(eq_rows, eq_rhs)]
+    rank = _gauss_jordan(rows, nvars)
+    if any(row[nvars] for row in rows[rank:]):
         return []
     if rank == 0:
         return [tuple([ZERO] * nvars)]
-    A_ind = [row[:nvars] for row in work[:rank]]
-    b_ind = [row[nvars] for row in work[:rank]]
     seen: set[tuple[Fraction, ...]] = set()
     out: list[tuple[Fraction, ...]] = []
     for basis in combinations(range(nvars), rank):
-        sol = solve_square([[row[j] for j in basis] for row in A_ind], b_ind)
-        if sol is None:
+        square = [[row[j] for j in basis] + [row[nvars]] for row in rows[:rank]]
+        if _gauss_jordan(square, rank) < rank:
+            continue
+        sol = [row[rank] for row in square]
+        if any(v < 0 for v in sol):
             continue
         q = [ZERO] * nvars
         for j, v in zip(basis, sol):

@@ -114,8 +114,9 @@ class TestMarketClaims:
             Claim("q: expected increment of asset 0", F(0), "=", F(0)),)
         with pytest.raises(CertificateError, match="expected increment of asset 0"):
             m.martingale_claims(pm(W2, F(1, 2), F(1, 2)), "p")
-        poly = martingale_polytope(m)
-        assert poly.contains(q) and not poly.contains(pm(W2, F(1, 2), F(1, 2)))
+        # q is the polytope's one vertex: on the support, with zero increment
+        assert q.support <= set(m.support)
+        assert [v.mass for v in martingale_polytope(m).vertices] == [q.mass]
 
     def test_dominating_claims(self):
         m = one_asset(W3, [1, 0, -1], pm(W3, 0, 1, 0), pm(W3, F(1, 2), 0, F(1, 2)))

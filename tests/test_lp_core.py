@@ -10,6 +10,7 @@ import sys
 import textwrap
 from dataclasses import replace
 from fractions import Fraction
+from math import comb
 
 import pytest
 
@@ -624,25 +625,24 @@ class TestLinearAlgebra:
         rows = [[F(1), F(0), F(1)], [F(0), F(1), F(1)], [F(1), F(1), F(2)]]
         assert enumerate_basic_feasible(rows, [F(1), F(1), F(3)]) == []
 
-    def test_rank_one_is_solved_in_closed_form(self):
+    def test_rank_one_vertices(self):
         # one row: every vertex is b / a_j at a column with b / a_j >= 0
         verts = enumerate_basic_feasible([[F(2), F(0), F(-1), F(1, 3)]], [F(1)])
         assert verts == [(F(1, 2), 0, 0, 0), (0, 0, 0, F(3))]
-        # b = 0: every column with a nonzero entry gives the origin
+        # b = 0: every column with a nonzero entry gives the origin, listed once
         assert enumerate_basic_feasible([[F(1), F(-1)]], [F(0)]) == [(0, 0)]
 
     def test_dependent_column_pair(self):
-        # column 1 is twice column 0, so the prefix (0, 1) is skipped
-        # before the last level and {0, 1, 2}, {0, 1, 3} are never solved;
-        # {0, 2, 3} and {1, 2, 3} give one vertex each
+        # column 1 is twice column 0, so the bases {0, 1, 2} and {0, 1, 3}
+        # are singular; {0, 2, 3} and {1, 2, 3} give one vertex each
         rows = [[F(1), F(2), F(1), F(0)], [F(-1), F(-2), F(1), F(1)],
                 [F(-1), F(-2), F(0), F(1)]]
         verts = enumerate_basic_feasible(rows, [F(1), F(2), F(2)])
         assert verts == [(F(1), 0, 0, F(3)), (0, F(1, 2), 0, F(3))]
 
-    def test_negative_prefix_entry_is_infeasible(self):
-        # the bases {0, 2} and {1, 2} give q_2 = 3 >= 0 at the last column
-        # but a negative entry at the first: there is no vertex
+    def test_negative_basis_entry_is_infeasible(self):
+        # the bases {0, 2} and {1, 2} give q_2 = 3 >= 0 but a negative
+        # entry at their first column, and {0, 1} is singular: no vertex
         rows = [[F(-1), F(-2), F(0)], [F(1), F(2), F(1)]]
         assert enumerate_basic_feasible(rows, [F(1), F(2)]) == []
 
@@ -654,6 +654,27 @@ class TestLinearAlgebra:
             [[F(1), F(1), F(1)], [F(0), F(1), F(-1)]], [F(1), F(0)]
         )
         assert verts == [(F(1), 0, 0), (0, F(1, 2), F(1, 2))]
+
+    def test_every_basis_is_solved_once(self, monkeypatch):
+        # the third row is the sum of the first two: rank 2 over 5 columns,
+        # so C(5, 2) = 10 bases are tried, the count the enumeration cap
+        # reports, each by one solve_square
+        calls = []
+
+        def counted(matrix, rhs):
+            calls.append(len(matrix))
+            return solve_square(matrix, rhs)
+
+        monkeypatch.setattr(lp_core, "solve_square", counted)
+        rows = [[1, 1, 1, 1, 1], [1, -1, 2, 0, -2], [2, 0, 3, 1, -1]]
+        verts = enumerate_basic_feasible(rows, [1, 0, 1])
+        assert calls == [2] * comb(5, 2)
+        # (0, 0, 0, 1, 0) solves the four bases through column 3 and is
+        # listed once, at {0, 3}
+        assert verts == [
+            (F(1, 2), F(1, 2), 0, 0, 0), (0, 0, 0, 1, 0), (F(2, 3), 0, 0, 0, F(1, 3)),
+            (0, F(2, 3), F(1, 3), 0, 0), (0, 0, F(1, 2), 0, F(1, 2)),
+        ]
 
     @pytest.mark.parametrize(
         "call",
