@@ -12,15 +12,16 @@ appears inside the loop.
 
 Scans stream the subset sums block by block: a table of the low bits
 (at most ``2**LOW_BITS`` = 64 entries per measure) is shifted by the sum
-of the high bits.  Memory stays at O(V * 2**6) for V measures whatever
-the support size; no table of all 2**n events is built.  A best-value
+of the high bits; no table of all 2**n events is built.  A best-value
 scan over several blocks groups them by the next ``LOW_BITS`` bits: each
 measure's subset sums over those bits give the offsets of up to 64
-blocks.  Any bits above them, on supports of more than ``2 * LOW_BITS``
-outcomes, follow a Gray code as an outer loop whose every setting shifts
-all of these offsets.  The scan sorts each low table once.  A block's
-bound for one measure is its offset plus the measure's extreme low
-entry.  Aggregated over the side measures, it drops every block where no
+blocks.  The subset sums of any bits above them, on supports of n >
+``2 * LOW_BITS`` outcomes, are an outer loop whose every entry shifts
+all of these offsets.  :func:`_subset_sums` builds all three tables,
+so a measure's tables hold at most 2 * 2**6 + 2**max(n - 12, 0)
+integers, 384 at the default cap of 20 outcomes.  The scan sorts each
+low table once.  A block's bound for one measure is its offset plus the
+measure's extreme low entry.  Aggregated over the side measures, it drops every block where no
 entry can pass the side test; aggregated over the value measures, it
 bounds the value of every entry of the block.  The blocks left are
 visited best bound first, and the walk stops at the first whose bound
@@ -149,8 +150,8 @@ class EventSpace:
         side_tables = [self._tables(row, 0) for row in side.rows]
         if self.size <= self._low_bits:
             # a lone block: stream it whole, with no sort
-            side_sums = _aggregate(side.agg, [low for low, _ in side_tables])
-            values = _aggregate(value.agg, [low for low, _ in value_tables])
+            side_sums = _aggregate(side.agg, [low for low, _, _ in side_tables])
+            values = _aggregate(value.agg, [low for low, _, _ in value_tables])
             best = pick(compress(values, map(_test(op, threshold), side_sums)), default=None)
         else:
             best = self._skip_blocks(
@@ -169,9 +170,9 @@ class EventSpace:
         # each low table sorted once per scan, with the mask of every
         # prefix (side <, value min) or suffix (side >=, value max) of its
         # sorted order
-        side_sorted = [_sorted(low, op == GE) for low, _ in side_tables]
-        value_sorted = [_sorted(low, pick is max) for low, _ in value_tables]
-        value_lows = [low for low, _ in value_tables]
+        side_sorted = [_sorted(low, op == GE) for low, _, _ in side_tables]
+        value_sorted = [_sorted(low, pick is max) for low, _, _ in value_tables]
+        value_lows = [low for low, _, _ in value_tables]
         # an entry beats the best below it (a prefix up to bisect_left) for
         # min and above it (a suffix from bisect_right) for max
         beats = bisect_left if pick is min else bisect_right
@@ -189,16 +190,14 @@ class EventSpace:
         extremes = [keys[0] if pick is min else keys[-1] for keys, _ in value_sorted]
         extremes += [keys[-1] if op == GE else keys[0] for keys, _ in side_sorted]
         # the next LOW_BITS bits above the low ones pick a block among up to
-        # 2**LOW_BITS by their subset sums, and any bits above those (beyond
-        # 2 * LOW_BITS outcomes) shift every block, following a Gray code
-        highs = [high for _, high in value_tables + side_tables]
-        bits = self._low_bits
-        middles = [_subset_sums(high[:bits], 0) for high in highs]
+        # 2**LOW_BITS by their subset sums, and the subset sums of any bits
+        # above those (beyond 2 * LOW_BITS outcomes) shift every block
+        _, middles, outers = zip(*value_tables, *side_tables)
         extreme_sums = [[e + x for x in sums] for e, sums in zip(extremes, middles)]
         side_test = _test(op, threshold)
         cut = len(value_tables)
         best = None
-        for outer in self._blocks([high[bits:] for high in highs]):
+        for outer in zip(*outers):
             bounds = [[o + x for x in sums] for o, sums in zip(outer, extreme_sums)]
             value_bounds = list(_aggregate(value_agg, bounds[:cut]))
             passing = map(side_test, _aggregate(side_agg, bounds[cut:]))
@@ -225,29 +224,18 @@ class EventSpace:
         return best
 
     def _mask_of_key(self, key: int) -> int:
-        n = self.size
-        if not n:
-            return 0
         reverse = self._full - (key & self._full)
-        return int(format(reverse, f"0{n}b")[::-1], 2)
+        return int(format(reverse, f"0{self.size}b")[::-1], 2)
 
-    def _tables(self, weights: list[int], const: int) -> tuple[list[int], list[int]]:
-        """Subset sums of the low-bit weights (plus const), and the high weights."""
-        return _subset_sums(weights[: self._low_bits], const), weights[self._low_bits:]
-
-    def _blocks(self, highs: list[list[int]]) -> Iterator[list[int]]:
-        """Each table's offset (its sum over its weights in ``highs``), once
-        per setting of those bits, which follow a Gray code."""
-        offsets = [0] * len(highs)
-        yield offsets
-        columns = list(zip(*highs))  # each table's weight of one bit
-        gray = 0
-        for g in range(1, 1 << len(columns)):
-            j = (g & -g).bit_length() - 1
-            gray ^= 1 << j
-            step = int.__add__ if gray >> j & 1 else int.__sub__
-            offsets = list(map(step, offsets, columns[j]))
-            yield offsets
+    def _tables(self, weights: list[int], const: int) -> tuple[list[int], list[int], list[int]]:
+        """Subset sums of the low-bit weights plus const, of the next
+        ``LOW_BITS`` weights, and of the rest."""
+        bits = self._low_bits
+        return (
+            _subset_sums(weights[:bits], const),
+            _subset_sums(weights[bits : 2 * bits], 0),
+            _subset_sums(weights[2 * bits :], 0),
+        )
 
 
 class Envelope:

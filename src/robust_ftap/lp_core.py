@@ -257,8 +257,9 @@ class _Tableau:
         for r, bv in enumerate(self.basis):
             _pivot(self.rows, r, bv)
 
-    def run(self, allow_enter: list[bool]) -> Optional[int]:
-        """Bland-rule simplex on the installed costs.
+    def run(self, enterable: int) -> Optional[int]:
+        """Bland-rule simplex on the installed costs, where only the first
+        `enterable` columns may enter.
 
         Returns None at an optimum, or the entering column whose increase
         improves the objective without bound.
@@ -266,9 +267,7 @@ class _Tableau:
         rows, basis, m, b = self.rows, self.basis, self.m, self.total
         while True:
             obj = rows[m]
-            enter = next(
-                (j for j in range(self.total) if allow_enter[j] and obj[j] < 0), -1
-            )
+            enter = next((j for j in range(enterable) if obj[j] < 0), -1)
             if enter < 0:
                 return None
             # least ratio b_r / a_r over a_r > 0, compared by cross-multiplying
@@ -320,7 +319,7 @@ def _phase_one(lp: LinearProgram) -> _Tableau | LpSolution:
     tab = _Tableau(tab_rows, ncols, tuple(flip))
     total = tab.total
     tab.price([0] * ncols + [1] * m)
-    tab.run([True] * total)  # a sum of nonnegative artificials is bounded
+    tab.run(total)  # a sum of nonnegative artificials is bounded
     # the artificials are nonnegative, so the phase-1 value is positive
     # exactly when one of them is basic at a positive level
     if any(tab.basis[r] >= ncols and tab.rows[r][total] for r in range(m)):
@@ -368,7 +367,7 @@ def solve_lp(lp: LinearProgram) -> LpSolution:
     # phase 2: artificial columns stay in the tableau (they carry the dual
     # multipliers) but may not enter
     tab.price([sign * c for c in cost] + [0] * (total - n), cscale)
-    enter = tab.run([True] * ncols + [False] * m)
+    enter = tab.run(ncols)
 
     # the basic solution, feasible since phase 1 and kept feasible by phase 2
     x = [ZERO] * n

@@ -354,14 +354,6 @@ def charging_claims(
     return _positive_claims(q, sorted(vertex_p.support), "dominating Q")
 
 
-def dominating_claims(
-    m: Market, vertex_p: ProbabilityMeasure, q: ProbabilityMeasure
-) -> tuple[Claim, ...]:
-    """q is a martingale measure charging every outcome that vertex_p
-    charges; raises CertificateError when a claim fails."""
-    return m.martingale_claims(q, "dominating Q") + charging_claims(vertex_p, q)
-
-
 def check_ftap(
     m: Market,
 ) -> tuple[bool, list[tuple[ProbabilityMeasure, Optional[ProbabilityMeasure]]]]:

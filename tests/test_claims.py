@@ -21,8 +21,8 @@ from robust_ftap.halmos_savage import (
 )
 from robust_ftap.market import (
     Market,
+    charging_claims,
     check_na,
-    dominating_claims,
     martingale_polytope,
     superhedge,
 )
@@ -122,13 +122,15 @@ class TestMarketClaims:
         m = one_asset(W3, [1, 0, -1], pm(W3, 0, 1, 0), pm(W3, F(1, 2), 0, F(1, 2)))
         vp = m.P.vertices[1]
         q = pm(W3, F(1, 4), F(1, 2), F(1, 4))
-        assert [c.description for c in dominating_claims(m, vp, q)] == [
+        claims = m.martingale_claims(q, "dominating Q") + charging_claims(vp, q)
+        assert [c.description for c in claims] == [
             "dominating Q: expected increment of asset 0",
             "dominating Q positive at d",
             "dominating Q positive at u",
         ]
+        q0 = pm(W3, 0, 1, 0)
         with pytest.raises(CertificateError, match="positive at d"):
-            dominating_claims(m, vp, pm(W3, 0, 1, 0))
+            m.martingale_claims(q0, "dominating Q") + charging_claims(vp, q0)
 
     def test_superhedge_claims(self):
         m = one_asset(W2, [1, F(-1, 2)], pm(W2, F(1, 2), F(1, 2)))

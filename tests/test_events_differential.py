@@ -6,14 +6,14 @@ then lexicographic in support order), so every value, verdict and
 tie-break event must be exactly equal.  The masses are drawn from small
 integer weights, so that many events tie.  Each test runs at the
 default 6-bit low block and also at 10 and 3 bits, so that supports of 4
-to 10 outcomes take the kernel's multi-block (Gray-code) path as well as
-its single-block one; supports of 11 to 13 outcomes, the size of the
+to 10 outcomes take the kernel's multi-block path as well as its
+single-block one; supports of 11 to 13 outcomes, the size of the
 benchmark's ambiguity pairs, are scanned in many blocks at every width,
 most of which the kernel skips: it visits the blocks best bound first,
 stops at the first whose bound cannot beat the best found so far, and
 evaluates a block only when one of its entries passes the side test and
 beats that best.  Supports of more than twice the width also walk the
-bits above the blocks in an outer Gray code.
+subset sums of the bits above the blocks in an outer loop.
 """
 
 import functools
@@ -305,7 +305,7 @@ def test_blocks_that_cannot_beat_the_best_are_never_tested(monkeypatch):
     # event of its high outcomes alone, of Q-mass 4/12, the best.  Every
     # block left (14 of 4, 6 of 5 and 1 of 6 outcomes) has a bound that
     # cannot beat it, so the walk stops there: 21 blocks tested, 2 of
-    # them evaluated, where a walk in Gray-code order tests all 64
+    # them evaluated, where a walk without the bounds tests all 64
     space = SampleSpace([f"o{i}" for i in range(12)])
     P = AmbiguitySet(space, [_measure(space, [1] * 6 + [10] * 6)])
     Q = AmbiguitySet(space, [_measure(space, [1] * 12)])
@@ -347,8 +347,8 @@ def test_hypothesis_scans_test_and_evaluate_few_blocks(monkeypatch):
 
 def test_a_twenty_outcome_scan_keeps_its_tables_small():
     # at the default cap, 2**20 events in 2**8 settings of the high bits
-    # of 64 blocks of 64 entries: the walk holds O(measures * 2**6) integers,
-    # where a table of every event would take tens of MiB
+    # of 64 blocks of 64 entries: each measure's tables hold 2 * 2**6 + 2**8
+    # integers, where a table of every event would take tens of MiB
     P, Q = _seeded_pair(20, 2026)
     tracemalloc.start()
     try:
@@ -402,7 +402,7 @@ def _zero_high_pair(n):
     # of a max scan, numerator * scale - key, is negative (and some are at
     # 3 and 10 bits); P charges every outcome with weights 1 to 3.  At 14
     # outcomes and 6 bits, o12 and o13 lie above the blocks of o6..o11, so
-    # the Gray code over them visits 4 settings
+    # the outer loop visits their 4 subset sums
     space = SampleSpace([f"o{i}" for i in range(n)])
     P = AmbiguitySet(space, [_measure(space, [1 + i % 3 for i in range(n)]),
                              _measure(space, [3 - i % 3 for i in range(n)])])
@@ -446,21 +446,28 @@ def _zero_high_references(n):
 def test_max_over_outcomes_of_zero_value_mass(monkeypatch, n, bits):
     P, Q = _zero_high_pair(n)
     settings = []
-    blocks = EventSpace._blocks
+    tables = EventSpace._tables
 
-    def counted(self, highs):
-        settings.append(0)
-        for offsets in blocks(self, highs):
-            settings[-1] += 1
-            yield offsets
+    def counted(self, weights, const):
+        low, middle, outer = tables(self, weights, const)
+        settings.append(len(outer))
+        return low, middle, outer
 
-    monkeypatch.setattr(EventSpace, "_blocks", counted)
+    monkeypatch.setattr(EventSpace, "_tables", counted)
     with low_bits(bits):
         got = [_kernel_best(P, Q, *case) for case in ZERO_HIGH_CASES]
     for case, g, want in zip(ZERO_HIGH_CASES, got, _zero_high_references(n)):
         assert g == want, case
-    # each scan walks 2**(n - 2 * bits) settings of the bits above its blocks
+    # each scan walks 2**(n - 2 * bits) settings of the bits above its
+    # blocks, one per outer subset sum of every measure
     assert set(settings) == {2 ** max(n - 2 * bits, 0)}
+
+
+def test_a_scan_over_no_labels_finds_the_empty_event():
+    space = SampleSpace(["a"])
+    events = EventSpace(space, [], 20)
+    U = events.upper([_measure(space, [1])])
+    assert [events.best(pick, U, (U, GE, 0)) for pick in (min, max)] == [(0, frozenset())] * 2
 
 
 def test_ties_pick_the_first_event_in_order():

@@ -10,9 +10,9 @@ from robust_ftap import lp_core, market
 from robust_ftap.errors import EnumerationCapExceeded, NaViolated
 from robust_ftap.market import (
     Market,
+    charging_claims,
     check_ftap,
     check_na,
-    dominating_claims,
     find_dominating_martingale,
     full_support_martingale,
     martingale_polytope,
@@ -203,7 +203,8 @@ class TestFtap:
                 q = full_support_martingale(m)
                 for vp, qv in per_vertex:
                     assert qv is q
-                    dominating_claims(m, vp, qv)
+                    m.martingale_claims(qv, "dominating Q")
+                    charging_claims(vp, qv)
             else:
                 assert qs == [find_dominating_martingale(m, vp) for vp in m.P.vertices]
                 assert None in qs
