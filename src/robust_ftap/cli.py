@@ -121,8 +121,8 @@ def _load_json(path: str):
         raise InputError(f"{path}: unreadable JSON: {exc}") from exc
 
 
-def load_market(obj, where: str = "market") -> Market:
-    return Market(*market_fields(obj, where))
+def load_market(obj) -> Market:
+    return Market(*market_fields(obj))
 
 
 def load_sequence(obj) -> MarketSequence:
@@ -323,8 +323,8 @@ def _hs_instance(args):
     delta = _parse_level(args.delta, "--delta", below_one=True)
     try:
         inst = HsInstance(P, Q, eps, delta)
-    except ValueError as exc:
-        raise InputError(str(exc)) from exc
+    except ValueError as exc:  # a Q-vertex charges an outcome no P-vertex does
+        raise InputError(f"pair.q_vertices: {exc}") from exc
     input_obj = {
         "pair": hs_pair_to_obj(space, P, Q),
         "epsilon": format_rational(eps),
@@ -441,10 +441,7 @@ def _cmd_certify(args, max_enum, kind):
 
 def _cmd_build_contiguous(args, max_enum):
     seq = load_sequence(_load_json(args.input))
-    try:
-        cs = build_contiguous_sequence(seq, max_enum=max_enum)
-    except HypothesisViolated as exc:
-        return f"construction unavailable: {exc}", None, [], sequence_to_obj(seq)
+    cs = build_contiguous_sequence(seq, max_enum=max_enum)
     witness = {
         "probability_vectors": [format_list(q.mass) for q in cs.per_market],
         "weight_vectors": [format_list(w) for w in cs.mixture_weights],
@@ -557,9 +554,18 @@ def _emit(cert: dict, args) -> None:
 # argument parsing and dispatch
 
 
+class _Parser(argparse.ArgumentParser):
+    """An argument parser whose usage errors are input errors (exit 1),
+    not argparse's exit 2, which the CLI keeps for the enumeration cap.
+    Subparsers are built by the same class."""
+
+    def error(self, message):
+        raise InputError(message)
+
+
 @functools.cache
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="robust-ftap",
         description=(
             "Exact-rational no-arbitrage, superhedging and contiguity "
@@ -639,9 +645,8 @@ def _run_verify(args) -> int:
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = _build_parser().parse_args(argv)
         if args.command == "verify":
             return _run_verify(args)
         if not args.input:

@@ -80,10 +80,12 @@ class HsWitness:
     Primal kind: every event A with forVertexP(A) >= 2*epsilon carries
     q_star mass >= guaranteed_bound.  Dual kind: every event with
     forVertexP(A) < epsilon*delta carries q_star mass < guaranteed_bound.
-    `multiplier` is the knapsack multiplier lambda >= 0 at which the
-    scalar bound of `knapsack_bound` proves this for all events at once
-    (0 for the vacuous witness); `witness_claims` states that bound, and
-    ``claims`` lists its claims as `hs_witness` checked them.
+    forVertexP charges only the quasi-sure support of P.  `multiplier` is
+    the knapsack multiplier lambda >= 0 at which the scalar bound of
+    `knapsack_bound` proves this for all events at once: the greedy's
+    ratio at the outcome it filled last, and 0 for the vacuous witness;
+    `witness_claims` states that bound, and ``claims`` lists its claims
+    as `hs_witness` checked them.
     """
 
     kind: str
@@ -102,11 +104,11 @@ def check_hypothesis_primal(
 
     Linear functionals on a polytope attain their extremes at vertices, so
     "exists P in the set" is a max over P-vertices, same for Q.  Returns the
-    verdict and the qualifying event whose best Q-mass is smallest.
+    verdict and the qualifying event whose best Q-mass is smallest.  Some
+    event qualifies: the whole support has P-mass 1 >= epsilon, as
+    `HsInstance` keeps epsilon below 1.
     """
     worst = _primal_scan(inst.P, inst.Q, inst.epsilon, max_enum)
-    if worst is None:
-        return True, frozenset()
     return worst.value >= inst.delta, worst.event
 
 
@@ -116,7 +118,9 @@ def check_hypothesis_dual(
     """Check: every event with some P-mass < delta has some Q-mass < epsilon.
 
     Returns the verdict and the qualifying event whose best (smallest)
-    Q-mass is largest; on failure that event violates the condition.
+    Q-mass is largest; on failure that event violates the condition.  Some
+    event qualifies: the empty event has P-mass 0 < delta, as `HsInstance`
+    keeps delta above 0.
     """
     events = support_events(inst.P, max_enum)
     worst = events.best(
@@ -124,15 +128,15 @@ def check_hypothesis_dual(
         events.lower(inst.Q.vertices),
         (events.lower(inst.P.vertices), LT, inst.delta),
     )
-    if worst is None:
-        return True, frozenset()
     return worst.value < inst.epsilon, worst.event
 
 
 class _Game(NamedTuple):
     """The expectation game's value, the Q-vertex weights w* that attain
     it, and a multiplier lambda >= 0 of the p-row of the knapsack at the
-    mixture of w*, at which `knapsack_bound` equals the value."""
+    mixture of w*, at which `knapsack_bound` equals the value: the ratio
+    q_o / p_o at the outcome the greedy filled last, which it always
+    reaches (`_knapsack`)."""
 
     value: Fraction
     weights: tuple[Fraction, ...]
@@ -141,17 +145,16 @@ class _Game(NamedTuple):
 
 class _TestFunction(NamedTuple):
     """h over the support: 1 where `full`, fill / unit at `last`, 0
-    elsewhere (fill 0 over unit 1 when `last` is None)."""
+    elsewhere."""
 
     full: list[bool]
-    last: Optional[int]
+    last: int
     fill: int
     unit: int
 
     def dot(self, a: list[int]) -> int:
         """h.a times `unit`, an integer for integers a."""
-        total = sum(compress(a, self.full)) * self.unit
-        return total if self.last is None else total + self.fill * a[self.last]
+        return sum(compress(a, self.full)) * self.unit + self.fill * a[self.last]
 
 
 def _knapsack(
@@ -161,14 +164,16 @@ def _knapsack(
 
     q and p are integer numerators over the support, and `level` is
     2*epsilon (primal) or epsilon*delta (dual) over p's denominator, an
-    integer; a primal level is at most p's mass.  Primal: min q.h over h
-    in [0, 1]^n with p.h >= level, filling the outcomes by increasing
-    q_o / p_o.  Dual: max q.h with p.h <= level, where the outcomes with
-    p_o = 0 take h_o = 1 and the others fill by decreasing ratio.
-    `keys[o]` is lcm(p) / p_o, so that q_o * keys[o] orders the ratios in
-    integers; ties keep support order.  The ratio at `last`, the outcome
-    filled last, is the multiplier of the p-row (0 when the dual greedy
-    fills everything).
+    integer.  Primal: min q.h over h in [0, 1]^n with p.h >= level,
+    filling the outcomes by increasing q_o / p_o.  Dual: max q.h with
+    p.h <= level, where the outcomes with p_o = 0 take h_o = 1 and the
+    others fill by decreasing ratio.  `keys[o]` is lcm(p) / p_o, so that
+    q_o * keys[o] orders the ratios in integers; ties keep support order.
+    The ratio at `last`, the outcome filled last, is the multiplier of the
+    p-row.  The greedy always stops at an outcome: p charges only the
+    support (`_support_rows`), so its mass there is 1, which reaches every
+    level (a primal 2*epsilon <= 1 past `_expectation_game`'s refusal, a
+    dual epsilon*delta < 1).
     """
     n = len(pn)
     order = sorted(
@@ -183,7 +188,7 @@ def _knapsack(
             return _TestFunction(full, o, left, pn[o])
         full[o] = True
         left -= pn[o]
-    return _TestFunction(full, None, 0, 1)
+    raise CertificateError("the knapsack's p-mass is below its level")
 
 
 def _expectation_game(
@@ -199,7 +204,8 @@ def _expectation_game(
     the Q-vertices are read from the measures' integer numerators on the
     support (`integer_rows`), p and the level over one denominator, the
     Q-vertices over another.  Raises EmptyPolytope when no h reaches a
-    primal level.
+    primal level, that is when 2*epsilon > 1, and ValueError when
+    vertex_p charges an outcome outside the support (`_support_rows`).
     """
     if kind not in (PRIMAL, DUAL):
         raise ValueError("kind must be 'primal' or 'dual'")
@@ -219,9 +225,14 @@ def _support_rows(
     inst: HsInstance, measures: list[ProbabilityMeasure]
 ) -> tuple[list[list[int]], int]:
     """The measures' masses on the quasi-sure support of P, in sample-space
-    order, as integer rows over one denominator."""
+    order, as integer rows over one denominator.  Raises ValueError when a
+    measure charges an outcome outside that support: its row would drop
+    that mass, and a bound over the support would not hold for it."""
     index = inst.P.space.index
-    return integer_rows(measures, map(index, inst.P.support))
+    rows, d = integer_rows(measures, map(index, inst.P.support))
+    if any(sum(row) != d for row in rows):
+        raise ValueError("a measure charges an outcome outside the quasi-sure support of P")
+    return rows, d
 
 
 def _cutting_planes(
@@ -253,8 +264,6 @@ def _cutting_planes(
         h = _knapsack(qn, pn, keys, level, kind)
         value = Fraction(h.dot(qn), h.unit * wd * qd)
         if value == t:
-            if h.last is None:
-                return _Game(value, weights, ZERO)
             s = h.last
             return _Game(value, weights, Fraction(qn[s] * pd, pn[s] * wd * qd))
         cut = [Fraction(-h.dot(row), h.unit * qd) for row in Qn]
@@ -283,8 +292,12 @@ def hs_witness(
     dual value must be at most (2 - epsilon) * epsilon, bound 2*epsilon.
     `witness_claims` is checked, and the witness carries its claims.  The
     primal witness is the vacuous uniform mixture when 2*epsilon > 1.
+    vertex_p must charge only the quasi-sure support of P, else
+    ValueError, the vacuous witness included: outside it no Q-vertex has
+    mass, so no bound over the support holds for vertex_p's events.
     """
     if kind == PRIMAL and 2 * inst.epsilon > 1:
+        _support_rows(inst, [vertex_p])  # refuses a vertex_p off the support
         # no event can reach mass 2*epsilon; any mixture works vacuously
         k = len(inst.Q.vertices)
         weights = (Fraction(1, k),) * k
@@ -308,7 +321,9 @@ def construct_hs_witness(
 ) -> HsWitness:
     """The primal witness: q_star(A) >= the bound >= epsilon*delta/2 for
     every event A with vertex_p(A) >= 2*epsilon.  The primal hypothesis
-    check (HypothesisViolated when it fails), then `hs_witness`."""
+    check (HypothesisViolated when it fails), then `hs_witness`, which
+    refuses a vertex_p that charges an outcome outside the quasi-sure
+    support of P (ValueError)."""
     if not check_hypothesis_primal(inst, max_enum)[0]:
         raise HypothesisViolated(
             "the primal epsilon-delta hypothesis fails on this instance"
@@ -323,7 +338,9 @@ def construct_dual_hs_witness(
 ) -> HsWitness:
     """The dual witness: q_star(A) < 2*epsilon for every event A with
     vertex_p(A) < epsilon*delta.  The dual hypothesis check
-    (HypothesisViolated when it fails), then `hs_witness`."""
+    (HypothesisViolated when it fails), then `hs_witness`, which refuses
+    a vertex_p that charges an outcome outside the quasi-sure support of
+    P (ValueError)."""
     if not check_hypothesis_dual(inst, max_enum)[0]:
         raise HypothesisViolated(
             "the dual epsilon-delta hypothesis fails on this instance"
@@ -447,8 +464,10 @@ def indicator_restricted_value(
 
     min over events A with vertex_p(A) >= 2*epsilon of max over Q-vertices
     of Q(A); None when no indicator is admissible.  Always an upper bound
-    for the continuous D-set optimum.
+    for the continuous D-set optimum.  ValueError when vertex_p charges an
+    outcome outside the quasi-sure support of P, as for the game.
     """
+    _support_rows(inst, [vertex_p])
     events = support_events(inst.P, max_enum)
     best = events.best(
         min,

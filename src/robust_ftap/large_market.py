@@ -311,16 +311,13 @@ def scan_aa2(
 def martingale_sets(
     seq: MarketSequence, max_enum: int = DEFAULT_MAX_ENUM
 ) -> list[AmbiguitySet]:
-    """Per-market martingale polytopes as ambiguity sets (vertex lists)."""
-    out = []
-    for m in seq.markets:
-        poly = martingale_polytope(m, max_enum)
-        if not poly.vertices:
-            raise EmptyMartingalePolytope(
-                "a market in the sequence has no martingale measure"
-            )
-        out.append(AmbiguitySet(m.space, poly.vertices))
-    return out
+    """Per-market martingale polytopes as ambiguity sets (vertex lists).
+    None is empty: every market of a `MarketSequence` has no-arbitrage, so
+    a martingale measure, and a nonempty polytope has a vertex."""
+    return [
+        AmbiguitySet(m.space, martingale_polytope(m, max_enum).vertices)
+        for m in seq.markets
+    ]
 
 
 def certify_moduli(
@@ -336,10 +333,15 @@ def certify_moduli(
     the finite-family certificate for absence of first-kind asymptotic
     arbitrage.  Dual kind: the largest delta such that events of P-mass
     below delta keep some martingale mass below eps, mirrored for the
-    second kind.
+    second kind.  An empty family or grid is refused (ValueError): it has
+    no uniform modulus, and an empty table would certify vacuously.
     """
     if kind not in ("primal", "dual"):
         raise ValueError("kind must be 'primal' or 'dual'")
+    if len(seq) == 0:
+        raise ValueError("sequence must be nonempty")
+    if len(epsilon_grid) == 0:
+        raise ValueError("epsilon grid must be nonempty")
     return _moduli(seq, martingale_sets(seq, max_enum), epsilon_grid, kind, max_enum)
 
 
@@ -360,11 +362,13 @@ def _moduli(seq, q_sets, epsilon_grid, kind: str, max_enum: int) -> ModulusTable
 def _level(u: Fraction, name: str) -> Fraction:
     """The level delta of the uniform modulus u (``name``): u, or 1/2 once
     u reaches 1, as only a lower bound is needed; HypothesisViolated when
-    u <= 0.  Then delta <= u <= each market's modulus, which decides each
-    level's hypothesis: a primal modulus is the least best Q-mass of the
-    events the primal hypothesis constrains, so each has one >= delta; a
-    dual one the least worst P-mass of the events with every Q-mass >=
-    epsilon, so no event of worst P-mass < delta is among them."""
+    u <= 0, which only a dual modulus can be (`build_contiguous_sequence`
+    says why a primal one is positive).  Then delta <= u <= each market's
+    modulus, which decides each level's hypothesis: a primal modulus is
+    the least best Q-mass of the events the primal hypothesis constrains,
+    so each has one >= delta; a dual one the least worst P-mass of the
+    events with every Q-mass >= epsilon, so no event of worst P-mass <
+    delta is among them."""
     if u <= 0:
         raise HypothesisViolated(f"{name} is not positive")
     return u if u < 1 else Fraction(1, 2)
@@ -383,6 +387,11 @@ def build_contiguous_sequence(
     verified per level by one knapsack bound at w_m * lambda_m, lambda_m
     the level witness's multiplier: L is nondecreasing in q, Q_n >= w_m q*_m,
     and L(w q, w lambda) = w L(q, lambda) >= w_m * eps_m * delta_m / 2.
+
+    No level is refused (`_level`): under no-arbitrage the full-support
+    martingale measure is a mixture of the martingale vertices, so every
+    nonempty event has positive best martingale mass, and every primal
+    modulus at eps in (0, 1] is positive.
     """
     N = len(seq)
     if N == 0:

@@ -68,7 +68,9 @@ class Market:
     hashing: the no-arbitrage decision (`check_na`), the martingale
     polytope's vertices (`martingale_polytope`), the FTAP sides
     (`check_ftap`) and the martingale LP over the d+1 martingale rows,
-    which `martingale_polytope` and `superhedge` read.
+    which `martingale_polytope` and `superhedge` read.  Each property
+    works its answer out in its own body, calling `solve_lp` and
+    `enumerate_basic_feasible` through this module's globals.
     """
 
     space: SampleSpace
@@ -140,17 +142,56 @@ class Market:
     def _no_arbitrage(
         self,
     ) -> tuple[Optional[ProbabilityMeasure], Optional[ArbitrageWitness]]:
-        return _decide_na(self)
+        """One LP, max t with q >= t on the whole support, decides NA.
+
+        t* > 0 gives a full-support martingale measure.  Otherwise the
+        checked dual names the arbitrage: H is the multipliers y of the
+        martingale rows when t* = 0 (the reduced costs give H . dS_o >= 0
+        at every outcome and H . sum_o dS_o >= 1), and -y when the LP is
+        infeasible (the Farkas multipliers give -y . dS_o >= y_0 > 0).
+        The strict outcome is the first support outcome where H gains, or
+        the first outcome when H gains nowhere; every gain is claimed, so
+        a bad dual raises CertificateError.
+        """
+        sol, q = _max_charge(self, self.support)
+        if q is not None:
+            self.martingale_claims(q, "full-support Q")
+            _positive_claims(q, self.support, "full-support Q")
+            return q, None
+        if sol.status not in ("Optimal", "Infeasible"):
+            raise CertificateError(f"the full-support martingale LP is {sol.status}")
+        sign = 1 if sol.status == "Optimal" else -1
+        H = tuple(sign * y for y in sol.dual[1 : 1 + self.d])
+        gains = dict(zip(self.support, self.gains(H)))
+        strict = next((o for o, g in gains.items() if g > 0), self.support[0])
+        claims = tuple(claim(f"gain of H at {o}", g, ">=", ZERO) for o, g in gains.items())
+        claims += (claim(f"strict gain at {strict}", gains[strict], ">", ZERO),)
+        return None, ArbitrageWitness(H, strict, claims)
 
     @cached_property
     def _martingale_vertices(self) -> tuple[ProbabilityMeasure, ...]:
-        return _enumerate_martingale_vertices(self)
+        """The vertices of the martingale polytope, from the rows of the
+        martingale LP (`enumerate_basic_feasible`)."""
+        rows = self._martingale_lp.constraints
+        verts = enumerate_basic_feasible([row.coeffs for row in rows], [row.rhs for row in rows])
+        return tuple(self.measure(q) for q in verts)
 
     @cached_property
     def _ftap(
         self,
     ) -> tuple[bool, tuple[tuple[ProbabilityMeasure, Optional[ProbabilityMeasure]], ...]]:
-        return _decide_ftap(self)
+        """`check_ftap`'s answer, its per-vertex list as a tuple."""
+        q = full_support_martingale(self)
+        if q is not None:
+            return True, tuple((vp, q) for vp in self.P.vertices)
+        full = frozenset(self.support)
+        per_vertex = tuple(
+            (vp, None if vp.support == full else find_dominating_martingale(self, vp))
+            for vp in self.P.vertices
+        )
+        if all(q is not None for _, q in per_vertex):
+            raise CertificateError("FTAP equivalence failed on this market")
+        return False, per_vertex
 
     @cached_property
     def _martingale_lp(self) -> LinearProgram:
@@ -189,7 +230,6 @@ class MartingalePolytope:
     """All probability measures on the quasi-sure support with zero expected
     increments, given by the vertex list of the defining polytope."""
 
-    market: Market
     vertices: tuple[ProbabilityMeasure, ...]
 
 
@@ -227,36 +267,6 @@ def full_support_martingale(m: Market) -> Optional[ProbabilityMeasure]:
     return m._no_arbitrage[0]
 
 
-def _decide_na(
-    m: Market,
-) -> tuple[Optional[ProbabilityMeasure], Optional[ArbitrageWitness]]:
-    """One LP, max t with q >= t on the whole support, decides NA.
-
-    t* > 0 gives a full-support martingale measure.  Otherwise the checked
-    dual names the arbitrage: H is the multipliers y of the martingale
-    rows when t* = 0 (the reduced costs give H . dS_o >= 0 at every
-    outcome and H . sum_o dS_o >= 1), and -y when the LP is infeasible
-    (the Farkas multipliers give -y . dS_o >= y_0 > 0).  The strict
-    outcome is the first support outcome where H gains, or the first
-    outcome when H gains nowhere; every gain is claimed, so a bad dual
-    raises CertificateError.
-    """
-    sol, q = _max_charge(m, m.support)
-    if q is not None:
-        m.martingale_claims(q, "full-support Q")
-        _positive_claims(q, m.support, "full-support Q")
-        return q, None
-    if sol.status not in ("Optimal", "Infeasible"):
-        raise CertificateError(f"the full-support martingale LP is {sol.status}")
-    sign = 1 if sol.status == "Optimal" else -1
-    H = tuple(sign * y for y in sol.dual[1 : 1 + m.d])
-    gains = dict(zip(m.support, m.gains(H)))
-    strict = next((o for o, g in gains.items() if g > 0), m.support[0])
-    claims = tuple(claim(f"gain of H at {o}", g, ">=", ZERO) for o, g in gains.items())
-    claims += (claim(f"strict gain at {strict}", gains[strict], ">", ZERO),)
-    return None, ArbitrageWitness(H, strict, claims)
-
-
 def martingale_polytope(
     m: Market, max_enum: int = DEFAULT_MAX_ENUM
 ) -> MartingalePolytope:
@@ -272,13 +282,7 @@ def martingale_polytope(
     if n > max_enum:
         rows = [row.coeffs for row in m._martingale_lp.constraints]
         raise EnumerationCapExceeded(n, max_enum, bases=comb(n, matrix_rank(rows)))
-    return MartingalePolytope(market=m, vertices=m._martingale_vertices)
-
-
-def _enumerate_martingale_vertices(m: Market) -> tuple[ProbabilityMeasure, ...]:
-    rows = m._martingale_lp.constraints
-    verts = enumerate_basic_feasible([row.coeffs for row in rows], [row.rhs for row in rows])
-    return tuple(m.measure(q) for q in verts)
+    return MartingalePolytope(m._martingale_vertices)
 
 
 def _martingale_rows(m: Market, *extra: Sequence[Fraction]) -> list[Constraint]:
@@ -375,22 +379,6 @@ def check_ftap(
     """
     na, per_vertex = m._ftap
     return na, list(per_vertex)
-
-
-def _decide_ftap(
-    m: Market,
-) -> tuple[bool, tuple[tuple[ProbabilityMeasure, Optional[ProbabilityMeasure]], ...]]:
-    q = full_support_martingale(m)
-    if q is not None:
-        return True, tuple((vp, q) for vp in m.P.vertices)
-    full = frozenset(m.support)
-    per_vertex = tuple(
-        (vp, None if vp.support == full else find_dominating_martingale(m, vp))
-        for vp in m.P.vertices
-    )
-    if all(q is not None for _, q in per_vertex):
-        raise CertificateError("FTAP equivalence failed on this market")
-    return False, per_vertex
 
 
 def superhedge(m: Market, f: BoundedFunction) -> HedgeCertificate:

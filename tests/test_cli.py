@@ -304,10 +304,95 @@ class TestSubcommands:
     def test_max_enum_only_where_it_acts(self, tmp_path, capsys, command):
         # these subcommands enumerate nothing, so they have no cap to set
         path = write(tmp_path, "m1.json", M1)
+        assert main([command, "--input", path, "--max-enum", "1"]) == 1
+        err = capsys.readouterr().err
+        assert err == "input error: unrecognized arguments: --max-enum 1\n"
+
+    @pytest.mark.parametrize("argv", [["--help"], ["check-na", "--help"]])
+    def test_help_exits_zero(self, capsys, argv):
         with pytest.raises(SystemExit) as exc:
-            main([command, "--input", path, "--max-enum", "1"])
-        assert exc.value.code == 2
-        assert "unrecognized arguments: --max-enum 1" in capsys.readouterr().err
+            main(argv)
+        assert exc.value.code == 0
+        assert capsys.readouterr().out.startswith("usage: robust-ftap")
+
+    @pytest.mark.parametrize(
+        "argv,inputs,message",
+        [
+            # argparse's usage errors: exit 2 is the enumeration cap's alone
+            (["hs-witness", "--input", "pair.json", "--epsilon", "1/4", "--delta",
+              "1/4", "--vertex-index", "abc"], {},
+             "argument --vertex-index: invalid int value: 'abc'"),
+            (["check-na", "--input", "m1.json", "--bogus"], {},
+             "unrecognized arguments: --bogus"),
+            (["hs-check", "--input", "pair.json", "--kind", "both"], {},
+             "argument --kind: invalid choice: 'both'"),
+            (["martingale-polytope", "--input", "m1.json", "--max-enum", "x"], {},
+             "argument --max-enum: invalid int value: 'x'"),
+            (["verify"], {}, "the following arguments are required: --certificate"),
+            (["no-such-command"], {},
+             "argument command: invalid choice: 'no-such-command'"),
+            ([], {}, "the following arguments are required: command"),
+            # the handlers' and loaders' own refusals
+            (["check-na"], {}, "check-na requires --input <file>"),
+            (["superhedge", "--input", "m1.json"], {}, "superhedge requires --payoff <file>"),
+            (["hs-check", "--input", "pair.json", "--epsilon", "1/4"], {},
+             "this subcommand requires --epsilon and --delta"),
+            (["hs-witness", "--input", "pair.json", "--delta", "1/4"], {},
+             "this subcommand requires --epsilon and --delta"),
+            (["hs-dual-witness", "--input", "pair.json"], {},
+             "this subcommand requires --epsilon and --delta"),
+            (["hs-modulus", "--input", "pair.json"], {}, "hs-modulus requires --epsilon"),
+            (["weak-contiguity", "--input", "seq.json"], {},
+             "weak-contiguity requires --epsilon"),
+            (["hs-check", "--input", "undominated.json", "--epsilon", "1/4",
+              "--delta", "1/4"],
+             {"undominated.json": dict(PAIR, p_vertices=[["1", "0"]])},
+             "pair.q_vertices: every Q-vertex must be dominated by the P ambiguity set"),
+            (["check-na", "--input", "s0.json"], {"s0.json": dict(M1, d=2)},
+             "market.S0: expected 2 entries, got 1"),
+            (["certify-naa1", "--input", "empty.json"], {"empty.json": {"markets": []}},
+             "sequence file: markets must be a nonempty list"),
+            (["superhedge", "--input", "m1.json", "--payoff", "f1.json"],
+             {"f1.json": {"values": ["1"]}}, "payoff.values: expected 2 entries, got 1"),
+            (["hs-modulus", "--input", "noq.json", "--epsilon", "1/2"],
+             {"noq.json": {"outcomes": ["a", "b"], "p_vertices": [["1", "0"]]}},
+             "pair file: missing field 'q_vertices'"),
+        ],
+    )
+    def test_input_errors_name_the_flag_or_field(self, tmp_path, capsys, argv, inputs,
+                                                 message):
+        files = {"pair.json": PAIR, "m1.json": M1, "seq.json": {"markets": [M1]}}
+        for name, obj in dict(files, **inputs).items():
+            write(tmp_path, name, obj)
+        argv = [str(tmp_path / a) if a.endswith(".json") else a for a in argv]
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        # an invalid choice lists the choices after the message
+        assert err.startswith(f"input error: {message}") and err.count("\n") == 1
+        assert "Traceback" not in err
+
+    def test_a_zero_dual_modulus_on_an_na_market(self, tmp_path):
+        # NA holds on the support {w0, w2, w3}, whose martingale vertices
+        # are (1, 0, 0, 0) and (0, 0, 1/3, 2/3).  Each charges {w0, w2}
+        # with mass >= 1/4, and the P-vertex (0, 0, 0, 1) charges it with
+        # 0, so the dual modulus at 1/4 is 0.  Every primal modulus stays
+        # positive, so build-contiguous builds.
+        market = {
+            "outcomes": ["w0", "w1", "w2", "w3"], "d": 1, "S0": ["0"],
+            "S1": [["0"], ["2"], ["-2"], ["1"]],
+            "ambiguity_vertices": [["0", "0", "0", "1"], ["1/2", "0", "1/2", "0"]],
+        }
+        path = write(tmp_path, "seq.json", {"markets": [market]})
+        for argv, verdict in [
+            (["weak-contiguity", "--epsilon", "1/2"],
+             "certificate unavailable: uniform dual modulus at level 1/4 is not positive"),
+            (["certify-naa2", "--epsilon-grid", "1/4"],
+             "no uniform positive modulus on this grid"),
+            (["build-contiguous"], "contiguous dominating mixtures built for 1 markets"),
+        ]:
+            code, cert = run_json(tmp_path, argv + ["--input", path])
+            assert (code, cert["verdict"]) == (0, verdict)
+            assert verify_certificate(cert) == []
 
     def test_negative_verdict_is_exit_zero(self, tmp_path):
         arb = dict(M1, S1=[["2"], ["1"]])  # increments (1, 0): arbitrage
@@ -533,10 +618,8 @@ class TestVerify:
     @pytest.mark.parametrize("flag", [["--output", "v.out"], ["--format", "json"]])
     def test_refuses_output_and_format(self, tmp_path, capsys, flag):
         cpath = write(tmp_path, "cert_copy.json", self.cert_for(tmp_path))
-        with pytest.raises(SystemExit) as exc:
-            main(["verify", "--certificate", cpath] + flag)
-        assert exc.value.code == 2
-        assert "unrecognized arguments" in capsys.readouterr().err
+        assert main(["verify", "--certificate", cpath] + flag) == 1
+        assert capsys.readouterr().err.startswith("input error: unrecognized arguments")
 
     def test_rejects_tampered_verdict(self, tmp_path, capsys):
         cert = self.cert_for(tmp_path)

@@ -24,7 +24,9 @@ from robust_ftap.halmos_savage import (
     construct_dual_hs_witness,
     construct_hs_witness,
     hs_modulus,
+    hs_witness,
     indicator_restricted_value,
+    knapsack_bound,
     witness_claims,
 )
 from robust_ftap.events import EventSpace
@@ -359,6 +361,44 @@ class TestConstructDualWitness:
             for A in all_events(support):
                 if vp(A) < inst.epsilon * inst.delta:
                     assert w.q_star(A) < 2 * inst.epsilon
+
+
+W3 = SampleSpace(["a", "b", "c"])
+
+
+class TestVertexOffTheSupport:
+    """A P-vertex charging c, outside P's support {a, b}, is refused by
+    every entry point: the knapsack bound sums over the support only, so
+    q* = (1/2, 1/2, 0) would be "checked" although vertex_p({c}) = 1/2 >=
+    2*epsilon and q*({c}) = 0."""
+
+    P = amb(W3, (F(1, 2), F(1, 2), 0))
+    off = pm(W3, F(1, 2), 0, F(1, 2))
+    inst = HsInstance(P, P, F(1, 4), F(1, 8))
+
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda inst, vp: construct_hs_witness(inst, vp),
+            lambda inst, vp: construct_dual_hs_witness(inst, vp),
+            lambda inst, vp: hs_witness(inst, vp, "primal"),
+            lambda inst, vp: hs_witness(inst, vp, "dual"),
+            lambda inst, vp: hs_witness(HsInstance(inst.P, inst.Q, F(3, 4), F(1, 8)),
+                                        vp, "primal"),
+            lambda inst, vp: basic_lemma_value(inst, vp, "primal"),
+            lambda inst, vp: basic_lemma_value(inst, vp, "dual"),
+            lambda inst, vp: indicator_restricted_value(inst, vp),
+            lambda inst, vp: knapsack_bound(inst, "primal", inst.Q.vertices[0], vp, F(1)),
+            lambda inst, vp: knapsack_bound(inst, "dual", inst.Q.vertices[0], vp, F(1)),
+        ],
+        ids=["construct-primal", "construct-dual", "primal", "dual", "vacuous",
+             "game-primal", "game-dual", "indicator", "bound-primal", "bound-dual"],
+    )
+    def test_refused(self, call):
+        assert check_hypothesis_primal(self.inst)[0]
+        assert check_hypothesis_dual(self.inst)[0]
+        with pytest.raises(ValueError, match="outside the quasi-sure support"):
+            call(self.inst, self.off)
 
 
 class TestHsModulus:

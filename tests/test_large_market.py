@@ -23,7 +23,7 @@ from robust_ftap.large_market import (
     weak_contiguity_witness,
 )
 from robust_ftap.lp_core import GE, LE, Constraint, solve_lp
-from robust_ftap.market import Market
+from robust_ftap.market import Market, check_na
 from robust_ftap.measures import (
     AmbiguitySet,
     ProbabilityMeasure,
@@ -334,6 +334,30 @@ class TestCertifyModuli:
         # events where every martingale mass is >= 1/4: singletons and the
         # full set; the least P-mass among them is 1/2
         assert table.uniform_delta == (F(1, 2),)
+
+    @pytest.mark.parametrize("kind", ["primal", "dual"])
+    def test_empty_family_or_grid_refused(self, kind):
+        # neither has a uniform modulus; an empty table would certify vacuously
+        with pytest.raises(ValueError, match="sequence must be nonempty"):
+            certify_moduli(MarketSequence([]), [F(1, 2)], kind)
+        with pytest.raises(ValueError, match="epsilon grid must be nonempty"):
+            certify_moduli(flat_family(2), [], kind)
+
+    def test_primal_moduli_of_na_families_are_positive(self):
+        # under NA the full-support martingale measure mixes the martingale
+        # vertices, so every nonempty event has positive best martingale
+        # mass: no uniform primal modulus at epsilon in (0, 1] is 0, and
+        # build_contiguous_sequence never refuses a level
+        rng = random.Random(2718)
+        grid = [F(1, 10), F(1, 4), F(1, 3), F(1, 2), F(3, 4), F(1)]
+        families = 0
+        while families < 300:
+            markets = [_random_market(rng) for _ in range(rng.randint(1, 3))]
+            if not all(check_na(m)[0] for m in markets):
+                continue
+            families += 1
+            table = certify_moduli(MarketSequence(markets), grid, "primal")
+            assert all(0 < u <= 1 for u in table.uniform_delta), table
 
 
 class TestBuildContiguous:
