@@ -417,9 +417,10 @@ def hs_modulus(
 
     Returns min over qualifying events A of max over Q-vertices of Q(A);
     the sentinel value 2 (impossible for a probability) signals that no
-    event qualifies.
+    event qualifies.  A level epsilon <= 0 is refused (ValueError): the
+    modulus is defined for levels in (0, infinity) only.
     """
-    epsilon = rational(epsilon)
+    epsilon = _positive_level(epsilon)
     if P.space != Q.space:
         raise DimensionMismatch("P and Q live on different spaces")
     best = _primal_scan(P, Q, epsilon, max_enum)
@@ -431,8 +432,9 @@ def dual_modulus(
 ) -> Fraction:
     """Largest delta with: min_P P(A) < delta implies min_Q Q(A) < epsilon,
     the least worst P-mass over events whose every Q-vertex mass is at
-    least epsilon; the sentinel value 2 when no event qualifies."""
-    epsilon = rational(epsilon)
+    least epsilon; the sentinel value 2 when no event qualifies.  A
+    level epsilon <= 0 is refused (ValueError), as for `hs_modulus`."""
+    epsilon = _positive_level(epsilon)
     if P.space != Q.space:
         raise DimensionMismatch("P and Q live on different spaces")
     events = support_events(P, max_enum)
@@ -440,6 +442,15 @@ def dual_modulus(
         min, events.lower(P.vertices), (events.lower(Q.vertices), GE, epsilon)
     )
     return NO_QUALIFYING_SET if best is None else best.value
+
+
+def _positive_level(epsilon) -> Fraction:
+    """The level epsilon of a modulus as a Fraction; ValueError, naming it,
+    when it is not positive."""
+    epsilon = rational(epsilon)
+    if epsilon <= 0:
+        raise ValueError(f"the level epsilon must be positive, not {epsilon}")
+    return epsilon
 
 
 def _primal_scan(

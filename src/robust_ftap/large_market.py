@@ -334,7 +334,9 @@ def certify_moduli(
     arbitrage.  Dual kind: the largest delta such that events of P-mass
     below delta keep some martingale mass below eps, mirrored for the
     second kind.  An empty family or grid is refused (ValueError): it has
-    no uniform modulus, and an empty table would certify vacuously.
+    no uniform modulus, and an empty table would certify vacuously.  So is
+    a level epsilon <= 0 of the grid, by the modulus (`hs_modulus`,
+    `dual_modulus`): every event qualifies there, the empty one too.
     """
     if kind not in ("primal", "dual"):
         raise ValueError("kind must be 'primal' or 'dual'")
@@ -460,7 +462,8 @@ def weak_contiguity_witness(
     d is the uniform dual modulus at e', each per-market witness measure
     satisfies P_n(A) < delta implies Q_n(A) < 2 e' = epsilon, for P_n the
     market's first P-vertex, verified by the dual witness's knapsack
-    multiplier (:func:`weak_contiguity_certificate`).
+    multiplier (:func:`weak_contiguity_certificate`).  An epsilon <= 0 is
+    refused (ValueError) by the dual modulus at e'.
     """
     return weak_contiguity_certificate(seq, epsilon, max_enum)[:2]
 

@@ -6,20 +6,23 @@ fraction-free row operations reduced by the gcd (Edmonds 1967, Bareiss
 1968).  Values become `fractions.Fraction`s at one boundary,
 `measures.rational`, when a `Constraint` or `LinearProgram` is built (a
 Fraction is kept as it is).  The `LinearProgram` then scales its rows and
-objective to integers once, and the solution is read off the integer
-tableau, so past that boundary the solver works in ints and builds
-Fractions only for the `LpSolution`.  Optimal solutions come back with
-dual multipliers whose objective equals the primal objective as a
-rational, with no tolerance; infeasible ones with Farkas multipliers and
-unbounded ones with a feasible point and an improving ray.  Each outcome
-is checked exactly before it is returned (`check_optimal`,
-`check_infeasible`, `check_unbounded`; a failed check raises
-CertificateError), in integers on the LP's scaled rows and never on the
-tableau, each solution vector over its common denominator.  Every LP
-is in standard form: each variable is nonnegative, a free one is written
-by the caller as two columns x+ and x-, and any other bound is a row or a
-substitution, so every multiplier is a row's and an optimum is certified
-by its primal point and row duals alone.
+objective to integers once, and past that boundary the solver works in
+ints.  Optimal solutions come back with dual multipliers whose objective
+equals the primal objective as a rational, with no tolerance; infeasible
+ones with Farkas multipliers and unbounded ones with a feasible point and
+an improving ray.  Each outcome is checked exactly before it is returned
+(`check_optimal`, `check_infeasible`, `check_unbounded`; a failed check
+raises CertificateError), in integers on the LP's scaled rows and never
+on the tableau.  An optimum is read off the tableau as integers (the
+primal over the lcm of its basic rows' factors, the duals and the value
+over the objective row's factor), checked on those integers, and only
+then turned into the Fractions of the `LpSolution`, each built once;
+`check_optimal` scales a given solution's vectors to integers and runs
+the same check.  Every LP is in standard form: each variable is
+nonnegative, a free one is written by the caller as two columns x+ and
+x-, and any other bound is a row or a substitution, so every multiplier
+is a row's and an optimum is certified by its primal point and row duals
+alone.
 
 Phase 1 reads only the rows: its costs are on the artificial columns, so
 its outcome is the same whatever the objective.  A `LinearProgram` keeps
@@ -44,7 +47,6 @@ tracer (`bench/tracing.py`) wraps it.
 
 from __future__ import annotations
 
-from copy import copy
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import reduce
@@ -128,8 +130,11 @@ class LinearProgram:
             )
         if sense not in ("max", "min"):
             raise ValueError("sense must be 'max' or 'min'")
-        twin = copy(self)
-        for name, value in (("objective", objective), ("sense", sense), ("_cost", scaled(objective))):
+        twin = object.__new__(LinearProgram)
+        for name, value in (
+            ("objective", objective), ("sense", sense), ("constraints", self.constraints),
+            ("_rows", self._rows), ("_cost", scaled(objective)), ("_phase1", self._phase1),
+        ):
             object.__setattr__(twin, name, value)
         return twin
 
@@ -231,9 +236,7 @@ class _Tableau:
     ``[red, -value, z]``, whose last entry z > 0 is its factor (the column
     of the objective variable).  The ratio of two entries of one row never
     needs the factor.  `flip` is the sign each input row was multiplied
-    by to make its rhs nonnegative, which the duals undo.  A copy whose
-    `rows` and `basis` are shallow copies pivots apart from the original:
-    `_pivot` rebinds the rows it changes and never writes into one.
+    by to make its rhs nonnegative, which the duals undo.
     """
 
     def __init__(self, rows: list[list[int]], ncols: int, flip: tuple[int, ...]):
@@ -243,6 +246,15 @@ class _Tableau:
         self.rows = rows + [[0] * (self.total + 2)]  # reduced costs: see price()
         self.flip = flip
 
+    def fork(self) -> _Tableau:
+        """A copy that pivots apart from this tableau: its `rows` and
+        `basis` are shallow copies, as `_pivot` and `price` rebind the
+        rows they change and never write into one."""
+        twin = object.__new__(_Tableau)
+        twin.m, twin.total, twin.flip = self.m, self.total, self.flip
+        twin.rows, twin.basis = self.rows[:], self.basis[:]
+        return twin
+
     def pivot(self, r: int, j: int) -> None:
         """Column j enters the basis in row r."""
         _pivot(self.rows, r, j)
@@ -250,12 +262,20 @@ class _Tableau:
 
     def price(self, cost: list[int], scale: int = 1) -> None:
         """Install the reduced-cost row of the rational costs `cost` / `scale`
-        (one integer per column): pivoting again on each basic position
-        clears the basic columns from it and leaves the constraint rows as
-        they are."""
-        self.rows[self.m] = cost + [0, scale]
-        for r, bv in enumerate(self.basis):
-            _pivot(self.rows, r, bv)
+        (one integer per column), with each basic column cleared from it
+        by its basic row.  That is the row `_pivot` would leave on each
+        basic position: a basic row is positive in its basic column, which
+        is zero in every other constraint row, so only this row changes."""
+        obj = cost + [0, scale]
+        for prow, bv in zip(self.rows, self.basis):
+            f = obj[bv]
+            if f:
+                p = prow[bv]
+                obj = [a * p - f * b for a, b in zip(obj, prow)]
+                g = reduce(gcd, obj, 0)
+                if g > 1:
+                    obj = [a // g for a in obj]
+        self.rows[self.m] = obj
 
     def run(self, enterable: int) -> Optional[int]:
         """Bland-rule simplex on the installed costs, where only the first
@@ -357,8 +377,7 @@ def solve_lp(lp: LinearProgram) -> LpSolution:
     kept = lp._phase1[0]
     if isinstance(kept, LpSolution):
         return kept
-    tab = copy(kept)
-    tab.rows, tab.basis = kept.rows[:], kept.basis[:]
+    tab = kept.fork()
     n, m, total, flip = lp.num_vars, tab.m, tab.total, tab.flip
     ncols = total - m
     sign = 1 if lp.sense == "min" else -1  # the solver minimizes sign * c.x
@@ -369,11 +388,14 @@ def solve_lp(lp: LinearProgram) -> LpSolution:
     tab.price([sign * c for c in cost] + [0] * (total - n), cscale)
     enter = tab.run(ncols)
 
-    # the basic solution, feasible since phase 1 and kept feasible by phase 2
-    x = [ZERO] * n
-    for r, bv in enumerate(tab.basis):
-        if bv < n and tab.rows[r][total]:
-            x[bv] = Fraction(tab.rows[r][total], tab.rows[r][bv])
+    # the basic solution x = X / D, feasible since phase 1 and kept feasible
+    # by phase 2: x_j = b_r / f_r on the basic row r of column j, whose
+    # factor is f_r, and D the lcm of those factors
+    basic = [(bv, row[total], row[bv]) for row, bv in zip(tab.rows, tab.basis) if bv < n]
+    D = reduce(lcm, [f for _, b, f in basic if b], 1)
+    X = [0] * n
+    for bv, b, f in basic:
+        X[bv] = b * (D // f)
 
     if enter is not None:
         ray = [ZERO] * n
@@ -383,20 +405,26 @@ def solve_lp(lp: LinearProgram) -> LpSolution:
             bv = tab.basis[r]
             if tab.rows[r][enter] and bv < n:
                 ray[bv] = Fraction(-tab.rows[r][enter], tab.rows[r][bv])
-        sol = LpSolution(status="Unbounded", primal=tuple(ray), point=tuple(x))
+        sol = LpSolution(status="Unbounded", primal=tuple(ray), point=_fractions(X, D))
         check_unbounded(lp, sol)
         return sol
 
-    # optimal: everything over the objective row's factor z.  The dual of
-    # row i is minus its artificial's reduced cost (cost 0 in phase 2)
-    # through the flip, negated for max.
+    # optimal: the duals and the value over the objective row's factor z.
+    # The dual of row i is minus its artificial's reduced cost (cost 0 in
+    # phase 2) through the flip, negated for max.  They are checked with X
+    # before any Fraction of the solution is built.
     obj, z = tab.rows[m], tab.rows[m][-1]
-    dual = tuple(Fraction(-sign * flip[i] * obj[ncols + i], z) for i in range(m))
-    sol = LpSolution(
-        status="Optimal", primal=tuple(x), dual=dual, value=Fraction(-sign * obj[total], z)
+    Y = [-sign * flip[i] * obj[ncols + i] for i in range(m)]
+    V = -sign * obj[total]
+    _check_optimal(lp, X, D, Y, z, V, z)
+    return LpSolution(
+        status="Optimal", primal=_fractions(X, D), dual=_fractions(Y, z), value=Fraction(V, z)
     )
-    check_optimal(lp, sol)
-    return sol
+
+
+def _fractions(nums: Sequence[int], d: int) -> tuple[Fraction, ...]:
+    """The Fractions nums[i] / d, d > 0, with ZERO for each zero."""
+    return tuple(Fraction(a, d) if a else ZERO for a in nums)
 
 
 # ---------------------------------------------------------------------------
@@ -425,13 +453,12 @@ def _require_feasible(lp: LinearProgram, X: Sequence[int], D: int) -> None:
     _require(all(xj >= 0 for xj in X), "primal has a negative entry")
 
 
-def _multipliers(lp: LinearProgram, y: Sequence) -> tuple[list[int], int]:
-    """The multipliers y of the rows over one denominator E > 0: returns
-    W with W_i = E y_i / s_i for the LP's scaled rows (so W.a = E times
-    the rational combination), and E."""
-    num, d = scaled(y)
+def _multipliers(lp: LinearProgram, Y: Sequence[int], d: int) -> tuple[list[int], int]:
+    """The multipliers y = Y / d (d > 0) of the rows over one denominator
+    E > 0: returns W with W_i = E y_i / s_i for the LP's scaled rows (so
+    W.a = E times the rational combination), and E."""
     scale = reduce(lcm, [s for *_, s in lp._rows], 1)
-    return [w * (scale // s) for w, (*_, s) in zip(num, lp._rows)], d * scale
+    return [w * (scale // s) for w, (*_, s) in zip(Y, lp._rows)], d * scale
 
 
 def _combination(lp: LinearProgram, W: Sequence[int]) -> list[int]:
@@ -450,10 +477,9 @@ def check_optimal(lp: LinearProgram, sol: LpSolution) -> None:
     row's dual, the sign of each reduced cost c_j - y.A_j (>= 0 for min,
     <= 0 for max), and equality of primal and dual objectives: together
     the weak-duality proof that no feasible point does better.  Raises
-    CertificateError on any exact violation.  With the multipliers over
-    one denominator E (see `_multipliers`) and the objective c = `_cost`
-    / s_c, the reduced cost of x_j is (c_j E - s_c G_j) / (E s_c) in
-    integers, with G = W.a.
+    CertificateError on any exact violation.  The solution's vectors are
+    scaled to integers and checked by `_check_optimal`, the check that
+    `solve_lp` runs on the integers it reads off the tableau.
     """
     _require(sol.status == "Optimal", f"status {sol.status!r} is not Optimal")
     _require(
@@ -463,11 +489,24 @@ def check_optimal(lp: LinearProgram, sol: LpSolution) -> None:
         "solution vectors have the wrong length",
     )
     X, D = scaled(sol.primal)
+    Y, d = scaled(sol.dual)
+    _check_optimal(lp, X, D, Y, d, sol.value.numerator, sol.value.denominator)
+
+
+def _check_optimal(
+    lp: LinearProgram, X: Sequence[int], D: int, Y: Sequence[int], d: int, vn: int, vd: int
+) -> None:
+    """`check_optimal` on the primal X / D, the duals Y / d and the value
+    vn / vd, all denominators positive.  With the multipliers over one
+    denominator E (see `_multipliers`) and the objective c = `_cost` /
+    s_c, the reduced cost of x_j is (c_j E - s_c G_j) / (E s_c) in
+    integers, with G = W.a.
+    """
     _require_feasible(lp, X, D)
 
     maximize = lp.sense == "max"
     # for max, y >= 0 on <= rows, y <= 0 on >= rows
-    W, E = _multipliers(lp, sol.dual)
+    W, E = _multipliers(lp, Y, d)
     for w, (_, rel, _, _) in zip(W, lp._rows):
         if rel != EQ:
             nonneg = maximize == (rel == LE)
@@ -478,7 +517,6 @@ def check_optimal(lp: LinearProgram, sol: LpSolution) -> None:
         _require((rj <= 0) if maximize else (rj >= 0), "reduced cost sign")
 
     dual_obj = _idot(W, [b for _, _, b, _ in lp._rows])  # y.b, over E
-    vn, vd = sol.value.numerator, sol.value.denominator
     _require(
         vd * _idot(cost, X) == vn * sc * D, "stored value differs from primal objective"
     )
@@ -496,7 +534,7 @@ def check_infeasible(lp: LinearProgram, sol: LpSolution) -> None:
     """
     _require(sol.status == "Infeasible", f"status {sol.status!r} is not Infeasible")
     _require(len(sol.dual) == len(lp.constraints), "Farkas vector has the wrong length")
-    W, _ = _multipliers(lp, sol.dual)
+    W, _ = _multipliers(lp, *scaled(sol.dual))
     for w, (_, rel, _, _) in zip(W, lp._rows):
         if rel != EQ:
             _require((w <= 0) if rel == LE else (w >= 0), f"Farkas sign ({rel} row)")

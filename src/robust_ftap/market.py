@@ -393,7 +393,10 @@ def superhedge(m: Market, f: BoundedFunction) -> HedgeCertificate:
     sup E_Q[f]; no vertex enumeration is needed.  The LP is the market's
     martingale LP with f as its objective, so phase 1, which reads only
     the rows, runs once per market and each later superhedge runs phase 2
-    alone.
+    alone.  The claims are built in integers: the primal, H and the payoff
+    values are scaled once, the attaining measure is built from the
+    primal's integers (`ProbabilityMeasure.from_integers`), and each
+    claimed side is one Fraction, checked by `claim`.
     """
     na_holds, _ = check_na(m)
     if not na_holds:
@@ -405,15 +408,34 @@ def superhedge(m: Market, f: BoundedFunction) -> HedgeCertificate:
     sol = solve_lp(m._martingale_lp.with_objective(values, "max"))
     if sol.status != "Optimal":
         raise CertificateError("superhedging LP must be solvable under NA")
-    price = sol.value
-    H = sol.dual[1:]
-    attaining = m.measure(sol.primal)
+    price, H = sol.value, sol.dual[1:]
+    # in integers: the attaining measure X / D, the price p / P, the payoff
+    # values v / t, and the gain of H at o as g_o / s
+    X, D = scaled(sol.primal)
+    mass = dict(zip(support, X))
+    attaining = ProbabilityMeasure.from_integers(
+        m.space, [mass.get(o, 0) for o in m.space.outcomes], D
+    )
+    p, P = price.numerator, price.denominator
+    v, t = scaled(values)
+    h, s = scaled(H)
+    s *= m._increment_scale
     claims = tuple(
-        claim(f"hedge dominates payoff at {o}", price + g, ">=", v)
-        for o, g, v in zip(support, m.gains(H), values)
+        claim(
+            f"hedge dominates payoff at {o}",
+            Fraction(p * s + P * sum(map(mul, h, m._int_increments[o])), P * s),
+            ">=",
+            value,
+        )
+        for o, value in zip(support, values)
     )
     claims += (
-        claim("attaining measure reaches the price", attaining.expectation(f), "=", price),
+        claim(
+            "attaining measure reaches the price",
+            Fraction(sum(map(mul, X, v)), D * t),
+            "=",
+            price,
+        ),
     )
     claims += m.martingale_claims(attaining, "attaining measure")
     return HedgeCertificate(price, H, f, attaining, claims)

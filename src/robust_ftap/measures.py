@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property, reduce
 from itertools import compress
-from math import lcm
+from math import gcd, lcm
 from operator import mul
 from typing import Iterable, Sequence
 
@@ -31,9 +31,12 @@ ONE = Fraction(1)
 def rational(v) -> Fraction:
     """``v`` as a Fraction: ``v`` itself when it is one, else ``Fraction(v)``.
 
-    The one place a value becomes exact: every stored field of the library
-    passes through it, and past it arithmetic is on Fractions or on their
-    integers over a common denominator (`scaled`)."""
+    The one place an input value becomes exact: every value a caller hands
+    the library passes through it.  Past it, the library computes on
+    integers over a common denominator (`scaled`), and a value it derives
+    becomes a Fraction once, from integers that are already checked: the
+    masses of `ProbabilityMeasure.from_integers`, the fields of an LP
+    solution and the sides of a claim."""
     return v if type(v) is Fraction else Fraction(v)
 
 
@@ -80,11 +83,19 @@ class SampleSpace:
             raise KeyError(f"unknown outcome {label!r}") from None
 
 
-def _check_space(space: SampleSpace, values: tuple[Fraction, ...]) -> None:
+def _check_space(space: SampleSpace, values: Sequence) -> None:
     if len(values) != space.size:
         raise DimensionMismatch(
             f"{len(values)} values for a space of size {space.size}"
         )
+
+
+def _check_masses(nums: Sequence[int], s: int) -> None:
+    """The masses ``nums / s``, s > 0, are a probability vector."""
+    if any(a < 0 for a in nums):
+        raise ValueError("probability masses must be nonnegative")
+    if sum(nums) != s:
+        raise ValueError("probability masses must sum to exactly 1")
 
 
 @dataclass(frozen=True)
@@ -92,7 +103,9 @@ class ProbabilityMeasure:
     """Nonnegative rational mass function summing to exactly 1.
 
     ``numerators`` and ``denominator`` hold the mass as integers over the
-    lcm of its denominators: ``mass[i] == numerators[i] / denominator``."""
+    lcm of its denominators: ``mass[i] == numerators[i] / denominator``.
+    A caller holding the masses as integers over one denominator builds
+    the measure with `from_integers`, which checks them as integers."""
 
     space: SampleSpace
     mass: tuple[Fraction, ...]
@@ -103,13 +116,38 @@ class ProbabilityMeasure:
         mass = _as_fractions(mass)
         _check_space(space, mass)
         nums, s = scaled(mass)  # mass over its common denominator s > 0
-        if any(a < 0 for a in nums):
-            raise ValueError("probability masses must be nonnegative")
-        if sum(nums) != s:
-            raise ValueError("probability masses must sum to exactly 1")
+        _check_masses(nums, s)
+        self._set(space, mass, tuple(nums), s)
+
+    @classmethod
+    def from_integers(
+        cls, space: SampleSpace, numerators: Iterable[int], denominator: int
+    ) -> ProbabilityMeasure:
+        """The measure of masses ``numerators[i] / denominator``, with the
+        checks of ``__init__`` run on the integers before any Fraction is
+        built.  The integers are stored over the lcm of the reduced
+        masses' denominators, ``denominator / gcd(denominator,
+        *numerators)``, so the measure equals, field for field, the one
+        built from the masses as Fractions."""
+        nums = tuple(numerators)
+        _check_space(space, nums)
+        if denominator <= 0:
+            raise ValueError(f"probability masses need a positive denominator, not {denominator}")
+        _check_masses(nums, denominator)
+        g = reduce(gcd, nums, denominator)
+        if g > 1:
+            nums = tuple(a // g for a in nums)
+            denominator //= g
+        measure = object.__new__(cls)
+        measure._set(space, tuple(Fraction(a, denominator) for a in nums), nums, denominator)
+        return measure
+
+    def _set(
+        self, space: SampleSpace, mass: tuple[Fraction, ...], nums: tuple[int, ...], s: int
+    ) -> None:
         object.__setattr__(self, "space", space)
         object.__setattr__(self, "mass", mass)
-        object.__setattr__(self, "numerators", tuple(nums))
+        object.__setattr__(self, "numerators", nums)
         object.__setattr__(self, "denominator", s)
 
     def __call__(self, event: Iterable[str]) -> Fraction:
@@ -222,5 +260,4 @@ def mix(
         raise DimensionMismatch("measures on different spaces")
     rows, d = integer_rows(measures, range(space.size))
     sums = [sum(map(mul, wn, col)) for col in zip(*rows)]
-    d *= wd
-    return ProbabilityMeasure(space, [Fraction(x, d) for x in sums])
+    return ProbabilityMeasure.from_integers(space, sums, d * wd)

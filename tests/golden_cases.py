@@ -10,7 +10,9 @@ site-packages:
 
 runs every case in-process, diffs its output against the expected file,
 then runs ``verify`` on every JSON certificate; it exits 1 on any
-difference.  ``tests/test_golden.py`` runs the same cases under pytest.
+difference.  Under ``python -O -S`` it runs with asserts stripped as well,
+which shows that no check of the library or of ``verify`` rests on an
+``assert``.  ``tests/test_golden.py`` runs the same cases under pytest.
 After an intended change of output, rewrite the expected files with
 
     python tests/golden_cases.py

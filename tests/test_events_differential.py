@@ -107,6 +107,11 @@ def test_hs_scans_match_frozenset_scans(bits, pair, epsilon, delta, level):
         assert check_hypothesis_primal(inst) == ref.check_hypothesis_primal(inst)
         assert check_hypothesis_dual(inst) == ref.check_hypothesis_dual(inst)
         for e in (epsilon, delta, level):
+            if e <= 0:  # a modulus is defined at levels in (0, infinity) only
+                for modulus in (hs_modulus, dual_modulus):
+                    with pytest.raises(ValueError, match="must be positive, not 0"):
+                        modulus(P, Q, e)
+                continue
             assert hs_modulus(P, Q, e) == ref.hs_modulus(P, Q, e)
             assert dual_modulus(P, Q, e, 20) == ref.dual_modulus(P, Q, e)
         for vp in P.vertices:

@@ -23,6 +23,7 @@ from robust_ftap.halmos_savage import (
     check_hypothesis_primal,
     construct_dual_hs_witness,
     construct_hs_witness,
+    dual_modulus,
     hs_modulus,
     hs_witness,
     indicator_restricted_value,
@@ -421,6 +422,15 @@ class TestHsModulus:
         P = amb(W2, (F(1, 2), F(1, 2)))
         Q = amb(W2, (1, 0))
         assert hs_modulus(P, Q, F(1, 4)) == 0
+
+    @pytest.mark.parametrize("modulus", [hs_modulus, dual_modulus])
+    @pytest.mark.parametrize("epsilon", [0, F(0), -5, F(-1, 4)])
+    def test_level_must_be_positive(self, modulus, epsilon):
+        # at epsilon <= 0 every event, the empty one too, qualifies, and
+        # the modulus would read 0: a level outside (0, infinity) is refused
+        P = amb(W2, (F(1, 2), F(1, 2)))
+        with pytest.raises(ValueError, match=f"level epsilon must be positive, not {epsilon}"):
+            modulus(P, P, epsilon)
 
     def test_monotone_in_epsilon(self):
         rng = random.Random(43)

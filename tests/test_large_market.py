@@ -343,6 +343,14 @@ class TestCertifyModuli:
         with pytest.raises(ValueError, match="epsilon grid must be nonempty"):
             certify_moduli(flat_family(2), [], kind)
 
+    @pytest.mark.parametrize("kind", ["primal", "dual"])
+    @pytest.mark.parametrize("level", [F(0), F(-1)])
+    def test_level_outside_the_positive_reals_refused(self, kind, level):
+        # at a level <= 0 the empty event qualifies, so the table would read
+        # "no uniform positive modulus" for a level that has no modulus
+        with pytest.raises(ValueError, match=f"level epsilon must be positive, not {level}"):
+            certify_moduli(flat_family(1), [F(1, 2), level], kind)
+
     def test_primal_moduli_of_na_families_are_positive(self):
         # under NA the full-support martingale measure mixes the martingale
         # vertices, so every nonempty event has positive best martingale
@@ -417,6 +425,12 @@ class TestWeakContiguity:
             for A in all_events(seq.markets[n - 1].support):
                 if p_base(A) < delta:
                     assert q(A) < F(1, 4)
+
+    @pytest.mark.parametrize("epsilon", [0, F(-1, 2)])
+    def test_level_must_be_positive(self, epsilon):
+        # the dual modulus at the half level epsilon / 2 refuses it
+        with pytest.raises(ValueError, match="level epsilon must be positive"):
+            weak_contiguity_witness(flat_family(2), epsilon)
 
     def test_vacuous_large_epsilon(self):
         seq = flat_family(3)

@@ -159,6 +159,47 @@ def test_checks_agree_on_forged_solutions(lp, data):
     event(f"{sol.status} {name}: {'accepted' if accepted else 'rejected'}")
 
 
+nonzero = st.builds(
+    lambda a, b, sign: F(sign * a, b),
+    st.integers(1, 6), st.integers(1, 4), st.sampled_from([1, -1]),
+)
+
+
+def _rejected(lp, sol):
+    with pytest.raises(CertificateError):
+        check_optimal(lp, sol)
+
+
+@settings(max_examples=600, deadline=None, derandomize=True)
+@given(linear_programs(), st.data())
+def test_the_one_optimality_check_rejects_a_changed_optimum(lp, data):
+    # `solve_lp` checks an optimum on the integers it reads off the tableau
+    # and `check_optimal` runs the same check on a solution's Fractions:
+    # it accepts the solver's optimum, and rejects it with one primal
+    # entry, one dual sign or the value changed
+    sol = solve_lp(lp)
+    event(sol.status)
+    if sol.status != "Optimal":
+        return
+    check_optimal(lp, sol)
+    _rejected(lp, replace(sol, value=sol.value + data.draw(nonzero)))
+    # a primal entry with a nonzero cost moves the objective off the value;
+    # one with cost 0 is pushed below 0
+    j = data.draw(st.integers(0, lp.num_vars - 1))
+    primal = list(sol.primal)
+    primal[j] += data.draw(nonzero) if lp.objective[j] else -primal[j] - 1
+    _rejected(lp, replace(sol, primal=tuple(primal)))
+    # a nonzero dual of an inequality row has a sign its row fixes
+    signed = [i for i, (y, row) in enumerate(zip(sol.dual, lp.constraints))
+              if y and row.relation != EQ]
+    if signed:
+        i = data.draw(st.sampled_from(signed))
+        dual = list(sol.dual)
+        dual[i] = -dual[i]
+        _rejected(lp, replace(sol, dual=tuple(dual)))
+        event("dual sign flipped")
+
+
 BEALE = LinearProgram(
     [F(-3, 4), 150, F(-1, 50), 6],
     "min",

@@ -263,7 +263,8 @@ class TestSuperhedge:
 @pytest.fixture
 def work(monkeypatch):
     """Counts the LPs, phase 1 runs, vertex enumerations and integer
-    pivots (tableau, pricing and vertex walk) that `market` asks for."""
+    pivots (the tableau's and the row reductions') that `market` asks
+    for."""
     count = {"lp": 0, "phase1": 0, "enum": 0, "pivot": 0}
 
     def counting(name, fn):

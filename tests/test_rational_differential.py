@@ -237,6 +237,137 @@ def test_mix_matches_fraction_sums():
     }
 
 
+INTEGER_KINDS = ("probability", "common factor", "negative", "off", "length", "denominator")
+
+
+def _random_integers(rng, kind):
+    """Numerators over a denominator on 1 to 6 outcomes, with zeros among
+    them, broken as ``kind`` says: every integer times a common factor (a
+    measure still), a negative entry with the sum kept, a sum off the
+    denominator, one entry too many, or a denominator <= 0."""
+    n = rng.randint(1, 6)
+    nums = [rng.choice([0, 0, 1, 2, 3, 5, 8]) for _ in range(n)]
+    nums[rng.randrange(n)] += 1
+    d = sum(nums)
+    if kind == "common factor":
+        k = rng.choice([2, 3, 6, 10])
+        nums, d = [a * k for a in nums], d * k
+    elif kind == "negative":
+        i, j = rng.randrange(n), rng.randrange(n)
+        shift = nums[i] + rng.randint(1, 4)
+        nums[i] -= shift
+        nums[j] += shift
+        if i == j:
+            nums[i] -= shift  # one entry, so it goes negative alone
+    elif kind == "off":
+        d += rng.choice([1, 2] if d == 1 else [-1, 1, 2])
+    elif kind == "length":
+        nums.append(rng.choice([0, 1]))
+        d += nums[-1]
+    elif kind == "denominator":
+        d = rng.choice([0, -d])
+    return _space(n), nums, d
+
+
+def _measure_outcome(build):
+    try:
+        q = build()
+    except (DimensionMismatch, ValueError, ZeroDivisionError) as exc:
+        return type(exc), str(exc)
+    assert all(type(x) is Fraction for x in q.mass)
+    return q, q.mass, q.numerators, q.denominator
+
+
+def test_from_integers_matches_the_fraction_constructor():
+    # seeded integer vectors with zeros and with a common factor: the
+    # integer constructor builds the measure, field for field, and raises
+    # the error, type and message, that the Fraction constructor does
+    rng = random.Random(3301)
+    seen = set()
+    for k in range(1800):
+        kind = INTEGER_KINDS[k % len(INTEGER_KINDS)]
+        space, nums, d = _random_integers(rng, kind)
+        got = _measure_outcome(lambda: ProbabilityMeasure.from_integers(space, nums, d))
+        if kind == "denominator":
+            # no Fraction has a denominator <= 0 (Fraction(a, d) moves the
+            # sign of d into a, or raises ZeroDivisionError at 0): the
+            # integer constructor refuses it by name, the masses are refused
+            assert got == (ValueError, f"probability masses need a positive denominator, not {d}")
+            assert type(_measure_outcome(
+                lambda: ProbabilityMeasure(space, [F(a, d) for a in nums])
+            )[0]) is type
+            continue
+        want = _measure_outcome(lambda: ProbabilityMeasure(space, [F(a, d) for a in nums]))
+        assert got == want
+        if type(got[0]) is type:
+            seen.add(got)
+        else:
+            assert got[0] == want[0]  # the measures compare equal too
+            seen.add("reduced" if got[3] < d else "as given")
+            seen.add("zero entry" if 0 in nums else "no zero entry")
+    assert seen >= {
+        "reduced", "as given", "zero entry", "no zero entry",
+        (ValueError, "probability masses must be nonnegative"),
+        (ValueError, "probability masses must sum to exactly 1"),
+    }
+    assert any(type(o) is tuple and o[0] is DimensionMismatch for o in seen)
+
+
+def _random_na_market(rng):
+    """A market of 2 to 6 outcomes and 1 or 2 assets under 1 to 3 P-vertices
+    that has no arbitrage, drawn afresh until it has none."""
+    while True:
+        n, d = rng.randint(2, 6), rng.randint(1, 2)
+        space = _space(n)
+        s0 = [F(rng.randint(-6, 6), rng.randint(1, 6)) for _ in range(d)]
+        s1 = [[F(rng.randint(-6, 6), rng.randint(1, 6)) for _ in range(d)] for _ in range(n)]
+        vertices = []
+        for _ in range(rng.randint(1, 3)):
+            counts = [rng.choice([0, 1, 2, 3]) for _ in range(n)]
+            counts[rng.randrange(n)] += 1
+            vertices.append(ProbabilityMeasure(space, [F(c, sum(counts)) for c in counts]))
+        m = Market(space, s0, s1, AmbiguitySet(space, vertices))
+        if check_na(m)[0]:
+            return m
+
+
+def _sides(claims):
+    return [(c.description, c.lhs, c.relation, c.rhs) for c in claims]
+
+
+def test_superhedge_claims_match_the_fraction_path():
+    # each claim of a superhedge, built from integers, equals the claim the
+    # Fraction expressions give: price + gain of H against f, E_q[f] against
+    # the price, and E_q[increment] against 0
+    rng = random.Random(3302)
+    for _ in range(150):
+        m = _random_na_market(rng)
+        for _ in range(2):
+            values = [F(rng.randint(-6, 6), rng.randint(1, 6)) for _ in m.space.outcomes]
+            f = BoundedFunction(m.space, values)
+            cert = market.superhedge(m, f)
+            q = cert.attaining_q
+            want = [
+                (f"hedge dominates payoff at {o}", cert.price + ref.gain(m, cert.H, o), ">=",
+                 f.value_at(o))
+                for o in m.support
+            ]
+            want.append(
+                ("attaining measure reaches the price", ref.expectation(q, f), "=", cert.price)
+            )
+            want += [
+                (f"attaining measure: expected increment of asset {i}", e, "=", 0)
+                for i, e in enumerate(ref.expected_increments(m, q))
+            ]
+            assert _sides(cert.claims) == want
+            assert all(type(c.lhs) is Fraction and type(c.rhs) is Fraction for c in cert.claims)
+            # the attaining measure is the one its masses build as Fractions
+            twin = ProbabilityMeasure(m.space, q.mass)
+            assert (q, q.mass, q.numerators, q.denominator) == (
+                twin, twin.mass, twin.numerators, twin.denominator
+            )
+
+
 # small entries make degenerate systems, where bases share a vertex
 small = st.builds(F, st.integers(-2, 2), st.sampled_from([1, 2]))
 
